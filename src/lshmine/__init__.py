@@ -27,7 +27,7 @@ from .engine import (
     compare_with_oracle,
     lsh_apriori_mine,
 )
-from .exact import FrequentItemsetSet, apriori_mine, brute_force_mine, join_compatible
+from .exact import FrequentItemsetSet, apriori_mine, brute_force_mine, join_level
 from .transform import (
     DegenerateLevel,
     LevelContext,
@@ -57,7 +57,7 @@ __all__ = [
     "co_support",
     "compare_with_oracle",
     "generate_synthetic",
-    "join_compatible",
+    "join_level",
     "load_transactions",
     "lsh_apriori_mine",
     "pad_preprocess",

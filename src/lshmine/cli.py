@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 
 from .dataset import DatasetError, generate_synthetic, load_transactions, write_transactions
-from .exact import brute_force_mine
 from .engine import (
     VARIANTS,
     ComparisonReport,
@@ -129,9 +129,8 @@ def _emit(text: str, output: str):
             fh.write(text)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, needs_input: bool = True):
-    if needs_input:
-        p.add_argument("--input", required=True, help="FIMI transaction file")
+def _add_common_flags(p: argparse.ArgumentParser):
+    p.add_argument("--input", required=True, help="FIMI transaction file")
     p.add_argument("--output", default="-", help="report destination (default stdout)")
     p.add_argument("--theta", type=float, required=True, help="support threshold in (0,1)")
     p.add_argument("--epsilon", type=float, default=None, help="LSH tolerance in (0,1)")
@@ -142,7 +141,6 @@ def _add_common_flags(p: argparse.ArgumentParser, needs_input: bool = True):
     p.add_argument("--covering-early-exit", action="store_true",
                    help="enable the fruitless-inspection cutoff for the covering variant "
                         "(reintroduces a miss probability)")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +187,7 @@ def cmd_mine(args) -> int:
     config = _config_from_args(args, args.variant)
     config.validate()
     db = load_transactions(args.input)
-    report = lsh_apriori_mine(db, config, workers=args.workers)
+    report = lsh_apriori_mine(db, config)
     if args.format == "json":
         _emit(report_json(report), args.output)
     else:
@@ -210,32 +208,21 @@ def cmd_compare(args) -> int:
     missed_any = False
     sub_total = 0
     level_misses: dict[int, int] = {}
-    oracle_count = 0
-    oracle_per_level: dict[int, int] = {}
     for i in range(args.trials):
-        trial_cfg = MiningConfig(
-            theta=config.theta, variant=config.variant, epsilon=config.epsilon,
-            delta=config.delta, seed=config.seed + i, max_level=config.max_level,
-            covering_early_exit=config.covering_early_exit, mask_dim_cap=config.mask_dim_cap,
-        )
-        comp = compare_with_oracle(db, trial_cfg, workers=args.workers)
+        comp = compare_with_oracle(db, dataclasses.replace(config, seed=config.seed + i))
         if first is None:
             first = comp
-            oracle_count = comp.oracle_count
-            oracle = brute_force_mine(db, config.theta)
-            for l, records in enumerate(oracle.levels, start=1):
-                oracle_per_level[l] = len(records)
         missed_any = missed_any or bool(comp.missed)
         sub_total += len(comp.sub_threshold)
         for l, c in comp.per_level_misses.items():
             level_misses[l] = level_misses.get(l, 0) + c
 
     per_level = []
-    for l in sorted(oracle_per_level):
-        denom = oracle_per_level[l] * args.trials
+    for l, oracle_count in sorted(first.oracle_per_level.items()):
+        denom = oracle_count * args.trials
         per_level.append({
             "level": l,
-            "oracle_count": oracle_per_level[l],
+            "oracle_count": oracle_count,
             "miss_rate": (level_misses.get(l, 0) / denom) if denom else 0.0,
             "bound_delta_2l": (config.delta * 2**l) if config.delta is not None else None,
         })
@@ -252,7 +239,7 @@ def cmd_compare(args) -> int:
     if failed:
         print("compare FAILED: covering miss or sub-threshold output detected", file=sys.stderr)
         return EXIT_DIFF
-    print(f"compare ok over {args.trials} trial(s); oracle itemsets: {oracle_count}",
+    print(f"compare ok over {args.trials} trial(s); oracle itemsets: {first.oracle_count}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -267,7 +254,7 @@ def cmd_bench(args) -> int:
     for v in variants:
         config = _config_from_args(args, v)
         config.validate()
-        reports.append(lsh_apriori_mine(db, config, workers=args.workers))
+        reports.append(lsh_apriori_mine(db, config))
     _emit(report_csv(reports, timing=args.timing), args.output)
     return EXIT_OK
 

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ItemsetRecord, co_support
-from .exact import union_if_compatible
-from .transform import PREPROCESS, QUERY, DegenerateLevel, LevelContext, pad_preprocess, pad_query
+from .dataset import ItemsetRecord
+from .hamming_lsh import QueryResult, verify_collisions
+from .transform import DegenerateLevel, LevelContext, pad_preprocess, pad_query
 
 DEFAULT_MASK_DIM_CAP = 24
 
 
 class FamilyTooLarge(Exception):
     """The mask space 2^(t*theta'+1) exceeds the configured cap."""
+
+    reason = "family_too_large"
 
 
 def _ceil(x: float) -> int:
@@ -87,7 +89,6 @@ class CoveringFamily:
     mask_dim: int
     phi: np.ndarray          # (n_prime,) ints in [0, 2^mask_dim)
     masks: list[int]         # 2^mask_dim - 1 projection masks, n_prime bits each
-    seed: object = None
 
 
 def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) -> CoveringFamily:
@@ -113,7 +114,7 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
         packed = np.packbits(parity, axis=0, bitorder="little")
         for col in range(packed.shape[1]):
             masks.append(int.from_bytes(packed[:, col].tobytes(), "little"))
-    return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks, seed=seed)
+    return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks)
 
 
 @dataclass
@@ -138,57 +139,18 @@ def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelCo
     return index
 
 
-@dataclass
-class CoveringQueryResult:
-    partners: list[ItemsetRecord]
-    partner_indices: list[int]
-    verified: dict[int, int] = field(default_factory=dict)
-    inspections: int = 0
-    reads: int = 0
-    collision_counts: dict[int, int] = field(default_factory=dict)
-    early_exit: bool = False
-
-
 def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext,
-          early_exit: bool = False) -> CoveringQueryResult:
+          early_exit: bool = False) -> QueryResult:
     """Probe every mask's bucket for Q(q) and verify compatible collisions.
 
     With `early_exit` off (the default) every collision is inspected, which
     preserves the no-false-negative guarantee; switching it on applies the
     same fruitless-inspection budget as the Hamming variant.
     """
-    params = index.params
     qval = pad_query(q.vector, ctx).bits.value
-    result = CoveringQueryResult(partners=[], partner_indices=[])
-    seen: set[int] = set()
-    similar_found = False
-
-    for t, mask in enumerate(index.family.masks):
-        bucket = index.tables[t].get(qval & mask)
-        if not bucket:
-            continue
-        for idx in bucket:
-            record = index.records[idx]
-            if record is q or record.items == q.items:
-                continue
-            result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
-            if idx in seen:
-                continue
-            seen.add(idx)
-            if union_if_compatible(q.items, record.items) is None:
-                continue
-            co = co_support(record.vector, q.vector)
-            result.verified[idx] = co
-            result.reads += ctx.n
-            result.inspections += 1
-            if co >= ctx.theta_count:
-                result.partners.append(record)
-                result.partner_indices.append(idx)
-                similar_found = True
-            if early_exit and not similar_found and result.inspections >= params.early_exit_budget:
-                result.early_exit = True
-                return result
-    return result
+    buckets = (table.get(qval & mask) for table, mask in zip(index.tables, index.family.masks))
+    budget = index.params.early_exit_budget if early_exit else None
+    return verify_collisions(index.records, buckets, q, ctx, budget)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

@@ -169,11 +169,9 @@ def co_support(x: BitVector, y: BitVector) -> int:
     return (x.value & y.value).bit_count()
 
 
-def load_transactions(path, fmt: str = "fimi") -> TransactionDatabase:
+def load_transactions(path) -> TransactionDatabase:
     """Read a FIMI flat file: one transaction per line, whitespace-separated
     non-negative integer item ids, no header.  Empty lines are skipped."""
-    if fmt != "fimi":
-        raise DatasetError(f"unknown format {fmt!r}")
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()

@@ -1,6 +1,12 @@
 """Level-wise mining driver: exact joins or LSH-screened joins, plus the
 I/O accounting that makes the variants comparable.
 
+Every level starts with the all-pairs join of `exact.join_level`.  The
+exact variant and every fallback level are that join: its frequent unions
+become the next level.  An LSH level instead builds the next level from
+its own screening and verification (the per-variant hooks in
+`_LSH_VARIANTS`), and reads the join only to count TN and FP.
+
 Accounting model ("reading a transaction" = touching one bit of a column):
 every exact support verification charges n; hashing work is tracked
 separately as hash_bits_read.  For each ordered compatible pair whose
@@ -8,21 +14,28 @@ union is below threshold, the partner is a false positive if the variant
 spent a full verification on it (for MinHash: if the sketch approved it)
 and a true negative otherwise; TN + FP then equals twice the number of
 unordered compatible pairs with infrequent unions, which is checked
-against an exact sweep of the level.
+against the join.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import covering_lsh, hamming_lsh, minhash_lsh
 from .dataset import ItemsetRecord, TransactionDatabase, support_threshold
-from .exact import FrequentItemsetSet, brute_force_mine, union_if_compatible
+from .exact import (
+    FrequentItemsetSet,
+    PairSweep,
+    brute_force_mine,
+    frequent_singletons,
+    join_level,
+    union_if_compatible,
+)
 from .transform import DegenerateLevel, LevelContext
 
 VARIANTS = ("exact", "hamming", "minhash", "covering")
@@ -91,65 +104,6 @@ class MiningReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
-class PairSweep:
-    """Exact view of one level's join: who is compatible with whom and
-    which unions are frequent.  Instrumentation only, never charged."""
-
-    candidate_pairs: int
-    frequent_pairs: int
-    distinct_candidates: int
-    negatives: list[set[int]]   # per record index: compatible partners with infrequent union
-
-
-def _sweep_pairs(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
-    m = len(records)
-    negatives = [set() for _ in range(m)]
-    cpairs = fpairs = 0
-    unions = set()
-    for i in range(m):
-        vi = records[i].vector.value
-        for j in range(i + 1, m):
-            u = union_if_compatible(records[i].items, records[j].items)
-            if u is None:
-                continue
-            cpairs += 1
-            unions.add(u)
-            if (vi & records[j].vector.value).bit_count() >= theta_count:
-                fpairs += 1
-            else:
-                negatives[i].add(j)
-                negatives[j].add(i)
-    return PairSweep(cpairs, fpairs, len(unions), negatives)
-
-
-def _exact_extend(records: list[ItemsetRecord], theta_count: int, n: int):
-    """Dedup join + support scan; returns (next_records, reads, distinct)."""
-    by_items = {r.items: r for r in records}
-    first_pair: dict[tuple[int, ...], tuple[ItemsetRecord, ItemsetRecord]] = {}
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            u = union_if_compatible(records[i].items, records[j].items)
-            if u is not None and u not in first_pair:
-                first_pair[u] = (records[i], records[j])
-    reads = 0
-    nxt = []
-    for u in sorted(first_pair):
-        a, b = first_pair[u]
-        vec = a.vector & b.vector
-        reads += n
-        if vec.popcount() >= theta_count:
-            nxt.append(ItemsetRecord.from_vector(u, vec))
-    return nxt, reads, len(first_pair)
-
-
-def _map_queries(fn, count: int, workers: int):
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def _classify(sweep: PairSweep, spent: list[set[int]]) -> tuple[int, int]:
     """Split each query's negative partners into FP (verification spent on
     them) and TN, summed over ordered pairs."""
@@ -161,7 +115,7 @@ def _classify(sweep: PairSweep, spent: list[set[int]]) -> tuple[int, int]:
     return tn, fp
 
 
-def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig, workers: int = 1) -> MiningReport:
+def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningReport:
     """Mine frequent itemsets level by level with the configured variant.
 
     Level 1 is always computed exactly.  For later levels the variant
@@ -178,13 +132,7 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig, workers: int
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    current = []
-    reads = 0
-    for item in db.items():
-        col = db.columns[item]
-        reads += db.n
-        if col.popcount() >= theta_count:
-            current.append(ItemsetRecord.from_vector((item,), col))
+    current, reads = frequent_singletons(db, theta_count)
     timings["level1:scan"] = time.perf_counter() - t0
     stats.append(LevelStats(
         level=1, frequent_count=len(current), candidates=len(db.items()),
@@ -198,7 +146,7 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig, workers: int
 
     level = 1
     while current and (config.max_level is None or level < config.max_level):
-        nxt, row = _produce_level(db, config, current, level, theta_count, workers, timings)
+        nxt, row = _produce_level(db, config, current, level, theta_count, timings)
         stats.append(row)
         if nxt:
             fis.levels.append(nxt)
@@ -209,123 +157,119 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig, workers: int
                         itemsets=fis, timings=timings)
 
 
-def _produce_level(db, config, current, level, theta_count, workers, timings):
+@dataclass(frozen=True)
+class _Variant:
+    """How one LSH variant screens a level's join partners.  The hooks look
+    their functions up on the module at call time, so a function replaced
+    on its module (by a test or an observer) is the one that runs."""
+
+    derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
+    build: Callable     # (level, params, ctx, seed) -> index
+    query: Callable     # (index, record, params, ctx, config) -> result with .partners
+    phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
+    defers_verify: bool  # False: the query verified its partners (.verified, .reads)
+                         # True: the query only approved them (.approved); verify here
+
+
+def _build_covering(level, params, ctx, seed):
+    return covering_lsh.build_index(level, covering_lsh.build_family(params, seed), ctx, params)
+
+
+_LSH_VARIANTS = {
+    "hamming": _Variant(
+        derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
+        build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
+        query=lambda index, q, params, ctx, config: hamming_lsh.query(index, q, ctx),
+        phi=lambda params, ctx: params.k * params.L,
+        defers_verify=False,
+    ),
+    "minhash": _Variant(
+        derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
+        build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
+        query=lambda sketch, q, params, ctx, config: minhash_lsh.query(sketch, q, params, ctx),
+        phi=lambda params, ctx: params.rows,
+        defers_verify=True,
+    ),
+    "covering": _Variant(
+        derive=lambda config, ctx: covering_lsh.derive_params(
+            ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
+        build=_build_covering,
+        query=lambda index, q, params, ctx, config: covering_lsh.query(
+            index, q, ctx, early_exit=config.covering_early_exit),
+        phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
+        defers_verify=False,
+    ),
+}
+
+
+def _produce_level(db, config, current, level, theta_count, timings):
     n = db.n
     m_l = len(current)
     next_level = level + 1
     tag = f"level{next_level}"
 
     t0 = time.perf_counter()
-    sweep = _sweep_pairs(current, theta_count)
+    sweep = join_level(current, theta_count)
     timings[f"{tag}:sweep"] = time.perf_counter() - t0
 
-    def finish(nxt, reads, emitted, tn, fp, phi, lsh_active, fallback=None):
-        nxt = sorted(nxt, key=lambda r: r.items)
-        return nxt, LevelStats(
-            level=next_level, frequent_count=len(nxt), candidates=sweep.distinct_candidates,
-            emitted_candidates=emitted, candidate_pairs=sweep.candidate_pairs,
-            frequent_pairs=sweep.frequent_pairs, transactions_read=reads,
-            hash_bits_read=2 * m_l * phi if lsh_active else 0,
-            overhead_hashes=2 * m_l if lsh_active else 0,
-            true_negatives=tn, false_positives=fp, phi=phi,
-            savings_estimate=(n - phi) * tn,
-            lsh_active=lsh_active, fallback_reason=fallback,
-        )
-
-    def exact_path(fallback=None):
-        t1 = time.perf_counter()
-        nxt, reads, distinct = _exact_extend(current, theta_count, n)
-        timings[f"{tag}:verify"] = time.perf_counter() - t1
-        return finish(nxt, reads, distinct, 0, 0, 0, lsh_active=False, fallback=fallback)
-
-    if config.variant == "exact" or m_l < 2:
-        return exact_path()
-
-    ctx = LevelContext(n=n, m_l=m_l, alpha_count=max(r.support for r in current),
-                       theta_count=theta_count)
-    seed = np.random.SeedSequence([config.seed, next_level])
-
-    if config.variant == "hamming":
+    variant = _LSH_VARIANTS.get(config.variant)
+    params = fallback = None
+    tn = fp = phi = 0
+    if variant is not None and m_l >= 2:
+        ctx = LevelContext(n=n, m_l=m_l, alpha_count=max(r.support for r in current),
+                           theta_count=theta_count)
         try:
-            params = hamming_lsh.derive_params(ctx, config.epsilon, config.delta)
-        except DegenerateLevel:
-            return exact_path("degenerate_level")
-        t1 = time.perf_counter()
-        index = hamming_lsh.build_index(current, params, ctx, seed)
-        timings[f"{tag}:build"] = time.perf_counter() - t1
-        t1 = time.perf_counter()
-        results = _map_queries(lambda qi: hamming_lsh.query(index, current[qi], ctx), m_l, workers)
-        timings[f"{tag}:query"] = time.perf_counter() - t1
-        reads = sum(r.reads for r in results)
-        spent = [set(r.verified) for r in results]
-        tn, fp = _classify(sweep, spent)
-        candidates: dict[tuple[int, ...], ItemsetRecord] = {}
-        for qi, res in enumerate(results):
-            for idx, rec in zip(res.partner_indices, res.partners):
-                u = union_if_compatible(current[qi].items, rec.items)
-                if u not in candidates:
-                    candidates[u] = ItemsetRecord.from_vector(u, current[qi].vector & rec.vector)
-        return finish(list(candidates.values()), reads, len(candidates), tn, fp,
-                      params.k * params.L, lsh_active=True)
+            params = variant.derive(config, ctx)
+        except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
+            fallback = exc.reason
+    if params is None:
+        emitted = sweep.distinct_candidates
+        nxt, reads = sweep.next_level(), n * emitted
+    else:
+        seed = np.random.SeedSequence([config.seed, next_level])
+        nxt, reads, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
+                                                    sweep, tag, timings)
+        phi = variant.phi(params, ctx)
+    lsh_active = params is not None
+    return nxt, LevelStats(
+        level=next_level, frequent_count=len(nxt), candidates=sweep.distinct_candidates,
+        emitted_candidates=emitted, candidate_pairs=sweep.candidate_pairs,
+        frequent_pairs=sweep.frequent_pairs, transactions_read=reads,
+        hash_bits_read=2 * m_l * phi, overhead_hashes=2 * m_l if lsh_active else 0,
+        true_negatives=tn, false_positives=fp, phi=phi, savings_estimate=(n - phi) * tn,
+        lsh_active=lsh_active, fallback_reason=fallback,
+    )
 
-    if config.variant == "minhash":
-        params = minhash_lsh.derive_params(ctx, config.epsilon, config.delta)
-        t1 = time.perf_counter()
-        sketch = minhash_lsh.build_sketch(current, params, ctx, seed)
-        timings[f"{tag}:build"] = time.perf_counter() - t1
-        t1 = time.perf_counter()
-        results = _map_queries(lambda qi: minhash_lsh.query(sketch, current[qi], params, ctx),
-                               m_l, workers)
-        timings[f"{tag}:query"] = time.perf_counter() - t1
-        spent = [set(r.approved) for r in results]
-        tn, fp = _classify(sweep, spent)
-        first_pair: dict[tuple[int, ...], tuple[ItemsetRecord, ItemsetRecord]] = {}
-        for qi, res in enumerate(results):
-            for rec in res.partners:
-                u = union_if_compatible(current[qi].items, rec.items)
-                if u not in first_pair:
-                    first_pair[u] = (current[qi], rec)
-        t1 = time.perf_counter()
-        reads = 0
-        nxt = []
-        for u, (a, b) in first_pair.items():
-            vec = a.vector & b.vector
-            reads += n
-            if vec.popcount() >= theta_count:
-                nxt.append(ItemsetRecord.from_vector(u, vec))
-        timings[f"{tag}:verify"] = time.perf_counter() - t1
-        return finish(nxt, reads, len(first_pair), tn, fp, params.rows, lsh_active=True)
 
-    # covering
-    try:
-        params = covering_lsh.derive_params(ctx, config.epsilon, config.delta,
-                                            mask_dim_cap=config.mask_dim_cap)
-    except DegenerateLevel:
-        return exact_path("degenerate_level")
-    except covering_lsh.FamilyTooLarge:
-        return exact_path("family_too_large")
-    t1 = time.perf_counter()
-    family = covering_lsh.build_family(params, seed)
-    index = covering_lsh.build_index(current, family, ctx, params)
-    timings[f"{tag}:build"] = time.perf_counter() - t1
-    t1 = time.perf_counter()
-    results = _map_queries(
-        lambda qi: covering_lsh.query(index, current[qi], ctx,
-                                      early_exit=config.covering_early_exit),
-        m_l, workers)
-    timings[f"{tag}:query"] = time.perf_counter() - t1
-    reads = sum(r.reads for r in results)
-    spent = [set(r.verified) for r in results]
-    tn, fp = _classify(sweep, spent)
-    candidates = {}
-    for qi, res in enumerate(results):
+def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
+    """One LSH level: build, query every record, assemble the candidates
+    from the partners found, and verify them if the query did not."""
+    t0 = time.perf_counter()
+    index = variant.build(current, params, ctx, seed)
+    timings[f"{tag}:build"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    results = [variant.query(index, q, params, ctx, config) for q in current]
+    timings[f"{tag}:query"] = time.perf_counter() - t0
+    tn, fp = _classify(sweep, [set(r.approved if variant.defers_verify else r.verified)
+                               for r in results])
+
+    first_pair: dict[tuple[int, ...], tuple[ItemsetRecord, ItemsetRecord]] = {}
+    for q, res in zip(current, results):
         for rec in res.partners:
-            u = union_if_compatible(current[qi].items, rec.items)
-            if u not in candidates:
-                candidates[u] = ItemsetRecord.from_vector(u, current[qi].vector & rec.vector)
-    phi = int(math.ceil(math.log(m_l) / params.c)) + 1
-    return finish(list(candidates.values()), reads, len(candidates), tn, fp,
-                  phi, lsh_active=True)
+            first_pair.setdefault(union_if_compatible(q.items, rec.items), (q, rec))
+    t0 = time.perf_counter()
+    nxt = []
+    for u, (a, b) in first_pair.items():
+        vec = a.vector & b.vector
+        if vec.popcount() >= ctx.theta_count:   # always true where the query verified
+            nxt.append(ItemsetRecord.from_vector(u, vec))
+    if variant.defers_verify:
+        reads = ctx.n * len(first_pair)
+        timings[f"{tag}:verify"] = time.perf_counter() - t0
+    else:
+        reads = sum(r.reads for r in results)
+    nxt.sort(key=lambda r: r.items)
+    return nxt, reads, len(first_pair), tn, fp
 
 
 @dataclass
@@ -337,14 +281,14 @@ class ComparisonReport:
     missed: list[tuple[tuple[int, ...], int]]
     sub_threshold: list[tuple[tuple[int, ...], int]]
     per_level_misses: dict[int, int]
+    oracle_per_level: dict[int, int]   # level -> oracle itemset count
 
     @property
     def clean(self) -> bool:
         return not self.missed and not self.sub_threshold
 
 
-def compare_with_oracle(db: TransactionDatabase, config: MiningConfig,
-                        workers: int = 1) -> ComparisonReport:
+def compare_with_oracle(db: TransactionDatabase, config: MiningConfig) -> ComparisonReport:
     """Run the configured variant and diff it against brute force.
 
     Reports every frequent itemset the variant missed and every emitted
@@ -353,7 +297,7 @@ def compare_with_oracle(db: TransactionDatabase, config: MiningConfig,
     level rows where those levels were attempted.
     """
     oracle = brute_force_mine(db, config.theta)
-    report = lsh_apriori_mine(db, config, workers=workers)
+    report = lsh_apriori_mine(db, config)
     out = report.itemsets.as_dict()
     oracle_dict = oracle.as_dict()
 
@@ -367,7 +311,9 @@ def compare_with_oracle(db: TransactionDatabase, config: MiningConfig,
         row.misses_vs_oracle = per_level.get(row.level, 0)
     return ComparisonReport(config=config, report=report,
                             oracle_count=len(oracle_dict), output_count=len(out),
-                            missed=missed, sub_threshold=sub, per_level_misses=per_level)
+                            missed=missed, sub_threshold=sub, per_level_misses=per_level,
+                            oracle_per_level={l: len(records)
+                                              for l, records in enumerate(oracle.levels, start=1)})
 
 
 def accounting_check(stats: LevelStats, n: int) -> bool:

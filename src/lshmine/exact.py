@@ -1,8 +1,11 @@
-"""Exact miners: level-wise Apriori and a brute-force enumerator.
+"""Exact mining: the level-1 scan, the all-pairs candidate join, the
+level-wise Apriori built from the two, and a brute-force enumerator.
 
-Both produce the same answer by construction; the brute-force path exists
-so the randomized miners always have an independent ground truth to be
-checked against.
+The join is the exact path: the exact variant and every fallback level of
+the LSH variants take the join's frequent unions as the next level, and
+the LSH levels read it for their true-negative / false-positive counts.
+The brute-force path shares no logic with it, so the miners always have
+an independent ground truth to be checked against.
 """
 
 from __future__ import annotations
@@ -48,19 +51,23 @@ class FrequentItemsetSet:
 
 
 @dataclass
-class LevelTally:
-    """Per-level work counters for a plain Apriori run."""
-
-    level: int
-    candidates: int
-    frequent: int
-    transactions_read: int
+class AprioriResult:
+    itemsets: FrequentItemsetSet
 
 
 @dataclass
-class AprioriResult:
-    itemsets: FrequentItemsetSet
-    tallies: list[LevelTally]
+class PairSweep:
+    """One level's all-pairs join: who is compatible with whom and which
+    unions are frequent.  `frequent` holds the exact next level."""
+
+    candidate_pairs: int
+    frequent_pairs: int
+    distinct_candidates: int
+    negatives: list[set[int]]   # per record index: compatible partners with infrequent union
+    frequent: dict[tuple[int, ...], ItemsetRecord]   # union -> record with the AND vector
+
+    def next_level(self) -> list[ItemsetRecord]:
+        return [self.frequent[u] for u in sorted(self.frequent)]
 
 
 def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
@@ -88,18 +95,37 @@ def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
     return tuple(out)
 
 
-def join_compatible(level: list[ItemsetRecord]) -> list[tuple[int, ...]]:
-    """All deduplicated size-(l+1) unions of compatible pairs, sorted."""
-    seen = set()
-    for i in range(len(level)):
-        for j in range(i + 1, len(level)):
-            u = union_if_compatible(level[i].items, level[j].items)
-            if u is not None:
-                seen.add(u)
-    return sorted(seen)
+def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
+    """The candidate join of Agrawal & Srikant (VLDB 1994) over all pairs of
+    the level, with the support of every union counted on the way."""
+    m = len(records)
+    negatives = [set() for _ in range(m)]
+    cpairs = fpairs = 0
+    unions = set()
+    frequent = {}
+    for i in range(m):
+        a = records[i]
+        a_value = a.vector.value
+        for j in range(i + 1, m):
+            b = records[j]
+            u = union_if_compatible(a.items, b.items)
+            if u is None:
+                continue
+            cpairs += 1
+            unions.add(u)
+            both = a_value & b.vector.value
+            if both.bit_count() >= theta_count:
+                fpairs += 1
+                if u not in frequent:
+                    frequent[u] = ItemsetRecord.from_vector(u, BitVector(a.vector.length, both))
+            else:
+                negatives[i].add(j)
+                negatives[j].add(i)
+    return PairSweep(cpairs, fpairs, len(unions), negatives, frequent)
 
 
-def _frequent_singletons(db: TransactionDatabase, theta_count: int) -> tuple[list[ItemsetRecord], int]:
+def frequent_singletons(db: TransactionDatabase, theta_count: int) -> tuple[list[ItemsetRecord], int]:
+    """The level-1 scan: one support count (n reads) per occurring item."""
     records = []
     reads = 0
     for item in db.items():
@@ -114,40 +140,11 @@ def apriori_mine(db: TransactionDatabase, theta: float) -> AprioriResult:
     """Level-wise Apriori: join compatible pairs, verify support, repeat."""
     theta_count = support_threshold(theta, db.n)
     fis = FrequentItemsetSet(theta_count=theta_count)
-    tallies: list[LevelTally] = []
-
-    current, reads = _frequent_singletons(db, theta_count)
-    tallies.append(LevelTally(1, len(db.items()), len(current), reads))
-    if current:
-        fis.levels.append(current)
-
-    level = 1
+    current, _ = frequent_singletons(db, theta_count)
     while current:
-        by_items = {r.items: r for r in current}
-        candidates: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        items_list = list(by_items)
-        for i in range(len(items_list)):
-            for j in range(i + 1, len(items_list)):
-                u = union_if_compatible(items_list[i], items_list[j])
-                if u is not None and u not in candidates:
-                    candidates[u] = (items_list[i], items_list[j])
-
-        reads = 0
-        nxt = []
-        for u in sorted(candidates):
-            a, b = candidates[u]
-            vec = by_items[a].vector & by_items[b].vector
-            reads += db.n
-            if vec.popcount() >= theta_count:
-                nxt.append(ItemsetRecord.from_vector(u, vec))
-
-        level += 1
-        tallies.append(LevelTally(level, len(candidates), len(nxt), reads))
-        if nxt:
-            fis.levels.append(nxt)
-        current = nxt
-
-    return AprioriResult(itemsets=fis, tallies=tallies)
+        fis.levels.append(current)
+        current = join_level(current, theta_count).next_level()
+    return AprioriResult(itemsets=fis)
 
 
 def brute_force_mine(db: TransactionDatabase, theta: float) -> FrequentItemsetSet:

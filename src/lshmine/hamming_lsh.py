@@ -63,7 +63,6 @@ class HammingIndex:
     records: list[ItemsetRecord]
     projections: np.ndarray                      # (L, k) sampled positions
     tables: list[dict[bytes, list[int]]]
-    seed: object = None
 
     def bucket_key(self, bits: np.ndarray, table: int) -> bytes:
         return bits[self.projections[table]].tobytes()
@@ -85,7 +84,7 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
             raise ValueError(f"projections must have shape {(params.L, params.k)}")
 
     index = HammingIndex(params=params, ctx=ctx, records=list(level),
-                         projections=projections, tables=[{} for _ in range(params.L)], seed=seed)
+                         projections=projections, tables=[{} for _ in range(params.L)])
     for idx, record in enumerate(level):
         bits = padded_bits_array(record.vector, ctx, PREPROCESS)
         for t in range(params.L):
@@ -95,7 +94,7 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
 
 
 @dataclass
-class HammingQueryResult:
+class QueryResult:
     partners: list[ItemsetRecord]                # FI_q, in discovery order
     partner_indices: list[int]
     verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support
@@ -105,26 +104,26 @@ class HammingQueryResult:
     early_exit: bool = False
 
 
-def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext) -> HammingQueryResult:
-    """Probe the L buckets for Q(q), verify compatible collisions in order,
-    and stop early after `early_exit_budget` fruitless inspections.
+def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord,
+                      ctx: LevelContext, early_exit_budget: int | None = None) -> QueryResult:
+    """Verify the compatible records colliding with q, bucket by bucket.
 
-    Only compatible candidates are verified (and charged n transaction
-    reads); incompatible collisions cost nothing.  The early-exit budget
-    counts distinct verified candidates, globally across buckets.
+    `buckets` yields q's bucket (a list of record indices, or None) in each
+    table, lazily, so an early exit skips the remaining keys.  Only
+    compatible candidates are verified (and charged n transaction reads);
+    incompatible collisions cost nothing.  With a budget, the query stops
+    once that many distinct verified candidates, counted across buckets,
+    found nothing similar.
     """
-    params = index.params
-    bits = padded_bits_array(q.vector, ctx, QUERY)
-    result = HammingQueryResult(partners=[], partner_indices=[])
+    result = QueryResult(partners=[], partner_indices=[])
     seen: set[int] = set()
     similar_found = False
 
-    for t in range(params.L):
-        bucket = index.tables[t].get(index.bucket_key(bits, t))
+    for bucket in buckets:
         if not bucket:
             continue
         for idx in bucket:
-            record = index.records[idx]
+            record = records[idx]
             if record is q or record.items == q.items:
                 continue
             result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
@@ -141,7 +140,16 @@ def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext) -> HammingQu
                 result.partners.append(record)
                 result.partner_indices.append(idx)
                 similar_found = True
-            if not similar_found and result.inspections >= params.early_exit_budget:
+            if (early_exit_budget is not None and not similar_found
+                    and result.inspections >= early_exit_budget):
                 result.early_exit = True
                 return result
     return result
+
+
+def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext) -> QueryResult:
+    """Probe the L buckets for Q(q) and verify compatible collisions in
+    order, stopping early after `early_exit_budget` fruitless inspections."""
+    bits = padded_bits_array(q.vector, ctx, QUERY)
+    buckets = (index.tables[t].get(index.bucket_key(bits, t)) for t in range(index.params.L))
+    return verify_collisions(index.records, buckets, q, ctx, index.params.early_exit_budget)

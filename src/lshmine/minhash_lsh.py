@@ -62,7 +62,6 @@ class MinhashSketch:
     records: list[ItemsetRecord]
     perms: np.ndarray      # (rows, padded_length) independent permutations
     columns: np.ndarray    # (rows, m_l) minwise values of the P-padded records
-    seed: object = None
 
 
 def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelContext,
@@ -80,7 +79,7 @@ def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelCo
     else:
         columns = np.empty((params.rows, 0), dtype=np.int64)
     return MinhashSketch(params=params, ctx=ctx, records=list(level),
-                         perms=perms, columns=columns, seed=seed)
+                         perms=perms, columns=columns)
 
 
 def sketch_query_column(sketch: MinhashSketch, q: ItemsetRecord) -> np.ndarray:

@@ -29,6 +29,8 @@ class DegenerateLevel(Exception):
     """Signals alpha == theta for a level, where a variant's parameter
     derivation is undefined and the caller must fall back to exact joins."""
 
+    reason = "degenerate_level"
+
 
 @dataclass(frozen=True)
 class LevelContext:

@@ -62,11 +62,6 @@ def test_load_missing_file(tmp_path):
         load_transactions(tmp_path / "nope.dat")
 
 
-def test_load_unknown_format(tmp_path):
-    with pytest.raises(DatasetError, match="unknown format"):
-        load_transactions(write_file(tmp_path, "1\n"), fmt="csv")
-
-
 def test_load_duplicate_items_in_line(tmp_path):
     db = load_transactions(write_file(tmp_path, "2 2 2\n2\n"))
     assert db.columns[2].popcount() == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord
-from lshmine.exact import apriori_mine, brute_force_mine, join_compatible, union_if_compatible
+from lshmine.engine import MiningConfig, lsh_apriori_mine
+from lshmine.exact import apriori_mine, brute_force_mine, join_level, union_if_compatible
 
 from conftest import TOY_FREQUENT, db_from_rows, downward_closed, random_db
 
@@ -20,11 +21,11 @@ def test_apriori_toy(toy_db):
 
 
 def test_apriori_toy_tallies(toy_db):
-    res = apriori_mine(toy_db, 0.5)
-    assert [(t.level, t.candidates, t.frequent) for t in res.tallies] == [
+    rows = lsh_apriori_mine(toy_db, MiningConfig(theta=0.5)).levels
+    assert [(r.level, r.candidates, r.frequent_count) for r in rows] == [
         (1, 3, 3), (2, 3, 3), (3, 1, 0),
     ]
-    assert [t.transactions_read for t in res.tallies] == [12, 12, 4]
+    assert [r.transactions_read for r in rows] == [12, 12, 4]
 
 
 def test_apriori_unattainable_threshold():
@@ -47,20 +48,27 @@ def test_apriori_theta_validation(toy_db):
         apriori_mine(toy_db, 1.0)
 
 
+def joined_unions(level):
+    """Every distinct union of the join (theta_count 1 keeps them all frequent)."""
+    sweep = join_level(level, theta_count=1)
+    assert sweep.distinct_candidates == len(sweep.frequent)
+    return [r.items for r in sweep.next_level()]
+
+
 def test_join_triangle():
     level = [record([1, 2], "10"), record([1, 3], "10"), record([2, 3], "10")]
-    assert join_compatible(level) == [(1, 2, 3)]
+    assert joined_unions(level) == [(1, 2, 3)]
 
 
 def test_join_singletons():
     level = [record([1], "10"), record([2], "10")]
-    assert join_compatible(level) == [(1, 2)]
+    assert joined_unions(level) == [(1, 2)]
 
 
 def test_join_incompatible():
     level = [record([1, 2], "10"), record([3, 4], "10")]
-    assert join_compatible(level) == []
-    assert join_compatible([]) == []
+    assert joined_unions(level) == []
+    assert joined_unions([]) == []
 
 
 def test_union_if_compatible():
