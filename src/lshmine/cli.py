@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_DIFF = 3
+EXIT_INTERNAL = 4
 
 
 def config_document(config: MiningConfig) -> dict:
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:   # any other failure: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

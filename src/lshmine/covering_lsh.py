@@ -139,9 +139,10 @@ def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelCo
     return index
 
 
-def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext,
+def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
           early_exit: bool = False) -> QueryResult:
-    """Probe every mask's bucket for Q(q) and verify compatible collisions.
+    """Probe every mask's bucket for Q(q) and verify collisions with the
+    `compatible` indices.
 
     With `early_exit` off (the default) every collision is inspected, which
     preserves the no-false-negative guarantee; switching it on applies the
@@ -150,7 +151,7 @@ def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext,
     qval = pad_query(q.vector, ctx).bits.value
     buckets = (table.get(qval & mask) for table, mask in zip(index.tables, index.family.masks))
     budget = index.params.early_exit_budget if early_exit else None
-    return verify_collisions(index.records, buckets, q, ctx, budget)
+    return verify_collisions(index.records, buckets, q, compatible, ctx, budget)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

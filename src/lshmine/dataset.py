@@ -62,7 +62,7 @@ class BitVector:
         return (self.value >> j) & 1
 
     def ones(self) -> list[int]:
-        return [j for j in range(self.length) if (self.value >> j) & 1]
+        return np.flatnonzero(self.to_uint8()).tolist()
 
     def to_uint8(self) -> np.ndarray:
         """Dense 0/1 array of shape (length,), index j = transaction j."""
@@ -122,22 +122,14 @@ class TransactionDatabase:
     def items(self) -> list[int]:
         return sorted(self.columns)
 
-    def column(self, item: int) -> BitVector:
-        col = self.columns.get(item)
-        if col is None:
-            return BitVector(self.n, 0)
-        return col
-
-    def transactions(self):
-        """Yield each transaction as a sorted list of item ids (row view)."""
-        members = [[] for _ in range(self.n)]
-        for item in self.items():
-            v = self.columns[item].value
-            while v:
-                j = (v & -v).bit_length() - 1
-                members[j].append(item)
-                v &= v - 1
-        return members
+    def transactions(self) -> list[list[int]]:
+        """Each transaction as a sorted list of item ids (row view)."""
+        items = self.items()
+        hits = np.zeros((self.n, len(items)), dtype=bool)
+        for k, item in enumerate(items):
+            hits[:, k] = self.columns[item].to_uint8()
+        ids = np.array(items, dtype=np.int64)
+        return [ids[row].tolist() for row in hits]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Level-wise mining driver: exact joins or LSH-screened joins, plus the
 I/O accounting that makes the variants comparable.
 
-Every level starts with the all-pairs join of `exact.join_level`.  The
-exact variant and every fallback level are that join: its frequent unions
-become the next level.  An LSH level instead builds the next level from
-its own screening and verification (the per-variant hooks in
-`_LSH_VARIANTS`), and reads the join only to count TN and FP.
+Every level starts with the bucket join of `exact.join_level`, the only
+place that decides which pairs are compatible.  The exact variant and
+every fallback level take its frequent unions as the next level.  An LSH
+level builds the next level from its own screening and verification (the
+per-variant hooks in `_LSH_VARIANTS`) of each record's compatible partners,
+read from the join, which also holds the frequent partners for TN and FP.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every exact support verification charges n; hashing work is tracked
@@ -30,7 +31,6 @@ from . import covering_lsh, hamming_lsh, minhash_lsh
 from .dataset import ItemsetRecord, TransactionDatabase, support_threshold
 from .exact import (
     FrequentItemsetSet,
-    PairSweep,
     brute_force_mine,
     frequent_singletons,
     join_level,
@@ -104,17 +104,6 @@ class MiningReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _classify(sweep: PairSweep, spent: list[set[int]]) -> tuple[int, int]:
-    """Split each query's negative partners into FP (verification spent on
-    them) and TN, summed over ordered pairs."""
-    fp = tn = 0
-    for q, negs in enumerate(sweep.negatives):
-        hit = len(negs & spent[q])
-        fp += hit
-        tn += len(negs) - hit
-    return tn, fp
-
-
 def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningReport:
     """Mine frequent itemsets level by level with the configured variant.
 
@@ -165,7 +154,7 @@ class _Variant:
 
     derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
     build: Callable     # (level, params, ctx, seed) -> index
-    query: Callable     # (index, record, params, ctx, config) -> result with .partners
+    query: Callable     # (index, record, params, ctx, config, compatible) -> result with .partners
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
     defers_verify: bool  # False: the query verified its partners (.verified, .reads)
                          # True: the query only approved them (.approved); verify here
@@ -179,14 +168,16 @@ _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
-        query=lambda index, q, params, ctx, config: hamming_lsh.query(index, q, ctx),
+        query=lambda index, q, params, ctx, config, compatible: hamming_lsh.query(
+            index, q, ctx, compatible),
         phi=lambda params, ctx: params.k * params.L,
         defers_verify=False,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
-        query=lambda sketch, q, params, ctx, config: minhash_lsh.query(sketch, q, params, ctx),
+        query=lambda sketch, q, params, ctx, config, compatible: minhash_lsh.query(
+            sketch, q, params, ctx, compatible),
         phi=lambda params, ctx: params.rows,
         defers_verify=True,
     ),
@@ -194,8 +185,8 @@ _LSH_VARIANTS = {
         derive=lambda config, ctx: covering_lsh.derive_params(
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
         build=_build_covering,
-        query=lambda index, q, params, ctx, config: covering_lsh.query(
-            index, q, ctx, early_exit=config.covering_early_exit),
+        query=lambda index, q, params, ctx, config, compatible: covering_lsh.query(
+            index, q, ctx, compatible, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
         defers_verify=False,
     ),
@@ -242,21 +233,31 @@ def _produce_level(db, config, current, level, theta_count, timings):
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
-    """One LSH level: build, query every record, assemble the candidates
-    from the partners found, and verify them if the query did not."""
+    """One LSH level: build, query every record with its compatible
+    partners, assemble the candidates from the partners found, and verify
+    them if the query did not."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    results = [variant.query(index, q, params, ctx, config) for q in current]
-    timings[f"{tag}:query"] = time.perf_counter() - t0
-    tn, fp = _classify(sweep, [set(r.approved if variant.defers_verify else r.verified)
-                               for r in results])
 
     first_pair: dict[tuple[int, ...], tuple[ItemsetRecord, ItemsetRecord]] = {}
-    for q, res in zip(current, results):
-        for rec in res.partners:
-            first_pair.setdefault(union_if_compatible(q.items, rec.items), (q, rec))
+    query_s = 0.0
+    reads = tn = fp = 0
+    for i, q in enumerate(current):
+        compatible = set(sweep.partners(i))
+        t0 = time.perf_counter()
+        res = variant.query(index, q, params, ctx, config, compatible)
+        query_s += time.perf_counter() - t0
+        negatives = compatible - sweep.positives[i]
+        hit = len(negatives.intersection(res.approved if variant.defers_verify else res.verified))
+        fp += hit
+        tn += len(negatives) - hit
+        if not variant.defers_verify:
+            reads += res.reads
+        for j in res.partners:
+            first_pair.setdefault(union_if_compatible(q.items, current[j].items), (q, current[j]))
+    timings[f"{tag}:query"] = query_s
+
     t0 = time.perf_counter()
     nxt = []
     for u, (a, b) in first_pair.items():
@@ -266,8 +267,6 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     if variant.defers_verify:
         reads = ctx.n * len(first_pair)
         timings[f"{tag}:verify"] = time.perf_counter() - t0
-    else:
-        reads = sum(r.reads for r in results)
     nxt.sort(key=lambda r: r.items)
     return nxt, reads, len(first_pair), tn, fp
 

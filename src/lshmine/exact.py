@@ -1,11 +1,13 @@
-"""Exact mining: the level-1 scan, the all-pairs candidate join, the
-level-wise Apriori built from the two, and a brute-force enumerator.
+"""Exact mining: the level-1 scan, the candidate join, the level-wise
+Apriori built from the two, and a brute-force enumerator.
 
-The join is the exact path: the exact variant and every fallback level of
-the LSH variants take the join's frequent unions as the next level, and
-the LSH levels read it for their true-negative / false-positive counts.
-The brute-force path shares no logic with it, so the miners always have
-an independent ground truth to be checked against.
+The join is the only place that decides Apriori compatibility: it files
+each l-itemset under its l subsets of size l-1, so two itemsets sharing
+l-1 items meet in exactly one bucket.  The exact variant and every
+fallback level take its frequent unions as the next level; LSH levels read
+their queries' compatible partners and TN/FP counts from it.  The
+brute-force path shares no logic with it, so the miners always have an
+independent ground truth to be checked against.
 """
 
 from __future__ import annotations
@@ -57,17 +59,26 @@ class AprioriResult:
 
 @dataclass
 class PairSweep:
-    """One level's all-pairs join: who is compatible with whom and which
+    """One level's candidate join: who is compatible with whom and which
     unions are frequent.  `frequent` holds the exact next level."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
-    negatives: list[set[int]]   # per record index: compatible partners with infrequent union
+    records: list[ItemsetRecord]
+    buckets: dict[tuple[int, ...], list[tuple[int, int]]]   # (l-1)-subset -> [(index, item left out)]
+    positives: list[set[int]]   # per record index: compatible partners with frequent union
     frequent: dict[tuple[int, ...], ItemsetRecord]   # union -> record with the AND vector
 
     def next_level(self) -> list[ItemsetRecord]:
         return [self.frequent[u] for u in sorted(self.frequent)]
+
+    def partners(self, i: int) -> list[int]:
+        """Indices of the records compatible with record i, each once: the
+        other members of its l buckets.  Reads no co-support."""
+        items = self.records[i].items
+        return [j for k in range(len(items))
+                for j, _ in self.buckets[items[:k] + items[k + 1:]] if j != i]
 
 
 def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
@@ -96,32 +107,33 @@ def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
-    """The candidate join of Agrawal & Srikant (VLDB 1994) over all pairs of
-    the level, with the support of every union counted on the way."""
-    m = len(records)
-    negatives = [set() for _ in range(m)]
+    """The candidate join of Agrawal & Srikant (VLDB 1994), with the support
+    of every union counted on the way.  Each compatible pair meets in one
+    bucket: the (l-1)-subset the two records share."""
+    buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, r in enumerate(records):
+        items = r.items
+        for k, x in enumerate(items):
+            buckets.setdefault(items[:k] + items[k + 1:], []).append((i, x))
+    positives = [set() for _ in records]
     cpairs = fpairs = 0
     unions = set()
     frequent = {}
-    for i in range(m):
-        a = records[i]
-        a_value = a.vector.value
-        for j in range(i + 1, m):
-            b = records[j]
-            u = union_if_compatible(a.items, b.items)
-            if u is None:
-                continue
-            cpairs += 1
-            unions.add(u)
-            both = a_value & b.vector.value
-            if both.bit_count() >= theta_count:
-                fpairs += 1
-                if u not in frequent:
-                    frequent[u] = ItemsetRecord.from_vector(u, BitVector(a.vector.length, both))
-            else:
-                negatives[i].add(j)
-                negatives[j].add(i)
-    return PairSweep(cpairs, fpairs, len(unions), negatives, frequent)
+    for key, members in buckets.items():
+        for s, (i, x) in enumerate(members):
+            a = records[i].vector
+            for j, y in members[s + 1:]:
+                cpairs += 1
+                u = tuple(sorted((*key, x, y)))
+                unions.add(u)
+                both = a.value & records[j].vector.value
+                if both.bit_count() >= theta_count:
+                    fpairs += 1
+                    positives[i].add(j)
+                    positives[j].add(i)
+                    if u not in frequent:
+                        frequent[u] = ItemsetRecord.from_vector(u, BitVector(a.length, both))
+    return PairSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
 
 
 def frequent_singletons(db: TransactionDatabase, theta_count: int) -> tuple[list[ItemsetRecord], int]:

@@ -2,7 +2,7 @@
 
 L hash tables, each keyed by k uniformly sampled bit positions of the
 padded vector.  Preprocessing inserts P-padded vectors; queries probe with
-Q-padded vectors, verify every new compatible collision against the
+Q-padded vectors, verify each new collision with a join partner against the
 database, and give up early once enough inspections found nothing similar.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ItemsetRecord, co_support
-from .exact import union_if_compatible
 from .transform import PREPROCESS, QUERY, DegenerateLevel, LevelContext, padded_bits_array
 
 
@@ -95,27 +94,26 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
 
 @dataclass
 class QueryResult:
-    partners: list[ItemsetRecord]                # FI_q, in discovery order
-    partner_indices: list[int]
+    partners: list[int]                          # FI_q as record indices, in discovery order
     verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support
     inspections: int = 0
     reads: int = 0
-    collision_counts: dict[int, int] = field(default_factory=dict)  # idx -> per-table hits
+    collision_counts: dict[int, int] = field(default_factory=dict)  # compatible idx -> per-table hits
     early_exit: bool = False
 
 
-def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord,
+def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, compatible,
                       ctx: LevelContext, early_exit_budget: int | None = None) -> QueryResult:
     """Verify the compatible records colliding with q, bucket by bucket.
 
     `buckets` yields q's bucket (a list of record indices, or None) in each
     table, lazily, so an early exit skips the remaining keys.  Only
-    compatible candidates are verified (and charged n transaction reads);
-    incompatible collisions cost nothing.  With a budget, the query stops
-    once that many distinct verified candidates, counted across buckets,
-    found nothing similar.
+    collisions in `compatible` (the indices of q's join partners) are
+    verified (and charged n transaction reads); the rest cost nothing.
+    With a budget, the query stops once that many distinct verified
+    candidates, counted across buckets, found nothing similar.
     """
-    result = QueryResult(partners=[], partner_indices=[])
+    result = QueryResult(partners=[])
     seen: set[int] = set()
     similar_found = False
 
@@ -123,22 +121,18 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord,
         if not bucket:
             continue
         for idx in bucket:
-            record = records[idx]
-            if record is q or record.items == q.items:
+            if idx not in compatible:
                 continue
             result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
             if idx in seen:
                 continue
             seen.add(idx)
-            if union_if_compatible(q.items, record.items) is None:
-                continue
-            co = co_support(record.vector, q.vector)
+            co = co_support(records[idx].vector, q.vector)
             result.verified[idx] = co
             result.reads += ctx.n
             result.inspections += 1
             if co >= ctx.theta_count:
-                result.partners.append(record)
-                result.partner_indices.append(idx)
+                result.partners.append(idx)
                 similar_found = True
             if (early_exit_budget is not None and not similar_found
                     and result.inspections >= early_exit_budget):
@@ -147,9 +141,11 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord,
     return result
 
 
-def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext) -> QueryResult:
-    """Probe the L buckets for Q(q) and verify compatible collisions in
-    order, stopping early after `early_exit_budget` fruitless inspections."""
+def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext, compatible) -> QueryResult:
+    """Probe the L buckets for Q(q) and verify collisions with the
+    `compatible` indices in order, stopping early after
+    `early_exit_budget` fruitless inspections."""
     bits = padded_bits_array(q.vector, ctx, QUERY)
     buckets = (index.tables[t].get(index.bucket_key(bits, t)) for t in range(index.params.L))
-    return verify_collisions(index.records, buckets, q, ctx, index.params.early_exit_budget)
+    return verify_collisions(index.records, buckets, q, compatible, ctx,
+                             index.params.early_exit_budget)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ItemsetRecord
-from .exact import union_if_compatible
 from .transform import PREPROCESS, QUERY, LevelContext, padded_one_positions
 
 DEFAULT_ROW_CAP = 2_000_000
@@ -28,13 +27,12 @@ class MinhashParams:
     accept_threshold: float   # estimated-JS cutoff for adding a partner
 
 
-def derive_params(ctx: LevelContext, epsilon: float, delta: float,
-                  row_cap: int = DEFAULT_ROW_CAP) -> MinhashParams:
+def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashParams:
     """omega = (1-e)t/(2a-(1-e)t), eps_mh = a*e/(a+(a-t)(1-e)),
     rows = ceil(2/(omega*eps_mh^2) * ln(1/delta)), accept = (1-eps_mh)t/(2a-t).
 
     alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises when
-    the row count would exceed `row_cap`, which happens as epsilon -> 0.
+    the row count would exceed DEFAULT_ROW_CAP, which happens as epsilon -> 0.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0,1]")
@@ -48,8 +46,9 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     if scale <= 0.0:
         raise ValueError("tolerance too small: omega*eps_mh^2 underflowed")
     rows_raw = (2.0 / scale) * math.log(1.0 / delta)
-    if not rows_raw <= row_cap:
-        raise ValueError(f"tolerance too small: sketch would need {rows_raw:.3g} rows (cap {row_cap})")
+    if not rows_raw <= DEFAULT_ROW_CAP:
+        raise ValueError(f"tolerance too small: sketch would need {rows_raw:.3g} rows "
+                         f"(cap {DEFAULT_ROW_CAP})")
     rows = max(1, math.ceil(rows_raw - 1e-12))
     accept = (1.0 - eps_mh) * theta / (2.0 * alpha - theta)
     return MinhashParams(omega=omega, eps_mh=eps_mh, rows=rows, accept_threshold=accept)
@@ -97,30 +96,26 @@ def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
 
 @dataclass
 class MinhashQueryResult:
-    partners: list[ItemsetRecord]        # FI_q: compatible, estimate >= accept
-    partner_indices: list[int]
+    partners: list[int]                  # FI_q as record indices: compatible, estimate >= accept
     approved: dict[int, float]           # idx -> estimated JS (compatible only)
     rejected: dict[int, float]
 
 
 def query(sketch: MinhashSketch, q: ItemsetRecord, params: MinhashParams,
-          ctx: LevelContext) -> MinhashQueryResult:
-    """Sketch-only screening: no database reads happen here."""
+          ctx: LevelContext, compatible) -> MinhashQueryResult:
+    """Sketch-only screening of the `compatible` indices (q's join
+    partners): no database reads happen here."""
     qcol = sketch_query_column(sketch, q)
-    matches = np.count_nonzero(sketch.columns == qcol[:, None], axis=0)
+    idx = sorted(compatible)
+    matches = np.count_nonzero(sketch.columns[:, idx] == qcol[:, None], axis=0)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
-    result = MinhashQueryResult(partners=[], partner_indices=[], approved={}, rejected={})
-    for idx, record in enumerate(sketch.records):
-        if record is q or record.items == q.items:
-            continue
-        if union_if_compatible(q.items, record.items) is None:
-            continue
-        est = float(matches[idx]) / params.rows
-        if matches[idx] >= need:
-            result.approved[idx] = est
-            result.partners.append(record)
-            result.partner_indices.append(idx)
+    result = MinhashQueryResult(partners=[], approved={}, rejected={})
+    for i, hits in zip(idx, matches.tolist()):
+        est = hits / params.rows
+        if hits >= need:
+            result.approved[i] = est
+            result.partners.append(i)
         else:
-            result.rejected[idx] = est
+            result.rejected[i] = est
     return result

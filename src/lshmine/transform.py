@@ -136,7 +136,7 @@ def padded_one_positions(v: BitVector, ctx: LevelContext, role: str) -> np.ndarr
     """Indices of set bits in the padded vector (for minwise hashing)."""
     w = v.popcount()
     _check_padding_input(v, ctx, w)
-    base = np.array(v.ones(), dtype=np.int64)
+    base = np.flatnonzero(v.to_uint8())
     offset = ctx.n if role == PREPROCESS else ctx.n + ctx.alpha_count
     block = np.arange(offset, offset + (ctx.alpha_count - w), dtype=np.int64)
     return np.concatenate([base, block])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase
+from lshmine.exact import union_if_compatible
 
 
 def db_from_rows(rows, m=None):
@@ -51,6 +52,13 @@ def shared_item_level(vectors):
     """Wrap raw vectors as 2-itemsets {0, i+1} sharing item 0 (all pairwise
     compatible, union size 3)."""
     return [ItemsetRecord.from_vector((0, i + 1), v) for i, v in enumerate(vectors)]
+
+
+def compatible(level, i):
+    """Indices of the records of `level` that join with level[i], by the
+    reference pairwise rule: the compatible set a query takes."""
+    return {j for j, r in enumerate(level)
+            if union_if_compatible(level[i].items, r.items) is not None}
 
 
 def random_db(rng, n_max=64, m_max=12, density_range=(0.2, 0.7)):

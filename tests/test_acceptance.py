@@ -31,7 +31,7 @@ from lshmine.transform import (
 )
 from lshmine.cli import report_json
 
-from conftest import TOY_ROWS, db_from_rows, random_vector, shared_item_level
+from conftest import TOY_ROWS, compatible, db_from_rows, random_vector, shared_item_level
 
 
 def announce(num, text):
@@ -190,9 +190,9 @@ def hamming_trials():
     for t in range(trials):
         index = hamming_build(level, params, ctx, seed=t)
         for qi, pi in ((0, 1), (1, 0)):
-            res = hamming_query(index, level[qi], ctx)
+            res = hamming_query(index, level[qi], ctx, compatible(level, qi))
             events += 1
-            if pi not in res.partner_indices:
+            if pi not in res.partners:
                 miss += 1
             infrequent_collisions.append(
                 sum(res.collision_counts.get(j, 0) for j in range(2, len(level))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,31 @@ def test_gen_writes_loadable_file(capsys, tmp_path):
     run(capsys, "gen", "--output", str(dest2), "--n", "40",
         "--m", "6", "--density", "0.5", "--seed", "11")
     assert dest.read_text() == dest2.read_text()
+
+
+def test_gen_file_pinned(capsys, tmp_path):
+    # the FIMI bytes of a generated database, pinned before the row writer
+    # moved to numpy unpacking
+    dest = tmp_path / "synth.dat"
+    rc, _, _ = run(capsys, "gen", "--output", str(dest), "--n", "3000",
+                   "--m", "30", "--density", "0.3", "--seed", "7")
+    assert rc == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == \
+        "bcdfb7e2796b5fafe5d43bf274c21291334203feaefcd82309fe74cda4879db4"
+
+
+def test_unexpected_error_is_one_line_exit_4(capsys, tmp_path):
+    # covering_lsh.derive_params overflows on this input; the CLI reports
+    # it as one line with its own exit code instead of a traceback
+    dest = tmp_path / "synth.dat"
+    run(capsys, "gen", "--output", str(dest), "--n", "2000", "--m", "40",
+        "--density", "0.3", "--seed", "1")
+    rc, out, err = run(capsys, "mine", "--input", str(dest), "--theta", "0.05",
+                       "--variant", "covering", "--epsilon", "0.5", "--delta", "0.1")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: OverflowError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_gen_bad_density(capsys, tmp_path):

@@ -23,7 +23,7 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import random_vector, shared_item_level, singleton_level
+from conftest import compatible, random_vector, shared_item_level, singleton_level
 
 
 def test_derive_params_reference_values():
@@ -138,8 +138,8 @@ def test_query_extremes():
     params = derive_params(ctx, 0.2, 0.1)
     for seed in range(10):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        res = query(sketch, level[0], params, ctx)
-        assert res.partner_indices == [1]
+        res = query(sketch, level[0], params, ctx, compatible(level, 0))
+        assert res.partners == [1]
         assert res.approved[1] == 1.0
         assert 2 in res.rejected
 
@@ -150,7 +150,7 @@ def test_query_does_not_touch_database():
     ctx = LevelContext(n=16, m_l=5, alpha_count=6, theta_count=3)
     params = derive_params(ctx, 0.5, 0.2)
     sketch = build_sketch(level, params, ctx, seed=1)
-    res = query(sketch, level[0], params, ctx)
+    res = query(sketch, level[0], params, ctx, compatible(level, 0))
     assert not hasattr(res, "reads")
     assert set(res.approved) | set(res.rejected) == {1, 2, 3, 4}
 
@@ -161,7 +161,7 @@ def test_query_empty_level():
     sketch = build_sketch([], params, ctx, seed=0)
     rng = np.random.default_rng(0)
     q = singleton_level([random_vector(rng, 8, 4)])[0]
-    res = query(sketch, q, params, ctx)
+    res = query(sketch, q, params, ctx, set())
     assert res.partners == [] and res.approved == {}
 
 

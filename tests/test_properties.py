@@ -1,0 +1,118 @@
+"""Property-based differential tests: the bucket join against the pairwise
+reference rule, and every variant against the brute-force oracle."""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lshmine.dataset import BitVector, ItemsetRecord
+from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
+from lshmine.exact import brute_force_mine, join_level, union_if_compatible
+
+from conftest import db_from_rows, downward_closed
+
+# derandomized, so the suite sees the same examples on every run
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def levels(draw):
+    """A level of distinct l-itemsets (l in 1..4) over at most 10 items, each
+    with the AND of its items' random columns, plus a support threshold."""
+    size = draw(st.integers(1, 4))
+    universe = draw(st.integers(size, 10))
+    itemsets = draw(st.lists(st.sets(st.integers(0, universe - 1), min_size=size, max_size=size),
+                             max_size=25, unique_by=frozenset))
+    n = draw(st.integers(1, 12))
+    columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=universe, max_size=universe))
+    records = []
+    for s in itemsets:
+        value = (1 << n) - 1
+        for item in s:
+            value &= columns[item]
+        records.append(ItemsetRecord.from_vector(tuple(sorted(s)), BitVector(n, value)))
+    return records, draw(st.integers(1, n))
+
+
+@SETTINGS
+@given(levels())
+def test_join_matches_all_pairs_reference(level):
+    records, theta_count = level
+    m = len(records)
+    compatible = {i: set() for i in range(m)}
+    unions, frequent = set(), {}
+    frequent_pairs = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            u = union_if_compatible(records[i].items, records[j].items)
+            if u is None:
+                continue
+            compatible[i].add(j)
+            compatible[j].add(i)
+            unions.add(u)
+            vec = records[i].vector & records[j].vector
+            if vec.popcount() >= theta_count:
+                frequent_pairs += 1
+                frequent[u] = vec
+
+    sweep = join_level(records, theta_count)
+    assert sweep.candidate_pairs == sum(len(c) for c in compatible.values()) // 2
+    assert sweep.frequent_pairs == frequent_pairs
+    assert sweep.distinct_candidates == len(unions)
+    assert [(r.items, r.vector) for r in sweep.next_level()] == sorted(frequent.items())
+    for i in range(m):
+        assert sorted(sweep.partners(i)) == sorted(compatible[i])
+        assert sweep.positives[i] == {j for j in compatible[i]
+                                      if (records[i].vector & records[j].vector).popcount()
+                                      >= theta_count}
+
+
+@st.composite
+def databases(draw):
+    n = draw(st.integers(4, 24))
+    m = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=m),
+                         min_size=n, max_size=n))
+    return db_from_rows(rows), draw(st.sampled_from([0.2, 0.3, 0.5]))
+
+
+def joined_from_level_below(fis):
+    """Every emitted (l+1)-itemset is the union of two emitted l-itemsets."""
+    have = fis.item_tuples()
+    return all(sum(sub in have for sub in combinations(r.items, len(r.items) - 1)) >= 2
+               for r in fis.all_records() if len(r.items) > 1)
+
+
+@SETTINGS
+@given(databases(), st.integers(0, 3))
+def test_variants_against_oracle(case, seed):
+    db, theta = case
+    oracle = brute_force_mine(db, theta).as_dict()
+    for variant in VARIANTS:
+        lsh = variant != "exact"
+        config = MiningConfig(theta=theta, variant=variant, epsilon=0.5 if lsh else None,
+                              delta=0.1 if lsh else None, seed=seed, mask_dim_cap=12)
+        report = lsh_apriori_mine(db, config)
+        found = report.itemsets.as_dict()
+        theta_count = report.itemsets.theta_count
+        assert all(support >= theta_count and oracle.get(items) == support
+                   for items, support in found.items())
+        assert all(accounting_check(row, db.n) for row in report.levels)
+        assert joined_from_level_below(report.itemsets)
+        if variant in ("exact", "covering"):
+            assert found == oracle
+            assert downward_closed(report.itemsets)
+
+
+@SETTINGS
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_ones_matches_bit_loop(case):
+    n, value = case
+    assert BitVector(n, value).ones() == [j for j in range(n) if (value >> j) & 1]
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=40))
+def test_transactions_round_trip_rows(rows):
+    assert db_from_rows(rows).transactions() == [sorted(set(row)) for row in rows]
