@@ -19,11 +19,13 @@ from .dataset import DatasetError, generate_synthetic, load_transactions, write_
 from .engine import (
     VARIANTS,
     ComparisonReport,
+    LevelStats,
     MiningConfig,
     MiningReport,
-    compare_with_oracle,
+    diff_against_oracle,
     lsh_apriori_mine,
 )
+from .exact import brute_force_mine
 
 SCHEMA_VERSION = "lshmine-report/1"
 CSV_COLUMNS = ["variant", "level", "candidates", "transactions_read", "hash_overhead",
@@ -36,37 +38,11 @@ EXIT_INTERNAL = 4
 
 
 def config_document(config: MiningConfig) -> dict:
-    return {
-        "theta": config.theta,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "variant": config.variant,
-        "seed": config.seed,
-        "max_level": config.max_level,
-        "covering_early_exit": config.covering_early_exit,
-        "mask_dim_cap": config.mask_dim_cap,
-    }
+    return dataclasses.asdict(config)
 
 
-def level_document(row) -> dict:
-    return {
-        "level": row.level,
-        "frequent_count": row.frequent_count,
-        "candidates": row.candidates,
-        "emitted_candidates": row.emitted_candidates,
-        "candidate_pairs": row.candidate_pairs,
-        "frequent_pairs": row.frequent_pairs,
-        "transactions_read": row.transactions_read,
-        "hash_bits_read": row.hash_bits_read,
-        "overhead_hashes": row.overhead_hashes,
-        "true_negatives": row.true_negatives,
-        "false_positives": row.false_positives,
-        "phi": row.phi,
-        "savings_estimate": row.savings_estimate,
-        "lsh_active": row.lsh_active,
-        "fallback_reason": row.fallback_reason,
-        "misses_vs_oracle": row.misses_vs_oracle,
-    }
+def level_document(row: LevelStats) -> dict:
+    return dataclasses.asdict(row)
 
 
 def report_document(report: MiningReport, comparison: dict | None = None) -> dict:
@@ -204,13 +180,15 @@ def cmd_compare(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     db = load_transactions(args.input)
+    oracle = brute_force_mine(db, config.theta)
 
     first = None
     missed_any = False
     sub_total = 0
     level_misses: dict[int, int] = {}
     for i in range(args.trials):
-        comp = compare_with_oracle(db, dataclasses.replace(config, seed=config.seed + i))
+        trial = dataclasses.replace(config, seed=config.seed + i)
+        comp = diff_against_oracle(lsh_apriori_mine(db, trial), oracle)
         if first is None:
             first = comp
         missed_any = missed_any or bool(comp.missed)
@@ -219,7 +197,8 @@ def cmd_compare(args) -> int:
             level_misses[l] = level_misses.get(l, 0) + c
 
     per_level = []
-    for l, oracle_count in sorted(first.oracle_per_level.items()):
+    for l, records in enumerate(oracle.levels, start=1):
+        oracle_count = len(records)
         denom = oracle_count * args.trials
         per_level.append({
             "level": l,
@@ -273,25 +252,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {"mine": cmd_mine, "compare": cmd_compare, "bench": cmd_bench, "gen": cmd_gen}
     try:
-        if args.command == "mine":
-            return cmd_mine(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "gen":
-            return cmd_gen(args)
-        raise ValueError(f"unknown command {args.command!r}")
-    except DatasetError as exc:
+        return commands[args.command](args)
+    except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as exc:   # any other failure: one line, no traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -19,7 +19,14 @@ import numpy as np
 
 from .dataset import ItemsetRecord
 from .hamming_lsh import QueryResult, verify_collisions
-from .transform import DegenerateLevel, LevelContext, pad_preprocess, pad_query
+from .transform import (
+    DegenerateLevel,
+    LevelContext,
+    _ceil,
+    check_tolerances,
+    pad_preprocess,
+    pad_query,
+)
 
 DEFAULT_MASK_DIM_CAP = 24
 
@@ -28,10 +35,6 @@ class FamilyTooLarge(Exception):
     """The mask space 2^(t*theta'+1) exceeds the configured cap."""
 
     reason = "family_too_large"
-
-
-def _ceil(x: float) -> int:
-    return math.ceil(x - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     threshold.  t floors at 1.  Raises DegenerateLevel when alpha == theta
     (c undefined) and FamilyTooLarge when mask_dim exceeds the cap.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0,1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0,1)")
+    check_tolerances(epsilon, delta)
     if ctx.alpha_count == ctx.theta_count:
         raise DegenerateLevel(f"alpha == theta ({ctx.alpha_count}/{ctx.n}) at this level")
     m_l = max(1, ctx.m_l)
@@ -94,6 +94,8 @@ class CoveringFamily:
 def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) -> CoveringFamily:
     """Draw phi and materialize the mask a(v) for every nonzero v.
 
+    a is linear in v, so each a(v) is a(v with its lowest set bit cleared)
+    XOR the basis mask of that bit, a(2^k), whose bit i is bit k of phi(i).
     `phi` can be injected for tests (e.g. the all-zero map to exercise
     total-collision handling).
     """
@@ -105,15 +107,14 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
         if phi.shape != (params.n_prime,):
             raise ValueError(f"phi must have shape ({params.n_prime},)")
 
-    n_masks = (1 << params.mask_dim) - 1
-    masks: list[int] = []
-    chunk = 4096
-    for start in range(0, n_masks, chunk):
-        block = np.arange(start + 1, min(start + chunk, n_masks) + 1, dtype=np.int64)
-        parity = (np.bitwise_count(phi[:, None] & block[None, :]) & 1).astype(np.uint8)
-        packed = np.packbits(parity, axis=0, bitorder="little")
-        for col in range(packed.shape[1]):
-            masks.append(int.from_bytes(packed[:, col].tobytes(), "little"))
+    basis = [int.from_bytes(np.packbits(((phi >> k) & 1).astype(np.uint8),
+                                         bitorder="little").tobytes(), "little")
+             for k in range(params.mask_dim)]
+    masks = [0]   # masks[v] = a(v); a(0) is dropped below
+    for v in range(1, 1 << params.mask_dim):
+        low = v & -v
+        masks.append(masks[v ^ low] ^ basis[low.bit_length() - 1])
+    del masks[0]
     return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks)
 
 

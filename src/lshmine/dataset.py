@@ -78,14 +78,6 @@ class BitVector:
         self._check_same_length(other)
         return BitVector(self.length, self.value & other.value)
 
-    def __or__(self, other: "BitVector") -> "BitVector":
-        self._check_same_length(other)
-        return BitVector(self.length, self.value | other.value)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        self._check_same_length(other)
-        return BitVector(self.length, self.value ^ other.value)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -150,9 +142,6 @@ class ItemsetRecord:
     def from_vector(cls, items, vector: BitVector) -> "ItemsetRecord":
         return cls(tuple(items), vector, vector.popcount())
 
-    def size(self) -> int:
-        return len(self.items)
-
 
 def co_support(x: BitVector, y: BitVector) -> int:
     """Number of transactions containing both itemsets: popcount(x AND y)."""
@@ -169,6 +158,8 @@ def load_transactions(path) -> TransactionDatabase:
             lines = fh.readlines()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not an ASCII FIMI file: {exc}") from None
 
     rows: list[list[int]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -201,9 +192,17 @@ def load_transactions(path) -> TransactionDatabase:
 
 
 def write_transactions(db: TransactionDatabase, path):
-    """Write the database back in FIMI format (one line per transaction)."""
+    """Write the database back in FIMI format (one line per transaction).
+
+    Refuses, before opening `path`, a database with an empty transaction:
+    its empty line would be skipped on load.
+    """
+    rows = db.transactions()
+    if not all(rows):
+        raise DatasetError(f"transaction {rows.index([])} is empty; FIMI cannot hold it "
+                           f"(raise density or m)")
     with open(path, "w", encoding="ascii") as fh:
-        for row in db.transactions():
+        for row in rows:
             fh.write(" ".join(str(i) for i in row))
             fh.write("\n")
 

@@ -4,9 +4,11 @@ I/O accounting that makes the variants comparable.
 Every level starts with the bucket join of `exact.join_level`, the only
 place that decides which pairs are compatible.  The exact variant and
 every fallback level take its frequent unions as the next level.  An LSH
-level builds the next level from its own screening and verification (the
-per-variant hooks in `_LSH_VARIANTS`) of each record's compatible partners,
-read from the join, which also holds the frequent partners for TN and FP.
+level screens and verifies (the per-variant hooks in `_LSH_VARIANTS`) each
+record's compatible partners, read from the join's buckets with the item
+each partner adds, and hands the unions it found to `exact.build_level`,
+the same builder the join's next level goes through.  The join also holds
+the frequent partners for TN and FP.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every exact support verification charges n; hashing work is tracked
@@ -28,13 +30,14 @@ from typing import Callable
 import numpy as np
 
 from . import covering_lsh, hamming_lsh, minhash_lsh
-from .dataset import ItemsetRecord, TransactionDatabase, support_threshold
+from .dataset import TransactionDatabase, support_threshold
 from .exact import (
     FrequentItemsetSet,
+    add_item,
     brute_force_mine,
+    build_level,
     frequent_singletons,
     join_level,
-    union_if_compatible,
 )
 from .transform import DegenerateLevel, LevelContext
 
@@ -130,17 +133,12 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
         true_negatives=0, false_positives=0, phi=0, savings_estimate=0,
         lsh_active=False,
     ))
-    if current:
+    while current:
         fis.levels.append(current)
-
-    level = 1
-    while current and (config.max_level is None or level < config.max_level):
-        nxt, row = _produce_level(db, config, current, level, theta_count, timings)
+        if config.max_level is not None and len(stats) >= config.max_level:
+            break
+        current, row = _produce_level(db, config, current, len(stats), theta_count, timings)
         stats.append(row)
-        if nxt:
-            fis.levels.append(nxt)
-        current = nxt
-        level += 1
 
     return MiningReport(config=config, db_n=db.n, db_m=db.m, levels=stats,
                         itemsets=fis, timings=timings)
@@ -234,53 +232,46 @@ def _produce_level(db, config, current, level, theta_count, timings):
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
     """One LSH level: build, query every record with its compatible
-    partners, assemble the candidates from the partners found, and verify
-    them if the query did not."""
+    partners, build the next level from the unions of the partners found,
+    verifying them there if the query did not."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
-    first_pair: dict[tuple[int, ...], tuple[ItemsetRecord, ItemsetRecord]] = {}
+    found: dict[tuple[int, ...], tuple[int, int]] = {}   # union -> first pair found to form it
     query_s = 0.0
     reads = tn = fp = 0
     for i, q in enumerate(current):
-        compatible = set(sweep.partners(i))
+        compatible = sweep.partners(i)
         t0 = time.perf_counter()
         res = variant.query(index, q, params, ctx, config, compatible)
         query_s += time.perf_counter() - t0
-        negatives = compatible - sweep.positives[i]
+        negatives = compatible.keys() - sweep.positives[i]
         hit = len(negatives.intersection(res.approved if variant.defers_verify else res.verified))
         fp += hit
         tn += len(negatives) - hit
         if not variant.defers_verify:
             reads += res.reads
         for j in res.partners:
-            first_pair.setdefault(union_if_compatible(q.items, current[j].items), (q, current[j]))
+            found.setdefault(add_item(q.items, compatible[j]), (i, j))
     timings[f"{tag}:query"] = query_s
 
     t0 = time.perf_counter()
-    nxt = []
-    for u, (a, b) in first_pair.items():
-        vec = a.vector & b.vector
-        if vec.popcount() >= ctx.theta_count:   # always true where the query verified
-            nxt.append(ItemsetRecord.from_vector(u, vec))
+    nxt = build_level(current, found, ctx.theta_count)   # drops only unverified unions
     if variant.defers_verify:
-        reads = ctx.n * len(first_pair)
+        reads = ctx.n * len(found)
         timings[f"{tag}:verify"] = time.perf_counter() - t0
-    nxt.sort(key=lambda r: r.items)
-    return nxt, reads, len(first_pair), tn, fp
+    return nxt, reads, len(found), tn, fp
 
 
 @dataclass
 class ComparisonReport:
-    config: MiningConfig
     report: MiningReport
     oracle_count: int
     output_count: int
     missed: list[tuple[tuple[int, ...], int]]
     sub_threshold: list[tuple[tuple[int, ...], int]]
     per_level_misses: dict[int, int]
-    oracle_per_level: dict[int, int]   # level -> oracle itemset count
 
     @property
     def clean(self) -> bool:
@@ -288,15 +279,19 @@ class ComparisonReport:
 
 
 def compare_with_oracle(db: TransactionDatabase, config: MiningConfig) -> ComparisonReport:
-    """Run the configured variant and diff it against brute force.
+    """Run the configured variant and diff it against brute force."""
+    oracle = brute_force_mine(db, config.theta)
+    return diff_against_oracle(lsh_apriori_mine(db, config), oracle)
+
+
+def diff_against_oracle(report: MiningReport, oracle: FrequentItemsetSet) -> ComparisonReport:
+    """Diff a mining report against the brute-force itemsets of its database.
 
     Reports every frequent itemset the variant missed and every emitted
     itemset below threshold (the latter must always be empty: the support
     filter is exact).  Per-level miss counts are attached to the report's
     level rows where those levels were attempted.
     """
-    oracle = brute_force_mine(db, config.theta)
-    report = lsh_apriori_mine(db, config)
     out = report.itemsets.as_dict()
     oracle_dict = oracle.as_dict()
 
@@ -308,11 +303,9 @@ def compare_with_oracle(db: TransactionDatabase, config: MiningConfig) -> Compar
         per_level[len(items)] = per_level.get(len(items), 0) + 1
     for row in report.levels:
         row.misses_vs_oracle = per_level.get(row.level, 0)
-    return ComparisonReport(config=config, report=report,
+    return ComparisonReport(report=report,
                             oracle_count=len(oracle_dict), output_count=len(out),
-                            missed=missed, sub_threshold=sub, per_level_misses=per_level,
-                            oracle_per_level={l: len(records)
-                                              for l, records in enumerate(oracle.levels, start=1)})
+                            missed=missed, sub_threshold=sub, per_level_misses=per_level)
 
 
 def accounting_check(stats: LevelStats, n: int) -> bool:

@@ -1,13 +1,15 @@
-"""Exact mining: the level-1 scan, the candidate join, the level-wise
-Apriori built from the two, and a brute-force enumerator.
+"""Exact mining: the level-1 scan, the candidate join, the next-level
+builder, and a brute-force enumerator.
 
 The join is the only place that decides Apriori compatibility: it files
 each l-itemset under its l subsets of size l-1, so two itemsets sharing
-l-1 items meet in exactly one bucket.  The exact variant and every
-fallback level take its frequent unions as the next level; LSH levels read
-their queries' compatible partners and TN/FP counts from it.  The
-brute-force path shares no logic with it, so the miners always have an
-independent ground truth to be checked against.
+l-1 items meet in exactly one bucket, and each one's left-out item gives
+their union (`add_item`).  `build_level` is the only place that turns
+candidate unions into a level (AND vector, threshold, sort): the join's
+frequent unions for the exact variant and every fallback level, the
+unions an LSH level found for the others.  `apriori_mine` is the engine's
+exact variant.  The brute-force path shares no logic with any of it, so
+the miners always have an independent ground truth to be checked against.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ class FrequentItemsetSet:
 
     theta_count: int
     levels: list[list[ItemsetRecord]] = field(default_factory=list)
-
-    def level(self, l: int) -> list[ItemsetRecord]:
-        if l < 1 or l > len(self.levels):
-            return []
-        return self.levels[l - 1]
 
     def max_level(self) -> int:
         return len(self.levels)
@@ -60,50 +57,53 @@ class AprioriResult:
 @dataclass
 class PairSweep:
     """One level's candidate join: who is compatible with whom and which
-    unions are frequent.  `frequent` holds the exact next level."""
+    unions are frequent.  `next_level()` is the exact next level."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
+    theta_count: int
     records: list[ItemsetRecord]
     buckets: dict[tuple[int, ...], list[tuple[int, int]]]   # (l-1)-subset -> [(index, item left out)]
     positives: list[set[int]]   # per record index: compatible partners with frequent union
-    frequent: dict[tuple[int, ...], ItemsetRecord]   # union -> record with the AND vector
+    frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
 
     def next_level(self) -> list[ItemsetRecord]:
-        return [self.frequent[u] for u in sorted(self.frequent)]
+        return build_level(self.records, self.frequent, self.theta_count)
 
-    def partners(self, i: int) -> list[int]:
-        """Indices of the records compatible with record i, each once: the
-        other members of its l buckets.  Reads no co-support."""
+    def partners(self, i: int) -> dict[int, int]:
+        """The records compatible with record i, each mapped to the item it
+        adds to record i (its left-out item in the bucket the two share).
+        Reads no co-support."""
         items = self.records[i].items
-        return [j for k in range(len(items))
-                for j, _ in self.buckets[items[:k] + items[k + 1:]] if j != i]
+        return {j: y for k in range(len(items))
+                for j, y in self.buckets[items[:k] + items[k + 1:]] if j != i}
+
+
+def add_item(items: tuple[int, ...], item: int) -> tuple[int, ...]:
+    """The union of a sorted itemset and the item its join partner adds."""
+    return tuple(sorted((*items, item)))
+
+
+def build_level(records: list[ItemsetRecord], unions: dict[tuple[int, ...], tuple[int, int]],
+                theta_count: int) -> list[ItemsetRecord]:
+    """The next level from candidate unions, each given with one pair of
+    `records` indices that forms it: the pair's AND vector, kept iff it
+    meets theta_count, sorted by items."""
+    level = []
+    for u, (i, j) in unions.items():
+        vector = records[i].vector & records[j].vector
+        if vector.popcount() >= theta_count:
+            level.append(ItemsetRecord.from_vector(u, vector))
+    level.sort(key=lambda r: r.items)
+    return level
 
 
 def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two sorted l-item tuples; return the union iff it has l+1 items."""
-    target = len(a) + 1
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-        if len(out) > target:
-            return None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if len(out) != target:
-        return None
-    return tuple(out)
+    """The pairwise join rule: the sorted union of two l-item tuples iff it
+    has l+1 items, else None."""
+    union = tuple(sorted(set(a) | set(b)))
+    return union if len(union) == len(a) + 1 else None
 
 
 def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
@@ -115,48 +115,39 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
         items = r.items
         for k, x in enumerate(items):
             buckets.setdefault(items[:k] + items[k + 1:], []).append((i, x))
+    values = [r.vector.value for r in records]
     positives = [set() for _ in records]
     cpairs = fpairs = 0
     unions = set()
     frequent = {}
-    for key, members in buckets.items():
-        for s, (i, x) in enumerate(members):
-            a = records[i].vector
+    for members in buckets.values():
+        cpairs += len(members) * (len(members) - 1) // 2
+        for s, (i, _) in enumerate(members):
+            items, a = records[i].items, values[i]
             for j, y in members[s + 1:]:
-                cpairs += 1
-                u = tuple(sorted((*key, x, y)))
+                u = add_item(items, y)
                 unions.add(u)
-                both = a.value & records[j].vector.value
-                if both.bit_count() >= theta_count:
+                if (a & values[j]).bit_count() >= theta_count:
                     fpairs += 1
                     positives[i].add(j)
                     positives[j].add(i)
-                    if u not in frequent:
-                        frequent[u] = ItemsetRecord.from_vector(u, BitVector(a.length, both))
-    return PairSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
+                    frequent.setdefault(u, (i, j))
+    return PairSweep(cpairs, fpairs, len(unions), theta_count, records, buckets, positives,
+                     frequent)
 
 
 def frequent_singletons(db: TransactionDatabase, theta_count: int) -> tuple[list[ItemsetRecord], int]:
     """The level-1 scan: one support count (n reads) per occurring item."""
-    records = []
-    reads = 0
-    for item in db.items():
-        col = db.columns[item]
-        reads += db.n
-        if col.popcount() >= theta_count:
-            records.append(ItemsetRecord.from_vector((item,), col))
-    return records, reads
+    columns = db.columns
+    records = [ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
+               if columns[item].popcount() >= theta_count]
+    return records, db.n * len(columns)
 
 
 def apriori_mine(db: TransactionDatabase, theta: float) -> AprioriResult:
-    """Level-wise Apriori: join compatible pairs, verify support, repeat."""
-    theta_count = support_threshold(theta, db.n)
-    fis = FrequentItemsetSet(theta_count=theta_count)
-    current, _ = frequent_singletons(db, theta_count)
-    while current:
-        fis.levels.append(current)
-        current = join_level(current, theta_count).next_level()
-    return AprioriResult(itemsets=fis)
+    """Level-wise Apriori: the itemsets of the engine's exact variant."""
+    from .engine import MiningConfig, lsh_apriori_mine   # the engine imports this module
+    return AprioriResult(itemsets=lsh_apriori_mine(db, MiningConfig(theta=theta)).itemsets)
 
 
 def brute_force_mine(db: TransactionDatabase, theta: float) -> FrequentItemsetSet:

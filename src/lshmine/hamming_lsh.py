@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ItemsetRecord, co_support
-from .transform import PREPROCESS, QUERY, DegenerateLevel, LevelContext, padded_bits_array
-
-
-def _ceil(x: float) -> int:
-    # tolerate float noise just below an integer
-    return math.ceil(x - 1e-12)
+from .transform import (
+    PREPROCESS,
+    QUERY,
+    DegenerateLevel,
+    LevelContext,
+    _ceil,
+    check_tolerances,
+    padded_bits_array,
+)
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLsh
     where a and t are the level's weight and threshold fractions.
     Raises DegenerateLevel when a == t (rho would be 0 and the gap empty).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0,1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0,1)")
+    check_tolerances(epsilon, delta)
     if ctx.m_l < 2:
         raise ValueError("need at least two itemsets in the level")
     if ctx.alpha_count == ctx.theta_count:

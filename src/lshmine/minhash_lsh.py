@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ItemsetRecord
-from .transform import PREPROCESS, QUERY, LevelContext, padded_one_positions
+from .transform import PREPROCESS, QUERY, LevelContext, _ceil, check_tolerances, padded_one_positions
 
 DEFAULT_ROW_CAP = 2_000_000
 
@@ -34,10 +34,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
     alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises when
     the row count would exceed DEFAULT_ROW_CAP, which happens as epsilon -> 0.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0,1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0,1)")
+    check_tolerances(epsilon, delta)
     alpha, theta = ctx.alpha, ctx.theta
     low = (1.0 - epsilon) * theta
     omega = low / (2.0 * alpha - low)
@@ -49,7 +46,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
     if not rows_raw <= DEFAULT_ROW_CAP:
         raise ValueError(f"tolerance too small: sketch would need {rows_raw:.3g} rows "
                          f"(cap {DEFAULT_ROW_CAP})")
-    rows = max(1, math.ceil(rows_raw - 1e-12))
+    rows = max(1, _ceil(rows_raw))
     accept = (1.0 - eps_mh) * theta / (2.0 * alpha - theta)
     return MinhashParams(omega=omega, eps_mh=eps_mh, rows=rows, accept_threshold=accept)
 
@@ -68,8 +65,8 @@ def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelCo
     """Draw `rows` seeded permutations of the padded universe and record the
     minwise value of every P-padded vector under each."""
     rng = np.random.default_rng(seed)
-    base = np.tile(np.arange(ctx.padded_length, dtype=np.int64), (params.rows, 1))
-    perms = rng.permuted(base, axis=1)
+    perms = np.tile(np.arange(ctx.padded_length, dtype=np.int64), (params.rows, 1))
+    rng.permuted(perms, axis=1, out=perms)
     if level:
         columns = np.stack(
             [perms[:, padded_one_positions(r.vector, ctx, PREPROCESS)].min(axis=1) for r in level],

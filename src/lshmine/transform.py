@@ -9,11 +9,14 @@ With x padded for preprocessing and y padded for querying:
     JS(P(x), Q(y))  = co_support(x, y) / (2*alpha_count - co_support(x, y))
 
 so a co-support threshold becomes a distance/similarity threshold the
-standard hash families understand.
+standard hash families understand.  `pad_preprocess` and `pad_query` are
+the only definition of the two layouts; the dense array and the one
+positions the hash families sample are read off them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +26,19 @@ from .dataset import BitVector
 
 PREPROCESS = "preprocess"
 QUERY = "query"
+
+
+def _ceil(x: float) -> int:
+    # tolerate float noise just below an integer
+    return math.ceil(x - 1e-12)
+
+
+def check_tolerances(epsilon: float, delta: float):
+    """The tolerance ranges every variant's parameter derivation accepts."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must be in (0,1]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0,1)")
 
 
 class DegenerateLevel(Exception):
@@ -74,25 +90,23 @@ class PaddedVector:
 
 def pad_preprocess(v: BitVector, ctx: LevelContext) -> PaddedVector:
     """P(v) = v || 1^(alpha_count-|v|) || 0^(alpha_count+|v|)."""
-    w = v.popcount()
-    _check_padding_input(v, ctx, w)
-    ones = (1 << (ctx.alpha_count - w)) - 1
-    return PaddedVector(BitVector(ctx.padded_length, v.value | (ones << ctx.n)), PREPROCESS)
+    return _pad(v, ctx, ctx.n, PREPROCESS)
 
 
 def pad_query(v: BitVector, ctx: LevelContext) -> PaddedVector:
     """Q(v) = v || 0^alpha_count || 1^(alpha_count-|v|) || 0^|v|."""
+    return _pad(v, ctx, ctx.n + ctx.alpha_count, QUERY)
+
+
+def _pad(v: BitVector, ctx: LevelContext, offset: int, role: str) -> PaddedVector:
+    """v with alpha_count-|v| ones from position `offset` on."""
     w = v.popcount()
-    _check_padding_input(v, ctx, w)
-    ones = (1 << (ctx.alpha_count - w)) - 1
-    return PaddedVector(BitVector(ctx.padded_length, v.value | (ones << (ctx.n + ctx.alpha_count))), QUERY)
-
-
-def _check_padding_input(v: BitVector, ctx: LevelContext, weight: int):
     if v.length != ctx.n:
         raise ValueError(f"vector length {v.length} != level n {ctx.n}")
-    if weight > ctx.alpha_count:
-        raise ValueError(f"popcount {weight} exceeds alpha_count {ctx.alpha_count}")
+    if w > ctx.alpha_count:
+        raise ValueError(f"popcount {w} exceeds alpha_count {ctx.alpha_count}")
+    ones = (1 << (ctx.alpha_count - w)) - 1
+    return PaddedVector(BitVector(ctx.padded_length, v.value | (ones << offset)), role)
 
 
 def padded_hamming(p: PaddedVector, q: PaddedVector) -> int:
@@ -134,9 +148,4 @@ def padded_bits_array(v: BitVector, ctx: LevelContext, role: str) -> np.ndarray:
 
 def padded_one_positions(v: BitVector, ctx: LevelContext, role: str) -> np.ndarray:
     """Indices of set bits in the padded vector (for minwise hashing)."""
-    w = v.popcount()
-    _check_padding_input(v, ctx, w)
-    base = np.flatnonzero(v.to_uint8())
-    offset = ctx.n if role == PREPROCESS else ctx.n + ctx.alpha_count
-    block = np.arange(offset, offset + (ctx.alpha_count - w), dtype=np.int64)
-    return np.concatenate([base, block])
+    return np.flatnonzero(padded_bits_array(v, ctx, role))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lshmine import cli, engine, exact
 from lshmine.cli import main
 from lshmine.dataset import load_transactions
 
@@ -158,7 +159,7 @@ def test_gen_writes_loadable_file(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     db = load_transactions(dest)
-    assert db.n <= 40 and db.m == 6
+    assert db.n == 40 and db.m == 6
 
     dest2 = tmp_path / "synth2.dat"
     run(capsys, "gen", "--output", str(dest2), "--n", "40",
@@ -189,6 +190,45 @@ def test_unexpected_error_is_one_line_exit_4(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: OverflowError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_gen_refuses_empty_transactions(capsys, tmp_path):
+    # most rows of this database are empty; FIMI would drop them on load
+    dest = tmp_path / "sparse.dat"
+    rc, out, err = run(capsys, "gen", "--output", str(dest), "--n", "200",
+                       "--m", "3", "--density", "0.02", "--seed", "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: transaction ") and "is empty" in err
+    assert err.count("\n") == 1
+    assert not dest.exists()
+
+
+def test_mine_non_ascii_input_is_data_error(capsys, tmp_path):
+    path = tmp_path / "latin1.dat"
+    path.write_bytes(b"1 2\n3 \xe9\n")
+    rc, out, err = run(capsys, "mine", "--input", str(path), "--theta", "0.5")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not an ASCII FIMI file" in err
+    assert err.count("\n") == 1
+
+
+def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
+    calls = []
+
+    def counting(db, theta):
+        calls.append(theta)
+        return exact.brute_force_mine(db, theta)
+
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "brute_force_mine", counting)
+    rc, out, _ = run(capsys, "compare", "--input", toy_path, "--theta", "0.5",
+                     "--variant", "hamming", "--epsilon", "0.5", "--delta", "0.1",
+                     "--trials", "3")
+    assert rc == 0
+    assert json.loads(out)["comparison"]["trials"] == 3
+    assert calls == [0.5]
 
 
 def test_gen_bad_density(capsys, tmp_path):

@@ -86,6 +86,21 @@ def test_family_linearity():
                 assert fam.masks[v1 - 1] ^ fam.masks[v2 - 1] == fam.masks[v3 - 1]
 
 
+def test_family_masks_match_definition():
+    # linearity alone holds for any basis; check every mask bit against
+    # a(v)_i = parity(phi(i) & v), including injected maps with high bits set
+    for dim in range(2, 7):
+        params = small_params(n_prime=13, mask_dim=dim)
+        phis = [build_family(params, seed=10 + dim).phi,
+                np.arange(13, dtype=np.int64) * 37 + 1000]
+        for phi in phis:
+            fam = build_family(params, seed=0, phi=phi)
+            assert len(fam.masks) == 2**dim - 1
+            for v in range(1, 2**dim):
+                expected = sum((int(phi[i]) & v).bit_count() % 2 << i for i in range(13))
+                assert fam.masks[v - 1] == expected, (dim, v)
+
+
 def test_family_mask_dim_one_is_phi():
     params = small_params(n_prime=9, mask_dim=1, theta_prime=0)
     fam = build_family(params, seed=5)

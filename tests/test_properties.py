@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
-from lshmine.exact import brute_force_mine, join_level, union_if_compatible
+from lshmine.exact import add_item, brute_force_mine, join_level, union_if_compatible
+from lshmine.transform import PREPROCESS, QUERY, LevelContext, padded_one_positions
 
 from conftest import db_from_rows, downward_closed
 
@@ -62,7 +63,11 @@ def test_join_matches_all_pairs_reference(level):
     assert sweep.distinct_candidates == len(unions)
     assert [(r.items, r.vector) for r in sweep.next_level()] == sorted(frequent.items())
     for i in range(m):
-        assert sorted(sweep.partners(i)) == sorted(compatible[i])
+        partners = sweep.partners(i)
+        assert sorted(partners) == sorted(compatible[i])
+        for j, y in partners.items():
+            assert add_item(records[i].items, y) == \
+                union_if_compatible(records[i].items, records[j].items)
         assert sweep.positives[i] == {j for j in compatible[i]
                                       if (records[i].vector & records[j].vector).popcount()
                                       >= theta_count}
@@ -110,6 +115,21 @@ def test_variants_against_oracle(case, seed):
 def test_ones_matches_bit_loop(case):
     n, value = case
     assert BitVector(n, value).ones() == [j for j in range(n) if (value >> j) & 1]
+
+
+@SETTINGS
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, n), st.sampled_from([PREPROCESS, QUERY]))))
+def test_padded_one_positions_match_layout(case):
+    # the one positions of P(v) and Q(v) by the layout written out: v's own
+    # bits, then alpha_count - |v| ones from offset n (P) or n + alpha_count (Q)
+    n, value, extra, role = case
+    w = value.bit_count()
+    ctx = LevelContext(n=n, m_l=1, alpha_count=min(n, max(w, 1) + extra), theta_count=1)
+    offset = n if role == PREPROCESS else n + ctx.alpha_count
+    expected = [j for j in range(n) if (value >> j) & 1] + \
+        list(range(offset, offset + ctx.alpha_count - w))
+    assert padded_one_positions(BitVector(n, value), ctx, role).tolist() == expected
 
 
 @SETTINGS
