@@ -15,6 +15,7 @@ import io
 import json
 import sys
 
+from .covering_lsh import DEFAULT_MASK_DIM_CAP
 from .dataset import DatasetError, generate_synthetic, load_transactions, write_transactions
 from .engine import (
     VARIANTS,
@@ -114,7 +115,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=float, default=None, help="LSH error probability in (0,1)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--mask-dim-cap", type=int, default=24)
+    p.add_argument("--mask-dim-cap", type=int, default=DEFAULT_MASK_DIM_CAP)
     p.add_argument("--covering-early-exit", action="store_true",
                    help="enable the fruitless-inspection cutoff for the covering variant "
                         "(reintroduces a miss probability)")

@@ -7,26 +7,20 @@ a(v)_i = <phi(i), v> over GF(2).  Any two padded vectors within Hamming
 distance theta' disagree on at most theta' positions, whose phi-images
 span a proper subspace, so some nonzero v is orthogonal to all of them
 and the corresponding mask sends both vectors to the same key.  Collisions
-are therefore guaranteed for every similar pair, for every phi.
+are therefore guaranteed for every similar pair, for every phi.  The
+masks go into the masked-projection index the Hamming variant also uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ItemsetRecord
-from .hamming_lsh import QueryResult, verify_collisions
-from .transform import (
-    DegenerateLevel,
-    LevelContext,
-    _ceil,
-    check_tolerances,
-    pad_preprocess,
-    pad_query,
-)
+from .hamming_lsh import MaskIndex, QueryResult
+from .transform import DegenerateLevel, LevelContext, _ceil, check_tolerances
 
 DEFAULT_MASK_DIM_CAP = 24
 
@@ -118,29 +112,13 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
     return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks)
 
 
-@dataclass
-class CoveringIndex:
-    params: CoveringParams
-    family: CoveringFamily
-    ctx: LevelContext
-    records: list[ItemsetRecord]
-    tables: list[dict[int, list[int]]] = field(default_factory=list)
-
-
 def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelContext,
-                params: CoveringParams) -> CoveringIndex:
+                params: CoveringParams) -> MaskIndex:
     """One hash table per mask; the key of record a under mask m is P(a) & m."""
-    index = CoveringIndex(params=params, family=family, ctx=ctx, records=list(level),
-                          tables=[{} for _ in family.masks])
-    padded = [pad_preprocess(r.vector, ctx).bits.value for r in level]
-    for t, mask in enumerate(family.masks):
-        table = index.tables[t]
-        for idx, p in enumerate(padded):
-            table.setdefault(p & mask, []).append(idx)
-    return index
+    return MaskIndex.build(level, family.masks, ctx, params.early_exit_budget)
 
 
-def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
+def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
           early_exit: bool = False) -> QueryResult:
     """Probe every mask's bucket for Q(q) and verify collisions with the
     `compatible` indices.
@@ -149,10 +127,7 @@ def query(index: CoveringIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
     preserves the no-false-negative guarantee; switching it on applies the
     same fruitless-inspection budget as the Hamming variant.
     """
-    qval = pad_query(q.vector, ctx).bits.value
-    buckets = (table.get(qval & mask) for table, mask in zip(index.tables, index.family.masks))
-    budget = index.params.early_exit_budget if early_exit else None
-    return verify_collisions(index.records, buckets, q, compatible, ctx, budget)
+    return index.probe(q, ctx, compatible, early_exit)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

@@ -8,7 +8,9 @@ level screens and verifies (the per-variant hooks in `_LSH_VARIANTS`) each
 record's compatible partners, read from the join's buckets with the item
 each partner adds, and hands the unions it found to `exact.build_level`,
 the same builder the join's next level goes through.  The join also holds
-the frequent partners for TN and FP.
+the frequent partners for TN and FP.  Hamming and covering screen through
+one masked-projection index (`hamming_lsh.MaskIndex`) and differ only in
+where their masks come from and in the early-exit budget.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every exact support verification charges n; hashing work is tracked
@@ -158,10 +160,6 @@ class _Variant:
                          # True: the query only approved them (.approved); verify here
 
 
-def _build_covering(level, params, ctx, seed):
-    return covering_lsh.build_index(level, covering_lsh.build_family(params, seed), ctx, params)
-
-
 _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
@@ -182,7 +180,8 @@ _LSH_VARIANTS = {
     "covering": _Variant(
         derive=lambda config, ctx: covering_lsh.derive_params(
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
-        build=_build_covering,
+        build=lambda level, params, ctx, seed: covering_lsh.build_index(
+            level, covering_lsh.build_family(params, seed), ctx, params),
         query=lambda index, q, params, ctx, config, compatible: covering_lsh.query(
             index, q, ctx, compatible, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,

@@ -1,27 +1,32 @@
-"""Bit-sampling LSH over padded vectors.
+"""Bit-sampling LSH over padded vectors, and the masked-projection index
+it shares with the covering variant.
 
 L hash tables, each keyed by k uniformly sampled bit positions of the
-padded vector.  Preprocessing inserts P-padded vectors; queries probe with
-Q-padded vectors, verify each new collision with a join partner against the
-database, and give up early once enough inspections found nothing similar.
+padded vector.  Sampling k positions is projecting onto a random mask with
+those bits set, so table t keys a record by P(a) & masks[t], as in the
+covering variant, whose masks come from its family instead.  Preprocessing
+inserts P-padded vectors; queries probe with Q-padded vectors, verify each
+new collision with a join partner against the database, and give up early
+once enough inspections found nothing similar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
 from .dataset import ItemsetRecord, co_support
 from .transform import (
-    PREPROCESS,
-    QUERY,
     DegenerateLevel,
     LevelContext,
     _ceil,
     check_tolerances,
-    padded_bits_array,
+    pad_preprocess,
+    pad_query,
 )
 
 
@@ -56,23 +61,45 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLsh
 
 
 @dataclass
-class HammingIndex:
-    params: HammingLshParams
-    ctx: LevelContext
-    records: list[ItemsetRecord]
-    projections: np.ndarray                      # (L, k) sampled positions
-    tables: list[dict[bytes, list[int]]]
+class MaskIndex:
+    """One hash table per mask: record a sits in table t under P(a) & masks[t]."""
 
-    def bucket_key(self, bits: np.ndarray, table: int) -> bytes:
-        return bits[self.projections[table]].tobytes()
+    records: list[ItemsetRecord]
+    masks: list[int]
+    tables: list[dict[int, list[int]]]
+    early_exit_budget: int
+
+    @classmethod
+    def build(cls, level: list[ItemsetRecord], masks: list[int], ctx: LevelContext,
+              early_exit_budget: int) -> MaskIndex:
+        padded = [pad_preprocess(r.vector, ctx).bits.value for r in level]
+        tables = []
+        for mask in masks:
+            table: dict[int, list[int]] = {}
+            for idx, p in enumerate(padded):
+                table.setdefault(p & mask, []).append(idx)
+            tables.append(table)
+        return cls(records=list(level), masks=masks, tables=tables,
+                   early_exit_budget=early_exit_budget)
+
+    def probe(self, q: ItemsetRecord, ctx: LevelContext, compatible,
+              early_exit: bool) -> QueryResult:
+        """Verify the `compatible` records in Q(q)'s bucket of each table in
+        turn, under the early-exit budget if `early_exit` is set."""
+        qval = pad_query(q.vector, ctx).bits.value
+        buckets = (table.get(qval & mask) for table, mask in zip(self.tables, self.masks))
+        return verify_collisions(self.records, buckets, q, compatible, ctx,
+                                 self.early_exit_budget if early_exit else None)
 
 
 def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: LevelContext,
-                seed, projections: np.ndarray | None = None) -> HammingIndex:
+                seed, projections: np.ndarray | None = None) -> MaskIndex:
     """Hash every P-padded record into one bucket per table.
 
     All randomness (the L position sets) is drawn up front from the seed;
     `projections` can be supplied directly to pin the sample in tests.
+    Each row becomes the mask with its positions set, ORed so that a
+    position sampled twice sets its bit once.
     """
     if projections is None:
         rng = np.random.default_rng(seed)
@@ -81,15 +108,8 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
         projections = np.asarray(projections, dtype=np.int64)
         if projections.shape != (params.L, params.k):
             raise ValueError(f"projections must have shape {(params.L, params.k)}")
-
-    index = HammingIndex(params=params, ctx=ctx, records=list(level),
-                         projections=projections, tables=[{} for _ in range(params.L)])
-    for idx, record in enumerate(level):
-        bits = padded_bits_array(record.vector, ctx, PREPROCESS)
-        for t in range(params.L):
-            key = index.bucket_key(bits, t)
-            index.tables[t].setdefault(key, []).append(idx)
-    return index
+    masks = [reduce(or_, (1 << p for p in row), 0) for row in projections.tolist()]
+    return MaskIndex.build(level, masks, ctx, params.early_exit_budget)
 
 
 @dataclass
@@ -141,11 +161,8 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, c
     return result
 
 
-def query(index: HammingIndex, q: ItemsetRecord, ctx: LevelContext, compatible) -> QueryResult:
+def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible) -> QueryResult:
     """Probe the L buckets for Q(q) and verify collisions with the
     `compatible` indices in order, stopping early after
     `early_exit_budget` fruitless inspections."""
-    bits = padded_bits_array(q.vector, ctx, QUERY)
-    buckets = (index.tables[t].get(index.bucket_key(bits, t)) for t in range(index.params.L))
-    return verify_collisions(index.records, buckets, q, compatible, ctx,
-                             index.params.early_exit_budget)
+    return index.probe(q, ctx, compatible, early_exit=True)

@@ -231,6 +231,12 @@ def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
     assert calls == [0.5]
 
 
+def test_mask_dim_cap_default_is_the_config_default(toy_path):
+    for command in ("mine", "compare", "bench"):
+        args = cli.build_parser().parse_args([command, "--input", toy_path, "--theta", "0.5"])
+        assert args.mask_dim_cap == engine.MiningConfig(theta=0.5).mask_dim_cap
+
+
 def test_gen_bad_density(capsys, tmp_path):
     rc, _, err = run(capsys, "gen", "--output", str(tmp_path / "x.dat"),
                      "--n", "10", "--m", "3", "--density", "0")

@@ -1,12 +1,14 @@
 """Byte-level regression gate for the mining reports.
 
 Pins the sha256 of `report_json` for every variant, and of the combined
-`report_csv` of all variants, on three seeded databases with n > 200.
-The databases are chosen so that together they reach every path of the
-level driver: each variant has at least one LSH level, hamming and
-covering hit a `degenerate_level` fallback, and covering hits a
-`family_too_large` fallback.  A refactor that changes any counter, any
-itemset or their order changes a hash here.
+`report_csv` of all variants, on three seeded databases with n > 200,
+and of the hamming and covering reports on a fourth.  The databases are
+chosen so that together they reach every path of the level driver: each
+variant has at least one LSH level, hamming and covering hit a
+`degenerate_level` fallback, covering hits a `family_too_large`
+fallback, and hamming queries stop at their early-exit budget.  A
+refactor that changes any counter, any itemset or their order changes a
+hash here.
 """
 
 import hashlib
@@ -33,12 +35,37 @@ def negatives_db():
     return TransactionDatabase(n=n, m=40, columns=columns)
 
 
+def near_miss_db():
+    """Planted patterns, like the benchmark's dense-deep, beside a block of
+    near misses: at theta 0.25 (100 of 400) two disjoint 5-item patterns
+    fill 104 rows each, so their subsets make four more LSH levels whose
+    pattern mates collide in every table; 60 items share 96 rows plus 8
+    random rows each, so every one is frequent, no pair of them is, and
+    their padded vectors collide often enough that each of their Hamming
+    queries at level 2 stops at its early-exit budget."""
+    rng = np.random.default_rng(5)
+    n, shared, private, group, size, patterns, rows = 400, 96, 8, 60, 5, 2, 104
+    hits = np.zeros((n, group + patterns * size), dtype=bool)
+    hits[:shared, :group] = True
+    for item in range(group):
+        hits[shared + rng.choice(n - shared, size=private, replace=False), item] = True
+    order = shared + rng.permutation(n - shared)
+    for p in range(patterns):
+        block = order[p * rows:(p + 1) * rows]
+        hits[np.ix_(block, group + p * size + np.arange(size))] = True
+    columns = {i: BitVector.from_indices(n, np.flatnonzero(hits[:, i]).tolist())
+               for i in range(hits.shape[1])}
+    return TransactionDatabase(n=n, m=hits.shape[1], columns=columns)
+
+
 DATABASES = {
     "negatives": (negatives_db, 0.3),
     # five levels; hamming and minhash run LSH at each, covering's family is too large
     "bernoulli": (lambda: generate_synthetic(300, 12, 0.45, 7), 0.08),
     # the toy database 60 times over: level 3 has alpha == theta
     "toy60": (lambda: db_from_rows(TOY_ROWS * 60), 0.5),
+    # hamming early exits and covering LSH on five levels
+    "near_miss": (near_miss_db, 0.25),
 }
 
 REPORT_SHA256 = {
@@ -66,6 +93,10 @@ REPORT_SHA256 = {
         "52a126b715fa8fec29e2ad69ecee6e76f6d1ce3a7e3008ffbeeed6f2102438c8",
     ("toy60", "covering"):
         "8759a654fdd25528da445f0a0eade5cd518be641623882cf31c55eb4eec68fc6",
+    ("near_miss", "hamming"):
+        "5cbf6c97d310d44cfe799906dc46bbcfc64ca369ec15db2f32b53bcbb7db6706",
+    ("near_miss", "covering"):
+        "5957efe3ffc3f7035f9e488bc5b6e496f1c775700f17a0f7b0b3ba3c8d12f1a2",
 }
 
 CSV_SHA256 = {

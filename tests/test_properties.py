@@ -1,15 +1,24 @@
 """Property-based differential tests: the bucket join against the pairwise
-reference rule, and every variant against the brute-force oracle."""
+reference rule, the Hamming mask tables against sampled-bit keys, and
+every variant against the brute-force oracle."""
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import add_item, brute_force_mine, join_level, union_if_compatible
-from lshmine.transform import PREPROCESS, QUERY, LevelContext, padded_one_positions
+from lshmine.hamming_lsh import HammingLshParams, build_index, query, verify_collisions
+from lshmine.transform import (
+    PREPROCESS,
+    QUERY,
+    LevelContext,
+    padded_bits_array,
+    padded_one_positions,
+)
 
 from conftest import db_from_rows, downward_closed
 
@@ -71,6 +80,52 @@ def test_join_matches_all_pairs_reference(level):
         assert sweep.positives[i] == {j for j in compatible[i]
                                       if (records[i].vector & records[j].vector).popcount()
                                       >= theta_count}
+
+
+@st.composite
+def sampled_levels(draw):
+    """Random singleton records, a level context for them and (L, k)
+    projection rows in which every row repeats at least one position."""
+    n = draw(st.integers(1, 10))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    records = [ItemsetRecord.from_vector((i,), BitVector(n, v)) for i, v in enumerate(values)]
+    alpha_count = draw(st.integers(max(1, *(v.bit_count() for v in values)), n))
+    ctx = LevelContext(n=n, m_l=len(records), alpha_count=alpha_count,
+                       theta_count=draw(st.integers(1, alpha_count)))
+    k = draw(st.integers(2, 6))
+    position = st.integers(0, ctx.padded_length - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        drawn = draw(st.lists(position, min_size=1, max_size=k - 1))
+        repeats = draw(st.lists(st.sampled_from(drawn), min_size=k - len(drawn),
+                                max_size=k - len(drawn)))
+        rows.append(draw(st.permutations(drawn + repeats)))
+    return records, ctx, np.array(rows, dtype=np.int64)
+
+
+@SETTINGS
+@given(sampled_levels(), st.integers(1, 6))
+def test_hamming_masks_group_as_sampled_bits(case, budget):
+    # reference: a record's key in table t is the padded vector's bits at the
+    # sampled positions, repeats included, as bytes
+    records, ctx, projections = case
+    L, k = projections.shape
+    params = HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget)
+    index = build_index(records, params, ctx, seed=0, projections=projections)
+    reference = []
+    for row in projections:
+        table = {}
+        for idx, r in enumerate(records):
+            key = padded_bits_array(r.vector, ctx, PREPROCESS)[row].tobytes()
+            table.setdefault(key, []).append(idx)
+        reference.append(table)
+    assert [list(t.values()) for t in index.tables] == [list(t.values()) for t in reference]
+    for qi, q in enumerate(records):
+        bits = padded_bits_array(q.vector, ctx, QUERY)
+        buckets = [table.get(bits[row].tobytes()) for table, row in zip(reference, projections)]
+        partners = set(range(len(records))) - {qi}
+        assert query(index, q, ctx, partners) == \
+            verify_collisions(records, buckets, q, partners, ctx, budget)
 
 
 @st.composite
