@@ -8,6 +8,7 @@ these columns, so the representation is immutable after load.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,12 +183,12 @@ def load_transactions(path) -> TransactionDatabase:
 
     n = len(rows)
     m = 1 + max(max(row) for row in rows if row)
-    values: dict[int, int] = {}
+    bits = defaultdict(lambda: bytearray((n + 7) // 8))   # row j: bit j % 8 of byte j // 8
     for j, row in enumerate(rows):
-        bit = 1 << j
-        for item in set(row):
-            values[item] = values.get(item, 0) | bit
-    columns = {item: BitVector(n, v) for item, v in values.items()}
+        byte, bit = j >> 3, 1 << (j & 7)
+        for item in row:
+            bits[item][byte] |= bit
+    columns = {item: BitVector(n, int.from_bytes(b, "little")) for item, b in bits.items()}
     return TransactionDatabase(n=n, m=m, columns=columns)
 
 

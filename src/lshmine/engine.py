@@ -1,25 +1,28 @@
 """Level-wise mining driver: exact joins or LSH-screened joins, plus the
 I/O accounting that makes the variants comparable.
 
-Every level starts with the bucket join of `exact.join_level`, the only
-place that decides which pairs are compatible.  The exact variant and
-every fallback level take its frequent unions as the next level.  An LSH
-level screens and verifies (the per-variant hooks in `_LSH_VARIANTS`) each
-record's compatible partners, read from the join's buckets with the item
-each partner adds, and hands the unions it found to `exact.build_level`,
-the same builder the join's next level goes through.  The join also holds
-the frequent partners for TN and FP.  Hamming and covering screen through
-one masked-projection index (`hamming_lsh.MaskIndex`) and differ only in
-where their masks come from and in the early-exit budget.
+`_produce_level` is the one level step.  It starts with the bucket join of
+`exact.join_level`, the only place that decides which pairs are
+compatible.  The exact variant and every fallback level keep its frequent
+unions; an LSH level screens and verifies (the per-variant hooks in
+`_LSH_VARIANTS`) each record's compatible partners, read from the join's
+buckets with the item each partner adds, and keeps the unions it found.
+One `exact.build_level` call turns them into the next level.  The join
+also holds the frequent partners for TN and FP.  Hamming and covering
+screen through one masked-projection index (`hamming_lsh.MaskIndex`) and
+differ only in where their masks come from and in the early-exit budget.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every exact support verification charges n; hashing work is tracked
-separately as hash_bits_read.  For each ordered compatible pair whose
-union is below threshold, the partner is a false positive if the variant
-spent a full verification on it (for MinHash: if the sketch approved it)
-and a true negative otherwise; TN + FP then equals twice the number of
-unordered compatible pairs with infrequent unions, which is checked
-against the join.
+separately as hash_bits_read.  `_level_row` alone applies it, to the
+level's count of verifications: the items scanned at level 1, the
+distinct candidates of an exact or fallback level, the queries'
+inspections for Hamming and covering, the distinct unions found for
+MinHash.  For each ordered compatible pair whose union is below
+threshold, the partner is a false positive if the variant spent a full
+verification on it (for MinHash: if the sketch approved it) and a true
+negative otherwise; TN + FP then equals twice the number of unordered
+compatible pairs with infrequent unions, which is checked against the join.
 """
 
 from __future__ import annotations
@@ -126,20 +129,16 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    current, reads = frequent_singletons(db, theta_count)
+    current = frequent_singletons(db, theta_count)
     timings["level1:scan"] = time.perf_counter() - t0
-    stats.append(LevelStats(
-        level=1, frequent_count=len(current), candidates=len(db.items()),
-        emitted_candidates=len(db.items()), candidate_pairs=0, frequent_pairs=0,
-        transactions_read=reads, hash_bits_read=0, overhead_hashes=0,
-        true_negatives=0, false_positives=0, phi=0, savings_estimate=0,
-        lsh_active=False,
-    ))
+    scanned = len(db.columns)
+    stats.append(_level_row(db.n, 1, current, candidates=scanned, emitted=scanned,
+                            verifications=scanned))
     while current:
         fis.levels.append(current)
         if config.max_level is not None and len(stats) >= config.max_level:
             break
-        current, row = _produce_level(db, config, current, len(stats), theta_count, timings)
+        current, row = _produce_level(db, config, current, len(stats) + 1, theta_count, timings)
         stats.append(row)
 
     return MiningReport(config=config, db_n=db.n, db_m=db.m, levels=stats,
@@ -156,7 +155,7 @@ class _Variant:
     build: Callable     # (level, params, ctx, seed) -> index
     query: Callable     # (index, record, params, ctx, config, compatible) -> result with .partners
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
-    defers_verify: bool  # False: the query verified its partners (.verified, .reads)
+    defers_verify: bool  # False: the query verified its partners (.verified, .inspections)
                          # True: the query only approved them (.approved); verify here
 
 
@@ -191,10 +190,10 @@ _LSH_VARIANTS = {
 
 
 def _produce_level(db, config, current, level, theta_count, timings):
-    n = db.n
+    """One level step, from `current` to `level`: join, screen if LSH runs
+    here, build, price the row."""
     m_l = len(current)
-    next_level = level + 1
-    tag = f"level{next_level}"
+    tag = f"level{level}"
 
     t0 = time.perf_counter()
     sweep = join_level(current, theta_count)
@@ -202,44 +201,42 @@ def _produce_level(db, config, current, level, theta_count, timings):
 
     variant = _LSH_VARIANTS.get(config.variant)
     params = fallback = None
-    tn = fp = phi = 0
     if variant is not None and m_l >= 2:
-        ctx = LevelContext(n=n, m_l=m_l, alpha_count=max(r.support for r in current),
+        ctx = LevelContext(n=db.n, m_l=m_l, alpha_count=max(r.support for r in current),
                            theta_count=theta_count)
         try:
             params = variant.derive(config, ctx)
         except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
             fallback = exc.reason
     if params is None:
-        emitted = sweep.distinct_candidates
-        nxt, reads = sweep.next_level(), n * emitted
+        unions, emitted = sweep.frequent, sweep.distinct_candidates
+        verifications, hashes, phi, tn, fp = emitted, 0, 0, 0, 0
     else:
-        seed = np.random.SeedSequence([config.seed, next_level])
-        nxt, reads, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
-                                                    sweep, tag, timings)
-        phi = variant.phi(params, ctx)
-    lsh_active = params is not None
-    return nxt, LevelStats(
-        level=next_level, frequent_count=len(nxt), candidates=sweep.distinct_candidates,
-        emitted_candidates=emitted, candidate_pairs=sweep.candidate_pairs,
-        frequent_pairs=sweep.frequent_pairs, transactions_read=reads,
-        hash_bits_read=2 * m_l * phi, overhead_hashes=2 * m_l if lsh_active else 0,
-        true_negatives=tn, false_positives=fp, phi=phi, savings_estimate=(n - phi) * tn,
-        lsh_active=lsh_active, fallback_reason=fallback,
-    )
+        seed = np.random.SeedSequence([config.seed, level])
+        unions, verifications, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
+                                                      sweep, tag, timings)
+        emitted, hashes, phi = len(unions), 2 * m_l, variant.phi(params, ctx)
+
+    t0 = time.perf_counter()
+    nxt = build_level(current, unions, theta_count)   # drops only unverified unions
+    if params is not None and variant.defers_verify:
+        timings[f"{tag}:verify"] = time.perf_counter() - t0
+    return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted,
+                           verifications, sweep=sweep, hashes=hashes, phi=phi, tn=tn, fp=fp,
+                           fallback=fallback)
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
     """One LSH level: build, query every record with its compatible
-    partners, build the next level from the unions of the partners found,
-    verifying them there if the query did not."""
+    partners.  Returns the unions found (each with the first pair found to
+    form it), the level's support verifications, TN and FP."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
-    found: dict[tuple[int, ...], tuple[int, int]] = {}   # union -> first pair found to form it
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
     query_s = 0.0
-    reads = tn = fp = 0
+    inspections = tn = fp = 0
     for i, q in enumerate(current):
         compatible = sweep.partners(i)
         t0 = time.perf_counter()
@@ -250,17 +247,27 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
         fp += hit
         tn += len(negatives) - hit
         if not variant.defers_verify:
-            reads += res.reads
+            inspections += res.inspections
         for j in res.partners:
             found.setdefault(add_item(q.items, compatible[j]), (i, j))
     timings[f"{tag}:query"] = query_s
+    # a deferred verification checks each distinct union once, in build_level
+    return found, len(found) if variant.defers_verify else inspections, tn, fp
 
-    t0 = time.perf_counter()
-    nxt = build_level(current, found, ctx.theta_count)   # drops only unverified unions
-    if variant.defers_verify:
-        reads = ctx.n * len(found)
-        timings[f"{tag}:verify"] = time.perf_counter() - t0
-    return nxt, reads, len(found), tn, fp
+
+def _level_row(n, level, nxt, candidates, emitted, verifications, sweep=None, hashes=0, phi=0,
+               tn=0, fp=0, fallback=None) -> LevelStats:
+    """The level's report row, and the only place that prices it by the
+    paper's cost model: n reads per support verification, phi per hash
+    evaluation.  A level ran LSH iff it hashed (twice per record)."""
+    return LevelStats(
+        level=level, frequent_count=len(nxt), candidates=candidates, emitted_candidates=emitted,
+        candidate_pairs=sweep.candidate_pairs if sweep else 0,
+        frequent_pairs=sweep.frequent_pairs if sweep else 0,
+        transactions_read=n * verifications, hash_bits_read=hashes * phi,
+        overhead_hashes=hashes, true_negatives=tn, false_positives=fp, phi=phi,
+        savings_estimate=(n - phi) * tn, lsh_active=hashes > 0, fallback_reason=fallback,
+    )
 
 
 @dataclass

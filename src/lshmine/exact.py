@@ -7,9 +7,10 @@ l-1 items meet in exactly one bucket, and each one's left-out item gives
 their union (`add_item`).  `build_level` is the only place that turns
 candidate unions into a level (AND vector, threshold, sort): the join's
 frequent unions for the exact variant and every fallback level, the
-unions an LSH level found for the others.  `apriori_mine` is the engine's
-exact variant.  The brute-force path shares no logic with any of it, so
-the miners always have an independent ground truth to be checked against.
+unions an LSH level found for the others.  None of it charges reads; the
+engine prices what it returns.  `apriori_mine` is the engine's exact
+variant.  The brute-force path shares no logic with any of it, so the
+miners always have an independent ground truth to be checked against.
 """
 
 from __future__ import annotations
@@ -57,19 +58,15 @@ class AprioriResult:
 @dataclass
 class PairSweep:
     """One level's candidate join: who is compatible with whom and which
-    unions are frequent.  `next_level()` is the exact next level."""
+    unions are frequent; `build_level` of `frequent` is the exact next level."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
-    theta_count: int
     records: list[ItemsetRecord]
     buckets: dict[tuple[int, ...], list[tuple[int, int]]]   # (l-1)-subset -> [(index, item left out)]
     positives: list[set[int]]   # per record index: compatible partners with frequent union
     frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
-
-    def next_level(self) -> list[ItemsetRecord]:
-        return build_level(self.records, self.frequent, self.theta_count)
 
     def partners(self, i: int) -> dict[int, int]:
         """The records compatible with record i, each mapped to the item it
@@ -132,16 +129,14 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
                     positives[i].add(j)
                     positives[j].add(i)
                     frequent.setdefault(u, (i, j))
-    return PairSweep(cpairs, fpairs, len(unions), theta_count, records, buckets, positives,
-                     frequent)
+    return PairSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
 
 
-def frequent_singletons(db: TransactionDatabase, theta_count: int) -> tuple[list[ItemsetRecord], int]:
-    """The level-1 scan: one support count (n reads) per occurring item."""
+def frequent_singletons(db: TransactionDatabase, theta_count: int) -> list[ItemsetRecord]:
+    """The level-1 scan: one support count per occurring item."""
     columns = db.columns
-    records = [ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
-               if columns[item].popcount() >= theta_count]
-    return records, db.n * len(columns)
+    return [ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
+            if columns[item].popcount() >= theta_count]
 
 
 def apriori_mine(db: TransactionDatabase, theta: float) -> AprioriResult:

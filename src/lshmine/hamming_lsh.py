@@ -7,7 +7,8 @@ those bits set, so table t keys a record by P(a) & masks[t], as in the
 covering variant, whose masks come from its family instead.  Preprocessing
 inserts P-padded vectors; queries probe with Q-padded vectors, verify each
 new collision with a join partner against the database, and give up early
-once enough inspections found nothing similar.
+once enough inspections found nothing similar.  A query reports what it
+inspected; the engine charges the reads (n per inspection).
 """
 
 from __future__ import annotations
@@ -115,11 +116,13 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
 @dataclass
 class QueryResult:
     partners: list[int]                          # FI_q as record indices, in discovery order
-    verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support
-    inspections: int = 0
-    reads: int = 0
+    verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support, as inspected
     collision_counts: dict[int, int] = field(default_factory=dict)  # compatible idx -> per-table hits
     early_exit: bool = False
+
+    @property
+    def inspections(self) -> int:   # support verifications: one per distinct partner
+        return len(self.verified)
 
 
 def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, compatible,
@@ -129,14 +132,11 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, c
     `buckets` yields q's bucket (a list of record indices, or None) in each
     table, lazily, so an early exit skips the remaining keys.  Only
     collisions in `compatible` (the indices of q's join partners) are
-    verified (and charged n transaction reads); the rest cost nothing.
-    With a budget, the query stops once that many distinct verified
-    candidates, counted across buckets, found nothing similar.
+    verified, each once; the rest cost nothing.  With a budget, the query
+    stops once that many distinct verified candidates, counted across
+    buckets, found nothing similar.
     """
     result = QueryResult(partners=[])
-    seen: set[int] = set()
-    similar_found = False
-
     for bucket in buckets:
         if not bucket:
             continue
@@ -144,18 +144,14 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, c
             if idx not in compatible:
                 continue
             result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
-            if idx in seen:
+            if idx in result.verified:
                 continue
-            seen.add(idx)
             co = co_support(records[idx].vector, q.vector)
             result.verified[idx] = co
-            result.reads += ctx.n
-            result.inspections += 1
             if co >= ctx.theta_count:
                 result.partners.append(idx)
-                similar_found = True
-            if (early_exit_budget is not None and not similar_found
-                    and result.inspections >= early_exit_budget):
+            if (early_exit_budget is not None and not result.partners
+                    and len(result.verified) >= early_exit_budget):
                 result.early_exit = True
                 return result
     return result

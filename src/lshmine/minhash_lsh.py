@@ -53,9 +53,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
 
 @dataclass
 class MinhashSketch:
-    params: MinhashParams
     ctx: LevelContext
-    records: list[ItemsetRecord]
     perms: np.ndarray      # (rows, padded_length) independent permutations
     columns: np.ndarray    # (rows, m_l) minwise values of the P-padded records
 
@@ -74,8 +72,7 @@ def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelCo
         )
     else:
         columns = np.empty((params.rows, 0), dtype=np.int64)
-    return MinhashSketch(params=params, ctx=ctx, records=list(level),
-                         perms=perms, columns=columns)
+    return MinhashSketch(ctx=ctx, perms=perms, columns=columns)
 
 
 def sketch_query_column(sketch: MinhashSketch, q: ItemsetRecord) -> np.ndarray:
@@ -93,9 +90,12 @@ def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
 
 @dataclass
 class MinhashQueryResult:
-    partners: list[int]                  # FI_q as record indices: compatible, estimate >= accept
-    approved: dict[int, float]           # idx -> estimated JS (compatible only)
-    rejected: dict[int, float]
+    approved: dict[int, float]           # idx -> estimated JS (compatible, estimate >= accept)
+    rejected: dict[int, float]           # idx -> estimated JS (compatible, estimate < accept)
+
+    @property
+    def partners(self) -> list[int]:   # FI_q as record indices, ascending
+        return list(self.approved)
 
 
 def query(sketch: MinhashSketch, q: ItemsetRecord, params: MinhashParams,
@@ -107,12 +107,11 @@ def query(sketch: MinhashSketch, q: ItemsetRecord, params: MinhashParams,
     matches = np.count_nonzero(sketch.columns[:, idx] == qcol[:, None], axis=0)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
-    result = MinhashQueryResult(partners=[], approved={}, rejected={})
+    result = MinhashQueryResult(approved={}, rejected={})
     for i, hits in zip(idx, matches.tolist()):
         est = hits / params.rows
         if hits >= need:
             result.approved[i] = est
-            result.partners.append(i)
         else:
             result.rejected[i] = est
     return result

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from lshmine import covering_lsh, hamming_lsh
 from lshmine.cli import report_json
 from lshmine.engine import (
+    VARIANTS,
     MiningConfig,
     accounting_check,
     compare_with_oracle,
@@ -11,6 +15,7 @@ from lshmine.engine import (
 from lshmine.exact import apriori_mine, brute_force_mine
 
 from conftest import TOY_FREQUENT, db_from_rows, downward_closed, random_db
+from test_golden_reports import DATABASES
 
 
 def lsh_config(variant, theta=0.5, seed=1, **kw):
@@ -95,6 +100,38 @@ def test_accounting_identity_all_variants():
                 assert accounting_check(row, db.n), (variant, trial, row)
                 lsh_rows += row.lsh_active
     assert lsh_rows > 20  # the identity was actually exercised
+
+
+@pytest.mark.parametrize("db_name", ["near_miss", "bernoulli"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
+    """n reads per support verification: each item at level 1, each distinct
+    candidate of an exact or fallback level, each union MinHash found, and
+    each inspection a Hamming or covering query made."""
+    inspections = Counter()   # level produced -> inspections of its queries
+    for module in (hamming_lsh, covering_lsh):
+        def counted(index, q, *args, query=module.query, **kwargs):
+            res = query(index, q, *args, **kwargs)
+            inspections[len(q.items) + 1] += res.inspections
+            return res
+        monkeypatch.setattr(module, "query", counted)
+
+    make, theta = DATABASES[db_name]
+    db = make()
+    config = MiningConfig(theta=theta, variant=variant, epsilon=0.5, delta=0.1, seed=3)
+    report = lsh_apriori_mine(db, config)
+    assert report.levels[0].candidates == len(db.items())
+    for row in report.levels:
+        if not row.lsh_active:
+            assert row.emitted_candidates == row.candidates
+            assert row.transactions_read == db.n * row.candidates
+            assert inspections[row.level] == 0
+        elif variant == "minhash":
+            assert row.transactions_read == db.n * row.emitted_candidates
+        else:
+            assert row.transactions_read == db.n * inspections[row.level]
+    if db_name == "near_miss" and variant != "exact":
+        assert any(row.lsh_active for row in report.levels)
 
 
 def test_tn_dominates_when_nothing_extends():

@@ -5,7 +5,13 @@ import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import MiningConfig, lsh_apriori_mine
-from lshmine.exact import apriori_mine, brute_force_mine, join_level, union_if_compatible
+from lshmine.exact import (
+    apriori_mine,
+    brute_force_mine,
+    build_level,
+    join_level,
+    union_if_compatible,
+)
 
 from conftest import TOY_FREQUENT, db_from_rows, downward_closed, random_db
 
@@ -52,7 +58,7 @@ def joined_unions(level):
     """Every distinct union of the join (theta_count 1 keeps them all frequent)."""
     sweep = join_level(level, theta_count=1)
     assert sweep.distinct_candidates == len(sweep.frequent)
-    return [r.items for r in sweep.next_level()]
+    return [r.items for r in build_level(level, sweep.frequent, 1)]
 
 
 def test_join_triangle():

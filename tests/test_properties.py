@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
-from lshmine.exact import add_item, brute_force_mine, join_level, union_if_compatible
+from lshmine.exact import (
+    add_item,
+    brute_force_mine,
+    build_level,
+    join_level,
+    union_if_compatible,
+)
 from lshmine.hamming_lsh import HammingLshParams, build_index, query, verify_collisions
 from lshmine.transform import (
     PREPROCESS,
@@ -70,7 +76,8 @@ def test_join_matches_all_pairs_reference(level):
     assert sweep.candidate_pairs == sum(len(c) for c in compatible.values()) // 2
     assert sweep.frequent_pairs == frequent_pairs
     assert sweep.distinct_candidates == len(unions)
-    assert [(r.items, r.vector) for r in sweep.next_level()] == sorted(frequent.items())
+    assert [(r.items, r.vector) for r in build_level(records, sweep.frequent, theta_count)] \
+        == sorted(frequent.items())
     for i in range(m):
         partners = sweep.partners(i)
         assert sorted(partners) == sorted(compatible[i])
