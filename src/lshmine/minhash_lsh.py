@@ -4,6 +4,19 @@ A sketch of `rows` minwise values per itemset estimates the padded Jaccard
 similarity; partners whose estimate clears the accept threshold go into
 FI_q.  The database itself is never read at query time; the level-wise
 driver re-verifies the surviving candidates exactly.
+
+The sketch is built in one pass.  P(v) and Q(v) share v's own |v|
+positions, and their padding is a run of alpha-|v| ones from the fixed
+offsets n and n+alpha.  So under each permutation
+
+    base(v) = min of the permutation over v's own positions
+    P(v)    = min(base(v), cummin(perm[n : n+alpha])[alpha-|v|-1])
+    Q(v)    = min(base(v), cummin(perm[n+alpha : n+2*alpha])[alpha-|v|-1])
+
+with both padding minima dropped when |v| == alpha.  base(v) is one gather
+of |v| rows from the transposed own-position block, shared by both roles;
+the two running minima are taken once per level.  Every record's P and Q
+column is stored, and a query reads its own Q column.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ItemsetRecord
-from .transform import PREPROCESS, QUERY, LevelContext, _ceil, check_tolerances, padded_one_positions
+from .transform import LevelContext, _ceil, check_tolerances
 
 DEFAULT_ROW_CAP = 2_000_000
 
@@ -54,31 +67,48 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
 @dataclass
 class MinhashSketch:
     ctx: LevelContext
-    perms: np.ndarray      # (rows, padded_length) independent permutations
-    columns: np.ndarray    # (rows, m_l) minwise values of the P-padded records
+    perms: np.ndarray          # (rows, padded_length) independent permutations
+    columns: np.ndarray        # (rows, m_l) minwise values of the P-padded records
+    query_columns: np.ndarray  # (rows, m_l) minwise values of the Q-padded records
+    slot: dict[tuple[int, ...], int]  # record items -> column
 
 
 def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelContext,
                  seed) -> MinhashSketch:
     """Draw `rows` seeded permutations of the padded universe and record the
-    minwise value of every P-padded vector under each."""
+    minwise value of every P-padded and Q-padded record under each."""
+    n, alpha, length = ctx.n, ctx.alpha_count, ctx.padded_length
+    if length > np.iinfo(np.int32).max:
+        raise ValueError(f"padded length {length} does not fit int32")
     rng = np.random.default_rng(seed)
-    perms = np.tile(np.arange(ctx.padded_length, dtype=np.int64), (params.rows, 1))
+    perms = np.tile(np.arange(length, dtype=np.int32), (params.rows, 1))
     rng.permuted(perms, axis=1, out=perms)
-    if level:
-        columns = np.stack(
-            [perms[:, padded_one_positions(r.vector, ctx, PREPROCESS)].min(axis=1) for r in level],
-            axis=1,
-        )
-    else:
-        columns = np.empty((params.rows, 0), dtype=np.int64)
-    return MinhashSketch(ctx=ctx, perms=perms, columns=columns)
+    own = np.ascontiguousarray(perms[:, :n].T)   # one row per transaction
+    base = np.empty((params.rows, len(level)), dtype=np.int32)
+    gap = np.empty(len(level), dtype=np.int64)   # padding ones per record
+    for i, r in enumerate(level):
+        if r.vector.length != n:
+            raise ValueError(f"vector length {r.vector.length} != level n {n}")
+        ones = np.flatnonzero(r.vector.to_uint8())
+        if len(ones) > alpha:
+            raise ValueError(f"popcount {len(ones)} exceeds alpha_count {alpha}")
+        base[:, i] = own[ones].min(axis=0, initial=length)   # empty v: padding decides
+        gap[i] = alpha - len(ones)
+    padded = gap > 0
+    columns = []
+    for offset in (n, n + alpha):
+        run_min = np.minimum.accumulate(perms[:, offset:offset + alpha], axis=1)
+        col = base.copy()
+        col[:, padded] = np.minimum(base[:, padded], run_min[:, gap[padded] - 1])
+        columns.append(col)
+    return MinhashSketch(ctx=ctx, perms=perms, columns=columns[0], query_columns=columns[1],
+                         slot={r.items: i for i, r in enumerate(level)})
 
 
 def sketch_query_column(sketch: MinhashSketch, q: ItemsetRecord) -> np.ndarray:
-    """Minwise values of Q(q) under the sketch's permutations."""
-    ones = padded_one_positions(q.vector, sketch.ctx, QUERY)
-    return sketch.perms[:, ones].min(axis=1)
+    """Minwise values of Q(q) under the sketch's permutations; q must be one
+    of the sketch's records."""
+    return sketch.query_columns[:, sketch.slot[q.items]]
 
 
 def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
@@ -102,12 +132,14 @@ def query(sketch: MinhashSketch, q: ItemsetRecord, params: MinhashParams,
           ctx: LevelContext, compatible) -> MinhashQueryResult:
     """Sketch-only screening of the `compatible` indices (q's join
     partners): no database reads happen here."""
+    result = MinhashQueryResult(approved={}, rejected={})
+    if not compatible:   # a record outside the sketch has no Q column, and needs none here
+        return result
     qcol = sketch_query_column(sketch, q)
     idx = sorted(compatible)
     matches = np.count_nonzero(sketch.columns[:, idx] == qcol[:, None], axis=0)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
-    result = MinhashQueryResult(approved={}, rejected={})
     for i, hits in zip(idx, matches.tolist()):
         est = hits / params.rows
         if hits >= need:

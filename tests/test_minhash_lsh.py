@@ -71,6 +71,7 @@ def test_identical_vectors_identical_columns():
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=32, accept_threshold=0.5)
     sketch = build_sketch(level, params, ctx, seed=9)
     assert np.array_equal(sketch.columns[:, 0], sketch.columns[:, 1])
+    assert np.array_equal(sketch.query_columns[:, 0], sketch.query_columns[:, 1])
 
 
 def test_single_row_estimates_are_zero_or_one():
@@ -201,3 +202,24 @@ def test_sketch_determinism():
     b = build_sketch(level, params, ctx, seed=77)
     assert np.array_equal(a.perms, b.perms)
     assert np.array_equal(a.columns, b.columns)
+    assert np.array_equal(a.query_columns, b.query_columns)
+
+
+@pytest.mark.parametrize("rows,length", [(1, 1), (1, 5), (7, 33), (50, 1484), (282, 8000)])
+def test_permuted_ignores_tile_dtype(rows, length):
+    # build_sketch draws int32 permutations; the reports' bytes rest on them
+    # being the int64 draws, for plain and SeedSequence seeds alike
+    for seed in (0, 1, 77, np.random.SeedSequence([1, 5])):
+        narrow = np.tile(np.arange(length, dtype=np.int32), (rows, 1))
+        wide = np.tile(np.arange(length, dtype=np.int64), (rows, 1))
+        np.random.default_rng(seed).permuted(narrow, axis=1, out=narrow)
+        np.random.default_rng(seed).permuted(wide, axis=1, out=wide)
+        assert np.array_equal(narrow, wide)
+
+
+def test_padded_length_beyond_int32_rejected():
+    # checked before any permutation is allocated
+    ctx = LevelContext(n=2**31 - 2, m_l=0, alpha_count=1, theta_count=1)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=1, accept_threshold=0.5)
+    with pytest.raises(ValueError, match="does not fit int32"):
+        build_sketch([], params, ctx, seed=0)

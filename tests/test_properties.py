@@ -1,11 +1,12 @@
 """Property-based differential tests: the bucket join against the pairwise
-reference rule, the Hamming mask tables against sampled-bit keys, and
+reference rule, the Hamming mask tables against sampled-bit keys, the
+one-pass MinHash columns against minima over the padded positions, and
 every variant against the brute-force oracle."""
 
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lshmine.dataset import BitVector, ItemsetRecord
@@ -18,6 +19,7 @@ from lshmine.exact import (
     union_if_compatible,
 )
 from lshmine.hamming_lsh import HammingLshParams, build_index, query, verify_collisions
+from lshmine.minhash_lsh import MinhashParams, build_sketch, sketch_query_column
 from lshmine.transform import (
     PREPROCESS,
     QUERY,
@@ -90,15 +92,23 @@ def test_join_matches_all_pairs_reference(level):
 
 
 @st.composite
-def sampled_levels(draw):
-    """Random singleton records, a level context for them and (L, k)
-    projection rows in which every row repeats at least one position."""
+def singleton_levels(draw):
+    """Random singleton records (empty ones included) and a level context
+    whose alpha_count is at least their heaviest weight."""
     n = draw(st.integers(1, 10))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
     records = [ItemsetRecord.from_vector((i,), BitVector(n, v)) for i, v in enumerate(values)]
     alpha_count = draw(st.integers(max(1, *(v.bit_count() for v in values)), n))
     ctx = LevelContext(n=n, m_l=len(records), alpha_count=alpha_count,
                        theta_count=draw(st.integers(1, alpha_count)))
+    return records, ctx
+
+
+@st.composite
+def sampled_levels(draw):
+    """Random singleton records, a level context for them and (L, k)
+    projection rows in which every row repeats at least one position."""
+    records, ctx = draw(singleton_levels())
     k = draw(st.integers(2, 6))
     position = st.integers(0, ctx.padded_length - 1)
     rows = []
@@ -133,6 +143,31 @@ def test_hamming_masks_group_as_sampled_bits(case, budget):
         partners = set(range(len(records))) - {qi}
         assert query(index, q, ctx, partners) == \
             verify_collisions(records, buckets, q, partners, ctx, budget)
+
+
+def sketch_level(patterns, alpha_count):
+    """Singleton records from 0/1 strings and their level context."""
+    records = [ItemsetRecord.from_vector((i,), BitVector.from01(p)) for i, p in enumerate(patterns)]
+    return records, LevelContext(n=len(patterns[0]), m_l=len(records), alpha_count=alpha_count,
+                                 theta_count=1)
+
+
+@SETTINGS
+@given(singleton_levels(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(sketch_level(["1101"], 3), 1, 0)                    # one record, one row, |v| == alpha
+@example(sketch_level(["1101", "0101", "0000"], 3), 1, 5)    # alpha, alpha-1, empty
+@example(sketch_level(["110100", "100100", "111000"], 3), 64, 9)
+def test_sketch_columns_are_padded_minima(level, rows, seed):
+    # reference: each column is the minimum of the sketch's own permutations
+    # over the padded vector's one positions
+    records, ctx = level
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+    sketch = build_sketch(records, params, ctx, seed)
+    for i, r in enumerate(records):
+        for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
+            expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
+            assert np.array_equal(columns[:, i], expected)
+        assert np.array_equal(sketch_query_column(sketch, r), sketch.query_columns[:, i])
 
 
 @st.composite
