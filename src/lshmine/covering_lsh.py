@@ -118,16 +118,16 @@ def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelCo
     return MaskIndex.build(level, family.masks, ctx, params.early_exit_budget)
 
 
-def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
+def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible, verify,
           early_exit: bool = False) -> QueryResult:
     """Probe every mask's bucket for Q(q) and verify collisions with the
-    `compatible` indices.
+    `compatible` indices through `verify` (see `hamming_lsh.verify_collisions`).
 
     With `early_exit` off (the default) every collision is inspected, which
     preserves the no-false-negative guarantee; switching it on applies the
     same fruitless-inspection budget as the Hamming variant.
     """
-    return index.probe(q, ctx, compatible, early_exit)
+    return index.probe(q, ctx, compatible, verify, early_exit)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

@@ -4,25 +4,25 @@ I/O accounting that makes the variants comparable.
 `_produce_level` is the one level step.  It starts with the bucket join of
 `exact.join_level`, the only place that decides which pairs are
 compatible.  The exact variant and every fallback level keep its frequent
-unions; an LSH level screens and verifies (the per-variant hooks in
-`_LSH_VARIANTS`) each record's compatible partners, read from the join's
-buckets with the item each partner adds, and keeps the unions it found.
-One `exact.build_level` call turns them into the next level.  The join
-also holds the frequent partners for TN and FP.  Hamming and covering
-screen through one masked-projection index (`hamming_lsh.MaskIndex`) and
-differ only in where their masks come from and in the early-exit budget.
+unions; an LSH level screens (the per-variant hooks in `_LSH_VARIANTS`)
+each record's compatible partners, read from the join's buckets with the
+item each partner adds, and keeps the unions it found.  One
+`exact.build_level` call turns them into the next level.  The join also
+holds the frequent partners for TN and FP.  Hamming and covering screen
+through one masked-projection index (`hamming_lsh.MaskIndex`) and differ
+only in where their masks come from and in the early-exit budget.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
-every exact support verification charges n; hashing work is tracked
-separately as hash_bits_read.  `_level_row` alone applies it, to the
-level's count of verifications: the items scanned at level 1, the
-distinct candidates of an exact or fallback level, the queries'
-inspections for Hamming and covering, the distinct unions found for
-MinHash.  For each ordered compatible pair whose union is below
-threshold, the partner is a false positive if the variant spent a full
-verification on it (for MinHash: if the sketch approved it) and a true
-negative otherwise; TN + FP then equals twice the number of unordered
-compatible pairs with infrequent unions, which is checked against the join.
+every level verifies each distinct candidate once, as Apriori does, and
+`_level_row` charges n per verification: n * emitted_candidates on every
+row.  An LSH level verifies through the `verify` callable `_screen_level`
+hands each query (and then applies to MinHash's approved partners), which
+reads a union's co-support only the first time the level meets it.
+Hashing work is tracked separately as hash_bits_read.  For each ordered
+compatible pair whose union is below threshold, the partner is a false
+positive if the query verified it and a true negative otherwise; TN + FP
+then equals twice the number of unordered compatible pairs with
+infrequent unions, which is checked against the join.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import covering_lsh, hamming_lsh, minhash_lsh
-from .dataset import TransactionDatabase, support_threshold
+from .dataset import TransactionDatabase, co_support, support_threshold
 from .exact import (
     FrequentItemsetSet,
     add_item,
@@ -87,10 +87,10 @@ class LevelStats:
     level: int
     frequent_count: int
     candidates: int            # distinct unions Apriori would generate from D_{l-1}
-    emitted_candidates: int    # distinct unions this variant actually verified/emitted
+    emitted_candidates: int    # distinct unions this variant verified (<= candidates)
     candidate_pairs: int       # compatible ordered-pair count / 2 (join multiset size)
     frequent_pairs: int        # such pairs whose union meets the threshold
-    transactions_read: int     # n per exact support verification
+    transactions_read: int     # n * emitted_candidates: n per support verification
     hash_bits_read: int        # phi per hash evaluation
     overhead_hashes: int       # hash evaluations (2 * m_{l-1} when LSH ran)
     true_negatives: int
@@ -116,9 +116,9 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     """Mine frequent itemsets level by level with the configured variant.
 
     Level 1 is always computed exactly.  For later levels the variant
-    proposes join partners per query itemset; Hamming and covering verify
-    during the query (so F is just the deduplicated candidates), MinHash
-    defers verification to an explicit support scan of its candidates.
+    proposes join partners per query itemset, and each distinct union they
+    form is verified once against the database: during the query for
+    Hamming and covering, after it for MinHash's sketch-approved partners.
     Degenerate levels (alpha == theta) and oversized covering families
     fall back to the exact join for that level.
     """
@@ -132,8 +132,7 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     current = frequent_singletons(db, theta_count)
     timings["level1:scan"] = time.perf_counter() - t0
     scanned = len(db.columns)
-    stats.append(_level_row(db.n, 1, current, candidates=scanned, emitted=scanned,
-                            verifications=scanned))
+    stats.append(_level_row(db.n, 1, current, candidates=scanned, emitted=scanned))
     while current:
         fis.levels.append(current)
         if config.max_level is not None and len(stats) >= config.max_level:
@@ -153,38 +152,33 @@ class _Variant:
 
     derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
     build: Callable     # (level, params, ctx, seed) -> index
-    query: Callable     # (index, record, params, ctx, config, compatible) -> result with .partners
+    query: Callable     # (index, record, params, ctx, config, compatible, verify) -> .partners
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
-    defers_verify: bool  # False: the query verified its partners (.verified, .inspections)
-                         # True: the query only approved them (.approved); verify here
 
 
 _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
-        query=lambda index, q, params, ctx, config, compatible: hamming_lsh.query(
-            index, q, ctx, compatible),
+        query=lambda index, q, params, ctx, config, compatible, verify: hamming_lsh.query(
+            index, q, ctx, compatible, verify),
         phi=lambda params, ctx: params.k * params.L,
-        defers_verify=False,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
-        query=lambda sketch, q, params, ctx, config, compatible: minhash_lsh.query(
+        query=lambda sketch, q, params, ctx, config, compatible, verify: minhash_lsh.query(
             sketch, q, params, ctx, compatible),
         phi=lambda params, ctx: params.rows,
-        defers_verify=True,
     ),
     "covering": _Variant(
         derive=lambda config, ctx: covering_lsh.derive_params(
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
         build=lambda level, params, ctx, seed: covering_lsh.build_index(
             level, covering_lsh.build_family(params, seed), ctx, params),
-        query=lambda index, q, params, ctx, config, compatible: covering_lsh.query(
-            index, q, ctx, compatible, early_exit=config.covering_early_exit),
+        query=lambda index, q, params, ctx, config, compatible, verify: covering_lsh.query(
+            index, q, ctx, compatible, verify, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
-        defers_verify=False,
     ),
 }
 
@@ -208,63 +202,65 @@ def _produce_level(db, config, current, level, theta_count, timings):
             params = variant.derive(config, ctx)
         except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
             fallback = exc.reason
-    if params is None:
-        unions, emitted = sweep.frequent, sweep.distinct_candidates
-        verifications, hashes, phi, tn, fp = emitted, 0, 0, 0, 0
-    else:
+    unions, emitted, tn, fp = sweep.frequent, sweep.distinct_candidates, 0, 0
+    hashes = phi = 0
+    if params is not None:
         seed = np.random.SeedSequence([config.seed, level])
-        unions, verifications, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
-                                                      sweep, tag, timings)
-        emitted, hashes, phi = len(unions), 2 * m_l, variant.phi(params, ctx)
+        unions, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
+                                                sweep, tag, timings)
+        hashes, phi = 2 * m_l, variant.phi(params, ctx)
 
-    t0 = time.perf_counter()
-    nxt = build_level(current, unions, theta_count)   # drops only unverified unions
-    if params is not None and variant.defers_verify:
-        timings[f"{tag}:verify"] = time.perf_counter() - t0
-    return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted,
-                           verifications, sweep=sweep, hashes=hashes, phi=phi, tn=tn, fp=fp,
-                           fallback=fallback)
+    nxt = build_level(current, unions, theta_count)   # drops the unions below threshold
+    return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted, sweep=sweep,
+                           hashes=hashes, phi=phi, tn=tn, fp=fp, fallback=fallback)
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
-    """One LSH level: build, query every record with its compatible
-    partners.  Returns the unions found (each with the first pair found to
-    form it), the level's support verifications, TN and FP."""
+    """One LSH level: build, query every record with its compatible partners,
+    verify what each query returns.  Returns the partners' unions (each with
+    its first pair), the number of distinct unions verified, TN and FP."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
+    support: dict[tuple[int, ...], int] = {}   # union -> co-support, read once per level
     found: dict[tuple[int, ...], tuple[int, int]] = {}
-    query_s = 0.0
-    inspections = tn = fp = 0
+    query_s = tn = fp = 0
     for i, q in enumerate(current):
         compatible = sweep.partners(i)
+        unions: dict[int, tuple[int, ...]] = {}   # partner verified -> its union with q
+
+        def verify(j):   # q's co-support with record j, read once per union per level
+            u = unions[j] = unions.get(j) or add_item(q.items, compatible[j])
+            co = support.get(u)
+            if co is None:
+                co = support[u] = co_support(current[j].vector, q.vector)
+            return co
+
         t0 = time.perf_counter()
-        res = variant.query(index, q, params, ctx, config, compatible)
+        res = variant.query(index, q, params, ctx, config, compatible, verify)
+        for j in res.partners:
+            verify(j)
+            found.setdefault(unions[j], (i, j))
         query_s += time.perf_counter() - t0
         negatives = compatible.keys() - sweep.positives[i]
-        hit = len(negatives.intersection(res.approved if variant.defers_verify else res.verified))
+        hit = len(negatives.intersection(unions))
         fp += hit
         tn += len(negatives) - hit
-        if not variant.defers_verify:
-            inspections += res.inspections
-        for j in res.partners:
-            found.setdefault(add_item(q.items, compatible[j]), (i, j))
     timings[f"{tag}:query"] = query_s
-    # a deferred verification checks each distinct union once, in build_level
-    return found, len(found) if variant.defers_verify else inspections, tn, fp
+    return found, len(support), tn, fp
 
 
-def _level_row(n, level, nxt, candidates, emitted, verifications, sweep=None, hashes=0, phi=0,
-               tn=0, fp=0, fallback=None) -> LevelStats:
+def _level_row(n, level, nxt, candidates, emitted, sweep=None, hashes=0, phi=0, tn=0, fp=0,
+               fallback=None) -> LevelStats:
     """The level's report row, and the only place that prices it by the
-    paper's cost model: n reads per support verification, phi per hash
-    evaluation.  A level ran LSH iff it hashed (twice per record)."""
+    paper's cost model: n reads per distinct candidate verified, phi per
+    hash evaluation.  A level ran LSH iff it hashed (twice per record)."""
     return LevelStats(
         level=level, frequent_count=len(nxt), candidates=candidates, emitted_candidates=emitted,
         candidate_pairs=sweep.candidate_pairs if sweep else 0,
         frequent_pairs=sweep.frequent_pairs if sweep else 0,
-        transactions_read=n * verifications, hash_bits_read=hashes * phi,
+        transactions_read=n * emitted, hash_bits_read=hashes * phi,
         overhead_hashes=hashes, true_negatives=tn, false_positives=fp, phi=phi,
         savings_estimate=(n - phi) * tn, lsh_active=hashes > 0, fallback_reason=fallback,
     )
@@ -315,9 +311,14 @@ def diff_against_oracle(report: MiningReport, oracle: FrequentItemsetSet) -> Com
 
 
 def accounting_check(stats: LevelStats, n: int) -> bool:
-    """Verify the level's counters: TN + FP must equal twice the number of
-    compatible pairs with infrequent unions, and the savings estimate must
-    be (n - phi) * TN.  Vacuously true for levels where no LSH ran."""
+    """Verify the level's counters.  On every level the reads must be n per
+    verified candidate, and no more candidates verified than the join
+    formed.  On a level where LSH ran, TN + FP must also equal twice the
+    number of compatible pairs with infrequent unions, and the savings
+    estimate must be (n - phi) * TN."""
+    if (stats.transactions_read != n * stats.emitted_candidates
+            or stats.emitted_candidates > stats.candidates):
+        return False
     if not stats.lsh_active:
         return True
     identity = (stats.true_negatives + stats.false_positives

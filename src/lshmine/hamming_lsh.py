@@ -6,9 +6,9 @@ padded vector.  Sampling k positions is projecting onto a random mask with
 those bits set, so table t keys a record by P(a) & masks[t], as in the
 covering variant, whose masks come from its family instead.  Preprocessing
 inserts P-padded vectors; queries probe with Q-padded vectors, verify each
-new collision with a join partner against the database, and give up early
-once enough inspections found nothing similar.  A query reports what it
-inspected; the engine charges the reads (n per inspection).
+new collision with a join partner through the caller's `verify` (which
+decides what is read and charged), and give up early once enough
+inspections found nothing similar.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import or_
 
 import numpy as np
 
-from .dataset import ItemsetRecord, co_support
+from .dataset import ItemsetRecord
 from .transform import (
     DegenerateLevel,
     LevelContext,
@@ -65,7 +65,6 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLsh
 class MaskIndex:
     """One hash table per mask: record a sits in table t under P(a) & masks[t]."""
 
-    records: list[ItemsetRecord]
     masks: list[int]
     tables: list[dict[int, list[int]]]
     early_exit_budget: int
@@ -80,16 +79,15 @@ class MaskIndex:
             for idx, p in enumerate(padded):
                 table.setdefault(p & mask, []).append(idx)
             tables.append(table)
-        return cls(records=list(level), masks=masks, tables=tables,
-                   early_exit_budget=early_exit_budget)
+        return cls(masks=masks, tables=tables, early_exit_budget=early_exit_budget)
 
-    def probe(self, q: ItemsetRecord, ctx: LevelContext, compatible,
+    def probe(self, q: ItemsetRecord, ctx: LevelContext, compatible, verify,
               early_exit: bool) -> QueryResult:
         """Verify the `compatible` records in Q(q)'s bucket of each table in
         turn, under the early-exit budget if `early_exit` is set."""
         qval = pad_query(q.vector, ctx).bits.value
         buckets = (table.get(qval & mask) for table, mask in zip(self.tables, self.masks))
-        return verify_collisions(self.records, buckets, q, compatible, ctx,
+        return verify_collisions(buckets, compatible, verify, ctx,
                                  self.early_exit_budget if early_exit else None)
 
 
@@ -125,14 +123,15 @@ class QueryResult:
         return len(self.verified)
 
 
-def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, compatible,
-                      ctx: LevelContext, early_exit_budget: int | None = None) -> QueryResult:
-    """Verify the compatible records colliding with q, bucket by bucket.
+def verify_collisions(buckets, compatible, verify, ctx: LevelContext,
+                      early_exit_budget: int | None = None) -> QueryResult:
+    """Verify the compatible records colliding with a query, bucket by bucket.
 
-    `buckets` yields q's bucket (a list of record indices, or None) in each
-    table, lazily, so an early exit skips the remaining keys.  Only
-    collisions in `compatible` (the indices of q's join partners) are
-    verified, each once; the rest cost nothing.  With a budget, the query
+    `buckets` yields the query's bucket (a list of record indices, or None)
+    in each table, lazily, so an early exit skips the remaining keys.  Only
+    collisions in `compatible` (the indices of the query's join partners)
+    are verified, each once, by `verify(idx)`: the co-support of the query
+    with record idx.  The rest cost nothing.  With a budget, the query
     stops once that many distinct verified candidates, counted across
     buckets, found nothing similar.
     """
@@ -146,7 +145,7 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, c
             result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
             if idx in result.verified:
                 continue
-            co = co_support(records[idx].vector, q.vector)
+            co = verify(idx)
             result.verified[idx] = co
             if co >= ctx.theta_count:
                 result.partners.append(idx)
@@ -157,8 +156,9 @@ def verify_collisions(records: list[ItemsetRecord], buckets, q: ItemsetRecord, c
     return result
 
 
-def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible) -> QueryResult:
+def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
+          verify) -> QueryResult:
     """Probe the L buckets for Q(q) and verify collisions with the
-    `compatible` indices in order, stopping early after
+    `compatible` indices in order through `verify`, stopping early after
     `early_exit_budget` fruitless inspections."""
-    return index.probe(q, ctx, compatible, early_exit=True)
+    return index.probe(q, ctx, compatible, verify, early_exit=True)

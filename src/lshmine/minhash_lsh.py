@@ -2,8 +2,8 @@
 
 A sketch of `rows` minwise values per itemset estimates the padded Jaccard
 similarity; partners whose estimate clears the accept threshold go into
-FI_q.  The database itself is never read at query time; the level-wise
-driver re-verifies the surviving candidates exactly.
+FI_q.  The database itself is never read at query time; the mining
+engine verifies each distinct union of the approved partners exactly.
 
 The sketch is built in one pass.  P(v) and Q(v) share v's own |v|
 positions, and their padding is a run of alpha-|v| ones from the fixed
@@ -66,7 +66,6 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
 
 @dataclass
 class MinhashSketch:
-    ctx: LevelContext
     perms: np.ndarray          # (rows, padded_length) independent permutations
     columns: np.ndarray        # (rows, m_l) minwise values of the P-padded records
     query_columns: np.ndarray  # (rows, m_l) minwise values of the Q-padded records
@@ -101,7 +100,7 @@ def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelCo
         col = base.copy()
         col[:, padded] = np.minimum(base[:, padded], run_min[:, gap[padded] - 1])
         columns.append(col)
-    return MinhashSketch(ctx=ctx, perms=perms, columns=columns[0], query_columns=columns[1],
+    return MinhashSketch(perms=perms, columns=columns[0], query_columns=columns[1],
                          slot={r.items: i for i, r in enumerate(level)})
 
 

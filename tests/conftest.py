@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase
+from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
 from lshmine.exact import union_if_compatible
 
 
@@ -59,6 +59,12 @@ def compatible(level, i):
     reference pairwise rule: the compatible set a query takes."""
     return {j for j, r in enumerate(level)
             if union_if_compatible(level[i].items, r.items) is not None}
+
+
+def direct_verify(level, q):
+    """The `verify` callable a query on `level` takes: q's co-support with
+    record j, read from the two vectors on every call (no memo)."""
+    return lambda j: co_support(level[j].vector, q.vector)
 
 
 def random_db(rng, n_max=64, m_max=12, density_range=(0.2, 0.7)):

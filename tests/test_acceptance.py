@@ -31,7 +31,14 @@ from lshmine.transform import (
 )
 from lshmine.cli import report_json
 
-from conftest import TOY_ROWS, compatible, db_from_rows, random_vector, shared_item_level
+from conftest import (
+    TOY_ROWS,
+    compatible,
+    db_from_rows,
+    direct_verify,
+    random_vector,
+    shared_item_level,
+)
 
 
 def announce(num, text):
@@ -190,7 +197,8 @@ def hamming_trials():
     for t in range(trials):
         index = hamming_build(level, params, ctx, seed=t)
         for qi, pi in ((0, 1), (1, 0)):
-            res = hamming_query(index, level[qi], ctx, compatible(level, qi))
+            res = hamming_query(index, level[qi], ctx, compatible(level, qi),
+                                direct_verify(level, level[qi]))
             events += 1
             if pi not in res.partners:
                 miss += 1

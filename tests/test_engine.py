@@ -1,10 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lshmine import covering_lsh, hamming_lsh
+from lshmine import engine
 from lshmine.cli import report_json
+from lshmine.dataset import co_support
 from lshmine.engine import (
     VARIANTS,
     MiningConfig,
@@ -105,16 +107,15 @@ def test_accounting_identity_all_variants():
 @pytest.mark.parametrize("db_name", ["near_miss", "bernoulli"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
-    """n reads per support verification: each item at level 1, each distinct
-    candidate of an exact or fallback level, each union MinHash found, and
-    each inspection a Hamming or covering query made."""
-    inspections = Counter()   # level produced -> inspections of its queries
-    for module in (hamming_lsh, covering_lsh):
-        def counted(index, q, *args, query=module.query, **kwargs):
-            res = query(index, q, *args, **kwargs)
-            inspections[len(q.items) + 1] += res.inspections
-            return res
-        monkeypatch.setattr(module, "query", counted)
+    """What a level reads is what it charges: n per distinct candidate it
+    verified, on every row.  An LSH level reads each co-support through the
+    engine's `co_support`, once per distinct union it verified."""
+    calls = Counter()
+
+    def counted(x, y):
+        calls["co_support"] += 1
+        return co_support(x, y)
+    monkeypatch.setattr(engine, "co_support", counted)
 
     make, theta = DATABASES[db_name]
     db = make()
@@ -122,16 +123,28 @@ def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
     report = lsh_apriori_mine(db, config)
     assert report.levels[0].candidates == len(db.items())
     for row in report.levels:
+        assert row.transactions_read == db.n * row.emitted_candidates
         if not row.lsh_active:
             assert row.emitted_candidates == row.candidates
-            assert row.transactions_read == db.n * row.candidates
-            assert inspections[row.level] == 0
-        elif variant == "minhash":
-            assert row.transactions_read == db.n * row.emitted_candidates
-        else:
-            assert row.transactions_read == db.n * inspections[row.level]
+    assert calls["co_support"] == sum(row.emitted_candidates
+                                      for row in report.levels if row.lsh_active)
     if db_name == "near_miss" and variant != "exact":
         assert any(row.lsh_active for row in report.levels)
+        assert calls["co_support"] > 0
+
+
+def test_accounting_check_enforces_the_read_charge(toy_db):
+    # levels 1 (scan), 2 (LSH) and 3 (degenerate fallback): each holds the
+    # rule, and breaking either half of it fails the check
+    n = toy_db.n
+    rows = lsh_apriori_mine(toy_db, lsh_config("hamming")).levels
+    assert [row.lsh_active for row in rows] == [False, True, False]
+    for row in rows:
+        assert accounting_check(row, n)
+        assert not accounting_check(replace(row, transactions_read=row.transactions_read + n), n)
+        over = row.candidates + 1
+        assert not accounting_check(replace(row, emitted_candidates=over,
+                                            transactions_read=n * over), n)
 
 
 def test_tn_dominates_when_nothing_extends():
@@ -150,7 +163,7 @@ def test_minhash_defers_verification(toy_db):
     report = lsh_apriori_mine(toy_db, lsh_config("minhash"))
     assert report.itemsets.as_dict() == TOY_FREQUENT
     level2 = report.levels[1]
-    # reads = n per distinct emitted candidate, nothing during the query scan
+    # reads = n per distinct union verified, nothing during the sketch scan
     assert level2.transactions_read == toy_db.n * level2.emitted_candidates
     assert level2.phi == 508  # rows for alpha=0.75, theta=0.5, eps=0.2, delta=0.1
 

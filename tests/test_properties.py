@@ -1,7 +1,8 @@
 """Property-based differential tests: the bucket join against the pairwise
 reference rule, the Hamming mask tables against sampled-bit keys, the
-one-pass MinHash columns against minima over the padded positions, and
-every variant against the brute-force oracle."""
+level-wide union memo against direct verification, the one-pass MinHash
+columns against minima over the padded positions, and every variant
+against the brute-force oracle."""
 
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine.dataset import BitVector, ItemsetRecord
+from lshmine.dataset import BitVector, ItemsetRecord, co_support
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
     add_item,
@@ -28,7 +29,7 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import db_from_rows, downward_closed
+from conftest import db_from_rows, direct_verify, downward_closed
 
 # derandomized, so the suite sees the same examples on every run
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -141,8 +142,41 @@ def test_hamming_masks_group_as_sampled_bits(case, budget):
         bits = padded_bits_array(q.vector, ctx, QUERY)
         buckets = [table.get(bits[row].tobytes()) for table, row in zip(reference, projections)]
         partners = set(range(len(records))) - {qi}
-        assert query(index, q, ctx, partners) == \
-            verify_collisions(records, buckets, q, partners, ctx, budget)
+        verify = direct_verify(records, q)
+        assert query(index, q, ctx, partners, verify) == \
+            verify_collisions(buckets, partners, verify, ctx, budget)
+
+
+@SETTINGS
+@given(levels(), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
+    # one verify shared across the level, reading each union's co-support
+    # once as the engine does, gives every query the same result as a fresh
+    # verify that reads every collision
+    records, theta_count = level
+    n = records[0].vector.length if records else theta_count
+    ctx = LevelContext(n=n, m_l=len(records), theta_count=theta_count,
+                       alpha_count=max([theta_count, *(r.support for r in records)]))
+    index = build_index(records, HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget),
+                        ctx, seed)
+    sweep = join_level(records, theta_count)
+    support = {}
+
+    def shared(i):
+        partners = sweep.partners(i)
+
+        def verify(j):
+            u = add_item(records[i].items, partners[j])
+            if u not in support:
+                support[u] = co_support(records[j].vector, records[i].vector)
+            return support[u]
+        return verify
+
+    for i, q in enumerate(records):
+        partners = sweep.partners(i)
+        assert index.probe(q, ctx, partners, shared(i), early_exit) == \
+            index.probe(q, ctx, partners, direct_verify(records, q), early_exit)
 
 
 def sketch_level(patterns, alpha_count):
