@@ -1,12 +1,12 @@
 """Level-wise mining driver: exact joins or LSH-screened joins, plus the
 I/O accounting that makes the variants comparable.
 
-`_produce_level` is the one level step.  It starts with the bucket join of
+`_produce_level` is the one level step.  It starts with the array join of
 `exact.join_level`, the only place that decides which pairs are
 compatible.  The exact variant and every fallback level keep its frequent
 unions; an LSH level screens (the per-variant hooks in `_LSH_VARIANTS`)
-each record's compatible partners, read from the join's buckets with the
-item each partner adds, and keeps the unions it found.  One
+each record's compatible partners, read from the join's subset filings with
+the item each partner adds, and keeps the unions it found.  One
 `exact.build_level` call turns them into the next level.  The join also
 holds the frequent partners for TN and FP.  Hamming and covering screen
 through one masked-projection index (`hamming_lsh.MaskIndex`) and differ
@@ -223,15 +223,17 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
-    support: dict[tuple[int, ...], int] = {}   # union -> co-support, read once per level
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    support: dict[int, int] = {}   # union as an item bitmask -> co-support, read once per level
+    found: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}   # bitmask -> (union, pair)
     query_s = tn = fp = 0
     for i, q in enumerate(current):
         compatible = sweep.partners(i)
-        unions: dict[int, tuple[int, ...]] = {}   # partner verified -> its union with q
+        qmask = sum(1 << x for x in q.items)
+        verified: set[int] = set()
 
         def verify(j):   # q's co-support with record j, read once per union per level
-            u = unions[j] = unions.get(j) or add_item(q.items, compatible[j])
+            verified.add(j)
+            u = qmask | 1 << compatible[j]
             co = support.get(u)
             if co is None:
                 co = support[u] = co_support(current[j].vector, q.vector)
@@ -241,14 +243,16 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
         res = variant.query(index, q, params, ctx, config, compatible, verify)
         for j in res.partners:
             verify(j)
-            found.setdefault(unions[j], (i, j))
+            u = qmask | 1 << compatible[j]
+            if u not in found:
+                found[u] = add_item(q.items, compatible[j]), (i, j)
         query_s += time.perf_counter() - t0
         negatives = compatible.keys() - sweep.positives[i]
-        hit = len(negatives.intersection(unions))
+        hit = len(negatives & verified)
         fp += hit
         tn += len(negatives) - hit
     timings[f"{tag}:query"] = query_s
-    return found, len(support), tn, fp
+    return dict(found.values()), len(support), tn, fp
 
 
 def _level_row(n, level, nxt, candidates, emitted, sweep=None, hashes=0, phi=0, tn=0, fp=0,

@@ -1,13 +1,21 @@
 """Exact mining: the level-1 scan, the candidate join, the next-level
 builder, and a brute-force enumerator.
 
-The join is the only place that decides Apriori compatibility: it files
-each l-itemset under its l subsets of size l-1, so two itemsets sharing
-l-1 items meet in exactly one bucket, and each one's left-out item gives
-their union (`add_item`).  `build_level` is the only place that turns
-candidate unions into a level (AND vector, threshold, sort): the join's
-frequent unions for the exact variant and every fallback level, the
-unions an LSH level found for the others.  None of it charges reads; the
+The join is the only place that decides Apriori compatibility.  It runs
+as whole-array steps, with no Python work per pair: each l-itemset is
+filed under its l subsets of size l-1, one sort groups the filings by
+subset, so two itemsets sharing l-1 items meet in exactly one group, and
+each one's left-out item gives their union (`add_item`).  The co-support
+of every pair is a popcount over the level's vectors packed into 64-bit
+words (the vertical bitmaps of MAFIA, Burdick et al., ICDE 2001), and a
+sort of the pairs' union rows counts the distinct candidates.  Python
+work is paid once per distinct frequent union, and the per-record
+partner lists are built only for a level that asks for them.
+
+`build_level` is the only place that turns candidate unions into a level
+(AND vector, threshold, sort): the join's frequent unions for the exact
+variant and every fallback level, the unions an LSH level found for the
+others.  None of it charges reads; the
 engine prices what it returns.  `apriori_mine` is the engine's exact
 variant.  The brute-force path shares no logic with any of it, so the
 miners always have an independent ground truth to be checked against.
@@ -16,11 +24,17 @@ miners always have an independent ground truth to be checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .dataset import BitVector, ItemsetRecord, TransactionDatabase, support_threshold
 
 BRUTE_FORCE_MAX_ITEMS = 20
+# uint64 words of each operand the co-support step gathers at once (256 KiB):
+# the bound on its transient memory, whatever the level's size
+PAIR_CHUNK_WORDS = 1 << 15
 
 
 @dataclass
@@ -58,23 +72,50 @@ class AprioriResult:
 @dataclass
 class PairSweep:
     """One level's candidate join: who is compatible with whom and which
-    unions are frequent; `build_level` of `frequent` is the exact next level."""
+    unions are frequent; `build_level` of `frequent` is the exact next level.
+
+    The pairs themselves are not kept.  `filings` holds one column per
+    (record, item left out), sorted by the (l-1)-subset that remains: the
+    record, the item, and the bounds [start, end) of the columns filed under
+    the same subset.  `frequent_ij` holds the two records of every frequent
+    pair.  `partners` and `positives` are built from these on first use, so
+    a level that never asks for them (the exact variant, every fallback)
+    never pays for them."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
     records: list[ItemsetRecord]
-    buckets: dict[tuple[int, ...], list[tuple[int, int]]]   # (l-1)-subset -> [(index, item left out)]
-    positives: list[set[int]]   # per record index: compatible partners with frequent union
     frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
+    filings: np.ndarray = field(repr=False)       # (4, m_l * l): record, item, start, end
+    frequent_ij: np.ndarray = field(repr=False)   # (2, frequent_pairs)
+
+    @cached_property
+    def positives(self) -> list[set[int]]:
+        """Per record index: the compatible partners with a frequent union."""
+        i, j = self.frequent_ij
+        owner = np.concatenate([i, j])
+        partner = np.concatenate([j, i])[np.argsort(owner)]
+        ends = np.cumsum(np.bincount(owner, minlength=len(self.records)))
+        return [set(p.tolist()) for p in np.split(partner, ends)[:-1]]
+
+    @cached_property
+    def _groups(self):
+        """The filings as lists, and per record the bounds of its l groups."""
+        owner, item, start, end = self.filings
+        mine = np.argsort(owner).reshape(len(self.records), -1)
+        return owner.tolist(), item.tolist(), start[mine].tolist(), end[mine].tolist()
 
     def partners(self, i: int) -> dict[int, int]:
         """The records compatible with record i, each mapped to the item it
-        adds to record i (its left-out item in the bucket the two share).
+        adds to record i (its left-out item in the subset the two share).
         Reads no co-support."""
-        items = self.records[i].items
-        return {j: y for k in range(len(items))
-                for j, y in self.buckets[items[:k] + items[k + 1:]] if j != i}
+        owner, item, starts, ends = self._groups
+        found = {}
+        for s, e in zip(starts[i], ends[i]):
+            found.update(zip(owner[s:e], item[s:e]))
+        del found[i]   # filed in each of its own groups
+        return found
 
 
 def add_item(items: tuple[int, ...], item: int) -> tuple[int, ...]:
@@ -105,31 +146,67 @@ def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
 
 def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
     """The candidate join of Agrawal & Srikant (VLDB 1994), with the support
-    of every union counted on the way.  Each compatible pair meets in one
-    bucket: the (l-1)-subset the two records share."""
-    buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i, r in enumerate(records):
-        items = r.items
-        for k, x in enumerate(items):
-            buckets.setdefault(items[:k] + items[k + 1:], []).append((i, x))
-    values = [r.vector.value for r in records]
-    positives = [set() for _ in records]
-    cpairs = fpairs = 0
-    unions = set()
-    frequent = {}
-    for members in buckets.values():
-        cpairs += len(members) * (len(members) - 1) // 2
-        for s, (i, _) in enumerate(members):
-            items, a = records[i].items, values[i]
-            for j, y in members[s + 1:]:
-                u = add_item(items, y)
-                unions.add(u)
-                if (a & values[j]).bit_count() >= theta_count:
-                    fpairs += 1
-                    positives[i].add(j)
-                    positives[j].add(i)
-                    frequent.setdefault(u, (i, j))
-    return PairSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
+    of every union counted on the way, as whole-array steps.
+
+    Every record is filed under its l subsets of size l-1 (one filing per
+    item left out), the filings are grouped by subset with one lexsort, and
+    every two filings of a group form a compatible pair.  Co-support is the
+    popcount of the two packed vectors' AND, a chunk of pairs at a time.
+    The distinct unions are counted by sorting the pairs' union rows (at
+    l = 1 every pair's union is its own); the same sort gives each frequent
+    union its first pair."""
+    m = len(records)
+    size = len(records[0].items) if records else 1
+    items = np.array([r.items for r in records], dtype=np.int64).reshape(m, size)
+    others = np.array([[c for c in range(size) if c != k] for k in range(size)],
+                      dtype=np.intp).reshape(size, size - 1)   # row k: the columns but k
+    keys = items[:, others].reshape(m * size, size - 1)
+    owner = np.repeat(np.arange(m), size)
+    left_out = items.reshape(-1)
+    if size == 1:   # every key is (): one group
+        start, end = np.zeros(m, dtype=np.intp), np.full(m, m)
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys, owner, left_out = keys[order], owner[order], left_out[order]
+        starts = np.flatnonzero(_run_starts(keys))
+        ends = np.r_[starts[1:], m * size]
+        start, end = np.repeat(starts, ends - starts), np.repeat(ends, ends - starts)
+    # filing f pairs with every later filing of its group, f+1 .. end-1
+    f = np.arange(m * size)
+    later = end - f - 1
+    first = np.repeat(f, later)
+    second = np.arange(len(first)) + np.repeat(f + 1 - (np.cumsum(later) - later), later)
+    i, j, y = owner[first], owner[second], left_out[second]
+
+    words = (records[0].vector.length + 63) // 64 if records else 0
+    packed = np.frombuffer(b"".join(r.vector.value.to_bytes(8 * words, "little")
+                                    for r in records), dtype="<u8").reshape(m, words)
+    cosupport = np.empty(len(i), dtype=np.int64)
+    step = max(1, PAIR_CHUNK_WORDS // max(words, 1))
+    for s in range(0, len(i), step):
+        both = packed[i[s:s + step]] & packed[j[s:s + step]]
+        cosupport[s:s + step] = np.bitwise_count(both).sum(axis=1)
+    is_frequent = cosupport >= theta_count
+
+    if size == 1:   # distinct singletons: every pair forms its own union
+        distinct, firsts = len(i), np.flatnonzero(is_frequent)
+    else:
+        unions = np.sort(np.column_stack([items[i], y]), axis=1)
+        order = np.lexsort(unions.T[::-1])   # stable: one union's pairs stay in pair order
+        distinct = int(_run_starts(unions[order]).sum())
+        kept = order[is_frequent[order]]
+        firsts = kept[_run_starts(unions[kept])]
+    frequent = {add_item(records[a].items, x): (a, b) for a, b, x in
+                zip(i[firsts].tolist(), j[firsts].tolist(), y[firsts].tolist())}
+    return PairSweep(len(i), int(is_frequent.sum()), distinct, records, frequent,
+                     np.stack([owner, left_out, start, end]),
+                     np.stack([i[is_frequent], j[is_frequent]]))
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Which rows differ from the row before (the first row does): in sorted
+    rows, the first row of each run of equal ones."""
+    return np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)][:len(rows)]
 
 
 def frequent_singletons(db: TransactionDatabase, theta_count: int) -> list[ItemsetRecord]:

@@ -1,8 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
-from lshmine.exact import union_if_compatible
+from lshmine.exact import add_item, join_level, union_if_compatible
 
 
 def db_from_rows(rows, m=None):
@@ -52,6 +54,77 @@ def shared_item_level(vectors):
     """Wrap raw vectors as 2-itemsets {0, i+1} sharing item 0 (all pairwise
     compatible, union size 3)."""
     return [ItemsetRecord.from_vector((0, i + 1), v) for i, v in enumerate(vectors)]
+
+
+@dataclass
+class PairwiseSweep:
+    """What `pairwise_join` returns: the fields of `exact.PairSweep`, plus
+    the buckets its `partners` reads."""
+
+    candidate_pairs: int
+    frequent_pairs: int
+    distinct_candidates: int
+    records: list[ItemsetRecord]
+    buckets: dict[tuple[int, ...], list[tuple[int, int]]]   # (l-1)-subset -> [(index, item left out)]
+    positives: list[set[int]]   # per record index: compatible partners with frequent union
+    frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
+
+    def partners(self, i: int) -> dict[int, int]:
+        """The records compatible with record i, each mapped to the item it
+        adds to record i (its left-out item in the bucket the two share).
+        Reads no co-support."""
+        items = self.records[i].items
+        return {j: y for k in range(len(items))
+                for j, y in self.buckets[items[:k] + items[k + 1:]] if j != i}
+
+
+def pairwise_join(records, theta_count):
+    """The reference candidate join, one pair at a time: each compatible pair
+    meets in one bucket, the (l-1)-subset the two records share, and its
+    union and co-support are formed in Python.  `exact.join_level` must
+    agree with it on every count, every frequent union, every partner and
+    every positive."""
+    buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, r in enumerate(records):
+        items = r.items
+        for k, x in enumerate(items):
+            buckets.setdefault(items[:k] + items[k + 1:], []).append((i, x))
+    values = [r.vector.value for r in records]
+    positives = [set() for _ in records]
+    cpairs = fpairs = 0
+    unions = set()
+    frequent = {}
+    for members in buckets.values():
+        cpairs += len(members) * (len(members) - 1) // 2
+        for s, (i, _) in enumerate(members):
+            items, a = records[i].items, values[i]
+            for j, y in members[s + 1:]:
+                u = add_item(items, y)
+                unions.add(u)
+                if (a & values[j]).bit_count() >= theta_count:
+                    fpairs += 1
+                    positives[i].add(j)
+                    positives[j].add(i)
+                    frequent.setdefault(u, (i, j))
+    return PairwiseSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
+
+
+def assert_same_join(records, theta_count):
+    """`exact.join_level` against `pairwise_join`: every count, the same
+    frequent unions (each given by a pair that forms it and ANDs to the
+    reference pair's vector), every positive and every partner."""
+    sweep, ref = join_level(records, theta_count), pairwise_join(records, theta_count)
+    assert (sweep.candidate_pairs, sweep.frequent_pairs, sweep.distinct_candidates) == \
+        (ref.candidate_pairs, ref.frequent_pairs, ref.distinct_candidates)
+    assert sweep.frequent.keys() == ref.frequent.keys()
+    for u, (i, j) in sweep.frequent.items():
+        a, b = ref.frequent[u]
+        assert union_if_compatible(records[i].items, records[j].items) == u
+        assert records[i].vector & records[j].vector == records[a].vector & records[b].vector
+    assert sweep.positives == ref.positives
+    for i in range(len(records)):
+        assert sweep.partners(i) == ref.partners(i)
+    return sweep
 
 
 def compatible(level, i):

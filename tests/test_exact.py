@@ -13,7 +13,7 @@ from lshmine.exact import (
     union_if_compatible,
 )
 
-from conftest import TOY_FREQUENT, db_from_rows, downward_closed, random_db
+from conftest import TOY_FREQUENT, assert_same_join, db_from_rows, downward_closed, random_db
 
 
 def record(items, bits01):
@@ -75,6 +75,50 @@ def test_join_incompatible():
     level = [record([1, 2], "10"), record([3, 4], "10")]
     assert joined_unions(level) == []
     assert joined_unions([]) == []
+
+
+def column_records(hits, itemsets):
+    """Records for `itemsets` over a boolean (n, m) hit matrix: each vector
+    is the AND of its items' columns."""
+    n = hits.shape[0]
+    records = []
+    for items in itemsets:
+        rows = hits[:, list(items)].all(axis=1)
+        value = int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+        records.append(ItemsetRecord.from_vector(tuple(items), BitVector(n, value)))
+    return records
+
+
+def test_join_matches_pairwise_at_negatives_size():
+    # shaped like the benchmark's `negatives`: 400 singletons over n = 2000,
+    # each item in 601..604 random rows; at 600 no pair is frequent, at 180
+    # more than half are
+    rng = np.random.default_rng(31)
+    n, m = 2000, 400
+    hits = np.zeros((n, m), dtype=bool)
+    for item in range(m):
+        hits[rng.choice(n, size=601 + int(rng.integers(0, 4)), replace=False), item] = True
+    level = column_records(hits, [(item,) for item in range(m)])
+    for theta_count in (600, 180):
+        sweep = assert_same_join(level, theta_count)
+        assert sweep.candidate_pairs == sweep.distinct_candidates == m * (m - 1) // 2
+    assert sweep.frequent_pairs > 0
+
+
+def test_join_matches_pairwise_on_a_planted_deep_level():
+    # three 7-item patterns planted in 300 rows each over noise: level 4 is
+    # every frequent 4-itemset, and most 5-unions come from several pairs
+    rng = np.random.default_rng(32)
+    n, m = 2000, 12
+    hits = rng.random((n, m)) < 0.15
+    for pattern in (range(0, 7), range(3, 10), (0, 2, 4, 6, 8, 10, 11)):
+        hits[np.ix_(rng.choice(n, size=300, replace=False), list(pattern))] = True
+    theta_count = 150
+    level = [r for r in column_records(hits, combinations(range(m), 4))
+             if r.support >= theta_count]
+    sweep = assert_same_join(level, theta_count)
+    assert len(level) > 50 and sweep.frequent_pairs > 0
+    assert sweep.distinct_candidates < sweep.candidate_pairs
 
 
 def test_union_if_compatible():

@@ -1,8 +1,8 @@
-"""Property-based differential tests: the bucket join against the pairwise
-reference rule, the Hamming mask tables against sampled-bit keys, the
-level-wide union memo against direct verification, the one-pass MinHash
-columns against minima over the padded positions, and every variant
-against the brute-force oracle."""
+"""Property-based differential tests: the array join against the pairwise
+reference rule and the per-pair reference join, the Hamming mask tables
+against sampled-bit keys, the level-wide union memo against direct
+verification, the one-pass MinHash columns against minima over the padded
+positions, and every variant against the brute-force oracle."""
 
 from itertools import combinations
 
@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lshmine import exact
 from lshmine.dataset import BitVector, ItemsetRecord, co_support
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -29,10 +30,22 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import db_from_rows, direct_verify, downward_closed
+from conftest import assert_same_join, db_from_rows, direct_verify, downward_closed
 
 # derandomized, so the suite sees the same examples on every run
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def anded_level(n, itemsets, columns, theta_count):
+    """A level of the given itemsets over n transactions, each with the AND
+    of its items' columns (ints, bit j = transaction j), and a threshold."""
+    records = []
+    for s in itemsets:
+        value = (1 << n) - 1
+        for item in s:
+            value &= columns[item]
+        records.append(ItemsetRecord.from_vector(tuple(sorted(s)), BitVector(n, value)))
+    return records, theta_count
 
 
 @st.composite
@@ -45,19 +58,37 @@ def levels(draw):
                              max_size=25, unique_by=frozenset))
     n = draw(st.integers(1, 12))
     columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=universe, max_size=universe))
-    records = []
-    for s in itemsets:
-        value = (1 << n) - 1
-        for item in s:
-            value &= columns[item]
-        records.append(ItemsetRecord.from_vector(tuple(sorted(s)), BitVector(n, value)))
-    return records, draw(st.integers(1, n))
+    return anded_level(n, itemsets, columns, draw(st.integers(1, n)))
+
+
+PAIRS = [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]
+# bit 64 sits alone in the last word when n = 65
+WORD_EDGE = [(1 << 65) - 1, 1 << 64 | 1 << 63 | 0b1011, 1 << 64 | 0b111, 1 << 64 | 1 << 62]
+# levels at the packed join's edges: a partial or exactly full last word,
+# all-zero vectors, a single record, a threshold above every support
+JOIN_EDGES = [
+    anded_level(1, [(0,), (1,), (2,)], [1, 1, 0], 1),
+    *(anded_level(n, PAIRS, [c & ((1 << n) - 1) for c in WORD_EDGE], 2) for n in (63, 64, 65)),
+    anded_level(65, PAIRS, WORD_EDGE, 1),
+    anded_level(8, [(0, 1), (0, 2), (1, 2)], [0, 0, 0], 1),
+    anded_level(5, [(0, 1, 2)], [31, 31, 31], 1),
+    anded_level(10, [(0,), (1,), (2,), (3,)], [0b1111, 0b11110, 0b1010101, 1023], 11),
+]
 
 
 @SETTINGS
 @given(levels())
+@example(JOIN_EDGES[0])
+@example(JOIN_EDGES[1])
+@example(JOIN_EDGES[2])
+@example(JOIN_EDGES[3])
+@example(JOIN_EDGES[4])
+@example(JOIN_EDGES[5])
+@example(JOIN_EDGES[6])
+@example(JOIN_EDGES[7])
 def test_join_matches_all_pairs_reference(level):
     records, theta_count = level
+    assert_same_join(records, theta_count)
     m = len(records)
     compatible = {i: set() for i in range(m)}
     unions, frequent = set(), {}
@@ -90,6 +121,19 @@ def test_join_matches_all_pairs_reference(level):
         assert sweep.positives[i] == {j for j in compatible[i]
                                       if (records[i].vector & records[j].vector).popcount()
                                       >= theta_count}
+
+
+def test_join_crosses_every_chunk_boundary(monkeypatch):
+    # one pair per co-support chunk: every chunk boundary of the packed
+    # join falls between two pairs
+    monkeypatch.setattr(exact, "PAIR_CHUNK_WORDS", 1)
+    rng = np.random.default_rng(9)
+    columns = [int(c) for c in rng.integers(0, 1 << 62, size=6)]
+    wide = [c | c << 62 | c << 124 for c in columns]   # n = 190: three words
+    for records, theta_count in [*JOIN_EDGES,
+                                 anded_level(190, combinations(range(6), 2), wide, 40),
+                                 anded_level(190, combinations(range(6), 3), wide, 20)]:
+        assert_same_join(records, theta_count)
 
 
 @st.composite
