@@ -7,8 +7,17 @@ a(v)_i = <phi(i), v> over GF(2).  Any two padded vectors within Hamming
 distance theta' disagree on at most theta' positions, whose phi-images
 span a proper subspace, so some nonzero v is orthogonal to all of them
 and the corresponding mask sends both vectors to the same key.  Collisions
-are therefore guaranteed for every similar pair, for every phi.  The
-masks go into the masked-projection index the Hamming variant also uses.
+are therefore guaranteed for every similar pair, for every phi.
+
+The masks key the level screen the Hamming variant also uses
+(`hamming_lsh.MaskIndex.screen`), with one 64-bit fingerprint standing for
+each masked padded vector: the XOR of fixed random words r_i over the
+positions the mask keeps.  XOR is linear, so equal masked vectors have
+equal fingerprints, and grouping a record's positions by phi gives its
+fingerprint under all 2^mask_dim - 1 masks in mask_dim butterfly steps
+(`_fingerprints`).  Unequal masked vectors share a fingerprint only by
+chance (probability 2^-64), and the screen confirms every collision it
+acts on against the masked words themselves.
 """
 
 from __future__ import annotations
@@ -18,11 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .dataset import ItemsetRecord
-from .hamming_lsh import MaskIndex, QueryResult
-from .transform import DegenerateLevel, LevelContext, _ceil, check_tolerances
+from .exact import OrderedPairs
+from .hamming_lsh import MaskIndex, QueryResult, _first_true, _grouped
+from .transform import (
+    PREPROCESS,
+    QUERY,
+    DegenerateLevel,
+    LevelContext,
+    _ceil,
+    check_tolerances,
+    padded_bit_rows,
+)
 
 DEFAULT_MASK_DIM_CAP = 24
+FINGERPRINT_SEED = 0   # draws the r_i; every collision is confirmed, so no result depends on it
 
 
 class FamilyTooLarge(Exception):
@@ -112,22 +132,104 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
     return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks)
 
 
+@dataclass
+class CoveringIndex(MaskIndex):
+    """The masked-projection index over a covering family: the P and Q keys
+    are fingerprints of the masked padded vectors (one word per table), and
+    the packed padded vectors confirm each collision the screen acts on."""
+
+    masks: list[int]
+    padded_p: np.ndarray   # (m_l, ceil(n_prime/64)) "<u8"
+    padded_q: np.ndarray
+
+    @property
+    def tables(self) -> list[dict[int, list[int]]]:
+        """Per mask, the records under each key P(a) & mask.  Built on each
+        access, for inspection; the screen never reads it."""
+        padded = [int.from_bytes(row.tobytes(), "little") for row in self.padded_p]
+        return [_grouped(p & mask for p in padded) for mask in self.masks]
+
+    def _pair_words(self) -> int:   # a pair's fingerprint row, or its padded words
+        return max(self.p_keys.shape[1], self.padded_p.shape[1])
+
+    def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
+        """The first table whose fingerprints agree and whose masked words
+        agree too; a table whose fingerprints agree by chance is dropped and
+        the pair's next one is tried."""
+        first = _first_true(hit)
+        todo = np.flatnonzero(first < hit.shape[1])
+        words = self.padded_p.shape[1]
+        while len(todo):
+            tables, row = np.unique(first[todo], return_inverse=True)
+            masks = np.frombuffer(b"".join(self.masks[t].to_bytes(8 * words, "little")
+                                           for t in tables.tolist()), dtype="<u8")
+            masks = masks.reshape(len(tables), words)
+            differ = ((self.padded_p[a[todo]] ^ self.padded_q[q[todo]]) & masks[row]).any(axis=1)
+            todo = todo[differ]
+            hit[todo, first[todo]] = False
+            first[todo] = _first_true(hit[todo])
+            todo = todo[first[todo] < hit.shape[1]]
+        return first
+
+
 def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelContext,
-                params: CoveringParams) -> MaskIndex:
-    """One hash table per mask; the key of record a under mask m is P(a) & m."""
-    return MaskIndex.build(level, family.masks, ctx, params.early_exit_budget)
+                params: CoveringParams) -> CoveringIndex:
+    """One table per mask; the key of record a under mask m is P(a) & m for
+    indexing and Q(a) & m for querying, each held as its fingerprint."""
+    packed = exact.pack_vectors(level)
+    weights = np.array([r.support for r in level], dtype=np.int64)
+    size = 1 << family.mask_dim
+    r = np.random.default_rng(FINGERPRINT_SEED).integers(
+        0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
+    padded = [np.zeros((len(level), (ctx.padded_length + 63) // 64), dtype="<u8")
+              for _ in range(2)]
+    keys = [np.empty((len(level), size - 1, 1), dtype=np.uint64) for _ in range(2)]
+    step = exact.chunk_rows(max(-(-ctx.padded_length // 8), ctx.alpha_count,
+                                size))   # bit rows, one positions, fingerprint rows
+    for s in range(0, len(level), step):
+        for role, vectors, fingerprints in zip((PREPROCESS, QUERY), padded, keys):
+            rows = padded_bit_rows(packed[s:s + step], weights[s:s + step], ctx, role)
+            as_bytes = vectors[s:s + step].view(np.uint8)
+            as_bytes[:, :(len(rows) + 7) // 8] = np.packbits(rows, axis=0, bitorder="little").T
+            fingerprints[s:s + step, :, 0] = _fingerprints(rows, family.phi, family.mask_dim, r)
+    return CoveringIndex(*keys, params.early_exit_budget, family.masks, *padded)
 
 
-def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible, verify,
+def _fingerprints(rows: np.ndarray, phi: np.ndarray, mask_dim: int, r: np.ndarray) -> np.ndarray:
+    """(records, 2^mask_dim - 1): per padded vector (a column of the bit
+    matrix `rows`) and nonzero v, the XOR of r[i] over the positions i the
+    mask a(v) keeps, i.e. over the vector's ones with <phi(i), v> odd;
+    column v - 1 is v.
+
+    c[u], the XOR of r[i] over the vector's ones with phi(i) = u, is one
+    scatter; the XOR of c[u] over the u with <u, v> odd is one butterfly
+    per bit of v."""
+    records, size = rows.shape[1], 1 << mask_dim
+    pos, rec = np.nonzero(rows)
+    c = np.zeros((records, size), dtype=np.uint64)
+    np.bitwise_xor.at(c.reshape(-1), rec * size + phi[pos], r[pos])
+    even, odd = c, np.zeros_like(c)
+    half = 1
+    while half < size:   # index bit `half` turns from a bit of u into a bit of v
+        e = even.reshape(records, -1, 2, half)
+        o = odd.reshape(records, -1, 2, half)
+        even = np.stack([e[:, :, 0] ^ e[:, :, 1], e[:, :, 0] ^ o[:, :, 1]], axis=2)
+        odd = np.stack([o[:, :, 0] ^ o[:, :, 1], o[:, :, 0] ^ e[:, :, 1]], axis=2)
+        even, odd = even.reshape(records, size), odd.reshape(records, size)
+        half *= 2
+    return odd[:, 1:]
+
+
+def query(index: CoveringIndex, pairs: OrderedPairs, ctx: LevelContext, verify,
           early_exit: bool = False) -> QueryResult:
-    """Probe every mask's bucket for Q(q) and verify collisions with the
-    `compatible` indices through `verify` (see `hamming_lsh.verify_collisions`).
+    """Screen the level's ordered pairs and verify every query's colliding
+    partners through `verify` (see `hamming_lsh.MaskIndex.screen`).
 
     With `early_exit` off (the default) every collision is inspected, which
     preserves the no-false-negative guarantee; switching it on applies the
     same fruitless-inspection budget as the Hamming variant.
     """
-    return index.probe(q, ctx, compatible, verify, early_exit)
+    return index.screen(pairs, ctx, verify, early_exit)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

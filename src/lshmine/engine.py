@@ -4,25 +4,27 @@ I/O accounting that makes the variants comparable.
 `_produce_level` is the one level step.  It starts with the array join of
 `exact.join_level`, the only place that decides which pairs are
 compatible.  The exact variant and every fallback level keep its frequent
-unions; an LSH level screens (the per-variant hooks in `_LSH_VARIANTS`)
-each record's compatible partners, read from the join's subset filings with
-the item each partner adds, and keeps the unions it found.  One
-`exact.build_level` call turns them into the next level.  The join also
-holds the frequent partners for TN and FP.  Hamming and covering screen
-through one masked-projection index (`hamming_lsh.MaskIndex`) and differ
-only in where their masks come from and in the early-exit budget.
+unions.  An LSH level screens the join's compatible ordered pairs, rebuilt
+as arrays (`PairSweep.ordered_pairs`), in one query per level through the
+per-variant hooks of `_LSH_VARIANTS`, and keeps the unions of the pairs
+the query returns.  One `exact.build_level` call turns them into the next
+level.  Hamming and covering screen through one masked-projection index
+(`hamming_lsh.MaskIndex`) and differ only in where their keys come from
+and in the early-exit budget; MinHash compares sketch rows.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and
 `_level_row` charges n per verification: n * emitted_candidates on every
-row.  An LSH level verifies through the `verify` callable `_screen_level`
-hands each query (and then applies to MinHash's approved partners), which
-reads a union's co-support only the first time the level meets it.
-Hashing work is tracked separately as hash_bits_read.  For each ordered
-compatible pair whose union is below threshold, the partner is a false
-positive if the query verified it and a true negative otherwise; TN + FP
-then equals twice the number of unordered compatible pairs with
-infrequent unions, which is checked against the join.
+row.  An LSH level verifies through the batched `verify` that
+`_screen_level` hands the query (and then applies to MinHash's approved
+pairs): a union's co-support is the popcount of its pair's packed
+vectors, read the first time the level meets the union.  The join's
+co-support serves only the accounting.  Hashing work is tracked
+separately as hash_bits_read.  Each ordered compatible pair whose union
+the join found below threshold is a false positive if the level verified
+it and a true negative otherwise.  Both are counted pair by pair, so the
+identity TN + FP == 2 * (candidate_pairs - frequent_pairs) that
+`accounting_check` tests stays a check on them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import covering_lsh, hamming_lsh, minhash_lsh
-from .dataset import TransactionDatabase, co_support, support_threshold
+from .dataset import TransactionDatabase, support_threshold
 from .exact import (
     FrequentItemsetSet,
     add_item,
@@ -43,6 +45,7 @@ from .exact import (
     build_level,
     frequent_singletons,
     join_level,
+    pair_cosupport,
 )
 from .transform import DegenerateLevel, LevelContext
 
@@ -116,9 +119,10 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     """Mine frequent itemsets level by level with the configured variant.
 
     Level 1 is always computed exactly.  For later levels the variant
-    proposes join partners per query itemset, and each distinct union they
-    form is verified once against the database: during the query for
-    Hamming and covering, after it for MinHash's sketch-approved partners.
+    screens the join's compatible pairs, and each distinct union of the
+    pairs it proposes is verified once against the database: during the
+    query for Hamming and covering, after it for MinHash's sketch-approved
+    pairs.
     Degenerate levels (alpha == theta) and oversized covering families
     fall back to the exact join for that level.
     """
@@ -146,13 +150,13 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
 
 @dataclass(frozen=True)
 class _Variant:
-    """How one LSH variant screens a level's join partners.  The hooks look
+    """How one LSH variant screens a level's join pairs.  The hooks look
     their functions up on the module at call time, so a function replaced
     on its module (by a test or an observer) is the one that runs."""
 
     derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
     build: Callable     # (level, params, ctx, seed) -> index
-    query: Callable     # (index, record, params, ctx, config, compatible, verify) -> .partners
+    query: Callable     # (index, pairs, params, ctx, config, verify) -> .partners (pair indices)
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
 
 
@@ -160,15 +164,15 @@ _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
-        query=lambda index, q, params, ctx, config, compatible, verify: hamming_lsh.query(
-            index, q, ctx, compatible, verify),
+        query=lambda index, pairs, params, ctx, config, verify: hamming_lsh.query(
+            index, pairs, ctx, verify),
         phi=lambda params, ctx: params.k * params.L,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
-        query=lambda sketch, q, params, ctx, config, compatible, verify: minhash_lsh.query(
-            sketch, q, params, ctx, compatible),
+        query=lambda sketch, pairs, params, ctx, config, verify: minhash_lsh.query(
+            sketch, pairs, params),
         phi=lambda params, ctx: params.rows,
     ),
     "covering": _Variant(
@@ -176,8 +180,8 @@ _LSH_VARIANTS = {
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
         build=lambda level, params, ctx, seed: covering_lsh.build_index(
             level, covering_lsh.build_family(params, seed), ctx, params),
-        query=lambda index, q, params, ctx, config, compatible, verify: covering_lsh.query(
-            index, q, ctx, compatible, verify, early_exit=config.covering_early_exit),
+        query=lambda index, pairs, params, ctx, config, verify: covering_lsh.query(
+            index, pairs, ctx, verify, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
     ),
 }
@@ -216,43 +220,43 @@ def _produce_level(db, config, current, level, theta_count, timings):
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
-    """One LSH level: build, query every record with its compatible partners,
-    verify what each query returns.  Returns the partners' unions (each with
-    its first pair), the number of distinct unions verified, TN and FP."""
+    """One LSH level: build, screen the join's ordered pairs in one query,
+    verify what it returns.  Returns the found unions (each with a pair
+    that forms it), the number of distinct unions read, TN and FP."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
-    support: dict[int, int] = {}   # union as an item bitmask -> co-support, read once per level
-    found: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}   # bitmask -> (union, pair)
-    query_s = tn = fp = 0
-    for i, q in enumerate(current):
-        compatible = sweep.partners(i)
-        qmask = sum(1 << x for x in q.items)
-        verified: set[int] = set()
+    t0 = time.perf_counter()
+    pairs = sweep.ordered_pairs()
+    support = np.full(sweep.distinct_candidates, -1, dtype=np.int64)   # union -> co-support
+    verified = np.zeros((2, sweep.candidate_pairs), dtype=bool)   # per ordered pair
+    verify_s = 0.0
 
-        def verify(j):   # q's co-support with record j, read once per union per level
-            verified.add(j)
-            u = qmask | 1 << compatible[j]
-            co = support.get(u)
-            if co is None:
-                co = support[u] = co_support(current[j].vector, q.vector)
-            return co
+    def verify(sel):   # co-support of each selected pair, read once per union per level
+        nonlocal verify_s
+        t = time.perf_counter()
+        u = sweep.pair_union[sel % sweep.candidate_pairs]
+        unread = support[u] < 0
+        new, at = np.unique(u[unread], return_index=True)
+        read = sel[unread][at]
+        support[new] = pair_cosupport(sweep.packed, pairs.q[read], pairs.a[read])
+        verified.reshape(-1)[sel] = True
+        verify_s += time.perf_counter() - t
+        return support[u]
 
-        t0 = time.perf_counter()
-        res = variant.query(index, q, params, ctx, config, compatible, verify)
-        for j in res.partners:
-            verify(j)
-            u = qmask | 1 << compatible[j]
-            if u not in found:
-                found[u] = add_item(q.items, compatible[j]), (i, j)
-        query_s += time.perf_counter() - t0
-        negatives = compatible.keys() - sweep.positives[i]
-        hit = len(negatives & verified)
-        fp += hit
-        tn += len(negatives) - hit
-    timings[f"{tag}:query"] = query_s
-    return dict(found.values()), len(support), tn, fp
+    partners = variant.query(index, pairs, params, ctx, config, verify).partners
+    verify(partners)   # MinHash's sketch-approved pairs are read here
+    _, at = np.unique(sweep.pair_union[partners % sweep.candidate_pairs], return_index=True)
+    firsts = partners[at]
+    found = {add_item(current[q].items, y): (q, a) for q, a, y in
+             zip(pairs.q[firsts].tolist(), pairs.a[firsts].tolist(), pairs.y[firsts].tolist())}
+    timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
+    timings[f"{tag}:verify"] = verify_s
+    negative = ~sweep.pair_frequent   # per unordered pair, in both directions
+    tn = int(np.count_nonzero(~verified & negative))
+    fp = int(np.count_nonzero(verified & negative))
+    return found, int(np.count_nonzero(support >= 0)), tn, fp
 
 
 def _level_row(n, level, nxt, candidates, emitted, sweep=None, hashes=0, phi=0, tn=0, fp=0,

@@ -8,9 +8,11 @@ subset, so two itemsets sharing l-1 items meet in exactly one group, and
 each one's left-out item gives their union (`add_item`).  The co-support
 of every pair is a popcount over the level's vectors packed into 64-bit
 words (the vertical bitmaps of MAFIA, Burdick et al., ICDE 2001), and a
-sort of the pairs' union rows counts the distinct candidates.  Python
-work is paid once per distinct frequent union, and the per-record
-partner lists are built only for a level that asks for them.
+sort of the pairs' union rows counts the distinct candidates and numbers
+them.  Python work is paid once per distinct frequent union.  An LSH
+level rebuilds the compatible ordered pairs from the filings
+(`PairSweep.ordered_pairs`); the exact variant and every fallback level
+never do.
 
 `build_level` is the only place that turns candidate unions into a level
 (AND vector, threshold, sort): the join's frequent unions for the exact
@@ -24,16 +26,18 @@ miners always have an independent ground truth to be checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import BitVector, ItemsetRecord, TransactionDatabase, support_threshold
 
 BRUTE_FORCE_MAX_ITEMS = 20
-# uint64 words of each operand the co-support step gathers at once (256 KiB):
-# the bound on its transient memory, whatever the level's size
+# the memory of 2^15 uint64 words (256 KiB) that one operand of a chunked
+# per-pair or per-record step holds at once (`chunk_rows`): the bound on the
+# transient memory of the join, the LSH screens and their index builds,
+# whatever the level's size
 PAIR_CHUNK_WORDS = 1 << 15
 
 
@@ -69,6 +73,16 @@ class AprioriResult:
     itemsets: FrequentItemsetSet
 
 
+class OrderedPairs(NamedTuple):
+    """A level's compatible ordered pairs: query record q, partner record a,
+    and the item a adds to q.  Unordered pair p of the join is at p as
+    (i, j) and at p + candidate_pairs as (j, i)."""
+
+    q: np.ndarray   # int32
+    a: np.ndarray   # int32
+    y: np.ndarray   # int32
+
+
 @dataclass
 class PairSweep:
     """One level's candidate join: who is compatible with whom and which
@@ -76,46 +90,33 @@ class PairSweep:
 
     The pairs themselves are not kept.  `filings` holds one column per
     (record, item left out), sorted by the (l-1)-subset that remains: the
-    record, the item, and the bounds [start, end) of the columns filed under
-    the same subset.  `frequent_ij` holds the two records of every frequent
-    pair.  `partners` and `positives` are built from these on first use, so
-    a level that never asks for them (the exact variant, every fallback)
-    never pays for them."""
+    record, the item, and the end of the columns filed under the same
+    subset.  Per unordered pair, in the join's pair order, `pair_union`
+    numbers its union among the distinct candidates and `pair_frequent`
+    says whether the union meets the threshold.  `packed` is the level's
+    vectors as rows of uint64 words."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
     records: list[ItemsetRecord]
     frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
-    filings: np.ndarray = field(repr=False)       # (4, m_l * l): record, item, start, end
-    frequent_ij: np.ndarray = field(repr=False)   # (2, frequent_pairs)
+    filings: np.ndarray = field(repr=False)         # (3, m_l * l): record, item, group end
+    pair_union: np.ndarray = field(repr=False)      # (candidate_pairs,) in [0, distinct_candidates)
+    pair_frequent: np.ndarray = field(repr=False)   # (candidate_pairs,) bool
+    packed: np.ndarray = field(repr=False)          # (m_l, ceil(n/64)) "<u8"
 
-    @cached_property
-    def positives(self) -> list[set[int]]:
-        """Per record index: the compatible partners with a frequent union."""
-        i, j = self.frequent_ij
-        owner = np.concatenate([i, j])
-        partner = np.concatenate([j, i])[np.argsort(owner)]
-        ends = np.cumsum(np.bincount(owner, minlength=len(self.records)))
-        return [set(p.tolist()) for p in np.split(partner, ends)[:-1]]
-
-    @cached_property
-    def _groups(self):
-        """The filings as lists, and per record the bounds of its l groups."""
-        owner, item, start, end = self.filings
-        mine = np.argsort(owner).reshape(len(self.records), -1)
-        return owner.tolist(), item.tolist(), start[mine].tolist(), end[mine].tolist()
-
-    def partners(self, i: int) -> dict[int, int]:
-        """The records compatible with record i, each mapped to the item it
-        adds to record i (its left-out item in the subset the two share).
-        Reads no co-support."""
-        owner, item, starts, ends = self._groups
-        found = {}
-        for s, e in zip(starts[i], ends[i]):
-            found.update(zip(owner[s:e], item[s:e]))
-        del found[i]   # filed in each of its own groups
-        return found
+    def ordered_pairs(self) -> OrderedPairs:
+        """Every compatible pair both ways, rebuilt from the filings by the
+        join's own pairing step.  Reads no co-support."""
+        owner, item, end = self.filings
+        first, second = _filing_pairs(end)
+        half = len(first)
+        pairs = OrderedPairs(*np.empty((3, 2 * half), dtype=np.int32))
+        pairs.q[:half], pairs.q[half:] = owner[first], owner[second]
+        pairs.a[:half], pairs.a[half:] = owner[second], owner[first]
+        pairs.y[:half], pairs.y[half:] = item[second], item[first]
+        return pairs
 
 
 def add_item(items: tuple[int, ...], item: int) -> tuple[int, ...]:
@@ -153,8 +154,8 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
     every two filings of a group form a compatible pair.  Co-support is the
     popcount of the two packed vectors' AND, a chunk of pairs at a time.
     The distinct unions are counted by sorting the pairs' union rows (at
-    l = 1 every pair's union is its own); the same sort gives each frequent
-    union its first pair."""
+    l = 1 every pair's union is its own); the same sort numbers every
+    pair's union and gives each frequent union its first pair."""
     m = len(records)
     size = len(records[0].items) if records else 1
     items = np.array([r.items for r in records], dtype=np.int64).reshape(m, size)
@@ -164,43 +165,70 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
     owner = np.repeat(np.arange(m), size)
     left_out = items.reshape(-1)
     if size == 1:   # every key is (): one group
-        start, end = np.zeros(m, dtype=np.intp), np.full(m, m)
+        end = np.full(m, m)
     else:
         order = np.lexsort(keys.T[::-1])
         keys, owner, left_out = keys[order], owner[order], left_out[order]
         starts = np.flatnonzero(_run_starts(keys))
         ends = np.r_[starts[1:], m * size]
-        start, end = np.repeat(starts, ends - starts), np.repeat(ends, ends - starts)
-    # filing f pairs with every later filing of its group, f+1 .. end-1
-    f = np.arange(m * size)
-    later = end - f - 1
-    first = np.repeat(f, later)
-    second = np.arange(len(first)) + np.repeat(f + 1 - (np.cumsum(later) - later), later)
+        end = np.repeat(ends, ends - starts)
+    first, second = _filing_pairs(end)
     i, j, y = owner[first], owner[second], left_out[second]
 
-    words = (records[0].vector.length + 63) // 64 if records else 0
-    packed = np.frombuffer(b"".join(r.vector.value.to_bytes(8 * words, "little")
-                                    for r in records), dtype="<u8").reshape(m, words)
-    cosupport = np.empty(len(i), dtype=np.int64)
-    step = max(1, PAIR_CHUNK_WORDS // max(words, 1))
-    for s in range(0, len(i), step):
-        both = packed[i[s:s + step]] & packed[j[s:s + step]]
-        cosupport[s:s + step] = np.bitwise_count(both).sum(axis=1)
-    is_frequent = cosupport >= theta_count
+    packed = pack_vectors(records)
+    is_frequent = pair_cosupport(packed, i, j) >= theta_count
 
     if size == 1:   # distinct singletons: every pair forms its own union
-        distinct, firsts = len(i), np.flatnonzero(is_frequent)
+        distinct, firsts, union = len(i), np.flatnonzero(is_frequent), np.arange(len(i))
     else:
         unions = np.sort(np.column_stack([items[i], y]), axis=1)
         order = np.lexsort(unions.T[::-1])   # stable: one union's pairs stay in pair order
-        distinct = int(_run_starts(unions[order]).sum())
+        runs = _run_starts(unions[order])
+        distinct = int(runs.sum())
+        union = np.empty(len(i), dtype=np.intp)
+        union[order] = np.cumsum(runs) - 1
         kept = order[is_frequent[order]]
         firsts = kept[_run_starts(unions[kept])]
     frequent = {add_item(records[a].items, x): (a, b) for a, b, x in
                 zip(i[firsts].tolist(), j[firsts].tolist(), y[firsts].tolist())}
     return PairSweep(len(i), int(is_frequent.sum()), distinct, records, frequent,
-                     np.stack([owner, left_out, start, end]),
-                     np.stack([i[is_frequent], j[is_frequent]]))
+                     np.stack([owner, left_out, end]), union, is_frequent, packed)
+
+
+def _filing_pairs(end: np.ndarray):
+    """Every two filings of a group, as filing indices (first, second) with
+    first < second: filing f pairs with every later filing of its group,
+    f+1 .. end[f]-1, in filing order."""
+    f = np.arange(len(end))
+    later = end - f - 1
+    first = np.repeat(f, later)
+    second = np.arange(len(first)) + np.repeat(f + 1 - (np.cumsum(later) - later), later)
+    return first, second
+
+
+def pack_vectors(records: list[ItemsetRecord]) -> np.ndarray:
+    """The records' vectors as rows of little-endian uint64 words, shape
+    (len(records), ceil(n/64)); bit j of a row is transaction j."""
+    words = (records[0].vector.length + 63) // 64 if records else 0
+    return np.frombuffer(b"".join(r.vector.value.to_bytes(8 * words, "little")
+                                  for r in records), dtype="<u8").reshape(len(records), words)
+
+
+def chunk_rows(words_per_row: int) -> int:
+    """How many rows (pairs or records) a chunked step takes at once when
+    its largest operand holds `words_per_row` uint64 words' worth per row."""
+    return max(1, PAIR_CHUNK_WORDS // max(1, words_per_row))
+
+
+def pair_cosupport(packed: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """popcount(row i AND row j) of `packed` for each pair (i[p], j[p]),
+    PAIR_CHUNK_WORDS words of each operand at a time."""
+    out = np.empty(len(i), dtype=np.int64)
+    step = chunk_rows(packed.shape[1])
+    for s in range(0, len(i), step):
+        both = packed[i[s:s + step]] & packed[j[s:s + step]]
+        out[s:s + step] = np.bitwise_count(both).sum(axis=1)
+    return out
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:

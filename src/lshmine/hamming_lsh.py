@@ -1,33 +1,43 @@
-"""Bit-sampling LSH over padded vectors, and the masked-projection index
-it shares with the covering variant.
+"""Bit-sampling LSH over padded vectors, and the level screen it shares
+with the covering variant.
 
 L hash tables, each keyed by k uniformly sampled bit positions of the
-padded vector.  Sampling k positions is projecting onto a random mask with
-those bits set, so table t keys a record by P(a) & masks[t], as in the
-covering variant, whose masks come from its family instead.  Preprocessing
-inserts P-padded vectors; queries probe with Q-padded vectors, verify each
-new collision with a join partner through the caller's `verify` (which
-decides what is read and charged), and give up early once enough
-inspections found nothing similar.
+padded vector (the bit-sampling family of Gionis, Indyk & Motwani, VLDB
+1999).  Record a's key in table t is the k bits of P(a) at row t of the
+projections, its query key the same bits of Q(a), each packed into uint64
+words; both are read in closed form from the level's packed vectors and
+supports (`transform.padded_bit_rows`), and no vector is padded.
+
+`MaskIndex.screen` screens a whole level at once.  For every compatible
+ordered pair (q, a) of the join it finds the first table in which Q(q)
+and P(a) share a key, comparing key rows a chunk of pairs at a time.
+Each query then visits its colliding partners by (first table, partner
+index), the order in which probing its buckets table by table would meet
+them, and verifies them through the caller's `verify` (which decides what
+is read and charged) in two batches: every query's first `budget`
+partners, then the rest of each query that found a similar partner among
+those.  A query that found none there gives up early, as a per-record
+probe would after `budget` fruitless inspections.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .dataset import ItemsetRecord
+from .exact import OrderedPairs
 from .transform import (
+    PREPROCESS,
+    QUERY,
     DegenerateLevel,
     LevelContext,
     _ceil,
     check_tolerances,
-    pad_preprocess,
-    pad_query,
+    padded_bit_rows,
 )
 
 
@@ -62,43 +72,120 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLsh
 
 
 @dataclass
-class MaskIndex:
-    """One hash table per mask: record a sits in table t under P(a) & masks[t]."""
+class QueryResult:
+    """What one level's screen did.  Pairs are indices into the level's
+    ordered pairs.  `verified` lists the pairs the screen verified, grouped
+    by query record in ascending order, each query's in visit order, with
+    their co-supports in `co`; `partners` are those meeting the threshold,
+    in the same order.  `exited` flags the query records that gave up
+    early."""
 
-    masks: list[int]
-    tables: list[dict[int, list[int]]]
+    first: np.ndarray      # per pair: first colliding table, or the table count if none
+    verified: np.ndarray
+    co: np.ndarray
+    partners: np.ndarray
+    exited: np.ndarray     # bool per record
+
+    @property
+    def inspections(self) -> int:   # support verifications: one per verified pair
+        return len(self.verified)
+
+    @property
+    def early_exit(self) -> int:    # queries that gave up early
+        return int(np.count_nonzero(self.exited))
+
+
+@dataclass
+class MaskIndex:
+    """One table per mask: per record a and table t, the key of P(a) in
+    `p_keys[a, t]` and of Q(a) in `q_keys[a, t]`, each a row of uint64
+    words.  Q(q) collides with P(a) in table t iff the two rows are equal."""
+
+    p_keys: np.ndarray   # (m_l, tables, words) uint64
+    q_keys: np.ndarray
     early_exit_budget: int
 
-    @classmethod
-    def build(cls, level: list[ItemsetRecord], masks: list[int], ctx: LevelContext,
-              early_exit_budget: int) -> MaskIndex:
-        padded = [pad_preprocess(r.vector, ctx).bits.value for r in level]
-        tables = []
-        for mask in masks:
-            table: dict[int, list[int]] = {}
-            for idx, p in enumerate(padded):
-                table.setdefault(p & mask, []).append(idx)
-            tables.append(table)
-        return cls(masks=masks, tables=tables, early_exit_budget=early_exit_budget)
+    @property
+    def tables(self) -> list[dict[int, list[int]]]:
+        """Per table, the records under each P key (the key as an int).
+        Built on each access, for inspection; the screen never reads it."""
+        return [_grouped(int.from_bytes(row.tobytes(), "little") for row in self.p_keys[:, t])
+                for t in range(self.p_keys.shape[1])]
 
-    def probe(self, q: ItemsetRecord, ctx: LevelContext, compatible, verify,
-              early_exit: bool) -> QueryResult:
-        """Verify the `compatible` records in Q(q)'s bucket of each table in
-        turn, under the early-exit budget if `early_exit` is set."""
-        qval = pad_query(q.vector, ctx).bits.value
-        buckets = (table.get(qval & mask) for table, mask in zip(self.tables, self.masks))
-        return verify_collisions(buckets, compatible, verify, ctx,
-                                 self.early_exit_budget if early_exit else None)
+    def collisions(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """(pairs, tables) bool: where the key rows of Q(q[p]) and P(a[p]) agree."""
+        same = self.q_keys[q] == self.p_keys[a]
+        return same[:, :, 0] if same.shape[2] == 1 else same.all(axis=2)
+
+    def first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Per ordered pair (q[p], a[p]), the first table in which they
+        collide, or the table count if none, PAIR_CHUNK_WORDS words of each
+        operand at a time."""
+        first = np.empty(len(q), dtype=np.int32)
+        step = exact.chunk_rows(self._pair_words())
+        for s in range(0, len(q), step):
+            qs, as_ = q[s:s + step], a[s:s + step]
+            first[s:s + step] = self._first_collision(qs, as_, self.collisions(qs, as_))
+        return first
+
+    def _pair_words(self) -> int:   # a pair's key row
+        return self.p_keys.shape[1] * self.p_keys.shape[2]
+
+    def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
+        return _first_true(hit)   # exact keys: a key collision is a collision
+
+    def screen(self, pairs: OrderedPairs, ctx: LevelContext, verify,
+               early_exit: bool) -> QueryResult:
+        """Verify, through `verify(pair_indices) -> co-supports`, the pairs
+        that collide in some table, in each query's visit order, under the
+        early-exit budget if `early_exit` is set."""
+        first = self.first_tables(pairs.q, pairs.a)
+        hit = np.flatnonzero(first < self.p_keys.shape[1])
+        visit = hit[np.lexsort((pairs.a[hit], first[hit], pairs.q[hit]))]
+        q = pairs.q[visit]
+        co = np.empty(len(visit), dtype=np.int64)
+        exited = np.zeros(len(self.p_keys), dtype=bool)
+        if not early_exit:
+            keep = np.ones(len(visit), dtype=bool)
+            co[:] = verify(visit)
+        else:
+            budget = self.early_exit_budget
+            counts = np.bincount(q, minlength=len(self.p_keys))
+            position = np.arange(len(visit)) - np.repeat(np.cumsum(counts) - counts, counts)
+            head = position < budget
+            co[head] = verify(visit[head])
+            found = np.zeros(len(self.p_keys), dtype=bool)
+            found[q[head][co[head] >= ctx.theta_count]] = True
+            exited = (counts >= budget) & ~found
+            tail = ~head & found[q]
+            co[tail] = verify(visit[tail])
+            keep = head | tail
+        verified, co = visit[keep], co[keep]
+        return QueryResult(first, verified, co, verified[co >= ctx.theta_count], exited)
+
+
+def _first_true(hit: np.ndarray) -> np.ndarray:
+    """Per row, the first True column, or the column count if none."""
+    first = hit.argmax(axis=1)
+    first[~hit[np.arange(len(hit)), first]] = hit.shape[1]
+    return first
+
+
+def _grouped(keys) -> dict:
+    table: dict = {}
+    for idx, key in enumerate(keys):
+        table.setdefault(key, []).append(idx)
+    return table
 
 
 def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: LevelContext,
                 seed, projections: np.ndarray | None = None) -> MaskIndex:
-    """Hash every P-padded record into one bucket per table.
+    """Key every record's P- and Q-padded vector in each of the L tables.
 
     All randomness (the L position sets) is drawn up front from the seed;
-    `projections` can be supplied directly to pin the sample in tests.
-    Each row becomes the mask with its positions set, ORed so that a
-    position sampled twice sets its bit once.
+    `projections` can be supplied directly to pin the sample in tests.  A
+    position sampled twice is read twice, which groups the records as
+    reading it once would.
     """
     if projections is None:
         rng = np.random.default_rng(seed)
@@ -107,58 +194,30 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
         projections = np.asarray(projections, dtype=np.int64)
         if projections.shape != (params.L, params.k):
             raise ValueError(f"projections must have shape {(params.L, params.k)}")
-    masks = [reduce(or_, (1 << p for p in row), 0) for row in projections.tolist()]
-    return MaskIndex.build(level, masks, ctx, params.early_exit_budget)
+    packed = exact.pack_vectors(level)
+    weights = np.array([r.support for r in level], dtype=np.int64)
+    words = (params.k + 63) // 64
+    step = exact.chunk_rows(max(-(-ctx.padded_length // 8), -(-params.L * params.k // 8),
+                                params.L * words))   # bit rows, sampled bits, keys
+    keys = [np.empty((len(level), params.L, words), dtype=np.uint64) for _ in range(2)]
+    for s in range(0, len(level), step):
+        for role, out in zip((PREPROCESS, QUERY), keys):
+            rows = padded_bit_rows(packed[s:s + step], weights[s:s + step], ctx, role)
+            out[s:s + step] = _pack_bits(rows[projections])
+    return MaskIndex(*keys, early_exit_budget=params.early_exit_budget)
 
 
-@dataclass
-class QueryResult:
-    partners: list[int]                          # FI_q as record indices, in discovery order
-    verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support, as inspected
-    collision_counts: dict[int, int] = field(default_factory=dict)  # compatible idx -> per-table hits
-    early_exit: bool = False
-
-    @property
-    def inspections(self) -> int:   # support verifications: one per distinct partner
-        return len(self.verified)
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(tables, k, records) bits as (records, tables, ceil(k/64)) uint64
+    words, bit j in word j // 64."""
+    j = np.arange(bits.shape[1])
+    weight = np.zeros((len(j), (len(j) + 63) // 64), dtype=np.uint64)
+    weight[j, j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+    return np.einsum("tkr,kw->rtw", bits, weight)
 
 
-def verify_collisions(buckets, compatible, verify, ctx: LevelContext,
-                      early_exit_budget: int | None = None) -> QueryResult:
-    """Verify the compatible records colliding with a query, bucket by bucket.
-
-    `buckets` yields the query's bucket (a list of record indices, or None)
-    in each table, lazily, so an early exit skips the remaining keys.  Only
-    collisions in `compatible` (the indices of the query's join partners)
-    are verified, each once, by `verify(idx)`: the co-support of the query
-    with record idx.  The rest cost nothing.  With a budget, the query
-    stops once that many distinct verified candidates, counted across
-    buckets, found nothing similar.
-    """
-    result = QueryResult(partners=[])
-    for bucket in buckets:
-        if not bucket:
-            continue
-        for idx in bucket:
-            if idx not in compatible:
-                continue
-            result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
-            if idx in result.verified:
-                continue
-            co = verify(idx)
-            result.verified[idx] = co
-            if co >= ctx.theta_count:
-                result.partners.append(idx)
-            if (early_exit_budget is not None and not result.partners
-                    and len(result.verified) >= early_exit_budget):
-                result.early_exit = True
-                return result
-    return result
-
-
-def query(index: MaskIndex, q: ItemsetRecord, ctx: LevelContext, compatible,
-          verify) -> QueryResult:
-    """Probe the L buckets for Q(q) and verify collisions with the
-    `compatible` indices in order through `verify`, stopping early after
+def query(index: MaskIndex, pairs: OrderedPairs, ctx: LevelContext, verify) -> QueryResult:
+    """Screen the level's ordered pairs and verify every query's colliding
+    partners through `verify`, each query stopping early after
     `early_exit_budget` fruitless inspections."""
-    return index.probe(q, ctx, compatible, verify, early_exit=True)
+    return index.screen(pairs, ctx, verify, early_exit=True)

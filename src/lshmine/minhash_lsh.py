@@ -2,8 +2,12 @@
 
 A sketch of `rows` minwise values per itemset estimates the padded Jaccard
 similarity; partners whose estimate clears the accept threshold go into
-FI_q.  The database itself is never read at query time; the mining
-engine verifies each distinct union of the approved partners exactly.
+FI_q.  One query screens the whole level: for every compatible ordered
+pair (q, a) of the join, it counts the sketch rows on which P(a) and Q(q)
+agree, a chunk of pairs at a time, and approves the pair iff that count
+reaches rows * accept_threshold.  The database itself is never read at
+query time; the mining engine verifies each distinct union of the
+approved pairs exactly.
 
 The sketch is built in one pass.  P(v) and Q(v) share v's own |v|
 positions, and their padding is a run of alpha-|v| ones from the fixed
@@ -16,7 +20,7 @@ offsets n and n+alpha.  So under each permutation
 with both padding minima dropped when |v| == alpha.  base(v) is one gather
 of |v| rows from the transposed own-position block, shared by both roles;
 the two running minima are taken once per level.  Every record's P and Q
-column is stored, and a query reads its own Q column.
+column is stored.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .dataset import ItemsetRecord
+from .exact import OrderedPairs
 from .transform import LevelContext, _ceil, check_tolerances
 
 DEFAULT_ROW_CAP = 2_000_000
@@ -69,7 +75,6 @@ class MinhashSketch:
     perms: np.ndarray          # (rows, padded_length) independent permutations
     columns: np.ndarray        # (rows, m_l) minwise values of the P-padded records
     query_columns: np.ndarray  # (rows, m_l) minwise values of the Q-padded records
-    slot: dict[tuple[int, ...], int]  # record items -> column
 
 
 def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelContext,
@@ -100,14 +105,7 @@ def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelCo
         col = base.copy()
         col[:, padded] = np.minimum(base[:, padded], run_min[:, gap[padded] - 1])
         columns.append(col)
-    return MinhashSketch(perms=perms, columns=columns[0], query_columns=columns[1],
-                         slot={r.items: i for i, r in enumerate(level)})
-
-
-def sketch_query_column(sketch: MinhashSketch, q: ItemsetRecord) -> np.ndarray:
-    """Minwise values of Q(q) under the sketch's permutations; q must be one
-    of the sketch's records."""
-    return sketch.query_columns[:, sketch.slot[q.items]]
+    return MinhashSketch(perms=perms, columns=columns[0], query_columns=columns[1])
 
 
 def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
@@ -119,30 +117,33 @@ def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
 
 @dataclass
 class MinhashQueryResult:
-    approved: dict[int, float]           # idx -> estimated JS (compatible, estimate >= accept)
-    rejected: dict[int, float]           # idx -> estimated JS (compatible, estimate < accept)
+    """Per ordered pair of the level, the sketch rows on which P(a) and Q(q)
+    agree, and the pairs (indices into the level's ordered pairs) approved
+    by that count, ascending; `rejected`, the others, is listed on access."""
+
+    matches: np.ndarray
+    need: float            # rows * accept_threshold, less float noise
+    approved: np.ndarray   # matches >= need
 
     @property
-    def partners(self) -> list[int]:   # FI_q as record indices, ascending
-        return list(self.approved)
+    def rejected(self) -> np.ndarray:
+        return np.flatnonzero(self.matches < self.need)
+
+    @property
+    def partners(self) -> np.ndarray:   # FI_q of every query, as pairs
+        return self.approved
 
 
-def query(sketch: MinhashSketch, q: ItemsetRecord, params: MinhashParams,
-          ctx: LevelContext, compatible) -> MinhashQueryResult:
-    """Sketch-only screening of the `compatible` indices (q's join
-    partners): no database reads happen here."""
-    result = MinhashQueryResult(approved={}, rejected={})
-    if not compatible:   # a record outside the sketch has no Q column, and needs none here
-        return result
-    qcol = sketch_query_column(sketch, q)
-    idx = sorted(compatible)
-    matches = np.count_nonzero(sketch.columns[:, idx] == qcol[:, None], axis=0)
+def query(sketch: MinhashSketch, pairs: OrderedPairs, params: MinhashParams) -> MinhashQueryResult:
+    """Sketch-only screening of the level's ordered pairs, PAIR_CHUNK_WORDS
+    sketch values of each operand at a time: no database reads happen here."""
+    columns, query_columns = (np.ascontiguousarray(c.T) for c in
+                              (sketch.columns, sketch.query_columns))   # one row per record
+    matches = np.empty(len(pairs.q), dtype=np.int32)
+    step = exact.chunk_rows(params.rows)
+    for s in range(0, len(matches), step):
+        same = columns[pairs.a[s:s + step]] == query_columns[pairs.q[s:s + step]]
+        matches[s:s + step] = np.count_nonzero(same, axis=1)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
-    for i, hits in zip(idx, matches.tolist()):
-        est = hits / params.rows
-        if hits >= need:
-            result.approved[i] = est
-        else:
-            result.rejected[i] = est
-    return result
+    return MinhashQueryResult(matches, need, np.flatnonzero(matches >= need))

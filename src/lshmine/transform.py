@@ -11,7 +11,9 @@ With x padded for preprocessing and y padded for querying:
 so a co-support threshold becomes a distance/similarity threshold the
 standard hash families understand.  `pad_preprocess` and `pad_query` are
 the only definition of the two layouts; the dense array and the one
-positions the hash families sample are read off them.
+positions are read off them.  `padded_bit_rows` lays out a whole level's padded vectors in
+closed form instead, without padding any vector; the tests check it
+against the dense array.
 """
 
 from __future__ import annotations
@@ -149,3 +151,17 @@ def padded_bits_array(v: BitVector, ctx: LevelContext, role: str) -> np.ndarray:
 def padded_one_positions(v: BitVector, ctx: LevelContext, role: str) -> np.ndarray:
     """Indices of set bits in the padded vector (for minwise hashing)."""
     return np.flatnonzero(padded_bits_array(v, ctx, role))
+
+
+def padded_bit_rows(packed: np.ndarray, weights: np.ndarray, ctx: LevelContext,
+                    role: str) -> np.ndarray:
+    """The records' padded vectors as a uint8 bit matrix with one row per
+    padded position and one column per record, laid out in closed form
+    from their packed vectors (rows of little-endian uint64 words) and
+    weights, with no vector padded: the own bits, then the role's run of
+    alpha_count - |v| ones (from n for P, from n + alpha_count for Q),
+    zeros elsewhere."""
+    run = np.arange(ctx.alpha_count)[:, None] < ctx.alpha_count - np.asarray(weights)
+    run, blank = run.astype(np.uint8), np.zeros(run.shape, dtype=np.uint8)
+    own = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :ctx.n].T
+    return np.concatenate([own, run, blank] if role == PREPROCESS else [own, blank, run])

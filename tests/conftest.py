@@ -1,10 +1,13 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
 from lshmine.exact import add_item, join_level, union_if_compatible
+from lshmine.transform import LevelContext, pad_preprocess, pad_query
 
 
 def db_from_rows(rows, m=None):
@@ -42,6 +45,18 @@ def random_vector(rng, n, weight):
     """BitVector with exactly `weight` ones at random positions."""
     positions = rng.choice(n, size=weight, replace=False)
     return BitVector.from_indices(n, positions.tolist())
+
+
+def column_records(hits, itemsets):
+    """Records for `itemsets` over a boolean (n, m) hit matrix: each vector
+    is the AND of its items' columns."""
+    n = hits.shape[0]
+    records = []
+    for items in itemsets:
+        rows = hits[:, list(items)].all(axis=1)
+        value = int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+        records.append(ItemsetRecord.from_vector(tuple(items), BitVector(n, value)))
+    return records
 
 
 def singleton_level(vectors):
@@ -109,6 +124,21 @@ def pairwise_join(records, theta_count):
     return PairwiseSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
 
 
+def partners_and_positives(sweep):
+    """Per record of a join, read off its ordered pairs: the compatible
+    records, each mapped to the item it adds, and those whose union the
+    join found frequent."""
+    pairs = sweep.ordered_pairs()
+    frequent = np.tile(sweep.pair_frequent, 2).tolist()
+    partners = [{} for _ in sweep.records]
+    positives = [set() for _ in sweep.records]
+    for q, a, y, f in zip(pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist(), frequent):
+        partners[q][a] = y
+        if f:
+            positives[q].add(a)
+    return partners, positives
+
+
 def assert_same_join(records, theta_count):
     """`exact.join_level` against `pairwise_join`: every count, the same
     frequent unions (each given by a pair that forms it and ANDs to the
@@ -121,23 +151,213 @@ def assert_same_join(records, theta_count):
         a, b = ref.frequent[u]
         assert union_if_compatible(records[i].items, records[j].items) == u
         assert records[i].vector & records[j].vector == records[a].vector & records[b].vector
-    assert sweep.positives == ref.positives
+    partners, positives = partners_and_positives(sweep)
+    assert positives == ref.positives
     for i in range(len(records)):
-        assert sweep.partners(i) == ref.partners(i)
+        assert partners[i] == ref.partners(i)
     return sweep
 
 
-def compatible(level, i):
-    """Indices of the records of `level` that join with level[i], by the
-    reference pairwise rule: the compatible set a query takes."""
-    return {j for j, r in enumerate(level)
-            if union_if_compatible(level[i].items, r.items) is not None}
-
-
 def direct_verify(level, q):
-    """The `verify` callable a query on `level` takes: q's co-support with
-    record j, read from the two vectors on every call (no memo)."""
+    """The `verify` callable a per-record probe of `level` takes: q's
+    co-support with record j, read from the two vectors on every call (no
+    memo)."""
     return lambda j: co_support(level[j].vector, q.vector)
+
+
+def level_pairs(level):
+    """The join's compatible ordered pairs of `level`, which a level screen takes."""
+    return join_level(level, 1).ordered_pairs()
+
+
+def pair_verify(level, pairs):
+    """The batched `verify` a level screen takes: the co-support of each
+    selected pair, read from the two vectors on every call (no memo)."""
+    return lambda sel: np.array([co_support(level[q].vector, level[a].vector) for q, a in
+                                 zip(pairs.q[sel].tolist(), pairs.a[sel].tolist())],
+                                dtype=np.int64)
+
+
+@dataclass
+class QueryView:
+    """One query record's part of a level screen, in the per-record probe's
+    terms: its found partners and its verified partners (each with its
+    co-support) in visit order, its early exit, and the partners it
+    collided with, each with its first colliding table."""
+
+    partners: list[int]
+    verified: dict[int, int]
+    early_exit: bool
+    collided: dict[int, int]
+
+    @property
+    def inspections(self) -> int:
+        return len(self.verified)
+
+
+def query_view(pairs, res, qi, tables):
+    """Query record qi's part of a level screen result `res` over `pairs`,
+    from an index with `tables` tables."""
+    mine = pairs.q[res.verified] == qi
+    verified = dict(zip(pairs.a[res.verified[mine]].tolist(), res.co[mine].tolist()))
+    partners = pairs.a[res.partners[pairs.q[res.partners] == qi]].tolist()
+    hit = (pairs.q == qi) & (res.first < tables)
+    collided = dict(zip(pairs.a[hit].tolist(), res.first[hit].tolist()))
+    return QueryView(partners, verified, bool(res.exited[qi]), collided)
+
+
+@dataclass
+class SketchView:
+    """One query record's part of a MinHash level query: its approved and
+    rejected partners, each with its estimated Jaccard similarity, by
+    partner index."""
+
+    approved: dict[int, float]
+    rejected: dict[int, float]
+
+    @property
+    def partners(self) -> list[int]:
+        return list(self.approved)
+
+
+def sketch_view(pairs, res, qi, rows):
+    """Query record qi's part of a MinHash level query result `res`."""
+    views = []
+    for chosen in (res.approved, res.rejected):
+        mine = chosen[pairs.q[chosen] == qi]
+        views.append(dict(sorted(zip(pairs.a[mine].tolist(), (res.matches[mine] / rows).tolist()))))
+    return SketchView(*views)
+
+
+# The per-record screen the level screen replaced, kept as its reference:
+# dict tables keyed by P(a) & mask, one probe per query record that walks
+# its buckets table by table, and the engine loop that ran it per record.
+
+@dataclass
+class ProbeResult:
+    partners: list[int]                          # FI_q as record indices, in discovery order
+    verified: dict[int, int] = field(default_factory=dict)   # idx -> co_support, as inspected
+    collision_counts: dict[int, int] = field(default_factory=dict)  # compatible idx -> per-table hits
+    early_exit: bool = False
+
+    @property
+    def inspections(self) -> int:   # support verifications: one per distinct partner
+        return len(self.verified)
+
+
+def projection_masks(projections):
+    """Each row of sampled positions as the mask with those bits set, ORed
+    so that a position sampled twice sets its bit once."""
+    return [reduce(or_, (1 << p for p in row), 0) for row in np.asarray(projections).tolist()]
+
+
+def reference_tables(level, masks, ctx: LevelContext):
+    """One hash table per mask: record a sits in table t under P(a) & masks[t]."""
+    padded = [pad_preprocess(r.vector, ctx).bits.value for r in level]
+    tables = []
+    for mask in masks:
+        table: dict[int, list[int]] = {}
+        for idx, p in enumerate(padded):
+            table.setdefault(p & mask, []).append(idx)
+        tables.append(table)
+    return tables
+
+
+def reference_probe(tables, masks, q, ctx, compatible, verify, early_exit_budget):
+    """Verify the `compatible` records in Q(q)'s bucket of each table in
+    turn, under the early-exit budget if one is given."""
+    qval = pad_query(q.vector, ctx).bits.value
+    buckets = (table.get(qval & mask) for table, mask in zip(tables, masks))
+    return verify_collisions(buckets, compatible, verify, ctx, early_exit_budget)
+
+
+def verify_collisions(buckets, compatible, verify, ctx: LevelContext,
+                      early_exit_budget: int | None = None) -> ProbeResult:
+    """Verify the compatible records colliding with a query, bucket by bucket.
+
+    `buckets` yields the query's bucket (a list of record indices, or None)
+    in each table, lazily, so an early exit skips the remaining keys.  Only
+    collisions in `compatible` (the indices of the query's join partners)
+    are verified, each once, by `verify(idx)`: the co-support of the query
+    with record idx.  The rest cost nothing.  With a budget, the query
+    stops once that many distinct verified candidates, counted across
+    buckets, found nothing similar.
+    """
+    result = ProbeResult(partners=[])
+    for bucket in buckets:
+        if not bucket:
+            continue
+        for idx in bucket:
+            if idx not in compatible:
+                continue
+            result.collision_counts[idx] = result.collision_counts.get(idx, 0) + 1
+            if idx in result.verified:
+                continue
+            co = verify(idx)
+            result.verified[idx] = co
+            if co >= ctx.theta_count:
+                result.partners.append(idx)
+            if (early_exit_budget is not None and not result.partners
+                    and len(result.verified) >= early_exit_budget):
+                result.early_exit = True
+                return result
+    return result
+
+
+def reference_minhash_query(sketch, qi, params, compatible) -> SketchView:
+    """Sketch-only screening of query record qi's `compatible` indices, one
+    query at a time."""
+    result = SketchView(approved={}, rejected={})
+    if not compatible:
+        return result
+    qcol = sketch.query_columns[:, qi]
+    idx = sorted(compatible)
+    matches = np.count_nonzero(sketch.columns[:, idx] == qcol[:, None], axis=0)
+    # integer comparison against rows*threshold avoids float-boundary flapping
+    need = params.accept_threshold * params.rows - 1e-9
+    for i, hits in zip(idx, matches.tolist()):
+        est = hits / params.rows
+        if hits >= need:
+            result.approved[i] = est
+        else:
+            result.rejected[i] = est
+    return result
+
+
+def reference_screen(current, ref, query):
+    """The engine's per-record LSH level loop over `ref = pairwise_join(...)`:
+    `query(i, q, compatible, verify)` per record, each distinct union read
+    once per level.  Returns the found unions (each with its first pair),
+    the distinct unions read, TN, FP and every query's result."""
+    support: dict[int, int] = {}   # union as an item bitmask -> co-support, read once per level
+    found: dict[int, tuple[tuple[int, ...], tuple[int, int]]] = {}   # bitmask -> (union, pair)
+    tn = fp = 0
+    results = []
+    for i, q in enumerate(current):
+        compatible = ref.partners(i)
+        qmask = sum(1 << x for x in q.items)
+        verified: set[int] = set()
+
+        def verify(j):   # q's co-support with record j, read once per union per level
+            verified.add(j)
+            u = qmask | 1 << compatible[j]
+            co = support.get(u)
+            if co is None:
+                co = support[u] = co_support(current[j].vector, q.vector)
+            return co
+
+        res = query(i, q, compatible, verify)
+        results.append(res)
+        for j in res.partners:
+            verify(j)
+            u = qmask | 1 << compatible[j]
+            if u not in found:
+                found[u] = add_item(q.items, compatible[j]), (i, j)
+        negatives = compatible.keys() - ref.positives[i]
+        hit = len(negatives & verified)
+        fp += hit
+        tn += len(negatives) - hit
+    return dict(found.values()), len(support), tn, fp, results
 
 
 def random_db(rng, n_max=64, m_max=12, density_range=(0.2, 0.7)):

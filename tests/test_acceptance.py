@@ -18,7 +18,7 @@ from lshmine.exact import apriori_mine, brute_force_mine
 from lshmine.hamming_lsh import build_index as hamming_build
 from lshmine.hamming_lsh import derive_params as hamming_derive
 from lshmine.hamming_lsh import query as hamming_query
-from lshmine.minhash_lsh import build_sketch, estimate_js, sketch_query_column
+from lshmine.minhash_lsh import build_sketch, estimate_js
 from lshmine.minhash_lsh import derive_params as minhash_derive
 from lshmine.transform import (
     LevelContext,
@@ -33,9 +33,10 @@ from lshmine.cli import report_json
 
 from conftest import (
     TOY_ROWS,
-    compatible,
     db_from_rows,
-    direct_verify,
+    level_pairs,
+    pair_verify,
+    query_view,
     random_vector,
     shared_item_level,
 )
@@ -194,16 +195,18 @@ def hamming_trials():
     miss = 0
     events = 0
     infrequent_collisions = []
+    pairs = level_pairs(level)
     for t in range(trials):
         index = hamming_build(level, params, ctx, seed=t)
+        screened = hamming_query(index, pairs, ctx, pair_verify(level, pairs))
+        collision_counts = index.collisions(pairs.q, pairs.a).sum(axis=1)
         for qi, pi in ((0, 1), (1, 0)):
-            res = hamming_query(index, level[qi], ctx, compatible(level, qi),
-                                direct_verify(level, level[qi]))
+            res = query_view(pairs, screened, qi, params.L)
             events += 1
             if pi not in res.partners:
                 miss += 1
             infrequent_collisions.append(
-                sum(res.collision_counts.get(j, 0) for j in range(2, len(level))))
+                int(collision_counts[(pairs.q == qi) & (pairs.a >= 2)].sum()))
     return {
         "params": params,
         "trials": trials,
@@ -258,8 +261,8 @@ def test_c07_minhash_two_sided_bound():
     v_low = v_high = 0
     for seed in range(trials):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        est_acc = estimate_js(sketch.columns[:, 0], sketch_query_column(sketch, level[1]))
-        est_rej = estimate_js(sketch.columns[:, 2], sketch_query_column(sketch, level[3]))
+        est_acc = estimate_js(sketch.columns[:, 0], sketch.query_columns[:, 1])
+        est_rej = estimate_js(sketch.columns[:, 2], sketch.query_columns[:, 3])
         if est_acc < lower - 1e-12:
             v_low += 1
         if est_rej > upper + 1e-12:

@@ -16,7 +16,21 @@ from lshmine.covering_lsh import (
 from lshmine.dataset import BitVector, co_support
 from lshmine.transform import DegenerateLevel, LevelContext, pad_preprocess
 
-from conftest import compatible, direct_verify, random_vector, singleton_level
+from conftest import level_pairs, pair_verify, query_view, random_vector, singleton_level
+
+
+def screen(index, level, ctx, qi, early_exit=False):
+    """Query record qi's part of the covering screen of `level`."""
+    pairs = level_pairs(level)
+    res = query(index, pairs, ctx, pair_verify(level, pairs), early_exit=early_exit)
+    return query_view(pairs, res, qi, index.p_keys.shape[1])
+
+
+def screen_all(index, level, ctx, early_exit=False):
+    """Every query record's part of the covering screen of `level`."""
+    pairs = level_pairs(level)
+    res = query(index, pairs, ctx, pair_verify(level, pairs), early_exit=early_exit)
+    return [query_view(pairs, res, qi, index.p_keys.shape[1]) for qi in range(len(level))]
 
 
 def small_params(n_prime, mask_dim, theta_prime=None):
@@ -127,7 +141,7 @@ def test_index_zero_mask_single_bucket():
     index = build_index(level, fam, ctx, params)
     for table in index.tables:
         assert list(table) == [0] and sorted(table[0]) == [0, 1, 2, 3, 4]
-    res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]))
+    res = screen(index, level, ctx, 0)
     truth = {i for i in range(1, 5) if co_support(vectors[0], vectors[i]) >= 3}
     assert set(res.partners) == truth
     assert res.inspections == 4  # everything collided and got verified
@@ -164,14 +178,13 @@ def test_close_pairs_always_share_a_bucket():
         fam = build_family(params, seed=trial)
         index = build_index(level, fam, ctx, params)
         padded = [pad_preprocess(v, ctx).bits.value for v in vectors]
-        res = [query(index, r, ctx, compatible(level, i), direct_verify(level, r))
-               for i, r in enumerate(level)]
+        res = screen_all(index, level, ctx)
         for i in range(5):
             for j in range(5):
                 if i == j:
                     continue
                 if co_support(vectors[i], vectors[j]) >= theta_count:
-                    assert j in res[i].collision_counts, (trial, i, j, padded)
+                    assert j in res[i].collided, (trial, i, j, padded)
 
 
 def test_query_no_misses_on_random_levels():
@@ -195,8 +208,7 @@ def test_query_no_misses_on_random_levels():
             continue
         fam = build_family(params, seed=1000 + trial)
         index = build_index(level, fam, ctx, params)
-        for qi, q in enumerate(level):
-            res = query(index, q, ctx, compatible(level, qi), direct_verify(level, q))
+        for qi, res in enumerate(screen_all(index, level, ctx)):
             expected = {i for i in range(m_l)
                         if i != qi and co_support(vectors[qi], vectors[i]) >= theta_count}
             assert set(res.partners) == expected, (trial, qi)
@@ -212,8 +224,8 @@ def test_query_disjoint_level_empty():
     params = derive_params(ctx, 0.5, 0.1, mask_dim_cap=16)
     fam = build_family(params, seed=2)
     index = build_index(level, fam, ctx, params)
-    for qi, q in enumerate(level):
-        assert query(index, q, ctx, compatible(level, qi), direct_verify(level, q)).partners == []
+    for res in screen_all(index, level, ctx):
+        assert res.partners == []
 
 
 def test_false_positive_load_within_bound():
@@ -229,8 +241,7 @@ def test_false_positive_load_within_bound():
     for seed in range(30):
         fam = build_family(params, seed=seed)
         index = build_index(level, fam, ctx, params)
-        for qi, q in enumerate(level):
-            res = query(index, q, ctx, compatible(level, qi), direct_verify(level, q))
+        for res in screen_all(index, level, ctx):
             fp = sum(1 for idx, co in res.verified.items() if co < theta_count)
             totals.append(fp)
     assert np.mean(totals) <= params.psi_bound
@@ -248,10 +259,9 @@ def test_early_exit_flag():
     index = build_index(level, fam, ctx, params)
     q = level[0]
     assert all(co_support(q.vector, v) < 3 for v in vectors[1:])
-    verify = direct_verify(level, q)
-    res_off = query(index, q, ctx, compatible(level, 0), verify, early_exit=False)
+    res_off = screen(index, level, ctx, 0, early_exit=False)
     assert not res_off.early_exit and res_off.inspections == 7
-    res_on = query(index, q, ctx, compatible(level, 0), verify, early_exit=True)
+    res_on = screen(index, level, ctx, 0, early_exit=True)
     assert res_on.early_exit and res_on.inspections == 2
 
 
@@ -275,8 +285,7 @@ def test_early_exit_miss_probability_within_delta():
     for seed in range(trials):
         fam = build_family(params, seed=seed)
         index = build_index(level, fam, ctx, params)
-        res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]),
-                    early_exit=True)
+        res = screen(index, level, ctx, 0, early_exit=True)
         if len(level) - 1 not in res.partners:
             misses += 1
     assert misses / trials <= 0.1 + 3 * np.sqrt(0.1 * 0.9 / trials)

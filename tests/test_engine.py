@@ -1,12 +1,14 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from lshmine import engine
+from lshmine import covering_lsh, engine, exact, hamming_lsh, minhash_lsh
 from lshmine.cli import report_json
-from lshmine.dataset import co_support
 from lshmine.engine import (
     VARIANTS,
     MiningConfig,
@@ -14,9 +16,24 @@ from lshmine.engine import (
     compare_with_oracle,
     lsh_apriori_mine,
 )
-from lshmine.exact import apriori_mine, brute_force_mine
+from lshmine.exact import apriori_mine, brute_force_mine, join_level, pair_cosupport
+from lshmine.transform import LevelContext
 
-from conftest import TOY_FREQUENT, db_from_rows, downward_closed, random_db
+from conftest import (
+    TOY_FREQUENT,
+    column_records,
+    db_from_rows,
+    downward_closed,
+    pairwise_join,
+    projection_masks,
+    query_view,
+    random_db,
+    reference_minhash_query,
+    reference_probe,
+    reference_screen,
+    reference_tables,
+    sketch_view,
+)
 from test_golden_reports import DATABASES
 
 
@@ -109,13 +126,13 @@ def test_accounting_identity_all_variants():
 def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
     """What a level reads is what it charges: n per distinct candidate it
     verified, on every row.  An LSH level reads each co-support through the
-    engine's `co_support`, once per distinct union it verified."""
+    engine's `pair_cosupport`, once per distinct union it verified."""
     calls = Counter()
 
-    def counted(x, y):
-        calls["co_support"] += 1
-        return co_support(x, y)
-    monkeypatch.setattr(engine, "co_support", counted)
+    def counted(packed, i, j):
+        calls["co_support"] += len(i)
+        return pair_cosupport(packed, i, j)
+    monkeypatch.setattr(engine, "pair_cosupport", counted)
 
     make, theta = DATABASES[db_name]
     db = make()
@@ -214,6 +231,13 @@ def test_report_structure(toy_db):
     assert level2.overhead_hashes == 2 * 3
     assert level2.hash_bits_read == 2 * 3 * level2.phi
     assert any(k.startswith("level2:") for k in report.timings)
+    # an LSH level times its phases apart; a fallback level only joins
+    phases = {row.level: sorted(k.split(":")[1] for k in report.timings
+                                if k.startswith(f"level{row.level}:"))
+              for row in report.levels[1:]}
+    assert report.levels[1].lsh_active and report.levels[2].fallback_reason is not None
+    assert phases[2] == ["build", "query", "sweep", "verify"]
+    assert phases[3] == ["sweep"]
 
 
 def test_determinism_across_runs(toy_db):
@@ -244,3 +268,196 @@ def test_compare_oracle_guard():
     db = db_from_rows([list(range(21))])
     with pytest.raises(ValueError, match="too large"):
         compare_with_oracle(db, MiningConfig(theta=0.5))
+
+
+
+# The level screen against the per-record screen it replaced
+# (`conftest.reference_screen`), on levels of the benchmark's sizes.
+
+def engine_screen(monkeypatch, variant, level, ctx, params, index, early_exit=False):
+    """The engine's screen of `level` with `index` as the variant's index:
+    the found unions, distinct unions read, TN, FP, the query's result and
+    the pairs it screened."""
+    module = {"hamming": hamming_lsh, "covering": covering_lsh, "minhash": minhash_lsh}[variant]
+    seen = []
+    query = module.query
+    monkeypatch.setattr(module, "query",
+                        lambda *args, **kw: seen.append(query(*args, **kw)) or seen[-1])
+    hooks = replace(engine._LSH_VARIANTS[variant], build=lambda *args: index)
+    config = MiningConfig(theta=0.5, variant=variant, epsilon=0.5, delta=0.1,
+                          covering_early_exit=early_exit)
+    sweep = join_level(level, ctx.theta_count)
+    found, emitted, tn, fp = engine._screen_level(hooks, config, level, ctx, params, None, sweep,
+                                                  "level2", {})
+    return found, emitted, tn, fp, seen[0], sweep.ordered_pairs()
+
+
+def assert_screen_matches_reference(monkeypatch, variant, level, ctx, params, index,
+                                    reference_query, early_exit=False):
+    """Per query: the verified partners in visit order (with co-supports),
+    the found partners and the early exit, or MinHash's approved and
+    rejected partners; per level: the unions found and read, TN and FP."""
+    found, emitted, tn, fp, res, pairs = engine_screen(monkeypatch, variant, level, ctx, params,
+                                                       index, early_exit)
+    ref_found, ref_emitted, ref_tn, ref_fp, ref_results = reference_screen(
+        level, reference_join(level, ctx.theta_count), reference_query)
+    assert (emitted, tn, fp) == (ref_emitted, ref_tn, ref_fp)
+    assert found.keys() == ref_found.keys()
+    for qi, ref in enumerate(ref_results):
+        if variant == "minhash":
+            view = sketch_view(pairs, res, qi, params.rows)
+            assert (view.approved, view.rejected) == (ref.approved, ref.rejected), qi
+        else:
+            view = query_view(pairs, res, qi, index.p_keys.shape[1])
+            assert list(view.verified.items()) == list(ref.verified.items()), qi
+            assert view.partners == ref.partners, qi
+            assert view.early_exit == ref.early_exit, qi
+    return res, tn, fp
+
+
+@lru_cache(maxsize=2)
+def reference_join(level, theta_count):
+    return pairwise_join(list(level), theta_count)
+
+
+def negatives_level():
+    # shaped like the benchmark's `negatives`: 400 singletons over n = 2000,
+    # each item in 601..604 random rows, theta_count 600: no pair is frequent
+    rng = np.random.default_rng(41)
+    n, m = 2000, 400
+    hits = np.zeros((n, m), dtype=bool)
+    for item in range(m):
+        hits[rng.choice(n, size=601 + int(rng.integers(0, 4)), replace=False), item] = True
+    level = tuple(column_records(hits, [(item,) for item in range(m)]))
+    return level, LevelContext(n=n, m_l=m, alpha_count=max(r.support for r in level),
+                               theta_count=600)
+
+
+def planted_deep_level():
+    # the level dense-deep screens for level 5: four 8-item windows of a random order of 11
+    # items, each filling 85 of 800 rows, noise at 0.2 elsewhere; the
+    # frequent 4-itemsets at theta_count 60 are the windows' 4-subsets
+    rng = np.random.default_rng(42)
+    n, m = 800, 11
+    order, rows = rng.permutation(m), rng.permutation(n)
+    hits = np.zeros((n, m), dtype=bool)
+    for p in range(4):
+        hits[np.ix_(rows[p * 85:(p + 1) * 85], order[p:p + 8])] = True
+    hits[rows[340:]] = rng.random((n - 340, m)) < 0.2
+    level = tuple(r for r in column_records(hits, combinations(range(m), 4)) if r.support >= 60)
+    return level, LevelContext(n=n, m_l=len(level), alpha_count=max(r.support for r in level),
+                               theta_count=60)
+
+
+def hamming_reference(level, ctx, params, projections):
+    """A per-record probe of the dict tables of the same projections."""
+    masks = projection_masks(projections)
+    tables = reference_tables(level, masks, ctx)
+    return lambda i, q, compatible, verify: reference_probe(
+        tables, masks, q, ctx, compatible, verify, params.early_exit_budget)
+
+
+def test_screen_matches_reference_at_negatives_size(monkeypatch):
+    level, ctx = negatives_level()
+    seed = np.random.SeedSequence([1, 2])
+    pairs = len(level) * (len(level) - 1)
+
+    params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
+    assert (params.L, params.k) == (3, 29)
+    projections = np.random.default_rng(seed).integers(0, ctx.padded_length, (3, 29))
+    index = hamming_lsh.build_index(level, params, ctx, seed, projections=projections)
+    _, tn, fp = assert_screen_matches_reference(
+        monkeypatch, "hamming", level, ctx, params, index,
+        hamming_reference(level, ctx, params, projections))
+    assert fp > 0 and tn + fp == pairs
+
+    params = covering_lsh.derive_params(ctx, 0.5, 0.1)
+    assert params.mask_dim == 9
+    # a drawn phi keeps about half the positions in every mask, and nothing
+    # collides; one that maps all but 60 positions to 0 keeps at most those
+    # 60, so some keys collide and some fruitless queries exit early
+    sparse = np.zeros(ctx.padded_length, dtype=np.int64)
+    rng = np.random.default_rng(43)
+    sparse[rng.choice(ctx.padded_length, 60, replace=False)] = rng.integers(1, 512, 60)
+    collided = exits = 0
+    for phi, budget in ((None, params.early_exit_budget), (sparse, 5)):
+        params = replace(params, early_exit_budget=budget)
+        family = covering_lsh.build_family(params, seed, phi=phi)
+        index = covering_lsh.build_index(level, family, ctx, params)
+        tables = reference_tables(level, family.masks, ctx)
+        for early_exit in (False, True):
+            res, tn, fp = assert_screen_matches_reference(
+                monkeypatch, "covering", level, ctx, params, index,
+                lambda i, q, compatible, verify: reference_probe(
+                    tables, family.masks, q, ctx, compatible, verify,
+                    budget if early_exit else None),
+                early_exit)
+            assert tn + fp == pairs
+            collided += fp
+            exits += res.early_exit
+    assert collided > 0 and 0 < exits < len(level)
+
+    params = minhash_lsh.derive_params(ctx, 0.5, 0.1)
+    sketch = minhash_lsh.build_sketch(level, params, ctx, seed)
+    approved = 0
+    # the derived threshold approves no pair here; a lower one approves some
+    for accept in (params.accept_threshold, 0.3):
+        params = replace(params, accept_threshold=accept)
+        res, _, _ = assert_screen_matches_reference(
+            monkeypatch, "minhash", level, ctx, params, sketch,
+            lambda i, q, compatible, verify: reference_minhash_query(sketch, i, params,
+                                                                     compatible))
+        approved += len(res.approved)
+    assert 0 < approved < len(res.rejected)
+
+
+def test_screen_matches_reference_on_a_planted_deep_level(monkeypatch):
+    level, ctx = planted_deep_level()
+    assert len(level) == 175 and len(level[0].items) == 4
+    seed = np.random.SeedSequence([1, 5])
+    projections = np.random.default_rng(seed).integers(0, ctx.padded_length, (246, 10))
+    inspections = set()
+    # ceil(L / delta), then budgets that every query with a partner reaches:
+    # its first visits find a partner, and the rest are verified after them
+    for budget in (2460, 3, 1):
+        params = hamming_lsh.HammingLshParams(rho=0.9, k=10, L=246, early_exit_budget=budget)
+        index = hamming_lsh.build_index(level, params, ctx, seed, projections=projections)
+        res, tn, fp = assert_screen_matches_reference(
+            monkeypatch, "hamming", level, ctx, params, index,
+            hamming_reference(level, ctx, params, projections))
+        assert fp > 0 and len(res.partners) > 0 and res.early_exit == 0
+        inspections.add(res.inspections)
+    assert len(inspections) == 1 and inspections.pop() > budget * len(level)
+
+    params = minhash_lsh.derive_params(ctx, 0.5, 0.1)
+    sketch = minhash_lsh.build_sketch(level, params, ctx, seed)
+    res, _, _ = assert_screen_matches_reference(
+        monkeypatch, "minhash", level, ctx, params, sketch,
+        lambda i, q, compatible, verify: reference_minhash_query(sketch, i, params, compatible))
+    assert len(res.approved) > 0 and len(res.rejected) > 0
+
+
+def test_level_screen_memory_is_bounded():
+    # the transient memory of a negatives-size level screen: a few words per
+    # ordered pair, a few chunks of exact.PAIR_CHUNK_WORDS words, and the
+    # index; a step over every pair (or record) at once breaks the bound
+    level, ctx = negatives_level()
+    sweep = join_level(level, ctx.theta_count)
+    pairs = 2 * sweep.candidate_pairs
+    chunks = 16 * 8 * exact.PAIR_CHUNK_WORDS
+    words = (ctx.padded_length + 63) // 64
+    config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
+    hamming = hamming_lsh.derive_params(ctx, 0.5, 0.1)
+    covering = covering_lsh.derive_params(ctx, 0.5, 0.1)
+    masks = (1 << covering.mask_dim) - 1
+    for variant, params, index_bytes in (
+            ("hamming", hamming, 2 * len(level) * hamming.L * (hamming.k + 63) // 64 * 8),
+            ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8))):
+        tracemalloc.start()
+        try:
+            engine._screen_level(engine._LSH_VARIANTS[variant], config, list(level), ctx, params,
+                                 np.random.SeedSequence([1, 2]), sweep, "level2", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * pairs + chunks + index_bytes, variant

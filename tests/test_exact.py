@@ -13,7 +13,14 @@ from lshmine.exact import (
     union_if_compatible,
 )
 
-from conftest import TOY_FREQUENT, assert_same_join, db_from_rows, downward_closed, random_db
+from conftest import (
+    TOY_FREQUENT,
+    assert_same_join,
+    column_records,
+    db_from_rows,
+    downward_closed,
+    random_db,
+)
 
 
 def record(items, bits01):
@@ -75,18 +82,6 @@ def test_join_incompatible():
     level = [record([1, 2], "10"), record([3, 4], "10")]
     assert joined_unions(level) == []
     assert joined_unions([]) == []
-
-
-def column_records(hits, itemsets):
-    """Records for `itemsets` over a boolean (n, m) hit matrix: each vector
-    is the AND of its items' columns."""
-    n = hits.shape[0]
-    records = []
-    for items in itemsets:
-        rows = hits[:, list(items)].all(axis=1)
-        value = int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
-        records.append(ItemsetRecord.from_vector(tuple(items), BitVector(n, value)))
-    return records
 
 
 def test_join_matches_pairwise_at_negatives_size():

@@ -12,12 +12,20 @@ from lshmine.transform import (
 )
 
 from conftest import (
-    compatible,
-    direct_verify,
+    level_pairs,
+    pair_verify,
+    query_view,
     random_vector,
     shared_item_level,
     singleton_level,
 )
+
+
+def screen(index, level, ctx, qi):
+    """Query record qi's part of the Hamming screen of `level`."""
+    pairs = level_pairs(level)
+    res = query(index, pairs, ctx, pair_verify(level, pairs))
+    return query_view(pairs, res, qi, index.p_keys.shape[1])
 
 
 def test_derive_params_reference_values():
@@ -132,7 +140,7 @@ def test_query_recall_monte_carlo():
     trials = 200
     for t in range(trials):
         index = build_index(level, params, ctx, seed=t)
-        res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]))
+        res = screen(index, level, ctx, 0)
         if 1 not in res.partners:
             misses += 1
     assert misses / trials <= 0.1 + 3 * np.sqrt(0.1 * 0.9 / trials)
@@ -143,7 +151,7 @@ def test_query_single_record_level():
     params = HammingLshParams(rho=0.5, k=2, L=3, early_exit_budget=30)
     level = singleton_level([BitVector.from01("11110000")])
     index = build_index(level, params, ctx, seed=5)
-    res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]))
+    res = screen(index, level, ctx, 0)
     assert res.partners == [] and res.inspections == 0
 
 
@@ -157,7 +165,7 @@ def test_query_verification_filters_disjoint():
     params = HammingLshParams(rho=0.5, k=1, L=2, early_exit_budget=20)
     proj = np.full((2, 1), n - 1, dtype=np.int64)  # all vectors have bit n-1 == 0
     index = build_index(level, params, ctx, seed=0, projections=proj)
-    res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]))
+    res = screen(index, level, ctx, 0)
     assert res.partners == []
     assert res.inspections == 2          # both partners verified...
     assert res.verified == {1: 0, 2: 0}  # ...and found disjoint
@@ -186,7 +194,7 @@ def test_early_exit_budget():
     index = build_index(level, params, ctx, seed=0, projections=proj)
 
     assert all(co_support(q, p.vector) < 4 for p in level[1:])  # seed keeps them dissimilar
-    res = query(index, level[0], ctx, compatible(level, 0), direct_verify(level, level[0]))
+    res = screen(index, level, ctx, 0)
     assert res.early_exit
     assert res.inspections == 3
 
@@ -195,8 +203,7 @@ def test_early_exit_budget():
     ctx2 = LevelContext(n=n, m_l=len(level2), alpha_count=4, theta_count=4)
     index2 = build_index(level2, params, ctx2, seed=0,
                          projections=np.full((1, 1), always_zero, dtype=np.int64))
-    res2 = query(index2, level2[0], ctx2, compatible(level2, 0),
-                 direct_verify(level2, level2[0]))
+    res2 = screen(index2, level2, ctx2, 0)
     assert not res2.early_exit
     assert res2.inspections == len(level2) - 1
 
@@ -208,10 +215,9 @@ def test_determinism():
     params = derive_params(ctx, 0.3, 0.1)
     a = build_index(level, params, ctx, seed=123)
     b = build_index(level, params, ctx, seed=123)
-    assert a.masks == b.masks
+    assert np.array_equal(a.p_keys, b.p_keys) and np.array_equal(a.q_keys, b.q_keys)
     assert a.tables == b.tables
     for qi, q in enumerate(level):
-        partners, verify = compatible(level, qi), direct_verify(level, q)
-        ra, rb = query(a, q, ctx, partners, verify), query(b, q, ctx, partners, verify)
+        ra, rb = screen(a, level, ctx, qi), screen(b, level, ctx, qi)
         assert ra.partners == rb.partners
         assert ra.verified == rb.verified

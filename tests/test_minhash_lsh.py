@@ -11,7 +11,6 @@ from lshmine.minhash_lsh import (
     derive_params,
     estimate_js,
     query,
-    sketch_query_column,
 )
 from lshmine.transform import (
     PREPROCESS,
@@ -23,7 +22,13 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import compatible, random_vector, shared_item_level, singleton_level
+from conftest import level_pairs, random_vector, shared_item_level, singleton_level, sketch_view
+
+
+def screen(sketch, level, params, qi):
+    """Query record qi's part of the MinHash query of `level`."""
+    pairs = level_pairs(level)
+    return sketch_view(pairs, query(sketch, pairs, params), qi, params.rows)
 
 
 def test_derive_params_reference_values():
@@ -124,7 +129,7 @@ def test_estimate_mean_matches_true_jaccard():
     estimates = []
     for seed in range(40):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        qcol = sketch_query_column(sketch, level[1])
+        qcol = sketch.query_columns[:, 1]
         estimates.append(estimate_js(sketch.columns[:, 0], qcol))
     assert abs(np.mean(estimates) - 0.2) < 0.02
 
@@ -139,7 +144,7 @@ def test_query_extremes():
     params = derive_params(ctx, 0.2, 0.1)
     for seed in range(10):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        res = query(sketch, level[0], params, ctx, compatible(level, 0))
+        res = screen(sketch, level, params, 0)
         assert res.partners == [1]
         assert res.approved[1] == 1.0
         assert 2 in res.rejected
@@ -151,8 +156,9 @@ def test_query_does_not_touch_database():
     ctx = LevelContext(n=16, m_l=5, alpha_count=6, theta_count=3)
     params = derive_params(ctx, 0.5, 0.2)
     sketch = build_sketch(level, params, ctx, seed=1)
-    res = query(sketch, level[0], params, ctx, compatible(level, 0))
-    assert not hasattr(res, "reads")
+    pairs = level_pairs(level)
+    assert not hasattr(query(sketch, pairs, params), "reads")
+    res = sketch_view(pairs, query(sketch, pairs, params), 0, params.rows)
     assert set(res.approved) | set(res.rejected) == {1, 2, 3, 4}
 
 
@@ -160,10 +166,8 @@ def test_query_empty_level():
     ctx = LevelContext(n=8, m_l=0, alpha_count=4, theta_count=2)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=8, accept_threshold=0.5)
     sketch = build_sketch([], params, ctx, seed=0)
-    rng = np.random.default_rng(0)
-    q = singleton_level([random_vector(rng, 8, 4)])[0]
-    res = query(sketch, q, params, ctx, set())
-    assert res.partners == [] and res.approved == {}
+    res = query(sketch, level_pairs([]), params)
+    assert list(res.partners) == [] and len(res.approved) == 0
 
 
 def test_two_sided_bound_small():
@@ -182,8 +186,8 @@ def test_two_sided_bound_small():
     trials = 100
     for seed in range(trials):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        est_acc = estimate_js(sketch.columns[:, 0], sketch_query_column(sketch, level[1]))
-        est_rej = estimate_js(sketch.columns[:, 2], sketch_query_column(sketch, level[3]))
+        est_acc = estimate_js(sketch.columns[:, 0], sketch.query_columns[:, 1])
+        est_rej = estimate_js(sketch.columns[:, 2], sketch.query_columns[:, 3])
         if est_acc < (1 - params.eps_mh) * s_star - 1e-12:
             v1 += 1
         if est_rej > (1 + params.eps_mh) * params.omega + 1e-12:

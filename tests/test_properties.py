@@ -1,6 +1,7 @@
 """Property-based differential tests: the array join against the pairwise
-reference rule and the per-pair reference join, the Hamming mask tables
-against sampled-bit keys, the level-wide union memo against direct
+reference rule and the per-pair reference join, the Hamming tables against
+sampled-bit keys, the level screens of all three LSH variants against the
+per-record probes they replaced, the level-wide union memo against direct
 verification, the one-pass MinHash columns against minima over the padded
 positions, and every variant against the brute-force oracle."""
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import exact
+from lshmine import covering_lsh, exact
 from lshmine.dataset import BitVector, ItemsetRecord, co_support
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -20,8 +21,12 @@ from lshmine.exact import (
     join_level,
     union_if_compatible,
 )
-from lshmine.hamming_lsh import HammingLshParams, build_index, query, verify_collisions
-from lshmine.minhash_lsh import MinhashParams, build_sketch, sketch_query_column
+from lshmine.covering_lsh import CoveringParams, build_family
+from lshmine.covering_lsh import build_index as covering_build_index
+from lshmine.covering_lsh import query as covering_query
+from lshmine.hamming_lsh import HammingLshParams, build_index, query
+from lshmine.minhash_lsh import MinhashParams, build_sketch
+from lshmine.minhash_lsh import query as minhash_query
 from lshmine.transform import (
     PREPROCESS,
     QUERY,
@@ -30,7 +35,23 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import assert_same_join, db_from_rows, direct_verify, downward_closed
+from conftest import (
+    assert_same_join,
+    db_from_rows,
+    direct_verify,
+    downward_closed,
+    level_pairs,
+    pair_verify,
+    pairwise_join,
+    partners_and_positives,
+    projection_masks,
+    query_view,
+    reference_minhash_query,
+    reference_probe,
+    reference_tables,
+    sketch_view,
+    verify_collisions,
+)
 
 # derandomized, so the suite sees the same examples on every run
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -112,15 +133,16 @@ def test_join_matches_all_pairs_reference(level):
     assert sweep.distinct_candidates == len(unions)
     assert [(r.items, r.vector) for r in build_level(records, sweep.frequent, theta_count)] \
         == sorted(frequent.items())
+    all_partners, positives = partners_and_positives(sweep)
     for i in range(m):
-        partners = sweep.partners(i)
+        partners = all_partners[i]
         assert sorted(partners) == sorted(compatible[i])
         for j, y in partners.items():
             assert add_item(records[i].items, y) == \
                 union_if_compatible(records[i].items, records[j].items)
-        assert sweep.positives[i] == {j for j in compatible[i]
-                                      if (records[i].vector & records[j].vector).popcount()
-                                      >= theta_count}
+        assert positives[i] == {j for j in compatible[i]
+                                if (records[i].vector & records[j].vector).popcount()
+                                >= theta_count}
 
 
 def test_join_crosses_every_chunk_boundary(monkeypatch):
@@ -182,13 +204,20 @@ def test_hamming_masks_group_as_sampled_bits(case, budget):
             table.setdefault(key, []).append(idx)
         reference.append(table)
     assert [list(t.values()) for t in index.tables] == [list(t.values()) for t in reference]
+    pairs = level_pairs(records)
+    screened = query(index, pairs, ctx, pair_verify(records, pairs))
     for qi, q in enumerate(records):
         bits = padded_bits_array(q.vector, ctx, QUERY)
         buckets = [table.get(bits[row].tobytes()) for table, row in zip(reference, projections)]
         partners = set(range(len(records))) - {qi}
         verify = direct_verify(records, q)
-        assert query(index, q, ctx, partners, verify) == \
-            verify_collisions(buckets, partners, verify, ctx, budget)
+        ref = verify_collisions(buckets, partners, verify, ctx, budget)
+        assert_same_query(query_view(pairs, screened, qi, L), ref)
+        counts = table_counts(index, pairs, qi)
+        if not ref.early_exit:
+            assert counts == ref.collision_counts
+        # every table's Q key, past any early exit, against the probe without a budget
+        assert counts == verify_collisions(buckets, partners, verify, ctx, None).collision_counts
 
 
 @SETTINGS
@@ -204,23 +233,20 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
                        alpha_count=max([theta_count, *(r.support for r in records)]))
     index = build_index(records, HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget),
                         ctx, seed)
-    sweep = join_level(records, theta_count)
+    pairs = join_level(records, theta_count).ordered_pairs()
     support = {}
 
-    def shared(i):
-        partners = sweep.partners(i)
-
-        def verify(j):
-            u = add_item(records[i].items, partners[j])
+    def shared(sel):
+        out = []
+        for q, a, y in zip(pairs.q[sel].tolist(), pairs.a[sel].tolist(), pairs.y[sel].tolist()):
+            u = add_item(records[q].items, y)
             if u not in support:
-                support[u] = co_support(records[j].vector, records[i].vector)
-            return support[u]
-        return verify
+                support[u] = co_support(records[a].vector, records[q].vector)
+            out.append(support[u])
+        return np.array(out, dtype=np.int64)
 
-    for i, q in enumerate(records):
-        partners = sweep.partners(i)
-        assert index.probe(q, ctx, partners, shared(i), early_exit) == \
-            index.probe(q, ctx, partners, direct_verify(records, q), early_exit)
+    assert_same_screen(index.screen(pairs, ctx, shared, early_exit),
+                       index.screen(pairs, ctx, pair_verify(records, pairs), early_exit))
 
 
 def sketch_level(patterns, alpha_count):
@@ -245,7 +271,255 @@ def test_sketch_columns_are_padded_minima(level, rows, seed):
         for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
             expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
             assert np.array_equal(columns[:, i], expected)
-        assert np.array_equal(sketch_query_column(sketch, r), sketch.query_columns[:, i])
+    # the level query compares each pair's P column with its query's own Q column
+    pairs = level_pairs(records)
+    matches = [np.count_nonzero(sketch.columns[:, a] == sketch.query_columns[:, q])
+               for q, a in zip(pairs.q.tolist(), pairs.a.tolist())]
+    assert minhash_query(sketch, pairs, params).matches.tolist() == matches
+
+
+def assert_same_query(view, ref):
+    """A query record's part of a level screen against the per-record probe:
+    the same partners, the same verified partners in the same visit order
+    with the same co-supports, the same early exit, and the same collisions
+    (the probe counts them only up to its early exit)."""
+    assert view.partners == ref.partners
+    assert list(view.verified.items()) == list(ref.verified.items())
+    assert view.early_exit == ref.early_exit
+    if not ref.early_exit:
+        assert view.collided.keys() == ref.collision_counts.keys()
+
+
+def table_counts(index, pairs, qi):
+    """Per partner that query record qi collides with, the number of
+    tables in which they collide."""
+    mine = pairs.q == qi
+    counts = index.collisions(pairs.q[mine], pairs.a[mine]).sum(axis=1)
+    return {a: c for a, c in zip(pairs.a[mine].tolist(), counts.tolist()) if c}
+
+
+def assert_same_screen(a, b):
+    for name in ("first", "verified", "co", "partners", "exited"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def level_context(records, theta_count):
+    n = records[0].vector.length if records else theta_count
+    return LevelContext(n=n, m_l=len(records), theta_count=theta_count,
+                        alpha_count=max([theta_count, *(r.support for r in records)]))
+
+
+def assert_screen_matches_probe(records, theta_count, index, screen, probe):
+    """Every query record's part of `screen(pairs, verify)` against the
+    per-record `probe(q, compatible, verify)` of the same tables."""
+    pairs = level_pairs(records)
+    res = screen(pairs, pair_verify(records, pairs))
+    ref = pairwise_join(records, theta_count)
+    for qi, q in enumerate(records):
+        assert_same_query(query_view(pairs, res, qi, index.p_keys.shape[1]),
+                          probe(q, ref.partners(qi), direct_verify(records, q)))
+    return res
+
+
+@st.composite
+def screen_cases(draw):
+    """A level, L projection rows of k positions over its padded length (k
+    past 64 makes two-word keys) and an early-exit budget."""
+    records, theta_count = draw(levels())
+    length = level_context(records, theta_count).padded_length
+    k = draw(st.one_of(st.integers(1, 6), st.integers(63, 70)))
+    rows = draw(st.lists(st.lists(st.integers(0, length - 1), min_size=k, max_size=k),
+                         min_size=1, max_size=4))
+    return records, theta_count, np.array(rows, dtype=np.int64), draw(st.integers(1, 6))
+
+
+def check_hamming_screen(case):
+    records, theta_count, projections, budget = case
+    ctx = level_context(records, theta_count)
+    L, k = projections.shape
+    index = build_index(records, HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget),
+                        ctx, 0, projections=projections)
+    masks = projection_masks(projections)
+    tables = reference_tables(records, masks, ctx)
+    res = assert_screen_matches_probe(
+        records, theta_count, index, lambda pairs, verify: query(index, pairs, ctx, verify),
+        lambda q, compatible, verify: reference_probe(tables, masks, q, ctx, compatible, verify,
+                                                      budget))
+    pairs, ref = level_pairs(records), pairwise_join(records, theta_count)
+    for qi, q in enumerate(records):
+        assert table_counts(index, pairs, qi) == reference_probe(
+            tables, masks, q, ctx, ref.partners(qi), direct_verify(records, q),
+            None).collision_counts
+    return res
+
+
+def bits_level(patterns, theta_count):
+    """Singleton records from 0/1 strings, and a threshold."""
+    return [ItemsetRecord.from_vector((i,), BitVector.from01(p))
+            for i, p in enumerate(patterns)], theta_count
+
+
+# query 0 meets every record in table 0 (position 11 is 0 in every padded
+# vector) and visits them by index: two it is disjoint from, then its first
+# partner at position 3, then another
+FIRST_PARTNER_AT_3 = bits_level(["111000", "000111", "000111", "111000", "110000"], 2)
+NO_PARTNER = anded_level(6, [(0, 1), (0, 2), (3, 4)], [0b111011, 0b101101, 0b110111, 63, 62], 2)
+SCREEN_EDGES = [
+    *(FIRST_PARTNER_AT_3 + (np.array([[11]]), budget) for budget in (1, 2, 3, 4)),
+    # 70-bit keys over JOIN_EDGES[4], whose padded length is 65 + 2 * 3
+    JOIN_EDGES[4] + (np.array([[(7 * j) % 71 for j in range(70)], [j % 71 for j in range(70)]]), 2),
+    FIRST_PARTNER_AT_3 + (np.array([[3, 3, 11], [0, 6, 0]]), 1),   # repeated positions
+    # keys whose first 64 bits agree for every pair (position 11 is always
+    # 0), so only their second word tells the records apart
+    FIRST_PARTNER_AT_3 + (np.array([[11] * 64 + [0, 1, 2, 3, 4, 5]]), 3),
+    NO_PARTNER + (np.array([[0, 2], [5, 1]]), 1),
+    anded_level(5, [(0, 1, 2)], [31, 31, 31], 1) + (np.array([[0, 9]]), 1),   # one record
+    bits_level(["1100", "1110"], 2) + (np.array([[1], [6]]), 1),             # two records
+]
+
+
+@SETTINGS
+@given(screen_cases())
+@example(SCREEN_EDGES[0])
+@example(SCREEN_EDGES[1])
+@example(SCREEN_EDGES[2])
+@example(SCREEN_EDGES[3])
+@example(SCREEN_EDGES[4])
+@example(SCREEN_EDGES[5])
+@example(SCREEN_EDGES[6])
+@example(SCREEN_EDGES[7])
+@example(SCREEN_EDGES[8])
+@example(SCREEN_EDGES[9])
+def test_hamming_screen_matches_per_record_probe(case):
+    check_hamming_screen(case)
+
+
+def test_hamming_screen_budget_edges():
+    # budget 2 stops query 0 before its first partner; 3 and 4 reach it and
+    # then verify the rest; 1 stops it after one fruitless inspection
+    inspected = {}
+    for case in SCREEN_EDGES[:4]:
+        res = check_hamming_screen(case)
+        pairs = level_pairs(case[0])
+        view = query_view(pairs, res, 0, 1)
+        inspected[case[3]] = (view.inspections, view.early_exit)
+    assert inspected == {1: (1, True), 2: (2, True), 3: (4, False), 4: (4, False)}
+
+
+@st.composite
+def covering_cases(draw):
+    """A level, a covering map phi over its padded length, a budget and
+    whether queries may exit early."""
+    records, theta_count = draw(levels())
+    length = level_context(records, theta_count).padded_length
+    mask_dim = draw(st.integers(1, 4))
+    phi = draw(st.lists(st.integers(0, (1 << mask_dim) - 1), min_size=length, max_size=length))
+    return (records, theta_count, mask_dim, np.array(phi, dtype=np.int64),
+            draw(st.integers(1, 6)), draw(st.booleans()))
+
+
+def check_covering_screen(case):
+    records, theta_count, mask_dim, phi, budget, early_exit = case
+    ctx = level_context(records, theta_count)
+    params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
+                            early_exit_budget=budget)
+    family = build_family(params, 0, phi=phi)
+    index = covering_build_index(records, family, ctx, params)
+    tables = reference_tables(records, family.masks, ctx)
+    assert_screen_matches_probe(
+        records, theta_count, index,
+        lambda pairs, verify: covering_query(index, pairs, ctx, verify, early_exit),
+        lambda q, compatible, verify: reference_probe(tables, family.masks, q, ctx, compatible,
+                                                      verify, budget if early_exit else None))
+
+
+# the all-zero phi: every mask is 0, so every pair collides in every table
+ZERO_PHI = [FIRST_PARTNER_AT_3 + (3, np.zeros(12, dtype=np.int64), 2, early_exit)
+            for early_exit in (False, True)]
+
+
+@SETTINGS
+@given(covering_cases())
+@example(ZERO_PHI[0])
+@example(ZERO_PHI[1])
+def test_covering_screen_matches_per_record_probe(case):
+    check_covering_screen(case)
+
+
+def test_covering_confirms_every_fingerprint_collision(monkeypatch):
+    # with every fingerprint 0, every pair's fingerprints agree in every
+    # table, and only the masked words decide what collides
+    monkeypatch.setattr(covering_lsh, "_fingerprints", lambda rows, phi, mask_dim, r: np.zeros(
+        (rows.shape[1], (1 << mask_dim) - 1), dtype=np.uint64))
+    rng = np.random.default_rng(11)
+    for records, theta_count in (FIRST_PARTNER_AT_3, NO_PARTNER, JOIN_EDGES[4]):
+        length = level_context(records, theta_count).padded_length
+        for mask_dim, early_exit in ((1, False), (3, True), (4, False)):
+            phi = rng.integers(0, 1 << mask_dim, length)
+            check_covering_screen((records, theta_count, mask_dim, phi, 2, early_exit))
+
+
+@st.composite
+def sketch_cases(draw):
+    """A level, a sketch size and seed, an accept threshold, and whether to
+    move the threshold onto the first pair's match count."""
+    records, theta_count = draw(levels())
+    return (records, theta_count, draw(st.integers(1, 40)), draw(st.floats(0.0, 1.0)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+def check_minhash_screen(case):
+    records, theta_count, rows, accept, seed, at_boundary = case
+    ctx = level_context(records, theta_count)
+    sketch = build_sketch(records, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows,
+                                                 accept_threshold=accept), ctx, seed)
+    pairs = level_pairs(records)
+    if at_boundary and len(pairs.q):   # the first pair's hits are exactly rows * threshold
+        accept = np.count_nonzero(sketch.columns[:, pairs.a[0]]
+                                  == sketch.query_columns[:, pairs.q[0]]) / rows
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=accept)
+    res = minhash_query(sketch, pairs, params)
+    ref = pairwise_join(records, theta_count)
+    for qi in range(len(records)):
+        assert sketch_view(pairs, res, qi, rows) == \
+            reference_minhash_query(sketch, qi, params, ref.partners(qi))
+    if at_boundary and len(pairs.q):
+        assert 0 in res.approved
+
+
+# the first pair's hits at the threshold: 7 of 25 rows and 15 of 29, where
+# (hits / rows) * rows rounds above hits
+SKETCH_EDGES = [bits_level(["111000", "110100", "011100"], 2) + (rows, 0.5, seed, True)
+                for rows, seed in ((25, 0), (29, 1))]
+
+
+@SETTINGS
+@given(sketch_cases())
+@example(SKETCH_EDGES[0])
+@example(SKETCH_EDGES[1])
+def test_minhash_screen_matches_per_record_query(case):
+    check_minhash_screen(case)
+
+
+def test_screen_crosses_every_chunk_boundary(monkeypatch):
+    # one pair (or record) per chunk in every chunked step of the screens
+    # and their index builds
+    monkeypatch.setattr(exact, "PAIR_CHUNK_WORDS", 1)
+    for case in SCREEN_EDGES:
+        check_hamming_screen(case)
+    for case in ZERO_PHI:
+        check_covering_screen(case)
+    for case in SKETCH_EDGES:
+        check_minhash_screen(case)
+    rng = np.random.default_rng(10)
+    columns = [int(c) for c in rng.integers(0, 1 << 62, size=6)]
+    wide = [c | c << 62 | c << 124 for c in columns]   # n = 190: three words
+    records, theta_count = anded_level(190, combinations(range(6), 2), wide, 40)
+    length = level_context(records, theta_count).padded_length
+    check_hamming_screen((records, theta_count, rng.integers(0, length, (5, 66)), 3))
+    check_covering_screen((records, theta_count, 3, rng.integers(0, 8, length), 2, True))
+    check_minhash_screen((records, theta_count, 16, 0.3, 4, True))
 
 
 @st.composite
