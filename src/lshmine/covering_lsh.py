@@ -16,8 +16,11 @@ positions the mask keeps.  XOR is linear, so equal masked vectors have
 equal fingerprints, and grouping a record's positions by phi gives its
 fingerprint under all 2^mask_dim - 1 masks in mask_dim butterfly steps
 (`_fingerprints`).  Unequal masked vectors share a fingerprint only by
-chance (probability 2^-64), and the screen confirms every collision it
-acts on against the masked words themselves.
+chance (probability 2^-64).  Whichever way the screen finds collisions,
+comparing every pair's fingerprints or sorting each table's (chosen by
+`hamming_lsh.sort_pays`; with 2^mask_dim - 1 tables, sorting wins on wide
+levels), it confirms every one it acts on against the masked words
+themselves through one helper, `CoveringIndex._confirmed`.
 """
 
 from __future__ import annotations
@@ -158,18 +161,29 @@ class CoveringIndex(MaskIndex):
         the pair's next one is tried."""
         first = _first_true(hit)
         todo = np.flatnonzero(first < hit.shape[1])
-        words = self.padded_p.shape[1]
         while len(todo):
-            tables, row = np.unique(first[todo], return_inverse=True)
-            masks = np.frombuffer(b"".join(self.masks[t].to_bytes(8 * words, "little")
-                                           for t in tables.tolist()), dtype="<u8")
-            masks = masks.reshape(len(tables), words)
-            differ = ((self.padded_p[a[todo]] ^ self.padded_q[q[todo]]) & masks[row]).any(axis=1)
-            todo = todo[differ]
+            todo = todo[~self._confirmed(q[todo], a[todo], first[todo])]
             hit[todo, first[todo]] = False
             first[todo] = _first_true(hit[todo])
             todo = todo[first[todo] < hit.shape[1]]
         return first
+
+    def _confirmed(self, q: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Which of the fingerprint collisions of Q(q[i]) and P(a[i]) in
+        table t[i] are collisions: those whose masked padded words agree
+        too.  Each distinct table's mask words are built once per call, and
+        PAIR_CHUNK_WORDS words of each operand are read at a time."""
+        words = self.padded_p.shape[1]
+        tables, row = np.unique(t, return_inverse=True)
+        masks = np.frombuffer(b"".join(self.masks[x].to_bytes(8 * words, "little")
+                                       for x in tables.tolist()), dtype="<u8")
+        masks = masks.reshape(len(tables), words)
+        same = np.empty(len(q), dtype=bool)
+        step = exact.chunk_rows(words)
+        for s in range(0, len(q), step):
+            both = self.padded_p[a[s:s + step]] ^ self.padded_q[q[s:s + step]]
+            same[s:s + step] = ~(both & masks[row[s:s + step]]).any(axis=1)
+        return same
 
 
 def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelContext,

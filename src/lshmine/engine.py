@@ -4,13 +4,18 @@ I/O accounting that makes the variants comparable.
 `_produce_level` is the one level step.  It starts with the array join of
 `exact.join_level`, the only place that decides which pairs are
 compatible.  The exact variant and every fallback level keep its frequent
-unions.  An LSH level screens the join's compatible ordered pairs, rebuilt
-as arrays (`PairSweep.ordered_pairs`), in one query per level through the
-per-variant hooks of `_LSH_VARIANTS`, and keeps the unions of the pairs
-the query returns.  One `exact.build_level` call turns them into the next
-level.  Hamming and covering screen through one masked-projection index
-(`hamming_lsh.MaskIndex`) and differ only in where their keys come from
-and in the early-exit budget; MinHash compares sketch rows.
+unions.  An LSH level hands the join's compatible ordered pairs
+(`PairSweep.ordered_pairs`, read off the join's filings) to one query per
+level through the per-variant hooks of `_LSH_VARIANTS`, and keeps the
+unions of the pairs the query returns.  One `exact.build_level` call turns
+them into the next level.  Hamming and covering screen through one
+masked-projection index (`hamming_lsh.MaskIndex`) and differ only in where
+their keys come from and in the early-exit budget.  It finds each pair's
+first colliding table by comparing every pair's keys or, where
+`hamming_lsh.sort_pays` says the level's sizes favour it, by sorting each
+table's keys; on that path the screen, `verify` and the found unions read
+only the pairs they touch (`OrderedPairs.members`), and every ordered pair
+is never built.  MinHash compares the sketch rows of every pair.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and
@@ -240,7 +245,7 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
         unread = support[u] < 0
         new, at = np.unique(u[unread], return_index=True)
         read = sel[unread][at]
-        support[new] = pair_cosupport(sweep.packed, pairs.q[read], pairs.a[read])
+        support[new] = pair_cosupport(sweep.packed, *pairs.members(read)[:2])
         verified.reshape(-1)[sel] = True
         verify_s += time.perf_counter() - t
         return support[u]
@@ -248,9 +253,9 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     partners = variant.query(index, pairs, params, ctx, config, verify).partners
     verify(partners)   # MinHash's sketch-approved pairs are read here
     _, at = np.unique(sweep.pair_union[partners % sweep.candidate_pairs], return_index=True)
-    firsts = partners[at]
-    found = {add_item(current[q].items, y): (q, a) for q, a, y in
-             zip(pairs.q[firsts].tolist(), pairs.a[firsts].tolist(), pairs.y[firsts].tolist())}
+    q, a, y = pairs.members(partners[at])
+    found = {add_item(current[i].items, x): (i, j) for i, j, x in
+             zip(q.tolist(), a.tolist(), y.tolist())}
     timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
     timings[f"{tag}:verify"] = verify_s
     negative = ~sweep.pair_frequent   # per unordered pair, in both directions

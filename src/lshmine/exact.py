@@ -10,9 +10,11 @@ of every pair is a popcount over the level's vectors packed into 64-bit
 words (the vertical bitmaps of MAFIA, Burdick et al., ICDE 2001), and a
 sort of the pairs' union rows counts the distinct candidates and numbers
 them.  Python work is paid once per distinct frequent union.  An LSH
-level rebuilds the compatible ordered pairs from the filings
-(`PairSweep.ordered_pairs`); the exact variant and every fallback level
-never do.
+level reads the compatible ordered pairs off the filings
+(`PairSweep.ordered_pairs`): all of them, rebuilt by the join's own
+pairing step, or only those it names, each numbered in closed form from
+its two filings (`OrderedPairs.index` and its inverse `members`); the
+exact variant and every fallback level never do.
 
 `build_level` is the only place that turns candidate unions into a level
 (AND vector, threshold, sort): the join's frequent unions for the exact
@@ -26,8 +28,8 @@ miners always have an independent ground truth to be checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,14 +75,64 @@ class AprioriResult:
     itemsets: FrequentItemsetSet
 
 
-class OrderedPairs(NamedTuple):
-    """A level's compatible ordered pairs: query record q, partner record a,
-    and the item a adds to q.  Unordered pair p of the join is at p as
-    (i, j) and at p + candidate_pairs as (j, i)."""
+class OrderedPairs:
+    """A level's compatible ordered pairs, read off the join's filings:
+    query record q, partner record a, and the item a adds to q.  Unordered
+    pair p of the join is at p as (i, j) and at p + candidate_pairs as
+    (j, i).  `q`, `a` and `y` list every pair, built on first access;
+    `members` and `index` number only the pairs they are given."""
 
-    q: np.ndarray   # int32
-    a: np.ndarray   # int32
-    y: np.ndarray   # int32
+    def __init__(self, filings: np.ndarray):
+        self.filings = filings   # (3, m_l * l): record, item, group end
+        f = filings.shape[1]   # filing f pairs with the end[f] - f - 1 later ones of its group
+        self.candidate_pairs = int(filings[2].sum()) - f * (f + 1) // 2
+        self._every = None   # (3, len) int32 q, a, y of every pair, once built
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """Per filing, its first pair as the earlier filing of the two."""
+        later = self.filings[2] - np.arange(self.filings.shape[1]) - 1
+        return np.cumsum(later) - later
+
+    def __len__(self) -> int:
+        return 2 * self.candidate_pairs
+
+    def every(self) -> np.ndarray:
+        """q, a and y of every pair as (3, len) int32, built on first call by
+        the join's own pairing step."""
+        if self._every is None:
+            owner, item, end = self.filings
+            first, second = _filing_pairs(end)
+            half = len(first)
+            self._every = np.empty((3, 2 * half), dtype=np.int32)
+            self._every[0, :half], self._every[0, half:] = owner[first], owner[second]
+            self._every[1, :half], self._every[1, half:] = owner[second], owner[first]
+            self._every[2, :half], self._every[2, half:] = item[second], item[first]
+        return self._every
+
+    q = property(lambda self: self.every()[0])
+    a = property(lambda self: self.every()[1])
+    y = property(lambda self: self.every()[2])
+
+    def index(self, fq: np.ndarray, fa: np.ndarray) -> np.ndarray:
+        """The pair whose query is filed at fq and whose partner at fa, two
+        distinct filings of one group: pair start[lo] + (hi - lo - 1) of the
+        join, in the second half when the query's filing is the later."""
+        lo, hi = np.minimum(fq, fa), np.maximum(fq, fa)
+        return self.start[lo] + (hi - lo - 1) + self.candidate_pairs * (fq > fa)
+
+    def members(self, idx: np.ndarray):
+        """q, a and y of the pairs `idx`, the inverse of `index`: gathered
+        if every pair is built already, else read off the filings."""
+        if self._every is not None:
+            return tuple(self._every.take(idx, axis=1))
+        owner, item, _ = self.filings
+        swapped = idx >= self.candidate_pairs
+        unordered = idx - self.candidate_pairs * swapped
+        first = np.searchsorted(self.start, unordered, side="right") - 1
+        second = first + 1 + (unordered - self.start[first])
+        fq, fa = np.where(swapped, second, first), np.where(swapped, first, second)
+        return owner[fq], owner[fa], item[fa]
 
 
 @dataclass
@@ -107,16 +159,9 @@ class PairSweep:
     packed: np.ndarray = field(repr=False)          # (m_l, ceil(n/64)) "<u8"
 
     def ordered_pairs(self) -> OrderedPairs:
-        """Every compatible pair both ways, rebuilt from the filings by the
-        join's own pairing step.  Reads no co-support."""
-        owner, item, end = self.filings
-        first, second = _filing_pairs(end)
-        half = len(first)
-        pairs = OrderedPairs(*np.empty((3, 2 * half), dtype=np.int32))
-        pairs.q[:half], pairs.q[half:] = owner[first], owner[second]
-        pairs.a[:half], pairs.a[half:] = owner[second], owner[first]
-        pairs.y[:half], pairs.y[half:] = item[second], item[first]
-        return pairs
+        """Every compatible pair both ways, read off the filings.  Reads no
+        co-support."""
+        return OrderedPairs(self.filings)
 
 
 def add_item(items: tuple[int, ...], item: int) -> tuple[int, ...]:
@@ -204,6 +249,12 @@ def _filing_pairs(end: np.ndarray):
     first = np.repeat(f, later)
     second = np.arange(len(first)) + np.repeat(f + 1 - (np.cumsum(later) - later), later)
     return first, second
+
+
+def run_positions(counts: np.ndarray) -> np.ndarray:
+    """For runs of the given lengths laid end to end, each element's
+    position in its run: 0 .. counts[r]-1 for run r."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def pack_vectors(records: list[ItemsetRecord]) -> np.ndarray:

@@ -10,14 +10,23 @@ supports (`transform.padded_bit_rows`), and no vector is padded.
 
 `MaskIndex.screen` screens a whole level at once.  For every compatible
 ordered pair (q, a) of the join it finds the first table in which Q(q)
-and P(a) share a key, comparing key rows a chunk of pairs at a time.
-Each query then visits its colliding partners by (first table, partner
-index), the order in which probing its buckets table by table would meet
-them, and verifies them through the caller's `verify` (which decides what
-is read and charged) in two batches: every query's first `budget`
-partners, then the rest of each query that found a similar partner among
-those.  A query that found none there gives up early, as a per-record
-probe would after `budget` fruitless inspections.
+and P(a) share a key, in one of two ways (`MaskIndex.first_tables`).  The
+pairwise path compares the key rows of every pair in every table, a chunk
+of pairs at a time: O(pairs x tables).  The sort path sorts each table's
+P and Q keys, filed once per join filing and hashed with the filing's
+(l-1)-subset group, so only compatible pairs meet; it confirms each
+meeting and numbers its pair in closed form from the two filings:
+O(tables x F log F + meetings) for F = m_l * l filings, the bit-sampling
+lookup of Gionis, Indyk & Motwani.  `sort_pays` picks the sort path iff
+the pairwise path's words, pairs x key words per table, exceed
+SORT_FACTOR times a sort of the table's 2F keys.  Each query then visits
+its colliding partners by (first table, partner index), the order in
+which probing its buckets table by table would meet them, and verifies
+them through the caller's `verify` (which decides what is read and
+charged) in two batches: every query's first `budget` partners, then the
+rest of each query that found a similar partner among those.  A query
+that found none there gives up early, as a per-record probe would after
+`budget` fruitless inspections.
 """
 
 from __future__ import annotations
@@ -39,6 +48,20 @@ from .transform import (
     check_tolerances,
     padded_bit_rows,
 )
+
+# The sorted screen hashes each key, XOR its filing's group times MIX, to
+# the high 32 bits of its product with MIX (Fibonacci hashing), an odd
+# 64-bit constant; every meeting is confirmed, so no result depends on it.
+MIX = np.uint64(0x9E3779B97F4A7C15)
+HIGH, LOW = np.uint64(0xFFFFFFFF00000000), np.uint64(0xFFFFFFFF)
+# How many times more a sort step of one key costs than comparing one key
+# word of one pair (`sort_pays`).  Measured per level screen, both paths in
+# process, 2-vCPU host, median of 5, against pairs * key_words / (2F *
+# ceil(log2 2F)): at 19.95 (`negatives`, 400 singletons) sorting is 12x
+# faster for Hamming and 9x for covering's 511 tables; at 4.2 (60 random
+# singletons, n = 2000) 1.0-1.9x faster; at 2.79 (`wide`, 40 singletons)
+# 1.6x slower; at 0.02-1.0 (every `dense-deep` level) 2-7x slower.
+SORT_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -117,10 +140,18 @@ class MaskIndex:
         same = self.q_keys[q] == self.p_keys[a]
         return same[:, :, 0] if same.shape[2] == 1 else same.all(axis=2)
 
-    def first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Per ordered pair (q[p], a[p]), the first table in which they
-        collide, or the table count if none, PAIR_CHUNK_WORDS words of each
-        operand at a time."""
+    def first_tables(self, pairs: OrderedPairs) -> np.ndarray:
+        """Per ordered pair, the first table in which Q(q) and P(a)
+        collide, or the table count if none: by sorting each table's keys
+        where `sort_pays`, else by comparing every pair's key rows."""
+        if sort_pays(len(pairs), self.p_keys.shape[2], pairs.filings.shape[1]):
+            return self.sorted_first_tables(pairs)
+        return self.pairwise_first_tables(pairs.q, pairs.a)
+
+    def pairwise_first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """`first_tables` of the pairs (q[p], a[p]) by comparing their key
+        rows in every table, PAIR_CHUNK_WORDS words of each operand at a
+        time: O(pairs x tables), whatever collides."""
         first = np.empty(len(q), dtype=np.int32)
         step = exact.chunk_rows(self._pair_words())
         for s in range(0, len(q), step):
@@ -128,8 +159,39 @@ class MaskIndex:
             first[s:s + step] = self._first_collision(qs, as_, self.collisions(qs, as_))
         return first
 
+    def sorted_first_tables(self, pairs: OrderedPairs) -> np.ndarray:
+        """`first_tables` from one sort of each table's P and Q keys, a
+        chunk of tables at a time.  Each record's keys are filed once per
+        filing of the join, hashed with the filing's group, so a Q filing
+        meets the P filings of its own group and equal key, and others only
+        by chance.  A meeting settles the pair's first table once it is
+        confirmed: the same group, another record, the same whole key row,
+        and `_confirmed`.  The work is the sorts plus the meetings, not
+        pairs x tables."""
+        owner, _, end = pairs.filings
+        filings, tables = len(owner), self.p_keys.shape[1]
+        first = np.full(len(pairs), tables, dtype=np.int32)
+        group = np.tile(end.astype(np.uint64) * MIX, 2)
+        step = exact.chunk_rows(2 * filings)   # tables whose keys one sort takes
+        for t0 in range(0, tables if len(pairs) else 0, step):
+            keys = np.concatenate([self.p_keys[:, t0:t0 + step, 0].T[:, owner],
+                                   self.q_keys[:, t0:t0 + step, 0].T[:, owner]], axis=1)
+            for t, fq, fa in _meetings(keys ^ group, filings):
+                mine = (fq != fa) & (end[fq] == end[fa])
+                t, fq, fa = t[mine] + t0, fq[mine], fa[mine]
+                q, a = owner[fq], owner[fa]
+                real = (self.q_keys[q, t] == self.p_keys[a, t]).all(axis=1)
+                real[real] = self._confirmed(q[real], a[real], t[real])
+                np.minimum.at(first, pairs.index(fq[real], fa[real]), t[real].astype(np.int32))
+        return first
+
     def _pair_words(self) -> int:   # a pair's key row
         return self.p_keys.shape[1] * self.p_keys.shape[2]
+
+    def _confirmed(self, q: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Which of the key collisions of Q(q[i]) and P(a[i]) in table t[i]
+        are collisions: exact keys, so all of them."""
+        return np.ones(len(q), dtype=bool)
 
     def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
         return _first_true(hit)   # exact keys: a key collision is a collision
@@ -138,11 +200,13 @@ class MaskIndex:
                early_exit: bool) -> QueryResult:
         """Verify, through `verify(pair_indices) -> co-supports`, the pairs
         that collide in some table, in each query's visit order, under the
-        early-exit budget if `early_exit` is set."""
-        first = self.first_tables(pairs.q, pairs.a)
+        early-exit budget if `early_exit` is set.  Only the colliding pairs
+        are read off `pairs` (`members`)."""
+        first = self.first_tables(pairs)
         hit = np.flatnonzero(first < self.p_keys.shape[1])
-        visit = hit[np.lexsort((pairs.a[hit], first[hit], pairs.q[hit]))]
-        q = pairs.q[visit]
+        q, a, _ = pairs.members(hit)
+        order = np.lexsort((a, first[hit], q))
+        visit, q = hit[order], q[order]
         co = np.empty(len(visit), dtype=np.int64)
         exited = np.zeros(len(self.p_keys), dtype=bool)
         if not early_exit:
@@ -151,8 +215,7 @@ class MaskIndex:
         else:
             budget = self.early_exit_budget
             counts = np.bincount(q, minlength=len(self.p_keys))
-            position = np.arange(len(visit)) - np.repeat(np.cumsum(counts) - counts, counts)
-            head = position < budget
+            head = exact.run_positions(counts) < budget
             co[head] = verify(visit[head])
             found = np.zeros(len(self.p_keys), dtype=bool)
             found[q[head][co[head] >= ctx.theta_count]] = True
@@ -162,6 +225,46 @@ class MaskIndex:
             keep = head | tail
         verified, co = visit[keep], co[keep]
         return QueryResult(first, verified, co, verified[co >= ctx.theta_count], exited)
+
+
+def sort_pays(pairs: int, key_words: int, filings: int) -> bool:
+    """Whether a level screens by sorting keys: iff comparing every ordered
+    pair's key in a table, pairs * key_words words, costs more than
+    SORT_FACTOR sorts' worth of the table's 2 * filings keys,
+    2F * ceil(log2 2F)."""
+    keys = 2 * filings
+    return pairs * key_words > SORT_FACTOR * keys * (keys - 1).bit_length()
+
+
+def _meetings(keys: np.ndarray, filings: int):
+    """Per row of `keys` (one table: the filings' P keys, then their Q
+    keys), every Q filing with every P filing whose key has the same
+    32-bit hash, as arrays (row, Q filing, P filing) in row order, about
+    PAIR_CHUNK_WORDS meetings at a time."""
+    width = keys.shape[1]
+    # the hash in the high half and the column in the low: a plain sort
+    # groups equal hashes, P columns first
+    ranked = np.sort(keys * MIX & HIGH | np.arange(width, dtype=np.uint64), axis=1).reshape(-1)
+    hashes = ranked >> np.uint64(32)
+    same = hashes[1:] == hashes[:-1]   # as the key before it
+    same[width - 1::width] = False     # in another table
+    shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])   # keys in runs of two or more
+    column = (ranked[shared] & LOW).astype(np.int64)
+    new = np.r_[True, ~same[shared[1:] - 1]]
+    run = np.cumsum(new) - 1
+    is_p = column < filings
+    q_at = np.flatnonzero(~is_p)
+    count = np.bincount(run[is_p], minlength=len(new))[run[q_at]]   # the P keys it meets
+    q_at, count = q_at[count > 0], count[count > 0]
+    head = np.flatnonzero(new)[run[q_at]]   # its run's first P key
+    total = np.cumsum(count)
+    cuts = np.searchsorted(total, np.arange(exact.PAIR_CHUNK_WORDS, total[-1] if len(total) else 0,
+                                            exact.PAIR_CHUNK_WORDS))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(q_at)]):
+        c = count[lo:hi]
+        q = np.repeat(q_at[lo:hi], c)
+        p = np.repeat(head[lo:hi], c) + exact.run_positions(c)
+        yield shared[q] // width, column[q] - filings, column[p]
 
 
 def _first_true(hit: np.ndarray) -> np.ndarray:

@@ -461,3 +461,44 @@ def test_level_screen_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 32 * pairs + chunks + index_bytes, variant
+
+
+def test_level_screen_memory_is_bounded_with_4095_tables():
+    # covering at negatives size with mask_dim 12, 4,095 tables, on the sort
+    # path, held to test_level_screen_memory_is_bounded's bound
+    level, ctx = negatives_level()
+    sweep = join_level(level, ctx.theta_count)
+    params = covering_lsh.CoveringParams(
+        n_prime=ctx.padded_length, theta_prime=11, t=1, c=2.0, eps_round=0.5, nu=0.75,
+        mask_dim=12, psi_bound=8.0, early_exit_budget=80)
+    phi = np.random.default_rng(44).integers(0, 1 << 12, ctx.padded_length)
+    hooks = replace(engine._LSH_VARIANTS["covering"], build=lambda level, params, ctx, seed:
+                    covering_lsh.build_index(level, covering_lsh.build_family(params, seed, phi=phi),
+                                             ctx, params))
+    config = MiningConfig(theta=0.3, variant="covering", epsilon=0.5, delta=0.1)
+    pairs = 2 * sweep.candidate_pairs
+    masks, words = (1 << 12) - 1, (ctx.padded_length + 63) // 64
+    assert hamming_lsh.sort_pays(pairs, 1, len(level))
+    tracemalloc.start()
+    try:
+        engine._screen_level(hooks, config, list(level), ctx, params, np.random.SeedSequence([1, 2]),
+                             sweep, "level2", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    index_bytes = 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8)
+    assert peak < 32 * pairs + 16 * 8 * exact.PAIR_CHUNK_WORDS + index_bytes
+
+
+def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
+    # on the sort path the level screen, its verification and its found
+    # unions read pairs through `members`: every ordered pair is never built
+    level, ctx = negatives_level()
+    sweep = join_level(level, ctx.theta_count)
+    monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
+    config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
+    params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
+    _, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config, list(level),
+                                              ctx, params, np.random.SeedSequence([1, 2]), sweep,
+                                              "level2", {})
+    assert emitted > 0 and fp > 0 and tn + fp == 2 * sweep.candidate_pairs

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, co_support
-from lshmine.hamming_lsh import HammingLshParams, build_index, derive_params, query
+from lshmine.hamming_lsh import HammingLshParams, build_index, derive_params, query, sort_pays
 from lshmine.transform import (
     PREPROCESS,
     QUERY,
@@ -221,3 +221,19 @@ def test_determinism():
         ra, rb = screen(a, level, ctx, qi), screen(b, level, ctx, qi)
         assert ra.partners == rb.partners
         assert ra.verified == rb.verified
+
+
+def test_sort_pays_on_the_benchmark_shapes():
+    # negatives' level 2: 400 singletons, 159,600 ordered pairs, one key
+    # word per table for Hamming (k = 29) and for covering (a fingerprint)
+    ctx = LevelContext(n=2000, m_l=400, alpha_count=604, theta_count=600)
+    assert derive_params(ctx, 0.5, 0.1).k <= 64
+    assert sort_pays(159_600, 1, 400)
+    # wide's level 2: 40 singletons, 1,560 ordered pairs
+    assert not sort_pays(1_560, 1, 40)
+    # dense-deep's levels 2-9 (seed 1): (records, items each, ordered pairs)
+    for m_l, size, pairs in ((11, 1, 110), (49, 2, 790), (119, 3, 2306), (175, 4, 3530),
+                             (161, 5, 3010), (91, 6, 1370), (29, 7, 270), (4, 8, 6)):
+        assert not sort_pays(pairs, 1, m_l * size), m_l
+    # a level with no pair, or no record, never sorts
+    assert not sort_pays(0, 1, 1) and not sort_pays(0, 1, 0)

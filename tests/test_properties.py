@@ -1,17 +1,20 @@
 """Property-based differential tests: the array join against the pairwise
-reference rule and the per-pair reference join, the Hamming tables against
+reference rule and the per-pair reference join, the closed-form pair
+numbering against the join's own pairing step, the Hamming tables against
 sampled-bit keys, the level screens of all three LSH variants against the
-per-record probes they replaced, the level-wide union memo against direct
-verification, the one-pass MinHash columns against minima over the padded
-positions, and every variant against the brute-force oracle."""
+per-record probes they replaced, the sorted first-table screen against the
+pairwise one, the level-wide union memo against direct verification, the
+one-pass MinHash columns against minima over the padded positions, and
+every variant against the brute-force oracle."""
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import covering_lsh, exact
+from lshmine import covering_lsh, exact, hamming_lsh
 from lshmine.dataset import BitVector, ItemsetRecord, co_support
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -143,6 +146,25 @@ def test_join_matches_all_pairs_reference(level):
         assert positives[i] == {j for j in compatible[i]
                                 if (records[i].vector & records[j].vector).popcount()
                                 >= theta_count}
+
+
+@SETTINGS
+@given(levels())
+@example(JOIN_EDGES[0])
+@example(JOIN_EDGES[4])
+@example(JOIN_EDGES[6])
+def test_pair_numbering_round_trips(level):
+    # `members` reads every pair as the join's own pairing step lists it,
+    # and `index` numbers each pair from its two filings, both ways round
+    records, theta_count = level
+    pairs = join_level(records, theta_count).ordered_pairs()
+    q, a, y = pairs.members(np.arange(len(pairs)))
+    assert (q.tolist(), a.tolist(), y.tolist()) == \
+        (pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist())
+    first, second = exact._filing_pairs(pairs.filings[2])
+    half = pairs.candidate_pairs
+    assert pairs.index(first, second).tolist() == list(range(half))
+    assert pairs.index(second, first).tolist() == list(range(half, 2 * half))
 
 
 def test_join_crosses_every_chunk_boundary(monkeypatch):
@@ -458,6 +480,111 @@ def test_covering_confirms_every_fingerprint_collision(monkeypatch):
         for mask_dim, early_exit in ((1, False), (3, True), (4, False)):
             phi = rng.integers(0, 1 << mask_dim, length)
             check_covering_screen((records, theta_count, mask_dim, phi, 2, early_exit))
+
+
+# The two ways a mask index finds each pair's first colliding table, called
+# directly: the sort path against the pairwise path it stands in for.
+
+@st.composite
+def path_cases(draw):
+    """A level; a mask index spec over it, either Hamming's (L, k)
+    projection rows (k past 64 makes two-word keys) or covering's
+    (mask_dim, phi, blind), where a blind index has every fingerprint 0;
+    an early-exit budget; and whether each chunk holds one word."""
+    records, theta_count = draw(levels())
+    length = level_context(records, theta_count).padded_length
+    position = st.integers(0, length - 1)
+    if draw(st.booleans()):
+        k = draw(st.one_of(st.integers(1, 6), st.integers(63, 70)))
+        spec = np.array(draw(st.lists(st.lists(position, min_size=k, max_size=k),
+                                      min_size=1, max_size=4)), dtype=np.int64)
+    else:
+        mask_dim = draw(st.integers(1, 4))
+        phi = draw(st.lists(st.integers(0, (1 << mask_dim) - 1), min_size=length,
+                            max_size=length))
+        spec = (mask_dim, np.array(phi, dtype=np.int64), draw(st.booleans()))
+    return records, theta_count, spec, draw(st.integers(1, 6)), draw(st.booleans())
+
+
+def path_index(records, ctx, spec, budget):
+    if isinstance(spec, np.ndarray):   # Hamming's projection rows
+        L, k = spec.shape
+        params = HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget)
+        return build_index(records, params, ctx, 0, projections=spec)
+    mask_dim, phi, blind = spec
+    params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
+                            early_exit_budget=budget)
+    index = covering_build_index(records, build_family(params, 0, phi=phi), ctx, params)
+    if blind:   # every fingerprint agrees: only the masked words decide
+        index.p_keys[:] = 0
+        index.q_keys[:] = 0
+    return index
+
+
+def check_paths(case):
+    records, theta_count, spec, budget, one_word_chunks = case
+    ctx = level_context(records, theta_count)
+    index = path_index(records, ctx, spec, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        if one_word_chunks:   # a table chunk is one table, a meeting slice one query
+            patch.setattr(exact, "PAIR_CHUNK_WORDS", 1)
+        pairs = level_pairs(records)
+        first = index.sorted_first_tables(pairs)
+        assert first.dtype == np.int32
+        assert np.array_equal(first, index.pairwise_first_tables(pairs.q, pairs.a))
+        for early_exit in (False, True):
+            results = []
+            for sort in (True, False):
+                patch.setattr(hamming_lsh, "sort_pays", lambda *args, sort=sort: sort)
+                results.append(index.screen(pairs, ctx, pair_verify(records, pairs), early_exit))
+            assert_same_screen(*results)
+    return first
+
+
+many_groups = [(1 << 12) - 1 - (1 << c) for c in range(7)]   # every row but one per item
+PATH_EDGES = [
+    FIRST_PARTNER_AT_3 + (np.array([[11]]), 2, False),                            # l = 1
+    anded_level(12, combinations(range(6), 3), many_groups, 6) + (np.array([[0, 5, 13]]), 2, True),
+    anded_level(12, combinations(range(7), 4), many_groups, 5) + (np.array([[1, 2], [3, 20]]), 3,
+                                                                  False),
+    anded_level(6, [(0, 1), (2, 3), (4, 5)], [63, 62, 61, 59, 55, 47], 2)         # no pair
+    + (np.array([[0, 1]]), 1, False),
+    anded_level(5, [(0, 1, 2)], [31, 31, 31], 1) + (np.array([[0, 9]]), 1, False),   # one record
+    bits_level(["1100", "1110"], 2) + (np.array([[1], [6]]), 1, True),              # two records
+    # 70-bit keys whose first word agrees for every pair (position 11 is 0)
+    FIRST_PARTNER_AT_3 + (np.array([[11] * 64 + [0, 1, 2, 3, 4, 5]]), 3, False),
+    FIRST_PARTNER_AT_3 + ((3, np.arange(12) % 8, True), 2, False),                 # blind
+    FIRST_PARTNER_AT_3 + ((3, np.zeros(12, dtype=np.int64), False), 2, True),      # zero phi
+    anded_level(12, combinations(range(6), 3), many_groups, 6)
+    + ((2, np.arange(30) % 4, True), 1, True),
+]
+
+
+@SETTINGS
+@given(path_cases())
+@example(PATH_EDGES[0])
+@example(PATH_EDGES[1])
+@example(PATH_EDGES[2])
+@example(PATH_EDGES[3])
+@example(PATH_EDGES[4])
+@example(PATH_EDGES[5])
+@example(PATH_EDGES[6])
+@example(PATH_EDGES[7])
+@example(PATH_EDGES[8])
+@example(PATH_EDGES[9])
+def test_sort_path_matches_pairwise_path(case):
+    check_paths(case)
+
+
+def test_path_edges_collide_as_described():
+    # the edges reach what they name: many groups, no pair, every pair
+    # colliding in every table, and fingerprints that all collide
+    assert len(set(exact.join_level(PATH_EDGES[1][0], 1).filings[2].tolist())) == 15
+    assert len(check_paths(PATH_EDGES[3])) == 0
+    assert (check_paths(PATH_EDGES[8]) == 0).all()
+    blind = check_paths(PATH_EDGES[7])
+    assert 0 < np.count_nonzero(blind < 7) < len(blind)
 
 
 @st.composite
