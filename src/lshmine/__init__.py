@@ -27,7 +27,7 @@ from .engine import (
     compare_with_oracle,
     lsh_apriori_mine,
 )
-from .exact import FrequentItemsetSet, apriori_mine, brute_force_mine, join_level
+from .exact import FrequentItemsetSet, Level, apriori_mine, brute_force_mine, join_level
 from .transform import (
     DegenerateLevel,
     LevelContext,
@@ -45,6 +45,7 @@ __all__ = [
     "DegenerateLevel",
     "FrequentItemsetSet",
     "ItemsetRecord",
+    "Level",
     "LevelContext",
     "LevelStats",
     "MiningConfig",

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .dataset import ItemsetRecord
-from .exact import OrderedPairs
+from .exact import Level, OrderedPairs
 from .hamming_lsh import MaskIndex, QueryResult, _first_true, _grouped
 from .transform import (
     PREPROCESS,
@@ -186,12 +185,10 @@ class CoveringIndex(MaskIndex):
         return same
 
 
-def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelContext,
+def build_index(level: Level, family: CoveringFamily, ctx: LevelContext,
                 params: CoveringParams) -> CoveringIndex:
     """One table per mask; the key of record a under mask m is P(a) & m for
     indexing and Q(a) & m for querying, each held as its fingerprint."""
-    packed = exact.pack_vectors(level)
-    weights = np.array([r.support for r in level], dtype=np.int64)
     size = 1 << family.mask_dim
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
@@ -202,7 +199,7 @@ def build_index(level: list[ItemsetRecord], family: CoveringFamily, ctx: LevelCo
                                 size))   # bit rows, one positions, fingerprint rows
     for s in range(0, len(level), step):
         for role, vectors, fingerprints in zip((PREPROCESS, QUERY), padded, keys):
-            rows = padded_bit_rows(packed[s:s + step], weights[s:s + step], ctx, role)
+            rows = padded_bit_rows(level.packed[s:s + step], level.supports[s:s + step], ctx, role)
             as_bytes = vectors[s:s + step].view(np.uint8)
             as_bytes[:, :(len(rows) + 7) // 8] = np.packbits(rows, axis=0, bitorder="little").T
             fingerprints[s:s + step, :, 0] = _fingerprints(rows, family.phi, family.mask_dim, r)

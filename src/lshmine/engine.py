@@ -1,21 +1,19 @@
 """Level-wise mining driver: exact joins or LSH-screened joins, plus the
 I/O accounting that makes the variants comparable.
 
-`_produce_level` is the one level step.  It starts with the array join of
-`exact.join_level`, the only place that decides which pairs are
-compatible.  The exact variant and every fallback level keep its frequent
-unions.  An LSH level hands the join's compatible ordered pairs
-(`PairSweep.ordered_pairs`, read off the join's filings) to one query per
-level through the per-variant hooks of `_LSH_VARIANTS`, and keeps the
-unions of the pairs the query returns.  One `exact.build_level` call turns
-them into the next level.  Hamming and covering screen through one
-masked-projection index (`hamming_lsh.MaskIndex`) and differ only in where
-their keys come from and in the early-exit budget.  It finds each pair's
-first colliding table by comparing every pair's keys or, where
-`hamming_lsh.sort_pays` says the level's sizes favour it, by sorting each
-table's keys; on that path the screen, `verify` and the found unions read
-only the pairs they touch (`OrderedPairs.members`), and every ordered pair
-is never built.  MinHash compares the sketch rows of every pair.
+`_produce_level` is the one level step, from one `exact.Level` to the
+next; only `Level.records` turns a level into the output's records.  It
+starts with the array join of `exact.join_level`, the only place that
+decides which pairs are compatible.  The exact variant and every fallback
+level keep its frequent unions.  An LSH level hands the join's compatible
+ordered pairs (`PairSweep.ordered_pairs`) to one query per level through
+the per-variant hooks of `_LSH_VARIANTS`, and keeps the unions of the
+pairs the query returns, each as (q, a, y) of its first pair.  One
+`exact.build_level` call turns them into the next level.  Hamming and
+covering screen through one masked-projection index
+(`hamming_lsh.MaskIndex`) and differ only in where their keys come from
+and in the early-exit budget.  MinHash compares the sketch rows of every
+pair.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and
@@ -45,7 +43,6 @@ from . import covering_lsh, hamming_lsh, minhash_lsh
 from .dataset import TransactionDatabase, support_threshold
 from .exact import (
     FrequentItemsetSet,
-    add_item,
     brute_force_mine,
     build_level,
     frequent_singletons,
@@ -143,7 +140,7 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     scanned = len(db.columns)
     stats.append(_level_row(db.n, 1, current, candidates=scanned, emitted=scanned))
     while current:
-        fis.levels.append(current)
+        fis.levels.append(current.records())
         if config.max_level is not None and len(stats) >= config.max_level:
             break
         current, row = _produce_level(db, config, current, len(stats) + 1, theta_count, timings)
@@ -205,7 +202,7 @@ def _produce_level(db, config, current, level, theta_count, timings):
     variant = _LSH_VARIANTS.get(config.variant)
     params = fallback = None
     if variant is not None and m_l >= 2:
-        ctx = LevelContext(n=db.n, m_l=m_l, alpha_count=max(r.support for r in current),
+        ctx = LevelContext(n=db.n, m_l=m_l, alpha_count=int(current.supports.max()),
                            theta_count=theta_count)
         try:
             params = variant.derive(config, ctx)
@@ -219,15 +216,15 @@ def _produce_level(db, config, current, level, theta_count, timings):
                                                 sweep, tag, timings)
         hashes, phi = 2 * m_l, variant.phi(params, ctx)
 
-    nxt = build_level(current, unions, theta_count)   # drops the unions below threshold
+    nxt = build_level(current, *unions, theta_count)   # drops the unions below threshold
     return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted, sweep=sweep,
                            hashes=hashes, phi=phi, tn=tn, fp=fp, fallback=fallback)
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
     """One LSH level: build, screen the join's ordered pairs in one query,
-    verify what it returns.  Returns the found unions (each with a pair
-    that forms it), the number of distinct unions read, TN and FP."""
+    verify what it returns.  Returns the found unions, each as (q, a, y) of
+    a pair that forms it, the number of distinct unions read, TN and FP."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
@@ -245,7 +242,7 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
         unread = support[u] < 0
         new, at = np.unique(u[unread], return_index=True)
         read = sel[unread][at]
-        support[new] = pair_cosupport(sweep.packed, *pairs.members(read)[:2])
+        support[new] = pair_cosupport(current.packed, *pairs.members(read)[:2])
         verified.reshape(-1)[sel] = True
         verify_s += time.perf_counter() - t
         return support[u]
@@ -253,9 +250,7 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     partners = variant.query(index, pairs, params, ctx, config, verify).partners
     verify(partners)   # MinHash's sketch-approved pairs are read here
     _, at = np.unique(sweep.pair_union[partners % sweep.candidate_pairs], return_index=True)
-    q, a, y = pairs.members(partners[at])
-    found = {add_item(current[i].items, x): (i, j) for i, j, x in
-             zip(q.tolist(), a.tolist(), y.tolist())}
+    found = pairs.members(partners[at])
     timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
     timings[f"{tag}:verify"] = verify_s
     negative = ~sweep.pair_frequent   # per unordered pair, in both directions

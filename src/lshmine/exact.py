@@ -1,28 +1,23 @@
-"""Exact mining: the level-1 scan, the candidate join, the next-level
-builder, and a brute-force enumerator.
+"""Exact mining: the level format, the level-1 scan, the candidate join,
+the next-level builder, and a brute-force enumerator.
+
+`Level` is the one level format, arrays from the scan to the output: item
+rows, vectors packed into 64-bit words (the vertical bitmaps of MAFIA,
+Burdick et al., ICDE 2001) and supports.  `frequent_singletons` makes
+level 1 and `build_level` every later one, in one array step (co-support,
+threshold, sort, AND) from the candidate unions it is given: the join's
+frequent unions for the exact variant and every fallback level, the
+unions an LSH level found for the others.  `Level.records` gives the
+output's `ItemsetRecord`s.
 
 The join is the only place that decides Apriori compatibility.  It runs
-as whole-array steps, with no Python work per pair: each l-itemset is
-filed under its l subsets of size l-1, one sort groups the filings by
-subset, so two itemsets sharing l-1 items meet in exactly one group, and
-each one's left-out item gives their union (`add_item`).  The co-support
-of every pair is a popcount over the level's vectors packed into 64-bit
-words (the vertical bitmaps of MAFIA, Burdick et al., ICDE 2001), and a
-sort of the pairs' union rows counts the distinct candidates and numbers
-them.  Python work is paid once per distinct frequent union.  An LSH
-level reads the compatible ordered pairs off the filings
-(`PairSweep.ordered_pairs`): all of them, rebuilt by the join's own
-pairing step, or only those it names, each numbered in closed form from
-its two filings (`OrderedPairs.index` and its inverse `members`); the
-exact variant and every fallback level never do.
-
-`build_level` is the only place that turns candidate unions into a level
-(AND vector, threshold, sort): the join's frequent unions for the exact
-variant and every fallback level, the unions an LSH level found for the
-others.  None of it charges reads; the
-engine prices what it returns.  `apriori_mine` is the engine's exact
-variant.  The brute-force path shares no logic with any of it, so the
-miners always have an independent ground truth to be checked against.
+as whole-array steps, with no Python work per pair (see `join_level`).
+An LSH level reads the compatible ordered pairs off the join's filings
+(`OrderedPairs`); the exact variant and every fallback level never do.
+None of it charges reads; the engine prices what it returns.
+`apriori_mine` is the engine's exact variant.  The brute-force path
+shares no logic with any of it, so the miners always have an independent
+ground truth to be checked against.
 """
 
 from __future__ import annotations
@@ -73,6 +68,41 @@ class FrequentItemsetSet:
 @dataclass
 class AprioriResult:
     itemsets: FrequentItemsetSet
+
+
+@dataclass(eq=False)
+class Level:
+    """One level of l-itemsets as arrays, in item order: items, vectors as
+    rows of little-endian uint64 words (bit j is transaction j; the bits
+    past n are 0) and supports.  `records` gives it as `ItemsetRecord`s."""
+
+    items: np.ndarray      # (m_l, l) int64
+    packed: np.ndarray     # (m_l, ceil(n/64)) "<u8"
+    supports: np.ndarray   # (m_l,) int64
+    n: int
+    _records: list[ItemsetRecord] | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, records) -> "Level":
+        """The level of `records`, l-itemsets in item order, kept as its `records`."""
+        records = list(records)
+        size, n = (len(records[0].items), records[0].vector.length) if records else (1, 0)
+        words = (n + 63) // 64
+        packed = b"".join(r.vector.value.to_bytes(8 * words, "little") for r in records)
+        return cls(np.array([r.items for r in records], dtype=np.int64).reshape(-1, size),
+                   np.frombuffer(packed, dtype="<u8").reshape(len(records), words),
+                   np.array([r.support for r in records], dtype=np.int64), n, records)
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+    def records(self) -> list[ItemsetRecord]:
+        """The level as `ItemsetRecord`s, built on the first call."""
+        if self._records is None:
+            self._records = [ItemsetRecord(tuple(items), BitVector(self.n, int.from_bytes(
+                row.tobytes(), "little")), support) for items, row, support in
+                zip(self.items.tolist(), self.packed, self.supports.tolist())]
+        return self._records
 
 
 class OrderedPairs:
@@ -145,18 +175,15 @@ class PairSweep:
     record, the item, and the end of the columns filed under the same
     subset.  Per unordered pair, in the join's pair order, `pair_union`
     numbers its union among the distinct candidates and `pair_frequent`
-    says whether the union meets the threshold.  `packed` is the level's
-    vectors as rows of uint64 words."""
+    says whether the union meets the threshold."""
 
     candidate_pairs: int
     frequent_pairs: int
     distinct_candidates: int
-    records: list[ItemsetRecord]
-    frequent: dict[tuple[int, ...], tuple[int, int]]   # frequent union -> first pair of it
+    frequent: np.ndarray = field(repr=False)        # (3, F): first pair i, j and item j adds
     filings: np.ndarray = field(repr=False)         # (3, m_l * l): record, item, group end
     pair_union: np.ndarray = field(repr=False)      # (candidate_pairs,) in [0, distinct_candidates)
     pair_frequent: np.ndarray = field(repr=False)   # (candidate_pairs,) bool
-    packed: np.ndarray = field(repr=False)          # (m_l, ceil(n/64)) "<u8"
 
     def ordered_pairs(self) -> OrderedPairs:
         """Every compatible pair both ways, read off the filings.  Reads no
@@ -164,23 +191,20 @@ class PairSweep:
         return OrderedPairs(self.filings)
 
 
-def add_item(items: tuple[int, ...], item: int) -> tuple[int, ...]:
-    """The union of a sorted itemset and the item its join partner adds."""
-    return tuple(sorted((*items, item)))
-
-
-def build_level(records: list[ItemsetRecord], unions: dict[tuple[int, ...], tuple[int, int]],
-                theta_count: int) -> list[ItemsetRecord]:
-    """The next level from candidate unions, each given with one pair of
-    `records` indices that forms it: the pair's AND vector, kept iff it
-    meets theta_count, sorted by items."""
-    level = []
-    for u, (i, j) in unions.items():
-        vector = records[i].vector & records[j].vector
-        if vector.popcount() >= theta_count:
-            level.append(ItemsetRecord.from_vector(u, vector))
-    level.sort(key=lambda r: r.items)
-    return level
+def build_level(level: Level, i: np.ndarray, j: np.ndarray, y: np.ndarray,
+                theta_count: int) -> Level:
+    """The next level from distinct candidate unions, union u given by rows
+    i[u] and j[u] of `level` and the item y[u] that j adds to i: the unions
+    whose pair's AND meets theta_count, sorted by items."""
+    if not len(i):   # no union: the steps below would cost more than the mine
+        return Level(np.empty((0, level.items.shape[1] + 1), dtype=np.int64), level.packed[:0],
+                     level.supports[:0], level.n)
+    co = pair_cosupport(level.packed, i, j)
+    kept = co >= theta_count
+    items = np.sort(np.column_stack([level.items[i[kept]], y[kept]]), axis=1)
+    order = np.lexsort(items.T[::-1])
+    i, j = i[kept][order], j[kept][order]
+    return Level(items[order], level.packed[i] & level.packed[j], co[kept][order], level.n)
 
 
 def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
@@ -190,9 +214,9 @@ def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
     return union if len(union) == len(a) + 1 else None
 
 
-def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
+def join_level(level: Level, theta_count: int) -> PairSweep:
     """The candidate join of Agrawal & Srikant (VLDB 1994), with the support
-    of every union counted on the way, as whole-array steps.
+    of every union counted on the way, as whole-array steps over `level`.
 
     Every record is filed under its l subsets of size l-1 (one filing per
     item left out), the filings are grouped by subset with one lexsort, and
@@ -201,9 +225,8 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
     The distinct unions are counted by sorting the pairs' union rows (at
     l = 1 every pair's union is its own); the same sort numbers every
     pair's union and gives each frequent union its first pair."""
-    m = len(records)
-    size = len(records[0].items) if records else 1
-    items = np.array([r.items for r in records], dtype=np.int64).reshape(m, size)
+    items = level.items
+    m, size = items.shape
     others = np.array([[c for c in range(size) if c != k] for k in range(size)],
                       dtype=np.intp).reshape(size, size - 1)   # row k: the columns but k
     keys = items[:, others].reshape(m * size, size - 1)
@@ -220,8 +243,7 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
     first, second = _filing_pairs(end)
     i, j, y = owner[first], owner[second], left_out[second]
 
-    packed = pack_vectors(records)
-    is_frequent = pair_cosupport(packed, i, j) >= theta_count
+    is_frequent = pair_cosupport(level.packed, i, j) >= theta_count
 
     if size == 1:   # distinct singletons: every pair forms its own union
         distinct, firsts, union = len(i), np.flatnonzero(is_frequent), np.arange(len(i))
@@ -234,10 +256,9 @@ def join_level(records: list[ItemsetRecord], theta_count: int) -> PairSweep:
         union[order] = np.cumsum(runs) - 1
         kept = order[is_frequent[order]]
         firsts = kept[_run_starts(unions[kept])]
-    frequent = {add_item(records[a].items, x): (a, b) for a, b, x in
-                zip(i[firsts].tolist(), j[firsts].tolist(), y[firsts].tolist())}
-    return PairSweep(len(i), int(is_frequent.sum()), distinct, records, frequent,
-                     np.stack([owner, left_out, end]), union, is_frequent, packed)
+    return PairSweep(len(i), int(is_frequent.sum()), distinct,
+                     np.stack([i[firsts], j[firsts], y[firsts]]),
+                     np.stack([owner, left_out, end]), union, is_frequent)
 
 
 def _filing_pairs(end: np.ndarray):
@@ -255,14 +276,6 @@ def run_positions(counts: np.ndarray) -> np.ndarray:
     """For runs of the given lengths laid end to end, each element's
     position in its run: 0 .. counts[r]-1 for run r."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def pack_vectors(records: list[ItemsetRecord]) -> np.ndarray:
-    """The records' vectors as rows of little-endian uint64 words, shape
-    (len(records), ceil(n/64)); bit j of a row is transaction j."""
-    words = (records[0].vector.length + 63) // 64 if records else 0
-    return np.frombuffer(b"".join(r.vector.value.to_bytes(8 * words, "little")
-                                  for r in records), dtype="<u8").reshape(len(records), words)
 
 
 def chunk_rows(words_per_row: int) -> int:
@@ -288,11 +301,11 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)][:len(rows)]
 
 
-def frequent_singletons(db: TransactionDatabase, theta_count: int) -> list[ItemsetRecord]:
+def frequent_singletons(db: TransactionDatabase, theta_count: int) -> Level:
     """The level-1 scan: one support count per occurring item."""
     columns = db.columns
-    return [ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
-            if columns[item].popcount() >= theta_count]
+    return Level.of(ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
+                    if columns[item].popcount() >= theta_count)
 
 
 def apriori_mine(db: TransactionDatabase, theta: float) -> AprioriResult:

@@ -19,14 +19,17 @@ meeting and numbers its pair in closed form from the two filings:
 O(tables x F log F + meetings) for F = m_l * l filings, the bit-sampling
 lookup of Gionis, Indyk & Motwani.  `sort_pays` picks the sort path iff
 the pairwise path's words, pairs x key words per table, exceed
-SORT_FACTOR times a sort of the table's 2F keys.  Each query then visits
-its colliding partners by (first table, partner index), the order in
-which probing its buckets table by table would meet them, and verifies
-them through the caller's `verify` (which decides what is read and
-charged) in two batches: every query's first `budget` partners, then the
-rest of each query that found a similar partner among those.  A query
-that found none there gives up early, as a per-record probe would after
-`budget` fruitless inspections.
+SORT_FACTOR times a sort of the table's 2F keys.  Heavily shared keys
+(small k, covering's all-zero phi) make the meetings approach pairs x
+tables; the sort path counts a chunk's meetings before it confirms any,
+and gives way to the pairwise path when they exceed 1 / MEETING_FACTOR of
+its words.  Each query then visits its colliding partners by (first
+table, partner index), the order in which probing its buckets table by
+table would meet them, and verifies them through the caller's `verify`
+(which decides what is read and charged) in two batches: every query's
+first `budget` partners, then the rest of each query that found a
+similar partner among those.  A query that found none there gives up
+early, as a per-record probe would after `budget` fruitless inspections.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .dataset import ItemsetRecord
-from .exact import OrderedPairs
+from .exact import Level, OrderedPairs
 from .transform import (
     PREPROCESS,
     QUERY,
@@ -62,6 +64,14 @@ HIGH, LOW = np.uint64(0xFFFFFFFF00000000), np.uint64(0xFFFFFFFF)
 # singletons, n = 2000) 1.0-1.9x faster; at 2.79 (`wide`, 40 singletons)
 # 1.6x slower; at 0.02-1.0 (every `dense-deep` level) 2-7x slower.
 SORT_FACTOR = 4
+# How many times more one meeting of the sort path costs than comparing one
+# key word of one pair in one table (`first_tables`).  Measured on a
+# `negatives`-size level (400 singletons, n = 2000, 63 tables), both paths
+# in process, 2-vCPU host, min of 3: the two paths cost the same where the
+# meetings are 0.025-0.03 of pairs * key_words * tables, for Hamming (k from
+# 1 to 29) and for covering (phi zero on all but 3 to 90 positions); at
+# covering's all-zero phi (ratio 1.0) sorting is 43x slower.
+MEETING_FACTOR = 32
 
 
 @dataclass(frozen=True)
@@ -143,9 +153,14 @@ class MaskIndex:
     def first_tables(self, pairs: OrderedPairs) -> np.ndarray:
         """Per ordered pair, the first table in which Q(q) and P(a)
         collide, or the table count if none: by sorting each table's keys
-        where `sort_pays`, else by comparing every pair's key rows."""
-        if sort_pays(len(pairs), self.p_keys.shape[2], pairs.filings.shape[1]):
-            return self.sorted_first_tables(pairs)
+        where `sort_pays`, unless the keys of a table meet more than
+        pairs * key_words / MEETING_FACTOR times, else by comparing every
+        pair's key rows."""
+        key_words = self.p_keys.shape[2]
+        if sort_pays(len(pairs), key_words, pairs.filings.shape[1]):
+            first = self.sorted_first_tables(pairs, most=len(pairs) * key_words / MEETING_FACTOR)
+            if first is not None:
+                return first
         return self.pairwise_first_tables(pairs.q, pairs.a)
 
     def pairwise_first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -159,15 +174,16 @@ class MaskIndex:
             first[s:s + step] = self._first_collision(qs, as_, self.collisions(qs, as_))
         return first
 
-    def sorted_first_tables(self, pairs: OrderedPairs) -> np.ndarray:
+    def sorted_first_tables(self, pairs: OrderedPairs, most: float = math.inf) -> np.ndarray | None:
         """`first_tables` from one sort of each table's P and Q keys, a
-        chunk of tables at a time.  Each record's keys are filed once per
-        filing of the join, hashed with the filing's group, so a Q filing
-        meets the P filings of its own group and equal key, and others only
-        by chance.  A meeting settles the pair's first table once it is
-        confirmed: the same group, another record, the same whole key row,
-        and `_confirmed`.  The work is the sorts plus the meetings, not
-        pairs x tables."""
+        chunk of tables at a time, or None as soon as a chunk's keys meet
+        more than `most` times per table.  Each record's keys are filed
+        once per filing of the join, hashed with the filing's group, so a Q
+        filing meets the P filings of its own group and equal key, and
+        others only by chance.  A meeting settles the pair's first table
+        once it is confirmed: the same group, another record, the same
+        whole key row, and `_confirmed`.  The work is the sorts plus the
+        meetings, not pairs x tables."""
         owner, _, end = pairs.filings
         filings, tables = len(owner), self.p_keys.shape[1]
         first = np.full(len(pairs), tables, dtype=np.int32)
@@ -176,7 +192,10 @@ class MaskIndex:
         for t0 in range(0, tables if len(pairs) else 0, step):
             keys = np.concatenate([self.p_keys[:, t0:t0 + step, 0].T[:, owner],
                                    self.q_keys[:, t0:t0 + step, 0].T[:, owner]], axis=1)
-            for t, fq, fa in _meetings(keys ^ group, filings):
+            count, meetings = _meetings(keys ^ group, filings)
+            if count > most * len(keys):
+                return None
+            for t, fq, fa in meetings:
                 mine = (fq != fa) & (end[fq] == end[fa])
                 t, fq, fa = t[mine] + t0, fq[mine], fa[mine]
                 q, a = owner[fq], owner[fa]
@@ -239,8 +258,8 @@ def sort_pays(pairs: int, key_words: int, filings: int) -> bool:
 def _meetings(keys: np.ndarray, filings: int):
     """Per row of `keys` (one table: the filings' P keys, then their Q
     keys), every Q filing with every P filing whose key has the same
-    32-bit hash, as arrays (row, Q filing, P filing) in row order, about
-    PAIR_CHUNK_WORDS meetings at a time."""
+    32-bit hash: their count, and a generator of them as arrays (row, Q
+    filing, P filing) in row order, about PAIR_CHUNK_WORDS at a time."""
     width = keys.shape[1]
     # the hash in the high half and the column in the low: a plain sort
     # groups equal hashes, P columns first
@@ -258,13 +277,18 @@ def _meetings(keys: np.ndarray, filings: int):
     q_at, count = q_at[count > 0], count[count > 0]
     head = np.flatnonzero(new)[run[q_at]]   # its run's first P key
     total = np.cumsum(count)
-    cuts = np.searchsorted(total, np.arange(exact.PAIR_CHUNK_WORDS, total[-1] if len(total) else 0,
+    meetings = int(total[-1]) if len(total) else 0
+    cuts = np.searchsorted(total, np.arange(exact.PAIR_CHUNK_WORDS, meetings,
                                             exact.PAIR_CHUNK_WORDS))
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(q_at)]):
-        c = count[lo:hi]
-        q = np.repeat(q_at[lo:hi], c)
-        p = np.repeat(head[lo:hi], c) + exact.run_positions(c)
-        yield shared[q] // width, column[q] - filings, column[p]
+
+    def chunks():
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(q_at)]):
+            c = count[lo:hi]
+            q = np.repeat(q_at[lo:hi], c)
+            p = np.repeat(head[lo:hi], c) + exact.run_positions(c)
+            yield shared[q] // width, column[q] - filings, column[p]
+
+    return meetings, chunks()
 
 
 def _first_true(hit: np.ndarray) -> np.ndarray:
@@ -281,7 +305,7 @@ def _grouped(keys) -> dict:
     return table
 
 
-def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: LevelContext,
+def build_index(level: Level, params: HammingLshParams, ctx: LevelContext,
                 seed, projections: np.ndarray | None = None) -> MaskIndex:
     """Key every record's P- and Q-padded vector in each of the L tables.
 
@@ -297,15 +321,13 @@ def build_index(level: list[ItemsetRecord], params: HammingLshParams, ctx: Level
         projections = np.asarray(projections, dtype=np.int64)
         if projections.shape != (params.L, params.k):
             raise ValueError(f"projections must have shape {(params.L, params.k)}")
-    packed = exact.pack_vectors(level)
-    weights = np.array([r.support for r in level], dtype=np.int64)
     words = (params.k + 63) // 64
     step = exact.chunk_rows(max(-(-ctx.padded_length // 8), -(-params.L * params.k // 8),
                                 params.L * words))   # bit rows, sampled bits, keys
     keys = [np.empty((len(level), params.L, words), dtype=np.uint64) for _ in range(2)]
     for s in range(0, len(level), step):
         for role, out in zip((PREPROCESS, QUERY), keys):
-            rows = padded_bit_rows(packed[s:s + step], weights[s:s + step], ctx, role)
+            rows = padded_bit_rows(level.packed[s:s + step], level.supports[s:s + step], ctx, role)
             out[s:s + step] = _pack_bits(rows[projections])
     return MaskIndex(*keys, early_exit_budget=params.early_exit_budget)
 

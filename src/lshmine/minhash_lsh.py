@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .dataset import ItemsetRecord
-from .exact import OrderedPairs
+from .exact import Level, OrderedPairs
 from .transform import LevelContext, _ceil, check_tolerances
 
 DEFAULT_ROW_CAP = 2_000_000
@@ -77,27 +76,25 @@ class MinhashSketch:
     query_columns: np.ndarray  # (rows, m_l) minwise values of the Q-padded records
 
 
-def build_sketch(level: list[ItemsetRecord], params: MinhashParams, ctx: LevelContext,
-                 seed) -> MinhashSketch:
+def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -> MinhashSketch:
     """Draw `rows` seeded permutations of the padded universe and record the
     minwise value of every P-padded and Q-padded record under each."""
     n, alpha, length = ctx.n, ctx.alpha_count, ctx.padded_length
     if length > np.iinfo(np.int32).max:
         raise ValueError(f"padded length {length} does not fit int32")
+    if len(level) and level.n != n:
+        raise ValueError(f"vector length {level.n} != level n {n}")
+    if (level.supports > alpha).any():
+        raise ValueError(f"popcount {level.supports.max()} exceeds alpha_count {alpha}")
     rng = np.random.default_rng(seed)
     perms = np.tile(np.arange(length, dtype=np.int32), (params.rows, 1))
     rng.permuted(perms, axis=1, out=perms)
     own = np.ascontiguousarray(perms[:, :n].T)   # one row per transaction
     base = np.empty((params.rows, len(level)), dtype=np.int32)
-    gap = np.empty(len(level), dtype=np.int64)   # padding ones per record
-    for i, r in enumerate(level):
-        if r.vector.length != n:
-            raise ValueError(f"vector length {r.vector.length} != level n {n}")
-        ones = np.flatnonzero(r.vector.to_uint8())
-        if len(ones) > alpha:
-            raise ValueError(f"popcount {len(ones)} exceeds alpha_count {alpha}")
+    for i, row in enumerate(level.packed):
+        ones = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
         base[:, i] = own[ones].min(axis=0, initial=length)   # empty v: padding decides
-        gap[i] = alpha - len(ones)
+    gap = alpha - level.supports   # padding ones per record
     padded = gap > 0
     columns = []
     for offset in (n, n + alpha):

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
-from lshmine.exact import add_item, join_level, union_if_compatible
+from lshmine.exact import Level, join_level, union_if_compatible
 from lshmine.transform import LevelContext, pad_preprocess, pad_query
+
+
+def add_item(items, item):
+    """The union of a sorted itemset and the item its join partner adds."""
+    return tuple(sorted((*items, item)))
 
 
 def db_from_rows(rows, m=None):
@@ -124,14 +129,14 @@ def pairwise_join(records, theta_count):
     return PairwiseSweep(cpairs, fpairs, len(unions), records, buckets, positives, frequent)
 
 
-def partners_and_positives(sweep):
-    """Per record of a join, read off its ordered pairs: the compatible
-    records, each mapped to the item it adds, and those whose union the
-    join found frequent."""
+def partners_and_positives(sweep, m):
+    """Per record of a join of m records, read off its ordered pairs: the
+    compatible records, each mapped to the item it adds, and those whose
+    union the join found frequent."""
     pairs = sweep.ordered_pairs()
     frequent = np.tile(sweep.pair_frequent, 2).tolist()
-    partners = [{} for _ in sweep.records]
-    positives = [set() for _ in sweep.records]
+    partners = [{} for _ in range(m)]
+    positives = [set() for _ in range(m)]
     for q, a, y, f in zip(pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist(), frequent):
         partners[q][a] = y
         if f:
@@ -143,19 +148,35 @@ def assert_same_join(records, theta_count):
     """`exact.join_level` against `pairwise_join`: every count, the same
     frequent unions (each given by a pair that forms it and ANDs to the
     reference pair's vector), every positive and every partner."""
-    sweep, ref = join_level(records, theta_count), pairwise_join(records, theta_count)
+    sweep, ref = join_level(Level.of(records), theta_count), pairwise_join(records, theta_count)
     assert (sweep.candidate_pairs, sweep.frequent_pairs, sweep.distinct_candidates) == \
         (ref.candidate_pairs, ref.frequent_pairs, ref.distinct_candidates)
-    assert sweep.frequent.keys() == ref.frequent.keys()
-    for u, (i, j) in sweep.frequent.items():
+    frequent = {add_item(records[i].items, y): (i, j) for i, j, y in sweep.frequent.T.tolist()}
+    assert len(frequent) == sweep.frequent.shape[1]
+    assert frequent.keys() == ref.frequent.keys()
+    for u, (i, j) in frequent.items():
         a, b = ref.frequent[u]
         assert union_if_compatible(records[i].items, records[j].items) == u
         assert records[i].vector & records[j].vector == records[a].vector & records[b].vector
-    partners, positives = partners_and_positives(sweep)
+    partners, positives = partners_and_positives(sweep, len(records))
     assert positives == ref.positives
     for i in range(len(records)):
         assert partners[i] == ref.partners(i)
     return sweep
+
+
+def reference_build_level(records, unions, theta_count):
+    """The next level one union at a time over Python-int vectors: each
+    union (mapped to a pair of `records` indices that forms it) gets the
+    pair's AND vector, kept iff it meets theta_count, sorted by items.
+    `exact.build_level` must build the same records."""
+    level = []
+    for u, (i, j) in unions.items():
+        vector = records[i].vector & records[j].vector
+        if vector.popcount() >= theta_count:
+            level.append(ItemsetRecord.from_vector(u, vector))
+    level.sort(key=lambda r: r.items)
+    return level
 
 
 def direct_verify(level, q):
@@ -167,7 +188,7 @@ def direct_verify(level, q):
 
 def level_pairs(level):
     """The join's compatible ordered pairs of `level`, which a level screen takes."""
-    return join_level(level, 1).ordered_pairs()
+    return join_level(Level.of(level), 1).ordered_pairs()
 
 
 def pair_verify(level, pairs):

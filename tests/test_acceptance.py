@@ -14,7 +14,7 @@ import pytest
 from lshmine.covering_lsh import CoveringParams, build_family, verify_covering
 from lshmine.dataset import BitVector, TransactionDatabase, co_support
 from lshmine.engine import MiningConfig, accounting_check, compare_with_oracle, lsh_apriori_mine
-from lshmine.exact import apriori_mine, brute_force_mine
+from lshmine.exact import Level, apriori_mine, brute_force_mine
 from lshmine.hamming_lsh import build_index as hamming_build
 from lshmine.hamming_lsh import derive_params as hamming_derive
 from lshmine.hamming_lsh import query as hamming_query
@@ -197,7 +197,7 @@ def hamming_trials():
     infrequent_collisions = []
     pairs = level_pairs(level)
     for t in range(trials):
-        index = hamming_build(level, params, ctx, seed=t)
+        index = hamming_build(Level.of(level), params, ctx, seed=t)
         screened = hamming_query(index, pairs, ctx, pair_verify(level, pairs))
         collision_counts = index.collisions(pairs.q, pairs.a).sum(axis=1)
         for qi, pi in ((0, 1), (1, 0)):
@@ -260,7 +260,7 @@ def test_c07_minhash_two_sided_bound():
     upper = (1 + params.eps_mh) * params.omega
     v_low = v_high = 0
     for seed in range(trials):
-        sketch = build_sketch(level, params, ctx, seed=seed)
+        sketch = build_sketch(Level.of(level), params, ctx, seed=seed)
         est_acc = estimate_js(sketch.columns[:, 0], sketch.query_columns[:, 1])
         est_rej = estimate_js(sketch.columns[:, 2], sketch.query_columns[:, 3])
         if est_acc < lower - 1e-12:

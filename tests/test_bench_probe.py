@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lshmine.engine import MiningConfig, lsh_apriori_mine
+from lshmine.exact import Level
 from lshmine.minhash_lsh import MinhashParams, build_sketch
 from lshmine.transform import LevelContext
 
@@ -37,7 +38,7 @@ def test_sketch_bytes_reads_a_real_sketch(probe):
     level = shared_item_level([random_vector(rng, 20, 8) for _ in range(6)])
     ctx = LevelContext(n=20, m_l=6, alpha_count=8, theta_count=4)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=32, accept_threshold=0.5)
-    sketch = build_sketch(level, params, ctx, seed=1)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=1)
     observer = probe.Probe(spans=False)
     probe._sketch_bytes(observer, sketch, None)
     assert observer.counters["minhash_lsh.sketch_bytes"] == \

@@ -14,6 +14,7 @@ from lshmine.covering_lsh import (
     verify_covering,
 )
 from lshmine.dataset import BitVector, co_support
+from lshmine.exact import Level
 from lshmine.transform import DegenerateLevel, LevelContext, pad_preprocess
 
 from conftest import level_pairs, pair_verify, query_view, random_vector, singleton_level
@@ -138,7 +139,7 @@ def test_index_zero_mask_single_bucket():
     ctx = LevelContext(n=n, m_l=5, alpha_count=3, theta_count=3)
     params = small_params(n_prime=ctx.padded_length, mask_dim=3)
     fam = build_family(params, seed=0, phi=np.zeros(ctx.padded_length, dtype=np.int64))
-    index = build_index(level, fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx, params)
     for table in index.tables:
         assert list(table) == [0] and sorted(table[0]) == [0, 1, 2, 3, 4]
     res = screen(index, level, ctx, 0)
@@ -155,7 +156,7 @@ def test_index_all_ones_mask_partitions_by_vector():
     params = small_params(n_prime=ctx.padded_length, mask_dim=1, theta_prime=0)
     fam = build_family(params, seed=0, phi=np.ones(ctx.padded_length, dtype=np.int64))
     assert fam.masks == [(1 << ctx.padded_length) - 1]
-    index = build_index(level, fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx, params)
     keys = {pad_preprocess(v, ctx).bits.value for v in vectors}
     assert set(index.tables[0]) == keys
     assert sorted(map(tuple, index.tables[0].values())) == [(0, 1), (2,)]
@@ -176,7 +177,7 @@ def test_close_pairs_always_share_a_bucket():
         ctx = LevelContext(n=n, m_l=5, alpha_count=alpha, theta_count=theta_count)
         params = derive_params(ctx, epsilon=0.5, delta=0.1, mask_dim_cap=16)
         fam = build_family(params, seed=trial)
-        index = build_index(level, fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx, params)
         padded = [pad_preprocess(v, ctx).bits.value for v in vectors]
         res = screen_all(index, level, ctx)
         for i in range(5):
@@ -207,7 +208,7 @@ def test_query_no_misses_on_random_levels():
         except FamilyTooLarge:
             continue
         fam = build_family(params, seed=1000 + trial)
-        index = build_index(level, fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx, params)
         for qi, res in enumerate(screen_all(index, level, ctx)):
             expected = {i for i in range(m_l)
                         if i != qi and co_support(vectors[qi], vectors[i]) >= theta_count}
@@ -223,7 +224,7 @@ def test_query_disjoint_level_empty():
     ctx = LevelContext(n=n, m_l=4, alpha_count=3, theta_count=2)
     params = derive_params(ctx, 0.5, 0.1, mask_dim_cap=16)
     fam = build_family(params, seed=2)
-    index = build_index(level, fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx, params)
     for res in screen_all(index, level, ctx):
         assert res.partners == []
 
@@ -240,7 +241,7 @@ def test_false_positive_load_within_bound():
     totals = []
     for seed in range(30):
         fam = build_family(params, seed=seed)
-        index = build_index(level, fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx, params)
         for res in screen_all(index, level, ctx):
             fp = sum(1 for idx, co in res.verified.items() if co < theta_count)
             totals.append(fp)
@@ -256,7 +257,7 @@ def test_early_exit_flag():
     base = small_params(n_prime=ctx.padded_length, mask_dim=3)
     params = replace(base, early_exit_budget=2)
     fam = build_family(params, seed=0, phi=np.zeros(ctx.padded_length, dtype=np.int64))
-    index = build_index(level, fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx, params)
     q = level[0]
     assert all(co_support(q.vector, v) < 3 for v in vectors[1:])
     res_off = screen(index, level, ctx, 0, early_exit=False)
@@ -284,7 +285,7 @@ def test_early_exit_miss_probability_within_delta():
     misses = 0
     for seed in range(trials):
         fam = build_family(params, seed=seed)
-        index = build_index(level, fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx, params)
         res = screen(index, level, ctx, 0, early_exit=True)
         if len(level) - 1 not in res.partners:
             misses += 1

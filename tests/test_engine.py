@@ -16,11 +16,18 @@ from lshmine.engine import (
     compare_with_oracle,
     lsh_apriori_mine,
 )
-from lshmine.exact import apriori_mine, brute_force_mine, join_level, pair_cosupport
+from lshmine.exact import (
+    Level,
+    apriori_mine,
+    brute_force_mine,
+    join_level,
+    pair_cosupport,
+)
 from lshmine.transform import LevelContext
 
 from conftest import (
     TOY_FREQUENT,
+    add_item,
     column_records,
     db_from_rows,
     downward_closed,
@@ -286,9 +293,9 @@ def engine_screen(monkeypatch, variant, level, ctx, params, index, early_exit=Fa
     hooks = replace(engine._LSH_VARIANTS[variant], build=lambda *args: index)
     config = MiningConfig(theta=0.5, variant=variant, epsilon=0.5, delta=0.1,
                           covering_early_exit=early_exit)
-    sweep = join_level(level, ctx.theta_count)
-    found, emitted, tn, fp = engine._screen_level(hooks, config, level, ctx, params, None, sweep,
-                                                  "level2", {})
+    sweep = join_level(Level.of(level), ctx.theta_count)
+    found, emitted, tn, fp = engine._screen_level(hooks, config, Level.of(level), ctx, params, None,
+                                                  sweep, "level2", {})
     return found, emitted, tn, fp, seen[0], sweep.ordered_pairs()
 
 
@@ -302,7 +309,9 @@ def assert_screen_matches_reference(monkeypatch, variant, level, ctx, params, in
     ref_found, ref_emitted, ref_tn, ref_fp, ref_results = reference_screen(
         level, reference_join(level, ctx.theta_count), reference_query)
     assert (emitted, tn, fp) == (ref_emitted, ref_tn, ref_fp)
-    assert found.keys() == ref_found.keys()
+    q, _, y = found
+    assert {add_item(level[i].items, x) for i, x in zip(q.tolist(), y.tolist())} == \
+        ref_found.keys()
     for qi, ref in enumerate(ref_results):
         if variant == "minhash":
             view = sketch_view(pairs, res, qi, params.rows)
@@ -365,7 +374,7 @@ def test_screen_matches_reference_at_negatives_size(monkeypatch):
     params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
     assert (params.L, params.k) == (3, 29)
     projections = np.random.default_rng(seed).integers(0, ctx.padded_length, (3, 29))
-    index = hamming_lsh.build_index(level, params, ctx, seed, projections=projections)
+    index = hamming_lsh.build_index(Level.of(level), params, ctx, seed, projections=projections)
     _, tn, fp = assert_screen_matches_reference(
         monkeypatch, "hamming", level, ctx, params, index,
         hamming_reference(level, ctx, params, projections))
@@ -383,7 +392,7 @@ def test_screen_matches_reference_at_negatives_size(monkeypatch):
     for phi, budget in ((None, params.early_exit_budget), (sparse, 5)):
         params = replace(params, early_exit_budget=budget)
         family = covering_lsh.build_family(params, seed, phi=phi)
-        index = covering_lsh.build_index(level, family, ctx, params)
+        index = covering_lsh.build_index(Level.of(level), family, ctx, params)
         tables = reference_tables(level, family.masks, ctx)
         for early_exit in (False, True):
             res, tn, fp = assert_screen_matches_reference(
@@ -398,7 +407,7 @@ def test_screen_matches_reference_at_negatives_size(monkeypatch):
     assert collided > 0 and 0 < exits < len(level)
 
     params = minhash_lsh.derive_params(ctx, 0.5, 0.1)
-    sketch = minhash_lsh.build_sketch(level, params, ctx, seed)
+    sketch = minhash_lsh.build_sketch(Level.of(level), params, ctx, seed)
     approved = 0
     # the derived threshold approves no pair here; a lower one approves some
     for accept in (params.accept_threshold, 0.3):
@@ -421,7 +430,7 @@ def test_screen_matches_reference_on_a_planted_deep_level(monkeypatch):
     # its first visits find a partner, and the rest are verified after them
     for budget in (2460, 3, 1):
         params = hamming_lsh.HammingLshParams(rho=0.9, k=10, L=246, early_exit_budget=budget)
-        index = hamming_lsh.build_index(level, params, ctx, seed, projections=projections)
+        index = hamming_lsh.build_index(Level.of(level), params, ctx, seed, projections=projections)
         res, tn, fp = assert_screen_matches_reference(
             monkeypatch, "hamming", level, ctx, params, index,
             hamming_reference(level, ctx, params, projections))
@@ -430,7 +439,7 @@ def test_screen_matches_reference_on_a_planted_deep_level(monkeypatch):
     assert len(inspections) == 1 and inspections.pop() > budget * len(level)
 
     params = minhash_lsh.derive_params(ctx, 0.5, 0.1)
-    sketch = minhash_lsh.build_sketch(level, params, ctx, seed)
+    sketch = minhash_lsh.build_sketch(Level.of(level), params, ctx, seed)
     res, _, _ = assert_screen_matches_reference(
         monkeypatch, "minhash", level, ctx, params, sketch,
         lambda i, q, compatible, verify: reference_minhash_query(sketch, i, params, compatible))
@@ -442,7 +451,7 @@ def test_level_screen_memory_is_bounded():
     # ordered pair, a few chunks of exact.PAIR_CHUNK_WORDS words, and the
     # index; a step over every pair (or record) at once breaks the bound
     level, ctx = negatives_level()
-    sweep = join_level(level, ctx.theta_count)
+    sweep = join_level(Level.of(level), ctx.theta_count)
     pairs = 2 * sweep.candidate_pairs
     chunks = 16 * 8 * exact.PAIR_CHUNK_WORDS
     words = (ctx.padded_length + 63) // 64
@@ -455,8 +464,8 @@ def test_level_screen_memory_is_bounded():
             ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8))):
         tracemalloc.start()
         try:
-            engine._screen_level(engine._LSH_VARIANTS[variant], config, list(level), ctx, params,
-                                 np.random.SeedSequence([1, 2]), sweep, "level2", {})
+            engine._screen_level(engine._LSH_VARIANTS[variant], config, Level.of(level), ctx,
+                                 params, np.random.SeedSequence([1, 2]), sweep, "level2", {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,7 +476,7 @@ def test_level_screen_memory_is_bounded_with_4095_tables():
     # covering at negatives size with mask_dim 12, 4,095 tables, on the sort
     # path, held to test_level_screen_memory_is_bounded's bound
     level, ctx = negatives_level()
-    sweep = join_level(level, ctx.theta_count)
+    sweep = join_level(Level.of(level), ctx.theta_count)
     params = covering_lsh.CoveringParams(
         n_prime=ctx.padded_length, theta_prime=11, t=1, c=2.0, eps_round=0.5, nu=0.75,
         mask_dim=12, psi_bound=8.0, early_exit_budget=80)
@@ -481,8 +490,8 @@ def test_level_screen_memory_is_bounded_with_4095_tables():
     assert hamming_lsh.sort_pays(pairs, 1, len(level))
     tracemalloc.start()
     try:
-        engine._screen_level(hooks, config, list(level), ctx, params, np.random.SeedSequence([1, 2]),
-                             sweep, "level2", {})
+        engine._screen_level(hooks, config, Level.of(level), ctx, params,
+                             np.random.SeedSequence([1, 2]), sweep, "level2", {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,11 +503,37 @@ def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
     # on the sort path the level screen, its verification and its found
     # unions read pairs through `members`: every ordered pair is never built
     level, ctx = negatives_level()
-    sweep = join_level(level, ctx.theta_count)
+    sweep = join_level(Level.of(level), ctx.theta_count)
     monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
     config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
     params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
-    _, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config, list(level),
-                                              ctx, params, np.random.SeedSequence([1, 2]), sweep,
-                                              "level2", {})
+    _, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config,
+                                              Level.of(level), ctx, params,
+                                              np.random.SeedSequence([1, 2]), sweep, "level2", {})
     assert emitted > 0 and fp > 0 and tn + fp == 2 * sweep.candidate_pairs
+
+
+def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
+    # covering's all-zero phi at negatives size: every pair collides in
+    # every table, so the sort path would confirm pairs x tables meetings
+    # (43x slower at 63 tables); the level's sizes still favour sorting,
+    # and the meeting count sends the screen to the pairwise path
+    level, ctx = negatives_level()
+    pairs = join_level(Level.of(level), ctx.theta_count).ordered_pairs()
+    assert hamming_lsh.sort_pays(len(pairs), 1, len(level))
+    pairwise = hamming_lsh.MaskIndex.pairwise_first_tables
+    calls = []
+    monkeypatch.setattr(hamming_lsh.MaskIndex, "pairwise_first_tables",
+                        lambda self, q, a: calls.append(len(q)) or pairwise(self, q, a))
+    for mask_dim in (3, 6):
+        params = covering_lsh.CoveringParams(
+            n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0, eps_round=0.5,
+            nu=0.75, mask_dim=mask_dim, psi_bound=8.0, early_exit_budget=80)
+        family = covering_lsh.build_family(params, 0, phi=np.zeros(ctx.padded_length, dtype=int))
+        index = covering_lsh.build_index(Level.of(level), family, ctx, params)
+        calls.clear()
+        first = index.first_tables(pairs)
+        assert calls == [len(pairs)]
+        assert (first == 0).all() and np.array_equal(first, pairwise(index, pairs.q, pairs.a))
+        assert index.sorted_first_tables(pairs, most=len(pairs) / hamming_lsh.MEETING_FACTOR) \
+            is None

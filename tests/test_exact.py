@@ -6,6 +6,7 @@ import pytest
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import MiningConfig, lsh_apriori_mine
 from lshmine.exact import (
+    Level,
     apriori_mine,
     brute_force_mine,
     build_level,
@@ -63,9 +64,10 @@ def test_apriori_theta_validation(toy_db):
 
 def joined_unions(level):
     """Every distinct union of the join (theta_count 1 keeps them all frequent)."""
+    level = Level.of(level)
     sweep = join_level(level, theta_count=1)
-    assert sweep.distinct_candidates == len(sweep.frequent)
-    return [r.items for r in build_level(level, sweep.frequent, 1)]
+    assert sweep.distinct_candidates == sweep.frequent.shape[1]
+    return [r.items for r in build_level(level, *sweep.frequent, 1).records()]
 
 
 def test_join_triangle():

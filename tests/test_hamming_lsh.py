@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector, co_support
+from lshmine.exact import Level
 from lshmine.hamming_lsh import HammingLshParams, build_index, derive_params, query, sort_pays
 from lshmine.transform import (
     PREPROCESS,
@@ -77,7 +78,7 @@ def test_build_single_itemset():
     ctx = LevelContext(n=8, m_l=1, alpha_count=4, theta_count=2)
     params = HammingLshParams(rho=0.5, k=3, L=5, early_exit_budget=50)
     level = singleton_level([BitVector.from01("11000000")])
-    index = build_index(level, params, ctx, seed=0)
+    index = build_index(Level.of(level), params, ctx, seed=0)
     assert sum(len(t) for t in index.tables) == params.L
     assert all(list(t.values()) == [[0]] for t in index.tables)
 
@@ -86,7 +87,7 @@ def test_build_identical_vectors_share_buckets():
     ctx = LevelContext(n=8, m_l=2, alpha_count=4, theta_count=2)
     params = HammingLshParams(rho=0.5, k=4, L=6, early_exit_budget=60)
     v = BitVector.from01("10100000")
-    index = build_index(singleton_level([v, v]), params, ctx, seed=1)
+    index = build_index(Level.of(singleton_level([v, v])), params, ctx, seed=1)
     for table in index.tables:
         assert list(table.values()) == [[0, 1]]
 
@@ -98,7 +99,7 @@ def test_identity_projection_partitions_by_vector():
     params = HammingLshParams(rho=1.0, k=nprime, L=1, early_exit_budget=10)
     vectors = [BitVector.from01("110000"), BitVector.from01("110000"), BitVector.from01("001100")]
     proj = np.arange(nprime, dtype=np.int64).reshape(1, nprime)
-    index = build_index(singleton_level(vectors), params, ctx, seed=0, projections=proj)
+    index = build_index(Level.of(singleton_level(vectors)), params, ctx, seed=0, projections=proj)
     buckets = sorted(tuple(v) for v in index.tables[0].values())
     assert buckets == [(0, 1), (2,)]
 
@@ -139,7 +140,7 @@ def test_query_recall_monte_carlo():
     misses = 0
     trials = 200
     for t in range(trials):
-        index = build_index(level, params, ctx, seed=t)
+        index = build_index(Level.of(level), params, ctx, seed=t)
         res = screen(index, level, ctx, 0)
         if 1 not in res.partners:
             misses += 1
@@ -150,7 +151,7 @@ def test_query_single_record_level():
     ctx = LevelContext(n=8, m_l=1, alpha_count=4, theta_count=2)
     params = HammingLshParams(rho=0.5, k=2, L=3, early_exit_budget=30)
     level = singleton_level([BitVector.from01("11110000")])
-    index = build_index(level, params, ctx, seed=5)
+    index = build_index(Level.of(level), params, ctx, seed=5)
     res = screen(index, level, ctx, 0)
     assert res.partners == [] and res.inspections == 0
 
@@ -164,7 +165,7 @@ def test_query_verification_filters_disjoint():
     ctx = LevelContext(n=n, m_l=3, alpha_count=2, theta_count=1)
     params = HammingLshParams(rho=0.5, k=1, L=2, early_exit_budget=20)
     proj = np.full((2, 1), n - 1, dtype=np.int64)  # all vectors have bit n-1 == 0
-    index = build_index(level, params, ctx, seed=0, projections=proj)
+    index = build_index(Level.of(level), params, ctx, seed=0, projections=proj)
     res = screen(index, level, ctx, 0)
     assert res.partners == []
     assert res.inspections == 2          # both partners verified...
@@ -191,7 +192,7 @@ def test_early_exit_budget():
     assert always_zero is not None
     params = HammingLshParams(rho=0.5, k=1, L=1, early_exit_budget=3)
     proj = np.full((1, 1), always_zero, dtype=np.int64)
-    index = build_index(level, params, ctx, seed=0, projections=proj)
+    index = build_index(Level.of(level), params, ctx, seed=0, projections=proj)
 
     assert all(co_support(q, p.vector) < 4 for p in level[1:])  # seed keeps them dissimilar
     res = screen(index, level, ctx, 0)
@@ -201,7 +202,7 @@ def test_early_exit_budget():
     # once something similar is found the budget stops applying
     level2 = singleton_level([q, q, *partners])
     ctx2 = LevelContext(n=n, m_l=len(level2), alpha_count=4, theta_count=4)
-    index2 = build_index(level2, params, ctx2, seed=0,
+    index2 = build_index(Level.of(level2), params, ctx2, seed=0,
                          projections=np.full((1, 1), always_zero, dtype=np.int64))
     res2 = screen(index2, level2, ctx2, 0)
     assert not res2.early_exit
@@ -213,8 +214,8 @@ def test_determinism():
     level = shared_item_level([random_vector(rng, 30, 12) for _ in range(10)])
     ctx = LevelContext(n=30, m_l=10, alpha_count=12, theta_count=6)
     params = derive_params(ctx, 0.3, 0.1)
-    a = build_index(level, params, ctx, seed=123)
-    b = build_index(level, params, ctx, seed=123)
+    a = build_index(Level.of(level), params, ctx, seed=123)
+    b = build_index(Level.of(level), params, ctx, seed=123)
     assert np.array_equal(a.p_keys, b.p_keys) and np.array_equal(a.q_keys, b.q_keys)
     assert a.tables == b.tables
     for qi, q in enumerate(level):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lshmine.dataset import BitVector
+from lshmine.exact import Level
 from lshmine.minhash_lsh import (
     MinhashParams,
     build_sketch,
@@ -74,7 +75,7 @@ def test_identical_vectors_identical_columns():
     level = singleton_level([v, v])
     ctx = LevelContext(n=6, m_l=2, alpha_count=3, theta_count=2)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=32, accept_threshold=0.5)
-    sketch = build_sketch(level, params, ctx, seed=9)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=9)
     assert np.array_equal(sketch.columns[:, 0], sketch.columns[:, 1])
     assert np.array_equal(sketch.query_columns[:, 0], sketch.query_columns[:, 1])
 
@@ -84,7 +85,7 @@ def test_single_row_estimates_are_zero_or_one():
     level = singleton_level([random_vector(rng, 8, 3) for _ in range(4)])
     ctx = LevelContext(n=8, m_l=4, alpha_count=3, theta_count=2)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=1, accept_threshold=0.5)
-    sketch = build_sketch(level, params, ctx, seed=0)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=0)
     for i in range(4):
         for j in range(4):
             assert estimate_js(sketch.columns[:, i], sketch.columns[:, j]) in (0.0, 1.0)
@@ -97,7 +98,7 @@ def test_singleton_support_column_tracks_permutation():
     level = singleton_level([v])
     ctx = LevelContext(n=5, m_l=1, alpha_count=1, theta_count=1)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=16, accept_threshold=0.5)
-    sketch = build_sketch(level, params, ctx, seed=4)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=4)
     assert np.array_equal(sketch.columns[:, 0], sketch.perms[:, 3])
 
 
@@ -128,7 +129,7 @@ def test_estimate_mean_matches_true_jaccard():
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=584, accept_threshold=0.5)
     estimates = []
     for seed in range(40):
-        sketch = build_sketch(level, params, ctx, seed=seed)
+        sketch = build_sketch(Level.of(level), params, ctx, seed=seed)
         qcol = sketch.query_columns[:, 1]
         estimates.append(estimate_js(sketch.columns[:, 0], qcol))
     assert abs(np.mean(estimates) - 0.2) < 0.02
@@ -143,7 +144,7 @@ def test_query_extremes():
     ctx = LevelContext(n=n, m_l=3, alpha_count=6, theta_count=3)
     params = derive_params(ctx, 0.2, 0.1)
     for seed in range(10):
-        sketch = build_sketch(level, params, ctx, seed=seed)
+        sketch = build_sketch(Level.of(level), params, ctx, seed=seed)
         res = screen(sketch, level, params, 0)
         assert res.partners == [1]
         assert res.approved[1] == 1.0
@@ -155,7 +156,7 @@ def test_query_does_not_touch_database():
     level = shared_item_level([random_vector(rng, 16, 6) for _ in range(5)])
     ctx = LevelContext(n=16, m_l=5, alpha_count=6, theta_count=3)
     params = derive_params(ctx, 0.5, 0.2)
-    sketch = build_sketch(level, params, ctx, seed=1)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=1)
     pairs = level_pairs(level)
     assert not hasattr(query(sketch, pairs, params), "reads")
     res = sketch_view(pairs, query(sketch, pairs, params), 0, params.rows)
@@ -165,7 +166,7 @@ def test_query_does_not_touch_database():
 def test_query_empty_level():
     ctx = LevelContext(n=8, m_l=0, alpha_count=4, theta_count=2)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=8, accept_threshold=0.5)
-    sketch = build_sketch([], params, ctx, seed=0)
+    sketch = build_sketch(Level.of([]), params, ctx, seed=0)
     res = query(sketch, level_pairs([]), params)
     assert list(res.partners) == [] and len(res.approved) == 0
 
@@ -185,7 +186,7 @@ def test_two_sided_bound_small():
     v1 = v2 = 0
     trials = 100
     for seed in range(trials):
-        sketch = build_sketch(level, params, ctx, seed=seed)
+        sketch = build_sketch(Level.of(level), params, ctx, seed=seed)
         est_acc = estimate_js(sketch.columns[:, 0], sketch.query_columns[:, 1])
         est_rej = estimate_js(sketch.columns[:, 2], sketch.query_columns[:, 3])
         if est_acc < (1 - params.eps_mh) * s_star - 1e-12:
@@ -202,8 +203,8 @@ def test_sketch_determinism():
     level = shared_item_level([random_vector(rng, 20, 8) for _ in range(6)])
     ctx = LevelContext(n=20, m_l=6, alpha_count=8, theta_count=4)
     params = derive_params(ctx, 0.4, 0.2)
-    a = build_sketch(level, params, ctx, seed=77)
-    b = build_sketch(level, params, ctx, seed=77)
+    a = build_sketch(Level.of(level), params, ctx, seed=77)
+    b = build_sketch(Level.of(level), params, ctx, seed=77)
     assert np.array_equal(a.perms, b.perms)
     assert np.array_equal(a.columns, b.columns)
     assert np.array_equal(a.query_columns, b.query_columns)
@@ -226,4 +227,15 @@ def test_padded_length_beyond_int32_rejected():
     ctx = LevelContext(n=2**31 - 2, m_l=0, alpha_count=1, theta_count=1)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=1, accept_threshold=0.5)
     with pytest.raises(ValueError, match="does not fit int32"):
-        build_sketch([], params, ctx, seed=0)
+        build_sketch(Level.of([]), params, ctx, seed=0)
+
+
+def test_level_off_its_context_rejected():
+    # every record's length must be the context's n, and no weight may pass alpha_count
+    level = Level.of(singleton_level([BitVector.from01("110100"), BitVector.from01("111100")]))
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=4, accept_threshold=0.5)
+    with pytest.raises(ValueError, match="vector length 6 != level n 7"):
+        build_sketch(level, params, LevelContext(n=7, m_l=2, alpha_count=4, theta_count=1), 0)
+    with pytest.raises(ValueError, match="popcount 4 exceeds alpha_count 3"):
+        build_sketch(level, params, LevelContext(n=6, m_l=2, alpha_count=3, theta_count=1), 0)
+    build_sketch(level, params, LevelContext(n=6, m_l=2, alpha_count=4, theta_count=1), 0)

@@ -1,11 +1,13 @@
 """Property-based differential tests: the array join against the pairwise
-reference rule and the per-pair reference join, the closed-form pair
+reference rule and the per-pair reference join, the array next-level
+builder against the Python-int one, the closed-form pair
 numbering against the join's own pairing step, the Hamming tables against
 sampled-bit keys, the level screens of all three LSH variants against the
 per-record probes they replaced, the sorted first-table screen against the
 pairwise one, the level-wide union memo against direct verification, the
 one-pass MinHash columns against minima over the padded positions, and
-every variant against the brute-force oracle."""
+every variant against the brute-force oracle and against the database's
+columns."""
 
 from itertools import combinations
 
@@ -15,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lshmine import covering_lsh, exact, hamming_lsh
-from lshmine.dataset import BitVector, ItemsetRecord, co_support
+from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
-    add_item,
+    Level,
     brute_force_mine,
     build_level,
     join_level,
@@ -39,6 +41,7 @@ from lshmine.transform import (
 )
 
 from conftest import (
+    add_item,
     assert_same_join,
     db_from_rows,
     direct_verify,
@@ -49,6 +52,7 @@ from conftest import (
     partners_and_positives,
     projection_masks,
     query_view,
+    reference_build_level,
     reference_minhash_query,
     reference_probe,
     reference_tables,
@@ -130,13 +134,14 @@ def test_join_matches_all_pairs_reference(level):
                 frequent_pairs += 1
                 frequent[u] = vec
 
-    sweep = join_level(records, theta_count)
+    sweep = join_level(Level.of(records), theta_count)
     assert sweep.candidate_pairs == sum(len(c) for c in compatible.values()) // 2
     assert sweep.frequent_pairs == frequent_pairs
     assert sweep.distinct_candidates == len(unions)
-    assert [(r.items, r.vector) for r in build_level(records, sweep.frequent, theta_count)] \
+    assert [(r.items, r.vector) for r in
+            build_level(Level.of(records), *sweep.frequent, theta_count).records()] \
         == sorted(frequent.items())
-    all_partners, positives = partners_and_positives(sweep)
+    all_partners, positives = partners_and_positives(sweep, m)
     for i in range(m):
         partners = all_partners[i]
         assert sorted(partners) == sorted(compatible[i])
@@ -157,7 +162,7 @@ def test_pair_numbering_round_trips(level):
     # `members` reads every pair as the join's own pairing step lists it,
     # and `index` numbers each pair from its two filings, both ways round
     records, theta_count = level
-    pairs = join_level(records, theta_count).ordered_pairs()
+    pairs = join_level(Level.of(records), theta_count).ordered_pairs()
     q, a, y = pairs.members(np.arange(len(pairs)))
     assert (q.tolist(), a.tolist(), y.tolist()) == \
         (pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist())
@@ -178,6 +183,88 @@ def test_join_crosses_every_chunk_boundary(monkeypatch):
                                  anded_level(190, combinations(range(6), 2), wide, 40),
                                  anded_level(190, combinations(range(6), 3), wide, 20)]:
         assert_same_join(records, theta_count)
+
+
+def candidate_unions(records, picked):
+    """(i, j, y) of the given ordered pairs of the join of `records`, the
+    first pair of each union only: distinct candidate unions, as an LSH
+    level hands them to `build_level`."""
+    sweep = join_level(Level.of(records), 1)
+    picked = np.asarray(picked, dtype=np.int64)
+    _, at = np.unique(sweep.pair_union[picked % max(1, sweep.candidate_pairs)], return_index=True)
+    return sweep.ordered_pairs().members(picked[np.sort(at)])
+
+
+@st.composite
+def build_cases(draw):
+    """A level, a threshold, distinct candidate unions of it (each by a
+    drawn ordered pair that forms it) and whether each chunk holds one
+    word."""
+    records, theta_count = draw(levels())
+    pairs = len(level_pairs(records))
+    picked = draw(st.lists(st.integers(0, pairs - 1), unique=True)) if pairs else []
+    return records, theta_count, candidate_unions(records, picked), draw(st.booleans())
+
+
+def reference_next_level(records, theta_count, i, j, y):
+    """`conftest.reference_build_level` of the distinct unions (i, j, y)."""
+    unions = {add_item(records[q].items, x): (q, a)
+              for q, a, x in zip(i.tolist(), j.tolist(), y.tolist())}
+    assert len(unions) == len(i)
+    return reference_build_level(records, unions, theta_count)
+
+
+def every_union(level, one_word_chunks=False):
+    """A build case of every distinct union of `level`."""
+    records, theta_count = level
+    return (records, theta_count, candidate_unions(records, range(len(level_pairs(records)))),
+            one_word_chunks)
+
+
+WIDE_COLUMNS = [c | c << 62 | c << 124 for c in (0b1011 << 40 | 7, (1 << 62) - 1, 0b111 << 59)]
+BUILD_EDGES = [
+    *(every_union(JOIN_EDGES[k]) for k in range(4)),     # n = 1, 63, 64, 65
+    every_union(JOIN_EDGES[6]),                           # one record: no candidate
+    JOIN_EDGES[3] + (candidate_unions(JOIN_EDGES[3][0], []), False),   # none picked
+    every_union(JOIN_EDGES[7]),                           # every union below threshold
+    every_union(JOIN_EDGES[3], one_word_chunks=True),
+    every_union(anded_level(190, [(0,), (1,), (2,)], WIDE_COLUMNS, 3), True),   # three words
+]
+
+
+@SETTINGS
+@given(build_cases())
+@example(BUILD_EDGES[0])
+@example(BUILD_EDGES[1])
+@example(BUILD_EDGES[2])
+@example(BUILD_EDGES[3])
+@example(BUILD_EDGES[4])
+@example(BUILD_EDGES[5])
+@example(BUILD_EDGES[6])
+@example(BUILD_EDGES[7])
+@example(BUILD_EDGES[8])
+def test_build_level_matches_int_reference(case):
+    # the array step against the Python-int one it replaced: the same
+    # records in the same order, and the same packed words
+    records, theta_count, (i, j, y), one_word_chunks = case
+    level = Level.of(records)
+    with pytest.MonkeyPatch.context() as patch:
+        if one_word_chunks:   # one pair per co-support chunk
+            patch.setattr(exact, "PAIR_CHUNK_WORDS", 1)
+        nxt = build_level(level, i, j, y, theta_count)
+    expected = reference_next_level(records, theta_count, i, j, y)
+    assert nxt.records() == expected
+    assert nxt.n == level.n and nxt.items.shape == (len(expected), level.items.shape[1] + 1)
+    assert nxt.packed.shape == (len(expected), level.packed.shape[1])
+    assert nxt.packed.tobytes() == Level.of(expected).packed.tobytes()
+    assert nxt.supports.tolist() == [r.support for r in expected]
+
+
+def test_build_edges_reach_what_they_name():
+    # per edge, its candidate unions and how many of them meet the threshold
+    assert [len(case[2][0]) for case in BUILD_EDGES] == [3, 4, 4, 4, 0, 0, 6, 4, 3]
+    assert [len(reference_next_level(records, theta_count, *unions))
+            for records, theta_count, unions, _ in BUILD_EDGES] == [1, 1, 1, 1, 0, 0, 0, 1, 2]
 
 
 @st.composite
@@ -217,7 +304,7 @@ def test_hamming_masks_group_as_sampled_bits(case, budget):
     records, ctx, projections = case
     L, k = projections.shape
     params = HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget)
-    index = build_index(records, params, ctx, seed=0, projections=projections)
+    index = build_index(Level.of(records), params, ctx, seed=0, projections=projections)
     reference = []
     for row in projections:
         table = {}
@@ -253,9 +340,9 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
     n = records[0].vector.length if records else theta_count
     ctx = LevelContext(n=n, m_l=len(records), theta_count=theta_count,
                        alpha_count=max([theta_count, *(r.support for r in records)]))
-    index = build_index(records, HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget),
-                        ctx, seed)
-    pairs = join_level(records, theta_count).ordered_pairs()
+    index = build_index(Level.of(records),
+                        HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget), ctx, seed)
+    pairs = join_level(Level.of(records), theta_count).ordered_pairs()
     support = {}
 
     def shared(sel):
@@ -288,7 +375,7 @@ def test_sketch_columns_are_padded_minima(level, rows, seed):
     # over the padded vector's one positions
     records, ctx = level
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
-    sketch = build_sketch(records, params, ctx, seed)
+    sketch = build_sketch(Level.of(records), params, ctx, seed)
     for i, r in enumerate(records):
         for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
             expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
@@ -359,8 +446,9 @@ def check_hamming_screen(case):
     records, theta_count, projections, budget = case
     ctx = level_context(records, theta_count)
     L, k = projections.shape
-    index = build_index(records, HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget),
-                        ctx, 0, projections=projections)
+    index = build_index(Level.of(records),
+                        HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget), ctx, 0,
+                        projections=projections)
     masks = projection_masks(projections)
     tables = reference_tables(records, masks, ctx)
     res = assert_screen_matches_probe(
@@ -447,7 +535,7 @@ def check_covering_screen(case):
                             eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
                             early_exit_budget=budget)
     family = build_family(params, 0, phi=phi)
-    index = covering_build_index(records, family, ctx, params)
+    index = covering_build_index(Level.of(records), family, ctx, params)
     tables = reference_tables(records, family.masks, ctx)
     assert_screen_matches_probe(
         records, theta_count, index,
@@ -510,12 +598,12 @@ def path_index(records, ctx, spec, budget):
     if isinstance(spec, np.ndarray):   # Hamming's projection rows
         L, k = spec.shape
         params = HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget)
-        return build_index(records, params, ctx, 0, projections=spec)
+        return build_index(Level.of(records), params, ctx, 0, projections=spec)
     mask_dim, phi, blind = spec
     params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
                             eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
                             early_exit_budget=budget)
-    index = covering_build_index(records, build_family(params, 0, phi=phi), ctx, params)
+    index = covering_build_index(Level.of(records), build_family(params, 0, phi=phi), ctx, params)
     if blind:   # every fingerprint agrees: only the masked words decide
         index.p_keys[:] = 0
         index.q_keys[:] = 0
@@ -580,7 +668,7 @@ def test_sort_path_matches_pairwise_path(case):
 def test_path_edges_collide_as_described():
     # the edges reach what they name: many groups, no pair, every pair
     # colliding in every table, and fingerprints that all collide
-    assert len(set(exact.join_level(PATH_EDGES[1][0], 1).filings[2].tolist())) == 15
+    assert len(set(exact.join_level(Level.of(PATH_EDGES[1][0]), 1).filings[2].tolist())) == 15
     assert len(check_paths(PATH_EDGES[3])) == 0
     assert (check_paths(PATH_EDGES[8]) == 0).all()
     blind = check_paths(PATH_EDGES[7])
@@ -599,7 +687,7 @@ def sketch_cases(draw):
 def check_minhash_screen(case):
     records, theta_count, rows, accept, seed, at_boundary = case
     ctx = level_context(records, theta_count)
-    sketch = build_sketch(records, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows,
+    sketch = build_sketch(Level.of(records), MinhashParams(omega=0.3, eps_mh=0.2, rows=rows,
                                                  accept_threshold=accept), ctx, seed)
     pairs = level_pairs(records)
     if at_boundary and len(pairs.q):   # the first pair's hits are exactly rows * threshold
@@ -684,6 +772,38 @@ def test_variants_against_oracle(case, seed):
         if variant in ("exact", "covering"):
             assert found == oracle
             assert downward_closed(report.itemsets)
+
+
+@st.composite
+def column_databases(draw):
+    """A database straight from random columns over n in 1..150, so the
+    vectors span one to three words, and a threshold."""
+    n = draw(st.integers(1, 150))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=7))
+    columns = {item: BitVector(n, v) for item, v in enumerate(values) if v}
+    return TransactionDatabase(n=n, m=len(values), columns=columns), \
+        draw(st.sampled_from([0.1, 0.3, 0.5]))
+
+
+@SETTINGS
+@given(column_databases(), st.integers(0, 3))
+@example((TransactionDatabase(n=65, m=3, columns={0: BitVector(65, (1 << 65) - 1),
+                                                 1: BitVector(65, 1 << 64 | 0b1111),
+                                                 2: BitVector(65, 1 << 64 | 1 << 63 | 0b11)}),
+          0.02), 0)
+def test_output_vectors_are_anded_columns(case, seed):
+    # every variant's every output record carries the AND of its items'
+    # columns: the word order and tail bits of the packed levels
+    db, theta = case
+    for variant in VARIANTS:
+        lsh = variant != "exact"
+        config = MiningConfig(theta=theta, variant=variant, epsilon=0.5 if lsh else None,
+                              delta=0.1 if lsh else None, seed=seed, mask_dim_cap=12)
+        for r in lsh_apriori_mine(db, config).itemsets.all_records():
+            value = (1 << db.n) - 1
+            for item in r.items:
+                value &= db.columns[item].value
+            assert r.vector == BitVector(db.n, value) and r.support == value.bit_count()
 
 
 @SETTINGS
