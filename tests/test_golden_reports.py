@@ -12,7 +12,9 @@ generated by `perfbench/workloads.py` and read back from a FIMI file.  A
 refactor that changes any counter, any itemset or their order changes a
 hash here.  The Hamming and covering reports are pinned a second time
 without their verification charge, so a change to that charge alone
-shows which hashes it may move.
+shows which hashes it may move.  The MinHash reports' itemsets are
+pinned on their own, so a change to the sketch's random draws, which
+moves MinHash's counters, shows that it left its answers alone.
 """
 
 import hashlib
@@ -90,7 +92,7 @@ REPORT_SHA256 = {
     ("bernoulli", "hamming"):
         "3d432a73d9b1cdf8d1f607589c81691762cfd5a0d274a6e5a0ac4ee6ee35fb29",
     ("bernoulli", "minhash"):
-        "0d132e228272554680ef76c43695e12b0b1b6a210f14cbaccdd37ec85e0fe09d",
+        "0d3a3a5ba3598ff2d50bad030c7989eab2e68412ad1dbdf8b4dd4289094aaf6d",
     ("bernoulli", "covering"):
         "83254adc3cee1013617f14d39970f673540d368ed2e028b7735416c0bfa6adb1",
     ("toy60", "exact"):
@@ -109,7 +111,7 @@ REPORT_SHA256 = {
 
 CSV_SHA256 = {
     "negatives": "b083ab0c5816c76fde50b944cce45e3eb2fa8b689dee42980b10d9023317b711",
-    "bernoulli": "3af0add6d044545c083d5902d40ce352817896c3fcc3466851373735be219b9c",
+    "bernoulli": "f7b1c9e4ec71e99f13ec45ddddfb572fc49dd3537e1185de0f8bc1444ed374c9",
     "toy60": "3280932292920b2b64b4b6f34af6b1c079851f5d4f5f5ed8f23fcb8f69db3725",
 }
 
@@ -138,7 +140,7 @@ BENCH_REPORT_SHA256 = {
     ("wide", "hamming"):
         "0bfe132a3456f41017b995debc4c1f12a03bdaa5804210b53847e12087732e27",
     ("wide", "minhash"):
-        "0a2ae693a41fb9e1069e40a781a27febaaa042efccd40c7bd9e417f6d9803bcd",
+        "e03b4f78e3a7cf42881709e3ad60dba4dab2498d342d322aca8beb1efb84530a",
 }
 
 
@@ -179,6 +181,24 @@ BENCH_STRIPPED_REPORT_SHA256 = {
 }
 
 
+# The `itemsets` section of each MinHash report above: what MinHash answers,
+# apart from the counters its random draws set.
+MINHASH_ITEMSETS_SHA256 = {
+    "negatives":
+        "2cd6c74dfb4cce5a3ff10f139c08cbd921723325d3100083535d5f6da7c4600c",
+    "bernoulli":
+        "29cf44d5151c726f195b5ba5f3213c3f9d952029dae43788e3612523ad39b069",
+    "toy60":
+        "f55f6ff702fc41089456f76ca05273cf34d66f40cf0848355db6fb4046e6f974",
+    "bench/negatives":
+        "76836eb506faf8da15ec3f1d740706be9ac40c13d485cd0ab4df2a1e0d0d92b9",
+    "bench/dense-deep":
+        "0f449169d12e0a606e29293d05f76fe24bf6c76d03245adbdb870240fd304c4d",
+    "bench/wide":
+        "2b0a4393f642699711534da115333c95ad545da8e1b5362731cef896ce6f6d28",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -189,6 +209,12 @@ def without_charge(report) -> str:
     for level in doc["levels"]:
         del level["transactions_read"], level["emitted_candidates"]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def itemsets_only(report) -> str:
+    """The `itemsets` section of `report_json`, serialized the same way."""
+    doc = json.loads(report_json(report))
+    return json.dumps(doc["itemsets"], indent=2, sort_keys=True) + "\n"
 
 
 def mine(db, theta, variant, seed):
@@ -251,6 +277,16 @@ def test_bench_report_json_hash_without_charge(bench_workload, workload, variant
     db, theta = bench_workload(workload)
     report = mine(db, theta, variant, seed=1)
     assert sha256(without_charge(report)) == BENCH_STRIPPED_REPORT_SHA256[workload, variant]
+
+
+@pytest.mark.parametrize("case", sorted(MINHASH_ITEMSETS_SHA256))
+def test_minhash_itemsets_hash(bench_workload, case):
+    if case.startswith("bench/"):
+        db, theta = bench_workload(case.removeprefix("bench/"))
+        report = mine(db, theta, "minhash", seed=1)
+    else:
+        report = mined(case, "minhash")
+    assert sha256(itemsets_only(report)) == MINHASH_ITEMSETS_SHA256[case]
 
 
 def test_databases_reach_every_driver_path():

@@ -210,16 +210,43 @@ def test_sketch_determinism():
     assert np.array_equal(a.query_columns, b.query_columns)
 
 
-@pytest.mark.parametrize("rows,length", [(1, 1), (1, 5), (7, 33), (50, 1484), (282, 8000)])
-def test_permuted_ignores_tile_dtype(rows, length):
-    # build_sketch draws int32 permutations; the reports' bytes rest on them
-    # being the int64 draws, for plain and SeedSequence seeds alike
+@pytest.mark.parametrize("rows,length", [(1, 3), (1, 5), (7, 33), (50, 1484), (282, 8000)])
+def test_sketch_values_are_the_raw_draw(rows, length):
+    # the reports' bytes rest on the sketch's hash values being the seed's
+    # raw 64-bit words, each split into its low then its high 32 bits, row
+    # by row, for plain and SeedSequence seeds alike
+    ctx = LevelContext(n=length - 2, m_l=0, alpha_count=1, theta_count=1)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
     for seed in (0, 1, 77, np.random.SeedSequence([1, 5])):
-        narrow = np.tile(np.arange(length, dtype=np.int32), (rows, 1))
-        wide = np.tile(np.arange(length, dtype=np.int64), (rows, 1))
-        np.random.default_rng(seed).permuted(narrow, axis=1, out=narrow)
-        np.random.default_rng(seed).permuted(wide, axis=1, out=wide)
-        assert np.array_equal(narrow, wide)
+        words = np.random.default_rng(seed).bit_generator.random_raw((rows * length + 1) // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+        expected = halves[:rows * length].reshape(rows, length)
+        assert np.array_equal(build_sketch(Level.of([]), params, ctx, seed).perms, expected)
+
+
+def test_estimates_unbiased_on_a_wide_universe():
+    # 32-bit hash values tie most often where the padded sets are largest:
+    # pairs of alpha_count = 12,000 padded ones each, at the accept boundary
+    # s*, at omega and with disjoint own positions (J = 0), agree on a
+    # fraction of 16 x 256 rows within 4 sigma of their padded Jaccard
+    n, ac, tc = 20_000, 12_000, 6_000
+    ctx = LevelContext(n=n, m_l=4, alpha_count=ac, theta_count=tc)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=256, accept_threshold=0.5)
+    a = BitVector.from_indices(n, range(tc))
+    partners = [BitVector.from_indices(n, range(tc)),                      # co = tc: s*
+                BitVector.from_indices(n, range(tc // 2, 3 * tc // 2)),   # tc/2: omega at eps 0.5
+                BitVector.from_indices(n, range(tc, 2 * tc))]             # co = 0: J = 0
+    level = Level.of(singleton_level([a, *partners]))
+    agree = np.zeros(len(partners), dtype=np.int64)
+    seeds = 16
+    for seed in range(seeds):
+        sketch = build_sketch(level, params, ctx, seed=seed)
+        assert sketch.perms.nbytes < 50e6
+        agree += np.count_nonzero(sketch.columns[:, [0]] == sketch.query_columns[:, 1:], axis=0)
+    draws = seeds * params.rows
+    for hits, q in zip(agree.tolist(), partners):
+        js = float(padded_jaccard(pad_preprocess(a, ctx), pad_query(q, ctx)))
+        assert abs(hits / draws - js) <= 4 * np.sqrt(js * (1 - js) / draws), (hits, js)
 
 
 def test_padded_length_beyond_int32_rejected():
