@@ -49,8 +49,8 @@ def level_document(row: LevelStats) -> dict:
 def report_document(report: MiningReport, comparison: dict | None = None) -> dict:
     """The serializable report.  Wall-clock timings are deliberately left
     out so identical (input, config, seed) runs serialize byte-identically."""
-    itemsets = [{"items": list(r.items), "support": r.support}
-                for r in report.itemsets.all_records()]
+    itemsets = [{"items": list(items), "support": support}
+                for items, support in report.itemsets.as_dict().items()]
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config_document(report.config),

@@ -1,14 +1,15 @@
 """Transaction databases in vertical (column-major) bitmap form.
 
-Every item owns one bit vector of length n; bit j is set iff the item
-occurs in transaction j.  All similarity computations downstream run on
-these columns, so the representation is immutable after load.
+The database is one matrix: row k is the transaction vector of the k-th
+occurring item, packed as `exact.Level` packs a level's vectors.  All
+similarity computations downstream run on these rows, so the
+representation is immutable after load.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,38 +92,29 @@ class BitVector:
         return f"BitVector({self.length}, 0b{self.value:0{max(self.length, 1)}b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransactionDatabase:
-    """n transactions over an item universe of size m, stored column-wise.
-
-    `columns` holds a BitVector of length n for every item that occurs at
-    least once; item ids in [0, m) that never occur simply have no entry.
-    """
+    """n transactions over an item universe of size m, stored column-wise:
+    row k of `packed` is the vector of items[k], the ids that occur in
+    ascending order.  Ids in [0, m) that never occur have no row."""
 
     n: int
     m: int
-    columns: dict[int, BitVector] = field(repr=False)
+    items: np.ndarray                     # (k,) int64, ascending
+    packed: np.ndarray = field(repr=False)   # (k, ceil(n/64)) "<u8"
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DatasetError("empty database")
-        for item, col in self.columns.items():
-            if item < 0 or item >= self.m:
-                raise DatasetError(f"item id {item} outside universe [0, {self.m})")
-            if col.length != self.n:
-                raise DatasetError(f"column for item {item} has length {col.length}, expected {self.n}")
-
-    def items(self) -> list[int]:
-        return sorted(self.columns)
+        ids, shape = self.items, (len(self.items), (self.n + 63) // 64)
+        if len(ids) and not (0 <= ids[0] and ids[-1] < self.m and np.all(ids[1:] > ids[:-1])) \
+                or self.packed.shape != shape:
+            raise DatasetError(f"need ascending item ids in [0, {self.m}) and a {shape} matrix")
 
     def transactions(self) -> list[list[int]]:
         """Each transaction as a sorted list of item ids (row view)."""
-        items = self.items()
-        hits = np.zeros((self.n, len(items)), dtype=bool)
-        for k, item in enumerate(items):
-            hits[:, k] = self.columns[item].to_uint8()
-        ids = np.array(items, dtype=np.int64)
-        return [ids[row].tolist() for row in hits]
+        hits = np.unpackbits(self.packed.view(np.uint8), axis=1, count=self.n, bitorder="little")
+        return [self.items[np.flatnonzero(column)].tolist() for column in hits.T]
 
 
 @dataclass(frozen=True)
@@ -139,10 +131,6 @@ class ItemsetRecord:
         if self.support != self.vector.popcount():
             raise ValueError("support must equal popcount of the vector")
 
-    @classmethod
-    def from_vector(cls, items, vector: BitVector) -> "ItemsetRecord":
-        return cls(tuple(items), vector, vector.popcount())
-
 
 def co_support(x: BitVector, y: BitVector) -> int:
     """Number of transactions containing both itemsets: popcount(x AND y)."""
@@ -151,9 +139,13 @@ def co_support(x: BitVector, y: BitVector) -> int:
     return (x.value & y.value).bit_count()
 
 
+LOAD_CHUNK_TOKENS = 1 << 13   # tokens per scatter step: bounds its transient arrays
+
+
 def load_transactions(path) -> TransactionDatabase:
     """Read a FIMI flat file: one transaction per line, whitespace-separated
-    non-negative integer item ids, no header.  Empty lines are skipped."""
+    item ids in [0, 2**63) (int64 in every level), no header.  Empty lines
+    are skipped; an id repeated within a line counts once."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -162,34 +154,41 @@ def load_transactions(path) -> TransactionDatabase:
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not an ASCII FIMI file: {exc}") from None
 
-    rows: list[list[int]] = []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        row = []
-        for tok in tokens:
+    ids, lengths = array("q"), []   # every token's id; every transaction's token count
+    try:
+        for line in lines:
+            row = line.split()
+            if row:
+                ids.extend(map(int, row))
+                lengths.append(len(row))
+        bad = np.frombuffer(ids, dtype=np.int64).min(initial=0) < 0
+    except (ValueError, OverflowError):
+        bad = True
+    for lineno, line in enumerate(lines if bad else [], start=1):   # the first bad token's error
+        for tok in line.split():
             try:
                 item = int(tok)
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}") from None
             if item < 0:
                 raise DatasetError(f"{path}:{lineno}: negative item id {item}")
-            row.append(item)
-        rows.append(row)
-
-    if not rows:
+            if item >= 1 << 63:
+                raise DatasetError(f"{path}:{lineno}: item id {item} is 2**63 or above")
+    if not lengths:
         raise DatasetError("empty database")
 
-    n = len(rows)
-    m = 1 + max(max(row) for row in rows if row)
-    bits = defaultdict(lambda: bytearray((n + 7) // 8))   # row j: bit j % 8 of byte j // 8
-    for j, row in enumerate(rows):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for item in row:
-            bits[item][byte] |= bit
-    columns = {item: BitVector(n, int.from_bytes(b, "little")) for item, b in bits.items()}
-    return TransactionDatabase(n=n, m=m, columns=columns)
+    del lines
+    n, ids, ends = len(lengths), np.frombuffer(ids, dtype=np.int64), np.cumsum(lengths)
+    items = np.sort(ids)   # the distinct ids, ascending (np.unique would import numpy.ma)
+    items = items[np.r_[True, items[1:] != items[:-1]]]
+    words = (n + 63) // 64
+    packed = np.zeros((len(items), words), dtype="<u8")
+    for s in range(0, len(ids), LOAD_CHUNK_TOKENS):   # OR bit j of transaction j's tokens
+        chunk = ids[s:s + LOAD_CHUNK_TOKENS]
+        j = np.searchsorted(ends, np.arange(s, s + len(chunk)), side="right")
+        np.bitwise_or.at(packed.reshape(-1), np.searchsorted(items, chunk) * words + (j >> 6),
+                         np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
+    return TransactionDatabase(n=n, m=int(items[-1]) + 1, items=items, packed=packed)
 
 
 def write_transactions(db: TransactionDatabase, path):
@@ -217,15 +216,11 @@ def generate_synthetic(n: int, m: int, density: float, seed: int) -> Transaction
         raise DatasetError("density out of range (0, 1]")
     rng = np.random.default_rng(seed)
     hits = rng.random((m, n)) < density
-    columns = {}
-    for item in range(m):
-        packed = np.packbits(hits[item].astype(np.uint8), bitorder="little").tobytes()
-        value = int.from_bytes(packed, "little")
-        if value:
-            columns[item] = BitVector(n, value)
-    if not columns:
+    items = np.flatnonzero(hits.any(axis=1))
+    if not len(items):
         raise DatasetError("empty database (no item occurred; raise density or n)")
-    return TransactionDatabase(n=n, m=m, columns=columns)
+    packed = np.packbits(np.pad(hits[items], ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
+    return TransactionDatabase(n=n, m=m, items=items, packed=packed.view("<u8"))
 
 
 def support_threshold(theta: float, n: int) -> int:

@@ -2,15 +2,15 @@
 I/O accounting that makes the variants comparable.
 
 `_produce_level` is the one level step, from one `exact.Level` to the
-next; only `Level.records` turns a level into the output's records.  It
-starts with the array join of `exact.join_level`, the only place that
-decides which pairs are compatible.  The exact variant and every fallback
-level keep its frequent unions.  An LSH level hands the join's compatible
-ordered pairs (`PairSweep.ordered_pairs`) to one query per level through
-the per-variant hooks of `_LSH_VARIANTS`, and keeps the unions of the
-pairs the query returns, each as (q, a, y) of its first pair.  One
-`exact.build_level` call turns them into the next level.  Hamming and
-covering screen through one masked-projection index
+next; the output keeps the levels, whose records are built only when one
+is iterated.  It starts with the array join of `exact.join_level`, the
+only place that decides which pairs are compatible.  The exact variant
+and every fallback level keep its frequent unions.  An LSH level hands
+the join's compatible ordered pairs (`PairSweep.ordered_pairs`) to one
+query per level through the per-variant hooks of `_LSH_VARIANTS`, and
+keeps the unions of the pairs the query returns, each as (q, a, y) of
+its first pair.  One `exact.build_level` call turns them into the next
+level.  Hamming and covering screen through one masked-projection index
 (`hamming_lsh.MaskIndex`) and differ only in where their keys come from
 and in the early-exit budget.  MinHash compares the sketch rows of every
 pair.
@@ -137,10 +137,10 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     t0 = time.perf_counter()
     current = frequent_singletons(db, theta_count)
     timings["level1:scan"] = time.perf_counter() - t0
-    scanned = len(db.columns)
+    scanned = len(db.items)
     stats.append(_level_row(db.n, 1, current, candidates=scanned, emitted=scanned))
     while current:
-        fis.levels.append(current.records())
+        fis.levels.append(current)
         if config.max_level is not None and len(stats) >= config.max_level:
             break
         current, row = _produce_level(db, config, current, len(stats) + 1, theta_count, timings)

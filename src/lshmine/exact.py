@@ -1,14 +1,15 @@
 """Exact mining: the level format, the level-1 scan, the candidate join,
 the next-level builder, and a brute-force enumerator.
 
-`Level` is the one level format, arrays from the scan to the output: item
-rows, vectors packed into 64-bit words (the vertical bitmaps of MAFIA,
-Burdick et al., ICDE 2001) and supports.  `frequent_singletons` makes
-level 1 and `build_level` every later one, in one array step (co-support,
+`Level` is the one level format, arrays from the load to the output: item
+rows, vectors packed into 64-bit words as the database's rows are (the
+vertical bitmaps of MAFIA, Burdick et al., ICDE 2001) and supports.
+`frequent_singletons` filters the database's rows into level 1 and
+`build_level` makes every later one, in one array step (co-support,
 threshold, sort, AND) from the candidate unions it is given: the join's
 frequent unions for the exact variant and every fallback level, the
-unions an LSH level found for the others.  `Level.records` gives the
-output's `ItemsetRecord`s.
+unions an LSH level found for the others.  The output keeps the levels;
+iterating one gives its `ItemsetRecord`s.
 
 The join is the only place that decides Apriori compatibility.  It runs
 as whole-array steps, with no Python work per pair (see `join_level`).
@@ -40,26 +41,27 @@ PAIR_CHUNK_WORDS = 1 << 15
 
 @dataclass
 class FrequentItemsetSet:
-    """Frequent itemsets grouped by level; level l holds l-item records."""
+    """Frequent itemsets grouped by level; level l holds the l-itemsets."""
 
     theta_count: int
-    levels: list[list[ItemsetRecord]] = field(default_factory=list)
+    levels: list[Level] = field(default_factory=list)
 
     def max_level(self) -> int:
         return len(self.levels)
 
     def all_records(self):
-        for records in self.levels:
-            yield from records
+        for level in self.levels:
+            yield from level
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
-        return {r.items: r.support for r in self.all_records()}
+        return {tuple(items): support for level in self.levels
+                for items, support in zip(level.items.tolist(), level.supports.tolist())}
 
     def item_tuples(self) -> set[tuple[int, ...]]:
-        return {r.items for r in self.all_records()}
+        return set(self.as_dict())
 
     def count(self) -> int:
-        return sum(len(records) for records in self.levels)
+        return sum(len(level) for level in self.levels)
 
     def same_itemsets(self, other: "FrequentItemsetSet") -> bool:
         return self.as_dict() == other.as_dict()
@@ -74,7 +76,7 @@ class AprioriResult:
 class Level:
     """One level of l-itemsets as arrays, in item order: items, vectors as
     rows of little-endian uint64 words (bit j is transaction j; the bits
-    past n are 0) and supports.  `records` gives it as `ItemsetRecord`s."""
+    past n are 0) and supports.  Iterating it gives its `ItemsetRecord`s."""
 
     items: np.ndarray      # (m_l, l) int64
     packed: np.ndarray     # (m_l, ceil(n/64)) "<u8"
@@ -84,7 +86,7 @@ class Level:
 
     @classmethod
     def of(cls, records) -> "Level":
-        """The level of `records`, l-itemsets in item order, kept as its `records`."""
+        """The level of `records`, l-itemsets in item order, which it keeps."""
         records = list(records)
         size, n = (len(records[0].items), records[0].vector.length) if records else (1, 0)
         words = (n + 63) // 64
@@ -96,13 +98,13 @@ class Level:
     def __len__(self) -> int:
         return len(self.supports)
 
-    def records(self) -> list[ItemsetRecord]:
-        """The level as `ItemsetRecord`s, built on the first call."""
+    def __iter__(self):
+        """The level as `ItemsetRecord`s, built on the first pass."""
         if self._records is None:
             self._records = [ItemsetRecord(tuple(items), BitVector(self.n, int.from_bytes(
                 row.tobytes(), "little")), support) for items, row, support in
                 zip(self.items.tolist(), self.packed, self.supports.tolist())]
-        return self._records
+        return iter(self._records)
 
 
 class OrderedPairs:
@@ -116,7 +118,7 @@ class OrderedPairs:
         self.filings = filings   # (3, m_l * l): record, item, group end
         f = filings.shape[1]   # filing f pairs with the end[f] - f - 1 later ones of its group
         self.candidate_pairs = int(filings[2].sum()) - f * (f + 1) // 2
-        self._every = None   # (3, len) int32 q, a, y of every pair, once built
+        self._every = None   # (3, len) q, a, y of every pair, once built
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -128,13 +130,14 @@ class OrderedPairs:
         return 2 * self.candidate_pairs
 
     def every(self) -> np.ndarray:
-        """q, a and y of every pair as (3, len) int32, built on first call by
-        the join's own pairing step."""
+        """q, a and y of every pair as (3, len) int32 (int64 if an item id
+        needs it), built on first call by the join's own pairing step."""
         if self._every is None:
             owner, item, end = self.filings
             first, second = _filing_pairs(end)
             half = len(first)
-            self._every = np.empty((3, 2 * half), dtype=np.int32)
+            wide = item.max(initial=0) > np.iinfo(np.int32).max
+            self._every = np.empty((3, 2 * half), dtype=np.int64 if wide else np.int32)
             self._every[0, :half], self._every[0, half:] = owner[first], owner[second]
             self._every[1, :half], self._every[1, half:] = owner[second], owner[first]
             self._every[2, :half], self._every[2, half:] = item[second], item[first]
@@ -303,9 +306,9 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
 
 def frequent_singletons(db: TransactionDatabase, theta_count: int) -> Level:
     """The level-1 scan: one support count per occurring item."""
-    columns = db.columns
-    return Level.of(ItemsetRecord.from_vector((item,), columns[item]) for item in db.items()
-                    if columns[item].popcount() >= theta_count)
+    supports = np.bitwise_count(db.packed).sum(axis=1, dtype=np.int64)
+    kept = supports >= theta_count
+    return Level(db.items[kept].reshape(-1, 1), db.packed[kept], supports[kept], db.n)
 
 
 def apriori_mine(db: TransactionDatabase, theta: float) -> AprioriResult:
@@ -322,18 +325,19 @@ def brute_force_mine(db: TransactionDatabase, theta: float) -> FrequentItemsetSe
         raise ValueError(f"item universe too large for brute force (m={db.m} > {BRUTE_FORCE_MAX_ITEMS})")
     theta_count = support_threshold(theta, db.n)
     fis = FrequentItemsetSet(theta_count=theta_count)
-    items = db.items()
+    columns = {item: int.from_bytes(row.tobytes(), "little")
+               for item, row in zip(db.items.tolist(), db.packed)}
     full = (1 << db.n) - 1
-    for size in range(1, len(items) + 1):
+    for size in range(1, len(columns) + 1):
         records = []
-        for comb in combinations(items, size):
+        for comb in combinations(columns, size):
             v = full
             for item in comb:
-                v &= db.columns[item].value
+                v &= columns[item]
             support = v.bit_count()
             if support >= theta_count:
                 records.append(ItemsetRecord(comb, BitVector(db.n, v), support))
-        fis.levels.append(records)
+        fis.levels.append(Level.of(records))
     while fis.levels and not fis.levels[-1]:
         fis.levels.pop()
     return fis

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -5,14 +6,95 @@ from operator import or_
 import numpy as np
 import pytest
 
-from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
+from lshmine.dataset import (
+    BitVector,
+    DatasetError,
+    ItemsetRecord,
+    TransactionDatabase,
+    co_support,
+)
 from lshmine.exact import Level, join_level, union_if_compatible
 from lshmine.transform import LevelContext, pad_preprocess, pad_query
+
+
+def record(items, vector):
+    """The record of `items` with transaction vector `vector`."""
+    return ItemsetRecord(tuple(items), vector, vector.popcount())
 
 
 def add_item(items, item):
     """The union of a sorted itemset and the item its join partner adds."""
     return tuple(sorted((*items, item)))
+
+
+class ColumnDatabase(TransactionDatabase):
+    """A database given as one BitVector per occurring item, packed into the
+    library's matrix.  It keeps the vectors as `columns`: the reference
+    that tests check the packed rows and the mined vectors against."""
+
+    def __init__(self, n, m, columns):
+        items = sorted(columns)
+        words = (n + 63) // 64
+        packed = b"".join(columns[item].value.to_bytes(8 * words, "little") for item in items)
+        super().__init__(n, m, np.array(items, dtype=np.int64),
+                         np.frombuffer(packed, dtype="<u8").reshape(len(items), words))
+        object.__setattr__(self, "columns", columns)
+
+
+def column(db, item):
+    """The transaction vector of `item`, read off the database's packed row."""
+    k = int(np.searchsorted(db.items, item))
+    assert k < len(db.items) and db.items[k] == item, f"item {item} does not occur"
+    return BitVector(db.n, int.from_bytes(db.packed[k].tobytes(), "little"))
+
+
+def same_database(a, b):
+    return (a.n, a.m) == (b.n, b.m) and np.array_equal(a.items, b.items) \
+        and np.array_equal(a.packed, b.packed)
+
+
+def reference_load_transactions(path):
+    """The per-item Python-int FIMI loader: every line parsed into a list of
+    ints, then one bytearray per item.  The reference the packed loader is
+    checked against, error messages included."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not an ASCII FIMI file: {exc}") from None
+
+    rows: list[list[int]] = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        row = []
+        for tok in tokens:
+            try:
+                item = int(tok)
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}") from None
+            if item < 0:
+                raise DatasetError(f"{path}:{lineno}: negative item id {item}")
+            if item >= 1 << 63:
+                raise DatasetError(f"{path}:{lineno}: item id {item} is 2**63 or above")
+            row.append(item)
+        rows.append(row)
+
+    if not rows:
+        raise DatasetError("empty database")
+
+    n = len(rows)
+    m = 1 + max(max(row) for row in rows if row)
+    bits = defaultdict(lambda: bytearray((n + 7) // 8))   # row j: bit j % 8 of byte j // 8
+    for j, row in enumerate(rows):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for item in row:
+            bits[item][byte] |= bit
+    columns = {item: BitVector(n, int.from_bytes(b, "little")) for item, b in bits.items()}
+    return ColumnDatabase(n=n, m=m, columns=columns)
 
 
 def db_from_rows(rows, m=None):
@@ -25,7 +107,7 @@ def db_from_rows(rows, m=None):
         for item in set(row):
             values[item] = values.get(item, 0) | (1 << j)
     columns = {item: BitVector(n, v) for item, v in values.items()}
-    return TransactionDatabase(n=n, m=m, columns=columns)
+    return ColumnDatabase(n=n, m=m, columns=columns)
 
 
 TOY_ROWS = [[1, 2, 3], [1, 2], [1, 3], [2, 3]]
@@ -60,20 +142,20 @@ def column_records(hits, itemsets):
     for items in itemsets:
         rows = hits[:, list(items)].all(axis=1)
         value = int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
-        records.append(ItemsetRecord.from_vector(tuple(items), BitVector(n, value)))
+        records.append(record(tuple(items), BitVector(n, value)))
     return records
 
 
 def singleton_level(vectors):
     """Wrap raw vectors as a level of singleton records {0}, {1}, ...
     (all pairwise compatible)."""
-    return [ItemsetRecord.from_vector((i,), v) for i, v in enumerate(vectors)]
+    return [record((i,), v) for i, v in enumerate(vectors)]
 
 
 def shared_item_level(vectors):
     """Wrap raw vectors as 2-itemsets {0, i+1} sharing item 0 (all pairwise
     compatible, union size 3)."""
-    return [ItemsetRecord.from_vector((0, i + 1), v) for i, v in enumerate(vectors)]
+    return [record((0, i + 1), v) for i, v in enumerate(vectors)]
 
 
 @dataclass
@@ -174,7 +256,7 @@ def reference_build_level(records, unions, theta_count):
     for u, (i, j) in unions.items():
         vector = records[i].vector & records[j].vector
         if vector.popcount() >= theta_count:
-            level.append(ItemsetRecord.from_vector(u, vector))
+            level.append(record(u, vector))
     level.sort(key=lambda r: r.items)
     return level
 
@@ -393,7 +475,7 @@ def random_db(rng, n_max=64, m_max=12, density_range=(0.2, 0.7)):
             columns[item] = BitVector.from_indices(n, bits.tolist())
     if not columns:
         columns[0] = BitVector.from_indices(n, [0])
-    return TransactionDatabase(n=n, m=m, columns=columns)
+    return ColumnDatabase(n=n, m=m, columns=columns)
 
 
 def downward_closed(fis):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lshmine.covering_lsh import CoveringParams, build_family, verify_covering
-from lshmine.dataset import BitVector, TransactionDatabase, co_support
+from lshmine.dataset import BitVector, co_support
 from lshmine.engine import MiningConfig, accounting_check, compare_with_oracle, lsh_apriori_mine
 from lshmine.exact import Level, apriori_mine, brute_force_mine
 from lshmine.hamming_lsh import build_index as hamming_build
@@ -33,6 +33,7 @@ from lshmine.cli import report_json
 
 from conftest import (
     TOY_ROWS,
+    ColumnDatabase,
     db_from_rows,
     level_pairs,
     pair_verify,
@@ -71,7 +72,7 @@ def test_c01_oracle_equivalence_exact_path():
                 columns[item] = BitVector.from_indices(n, ones.tolist())
         if not columns:
             columns[0] = BitVector.from_indices(n, [0])
-        db = TransactionDatabase(n=n, m=m, columns=columns)
+        db = ColumnDatabase(n=n, m=m, columns=columns)
         theta = thetas[trial % 3]
         assert apriori_mine(db, theta).itemsets.same_itemsets(brute_force_mine(db, theta))
         runs += 1
@@ -124,7 +125,7 @@ def covering_runs():
                 columns[item] = BitVector.from_indices(n, ones.tolist())
         if not columns:
             columns[0] = BitVector.from_indices(n, [0])
-        db = TransactionDatabase(n=n, m=m, columns=columns)
+        db = ColumnDatabase(n=n, m=m, columns=columns)
         config = MiningConfig(theta=0.5, variant="covering", epsilon=0.5, delta=0.1,
                               seed=trial, mask_dim_cap=12)
         runs.append((db, compare_with_oracle(db, config)))
@@ -333,7 +334,7 @@ def test_c10_savings_demonstration():
     for item in range(m):
         positions = rng.choice(n, size=weight, replace=False)
         columns[item] = BitVector.from_indices(n, positions.tolist())
-    db = TransactionDatabase(n=n, m=m, columns=columns)
+    db = ColumnDatabase(n=n, m=m, columns=columns)
     max_co = max(co_support(columns[i], columns[j])
                  for i in range(m) for j in range(i + 1, m))
     assert max_co < 60  # craft check: every singleton frequent, no pair frequent
@@ -365,7 +366,7 @@ def test_c11_determinism():
     hits = rng.random((10, 60)) < 0.4
     columns = {i: BitVector.from_indices(60, np.flatnonzero(hits[i]).tolist())
                for i in range(10) if hits[i].any()}
-    synth = TransactionDatabase(n=60, m=10, columns=columns)
+    synth = ColumnDatabase(n=60, m=10, columns=columns)
 
     for db in (toy, synth):
         for variant in ("exact", "hamming", "minhash", "covering"):

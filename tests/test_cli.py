@@ -214,6 +214,37 @@ def test_mine_non_ascii_input_is_data_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_mine_id_of_2_63_or_above_is_data_error(capsys, tmp_path):
+    # item ids are int64 in the level arrays: a larger one is a one-line data
+    # error naming its line, not an internal OverflowError
+    path = tmp_path / "huge.dat"
+    path.write_text("1 99999999999999999999999\n2 99999999999999999999999\n1 2\n")
+    rc, out, err = run(capsys, "mine", "--input", str(path), "--theta", "0.5")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {path}:1: item id 99999999999999999999999 is 2**63 or above\n"
+    path.write_text(f"3\n1 {2**63 - 1} {2**63}\n")
+    rc, _, err = run(capsys, "mine", "--input", str(path), "--theta", "0.5")
+    assert rc == 1 and err == f"error: {path}:2: item id {2**63} is 2**63 or above\n"
+
+
+def test_sparse_large_id_is_one_row(capsys, tmp_path):
+    # the database holds one row per occurring id, not one per id below m
+    path = tmp_path / "sparse.dat"
+    big = 10**11
+    path.write_text(f"1 {big}\n{big}\n1 2\n1 {big}\n")
+    db = load_transactions(path)
+    assert db.m == big + 1 and db.items.tolist() == [1, 2, big] and db.packed.shape == (3, 1)
+    for variant in engine.VARIANTS:
+        rc, out, _ = run(capsys, "mine", "--input", str(path), "--theta", "0.5",
+                         "--variant", variant, "--epsilon", "0.5", "--delta", "0.1")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["database"] == {"n": 4, "m": big + 1}
+        assert doc["itemsets"] == [{"items": [1], "support": 3}, {"items": [big], "support": 3},
+                                   {"items": [1, big], "support": 2}]
+
+
 def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
     calls = []
 

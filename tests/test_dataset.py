@@ -11,7 +11,7 @@ from lshmine.dataset import (
     write_transactions,
 )
 
-from conftest import db_from_rows
+from conftest import column, db_from_rows, same_database
 
 
 def write_file(tmp_path, text, name="db.dat"):
@@ -24,23 +24,23 @@ def test_load_toy(tmp_path):
     db = load_transactions(write_file(tmp_path, "1 2 3\n1 2\n1 3\n2 3\n"))
     assert db.n == 4
     assert db.m == 4
-    assert db.columns[1].to01() == "1110"
-    assert db.columns[2].to01() == "1101"
-    assert db.columns[3].to01() == "1011"
-    assert 0 not in db.columns
+    assert column(db, 1).to01() == "1110"
+    assert column(db, 2).to01() == "1101"
+    assert column(db, 3).to01() == "1011"
+    assert db.items.tolist() == [1, 2, 3]
 
 
 def test_load_single_item_line(tmp_path):
     db = load_transactions(write_file(tmp_path, "7\n"))
     assert db.n == 1
     assert db.m == 8
-    assert db.columns[7].to01() == "1"
+    assert column(db, 7).to01() == "1"
 
 
 def test_load_skips_blank_lines(tmp_path):
     db = load_transactions(write_file(tmp_path, "1 2\n\n   \n2 3\n"))
     assert db.n == 2
-    assert db.columns[2].to01() == "11"
+    assert column(db, 2).to01() == "11"
 
 
 def test_load_empty_file(tmp_path):
@@ -64,7 +64,7 @@ def test_load_missing_file(tmp_path):
 
 def test_load_duplicate_items_in_line(tmp_path):
     db = load_transactions(write_file(tmp_path, "2 2 2\n2\n"))
-    assert db.columns[2].popcount() == 2
+    assert column(db, 2).popcount() == 2
 
 
 def test_co_support_examples():
@@ -100,8 +100,7 @@ def test_roundtrip_loaded(tmp_path):
     out = tmp_path / "out.dat"
     write_transactions(db, out)
     again = load_transactions(out)
-    assert again.n == db.n and again.m == db.m
-    assert again.columns == db.columns
+    assert same_database(again, db)
 
 
 def test_roundtrip_random(tmp_path):
@@ -114,7 +113,7 @@ def test_roundtrip_random(tmp_path):
         out = tmp_path / f"r{seed}.dat"
         write_transactions(db, out)
         again = load_transactions(out)
-        assert again.columns == db.columns
+        assert same_database(again, db)
         done += 1
     assert done >= 10
 
@@ -122,22 +121,22 @@ def test_roundtrip_random(tmp_path):
 def test_generate_saturated_density():
     db = generate_synthetic(n=10, m=5, density=1.0, seed=3)
     for item in range(5):
-        assert db.columns[item].popcount() == 10
+        assert column(db, item).popcount() == 10
 
 
 def test_generate_deterministic():
     a = generate_synthetic(n=100, m=8, density=0.5, seed=42)
     b = generate_synthetic(n=100, m=8, density=0.5, seed=42)
-    assert a.columns == b.columns
+    assert same_database(a, b)
     c = generate_synthetic(n=100, m=8, density=0.5, seed=43)
-    assert a.columns != c.columns
+    assert not same_database(a, c)
 
 
 def test_generate_binomial_concentration():
     # Binomial(1000, 0.3) stays within +-60 of its mean with overwhelming odds
     db = generate_synthetic(n=1000, m=6, density=0.3, seed=7)
     for item in range(6):
-        assert 240 <= db.columns[item].popcount() <= 360
+        assert 240 <= column(db, item).popcount() <= 360
 
 
 def test_generate_density_range():

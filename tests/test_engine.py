@@ -9,6 +9,7 @@ import pytest
 
 from lshmine import covering_lsh, engine, exact, hamming_lsh, minhash_lsh
 from lshmine.cli import report_json
+from lshmine.dataset import BitVector, ItemsetRecord, load_transactions, write_transactions
 from lshmine.engine import (
     VARIANTS,
     MiningConfig,
@@ -41,7 +42,7 @@ from conftest import (
     reference_tables,
     sketch_view,
 )
-from test_golden_reports import DATABASES
+from test_golden_reports import DATABASES, mine
 
 
 def lsh_config(variant, theta=0.5, seed=1, **kw):
@@ -145,7 +146,7 @@ def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
     db = make()
     config = MiningConfig(theta=theta, variant=variant, epsilon=0.5, delta=0.1, seed=3)
     report = lsh_apriori_mine(db, config)
-    assert report.levels[0].candidates == len(db.items())
+    assert report.levels[0].candidates == len(db.items)
     for row in report.levels:
         assert row.transactions_read == db.n * row.emitted_candidates
         if not row.lsh_active:
@@ -155,6 +156,38 @@ def test_transactions_read_follows_the_cost_rule(monkeypatch, db_name, variant):
     if db_name == "near_miss" and variant != "exact":
         assert any(row.lsh_active for row in report.levels)
         assert calls["co_support"] > 0
+
+
+def test_load_mine_and_report_build_no_records(monkeypatch, tmp_path):
+    # from the loaded file to the JSON report every variant works on the
+    # packed arrays: no BitVector and no ItemsetRecord is built on the way,
+    # on any golden database (LSH levels, fallbacks and early exits)
+    dbs = {name: make() for name, (make, _) in DATABASES.items()}
+    paths = {name: tmp_path / f"{name}.dat" for name, db in dbs.items()
+             if all(db.transactions())}   # not near_miss: FIMI cannot hold its empty rows
+    for name, path in paths.items():
+        write_transactions(dbs[name], path)
+    built = Counter()
+    vector_init, record_post_init = BitVector.__init__, ItemsetRecord.__post_init__
+
+    def counted_vector(self, *args):
+        built["BitVector"] += 1
+        vector_init(self, *args)
+
+    def counted_record(self):
+        built["ItemsetRecord"] += 1
+        record_post_init(self)
+    monkeypatch.setattr(BitVector, "__init__", counted_vector)
+    monkeypatch.setattr(ItemsetRecord, "__post_init__", counted_record)
+
+    for name, (_, theta) in DATABASES.items():
+        for variant in VARIANTS:
+            db = load_transactions(paths[name]) if name in paths else dbs[name]
+            report = mine(db, theta, variant, seed=3)
+            report_json(report)
+            assert not built, (name, variant, built)
+    records = list(report.itemsets.all_records())   # iterating a level builds them
+    assert built == Counter(BitVector=len(records), ItemsetRecord=len(records)) and records
 
 
 def test_accounting_check_enforces_the_read_charge(toy_db):

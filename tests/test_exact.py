@@ -25,7 +25,8 @@ from conftest import (
 
 
 def record(items, bits01):
-    return ItemsetRecord.from_vector(tuple(items), BitVector.from01(bits01))
+    vector = BitVector.from01(bits01)
+    return ItemsetRecord(tuple(items), vector, vector.popcount())
 
 
 def test_apriori_toy(toy_db):
@@ -67,7 +68,7 @@ def joined_unions(level):
     level = Level.of(level)
     sweep = join_level(level, theta_count=1)
     assert sweep.distinct_candidates == sweep.frequent.shape[1]
-    return [r.items for r in build_level(level, *sweep.frequent, 1).records()]
+    return [r.items for r in build_level(level, *sweep.frequent, 1)]
 
 
 def test_join_triangle():

@@ -28,10 +28,10 @@ import numpy as np
 import pytest
 
 from lshmine.cli import report_csv, report_json
-from lshmine.dataset import BitVector, TransactionDatabase, generate_synthetic, load_transactions
+from lshmine.dataset import BitVector, generate_synthetic, load_transactions
 from lshmine.engine import VARIANTS, MiningConfig, lsh_apriori_mine
 
-from conftest import TOY_ROWS, db_from_rows
+from conftest import TOY_ROWS, ColumnDatabase, db_from_rows
 
 
 def negatives_db():
@@ -42,7 +42,7 @@ def negatives_db():
     n = 240
     columns = {i: BitVector.from_indices(n, rng.choice(n, size=73, replace=False).tolist())
                for i in range(40)}
-    return TransactionDatabase(n=n, m=40, columns=columns)
+    return ColumnDatabase(n=n, m=40, columns=columns)
 
 
 def near_miss_db():
@@ -65,7 +65,7 @@ def near_miss_db():
         hits[np.ix_(block, group + p * size + np.arange(size))] = True
     columns = {i: BitVector.from_indices(n, np.flatnonzero(hits[:, i]).tolist())
                for i in range(hits.shape[1])}
-    return TransactionDatabase(n=n, m=hits.shape[1], columns=columns)
+    return ColumnDatabase(n=n, m=hits.shape[1], columns=columns)
 
 
 DATABASES = {

@@ -5,19 +5,22 @@ numbering against the join's own pairing step, the Hamming tables against
 sampled-bit keys, the level screens of all three LSH variants against the
 per-record probes they replaced, the sorted first-table screen against the
 pairwise one, the level-wide union memo against direct verification, the
-one-pass MinHash columns against minima over the padded positions, and
+one-pass MinHash columns against minima over the padded positions,
 every variant against the brute-force oracle and against the database's
-columns."""
+columns, and the packed loader against the per-item Python-int one."""
 
+import tempfile
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import covering_lsh, exact, hamming_lsh
-from lshmine.dataset import BitVector, ItemsetRecord, TransactionDatabase, co_support
+from lshmine import covering_lsh, dataset, exact, hamming_lsh
+from lshmine.dataset import BitVector, DatasetError, co_support, load_transactions
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
     Level,
@@ -41,6 +44,7 @@ from lshmine.transform import (
 )
 
 from conftest import (
+    ColumnDatabase,
     add_item,
     assert_same_join,
     db_from_rows,
@@ -52,7 +56,9 @@ from conftest import (
     partners_and_positives,
     projection_masks,
     query_view,
+    record,
     reference_build_level,
+    reference_load_transactions,
     reference_minhash_query,
     reference_probe,
     reference_tables,
@@ -72,7 +78,7 @@ def anded_level(n, itemsets, columns, theta_count):
         value = (1 << n) - 1
         for item in s:
             value &= columns[item]
-        records.append(ItemsetRecord.from_vector(tuple(sorted(s)), BitVector(n, value)))
+        records.append(record(tuple(sorted(s)), BitVector(n, value)))
     return records, theta_count
 
 
@@ -139,7 +145,7 @@ def test_join_matches_all_pairs_reference(level):
     assert sweep.frequent_pairs == frequent_pairs
     assert sweep.distinct_candidates == len(unions)
     assert [(r.items, r.vector) for r in
-            build_level(Level.of(records), *sweep.frequent, theta_count).records()] \
+            build_level(Level.of(records), *sweep.frequent, theta_count)] \
         == sorted(frequent.items())
     all_partners, positives = partners_and_positives(sweep, m)
     for i in range(m):
@@ -253,7 +259,7 @@ def test_build_level_matches_int_reference(case):
             patch.setattr(exact, "PAIR_CHUNK_WORDS", 1)
         nxt = build_level(level, i, j, y, theta_count)
     expected = reference_next_level(records, theta_count, i, j, y)
-    assert nxt.records() == expected
+    assert list(nxt) == expected
     assert nxt.n == level.n and nxt.items.shape == (len(expected), level.items.shape[1] + 1)
     assert nxt.packed.shape == (len(expected), level.packed.shape[1])
     assert nxt.packed.tobytes() == Level.of(expected).packed.tobytes()
@@ -273,7 +279,7 @@ def singleton_levels(draw):
     whose alpha_count is at least their heaviest weight."""
     n = draw(st.integers(1, 10))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
-    records = [ItemsetRecord.from_vector((i,), BitVector(n, v)) for i, v in enumerate(values)]
+    records = [record((i,), BitVector(n, v)) for i, v in enumerate(values)]
     alpha_count = draw(st.integers(max(1, *(v.bit_count() for v in values)), n))
     ctx = LevelContext(n=n, m_l=len(records), alpha_count=alpha_count,
                        theta_count=draw(st.integers(1, alpha_count)))
@@ -360,7 +366,7 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
 
 def sketch_level(patterns, alpha_count):
     """Singleton records from 0/1 strings and their level context."""
-    records = [ItemsetRecord.from_vector((i,), BitVector.from01(p)) for i, p in enumerate(patterns)]
+    records = [record((i,), BitVector.from01(p)) for i, p in enumerate(patterns)]
     return records, LevelContext(n=len(patterns[0]), m_l=len(records), alpha_count=alpha_count,
                                  theta_count=1)
 
@@ -465,7 +471,7 @@ def check_hamming_screen(case):
 
 def bits_level(patterns, theta_count):
     """Singleton records from 0/1 strings, and a threshold."""
-    return [ItemsetRecord.from_vector((i,), BitVector.from01(p))
+    return [record((i,), BitVector.from01(p))
             for i, p in enumerate(patterns)], theta_count
 
 
@@ -781,15 +787,15 @@ def column_databases(draw):
     n = draw(st.integers(1, 150))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=7))
     columns = {item: BitVector(n, v) for item, v in enumerate(values) if v}
-    return TransactionDatabase(n=n, m=len(values), columns=columns), \
+    return ColumnDatabase(n=n, m=len(values), columns=columns), \
         draw(st.sampled_from([0.1, 0.3, 0.5]))
 
 
 @SETTINGS
 @given(column_databases(), st.integers(0, 3))
-@example((TransactionDatabase(n=65, m=3, columns={0: BitVector(65, (1 << 65) - 1),
-                                                 1: BitVector(65, 1 << 64 | 0b1111),
-                                                 2: BitVector(65, 1 << 64 | 1 << 63 | 0b11)}),
+@example((ColumnDatabase(n=65, m=3, columns={0: BitVector(65, (1 << 65) - 1),
+                                            1: BitVector(65, 1 << 64 | 0b1111),
+                                            2: BitVector(65, 1 << 64 | 1 << 63 | 0b11)}),
           0.02), 0)
 def test_output_vectors_are_anded_columns(case, seed):
     # every variant's every output record carries the AND of its items'
@@ -832,3 +838,66 @@ def test_padded_one_positions_match_layout(case):
 @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=40))
 def test_transactions_round_trip_rows(rows):
     assert db_from_rows(rows).transactions() == [sorted(set(row)) for row in rows]
+
+
+# tokens that int() reads as an id (-0, +5, 1_0, 007, 2**63 - 1) or that no
+# loader may accept
+ODD_TOKENS = ["x", "-3", "-0", "+5", "1_0", "007", "1.5", "0x10", str(2**63 - 1), str(2**63),
+              "99999999999999999999999"]
+
+
+@st.composite
+def fimi_texts(draw):
+    """A FIMI text over a few ids, small or sparse and large, n in 1..70
+    transactions (63, 64 and 65 drawn often), ids repeated within a line,
+    blank and whitespace-only lines, any runs of spaces and tabs, and now
+    and then one odd token."""
+    n = draw(st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 70)))
+    pool = draw(st.lists(st.one_of(st.integers(0, 70), st.integers(0, 2**63 - 1)),
+                         min_size=1, max_size=10))
+    space, gap = st.text(" \t", max_size=2), st.text(" \t", min_size=1, max_size=3)
+    lines = []
+    for _ in range(n):
+        lines += draw(st.lists(space, max_size=2))   # blank lines, skipped
+        row = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        lines.append(draw(space) + "".join(str(i) + draw(gap) for i in row))
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] += " " + draw(st.sampled_from(ODD_TOKENS))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@SETTINGS
+@given(fimi_texts(), st.sampled_from([1, 3, 64, dataset.LOAD_CHUNK_TOKENS]))
+@example("1 2 3\n1 2\n1 3\n2 3\n", 1)
+@example("7\n" * 63, 3)
+@example("0 5 5\n" * 64, 64)
+@example("\n".join(str(j % 3) for j in range(65)), 1)
+@example(f"1 {10**11}\n\n{10**11}\n", 1)
+@example("\n \n\t\n", 1)                       # empty database
+@example("1 2\n3 x\n-4 7\n", 1)                 # the first bad token wins
+@example("1 2\n-4 7\n3 x\n", 1)
+@example("5 -0 +6 1_0\n", 1)                      # int() reads all four
+@example(f"1 {2**63 - 1}\n{2**63}\n", 1)
+@example("1 2\n3 \xe9\n", 1)                    # not ASCII
+def test_loader_matches_reference(text, chunk):
+    # the packed loader gives the per-item reference's n, m, ids and vectors,
+    # or raises its error message, at any scatter chunk size
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "db.dat"
+        path.write_bytes(text.encode("latin-1"))
+        try:
+            want = reference_load_transactions(path)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as got, \
+                    mock.patch.object(dataset, "LOAD_CHUNK_TOKENS", chunk):
+                load_transactions(path)
+            assert str(got.value) == str(exc)
+            return
+        with mock.patch.object(dataset, "LOAD_CHUNK_TOKENS", chunk):
+            db = load_transactions(path)
+    assert (db.n, db.m) == (want.n, want.m)
+    assert db.items.tolist() == sorted(want.columns)
+    assert db.packed.dtype == np.dtype("<u8") and db.packed.shape == (len(db.items), (db.n + 63) // 64)
+    assert [int.from_bytes(row.tobytes(), "little") for row in db.packed] == \
+        [want.columns[item].value for item in db.items.tolist()]
