@@ -13,14 +13,19 @@ The masks key the level screen the Hamming variant also uses
 (`hamming_lsh.MaskIndex.screen`), with one 64-bit fingerprint standing for
 each masked padded vector: the XOR of fixed random words r_i over the
 positions the mask keeps.  XOR is linear, so equal masked vectors have
-equal fingerprints, and grouping a record's positions by phi gives its
-fingerprint under all 2^mask_dim - 1 masks in mask_dim butterfly steps
-(`_fingerprints`).  Unequal masked vectors share a fingerprint only by
-chance (probability 2^-64).  Whichever way the screen finds collisions,
-comparing every pair's fingerprints or sorting each table's (chosen by
-`hamming_lsh.sort_pays`; with 2^mask_dim - 1 tables, sorting wins on wide
-levels), it confirms every one it acts on against the masked words
-themselves through one helper, `CoveringIndex._confirmed`.
+equal fingerprints, and a padded vector's fingerprint is that of its own
+bits XOR that of its padding run: `build_index` computes the own part
+once per record for both roles and each run part once per distinct run
+length, with no padded vector laid out.  Grouping the positions by phi
+gives the per-class XORs c as differences of prefix XORs, and c's
+fingerprints under all 2^mask_dim - 1 masks follow from one linear-time
+recursion on the top bit of the class (`_fingerprints`).  Unequal masked
+vectors share a fingerprint only by chance (probability 2^-64).
+Whichever way the screen finds collisions, comparing every pair's
+fingerprints or sorting each table's (chosen by `hamming_lsh.sort_pays`;
+with 2^mask_dim - 1 tables, sorting wins on wide levels), it confirms
+every one it acts on against the masked words themselves through one
+helper, `CoveringIndex._confirmed`.
 """
 
 from __future__ import annotations
@@ -34,21 +39,26 @@ from . import exact
 from .exact import Level, OrderedPairs
 from .hamming_lsh import MaskIndex, QueryResult, _first_true, _grouped
 from .transform import (
-    PREPROCESS,
-    QUERY,
     DegenerateLevel,
     LevelContext,
     _ceil,
     check_tolerances,
-    padded_bit_rows,
 )
 
 DEFAULT_MASK_DIM_CAP = 24
+# The most table entries, (2^mask_dim - 1) * m_l, a level's family may hold
+# while mask_dim_cap is at most its default.  Measured for the family, the
+# build and the screen of one level (n = 300 and 2000, 2-vCPU host): at
+# about 2^20 entries they take 0.11-0.35 s and 13-150 MB (400 records at
+# mask_dim 11 to 2 records at mask_dim 19); at 2^21-2^22 entries 0.3-1.1 s
+# and up to 233 MB.  `negatives` holds 204,400.
+MAX_TABLE_ENTRIES = 1 << 20
 FINGERPRINT_SEED = 0   # draws the r_i; every collision is confirmed, so no result depends on it
 
 
 class FamilyTooLarge(Exception):
-    """The mask space 2^(t*theta'+1) exceeds the configured cap."""
+    """The mask space 2^(t*theta'+1) exceeds the configured cap, or its
+    tables exceed MAX_TABLE_ENTRIES entries."""
 
     reason = "family_too_large"
 
@@ -73,7 +83,9 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     theta_prime uses integer counts, 2*(alpha_count - theta_count): supports
     are integers, so this radius captures exactly the pairs at or above the
     threshold.  t floors at 1.  Raises DegenerateLevel when alpha == theta
-    (c undefined) and FamilyTooLarge when mask_dim exceeds the cap.
+    (c undefined), and FamilyTooLarge when mask_dim exceeds the cap or,
+    unless the cap is raised above its default, when the 2^mask_dim - 1
+    tables of m_l entries exceed MAX_TABLE_ENTRIES.
     """
     check_tolerances(epsilon, delta)
     if ctx.alpha_count == ctx.theta_count:
@@ -92,6 +104,12 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     if mask_dim > mask_dim_cap:
         raise FamilyTooLarge(
             f"covering family too large: mask_dim {mask_dim} > cap {mask_dim_cap}"
+        )
+    entries = ((1 << mask_dim) - 1) * m_l
+    if entries > MAX_TABLE_ENTRIES and mask_dim_cap <= DEFAULT_MASK_DIM_CAP:
+        raise FamilyTooLarge(
+            f"covering family too large: (2^{mask_dim} - 1) x {m_l} = {entries} table entries"
+            f" > cap {MAX_TABLE_ENTRIES}"
         )
     return CoveringParams(
         n_prime=ctx.padded_length, theta_prime=theta_prime, t=t, c=c,
@@ -188,47 +206,80 @@ class CoveringIndex(MaskIndex):
 def build_index(level: Level, family: CoveringFamily, ctx: LevelContext,
                 params: CoveringParams) -> CoveringIndex:
     """One table per mask; the key of record a under mask m is P(a) & m for
-    indexing and Q(a) & m for querying, each held as its fingerprint."""
-    size = 1 << family.mask_dim
+    indexing and Q(a) & m for querying, each held as its fingerprint.
+
+    P(a) and Q(a) are a's own bits plus a run of alpha_count - |a| ones
+    (from n for P, from n + alpha_count for Q), and a fingerprint is an
+    XOR, so each key is the fingerprint of the own bits XOR that of the
+    run.  The own part is computed once per record for both roles, the run
+    parts once per distinct run length, and the padded words are the
+    packed own words ORed with the run's."""
+    n, alpha, size = ctx.n, ctx.alpha_count, 1 << family.mask_dim
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
-    padded = [np.zeros((len(level), (ctx.padded_length + 63) // 64), dtype="<u8")
-              for _ in range(2)]
+    lengths, run = np.unique(alpha - level.supports, return_inverse=True)
+    ones = np.arange(alpha)[:, None] < lengths   # (alpha, runs): each run length's ones
+    words = -(-ctx.padded_length // 64)
+    position = np.arange(64 * words)
+    run_keys, run_words = [], []
+    for start in (n, n + alpha):   # P's run, then Q's
+        part = slice(start, start + alpha)
+        run_keys.append(_fingerprints(ones, *_by_class(family.phi[part], r[part], size)))
+        in_run = (position >= start) & (position < start + lengths[:, None])
+        run_words.append(np.packbits(in_run, axis=1, bitorder="little").view("<u8"))
+
+    own = _by_class(family.phi[:n], r[:n], size)
+    padded = [np.empty((len(level), words), dtype="<u8") for _ in range(2)]
     keys = [np.empty((len(level), size - 1, 1), dtype=np.uint64) for _ in range(2)]
-    step = exact.chunk_rows(max(-(-ctx.padded_length // 8), ctx.alpha_count,
-                                size))   # bit rows, one positions, fingerprint rows
+    step = exact.chunk_rows(max(n + 1, size))   # prefix XORs, class XORs
     for s in range(0, len(level), step):
-        for role, vectors, fingerprints in zip((PREPROCESS, QUERY), padded, keys):
-            rows = padded_bit_rows(level.packed[s:s + step], level.supports[s:s + step], ctx, role)
-            as_bytes = vectors[s:s + step].view(np.uint8)
-            as_bytes[:, :(len(rows) + 7) // 8] = np.packbits(rows, axis=0, bitorder="little").T
-            fingerprints[s:s + step, :, 0] = _fingerprints(rows, family.phi, family.mask_dim, r)
+        packed, runs = level.packed[s:s + step], run[s:s + step]
+        bits = np.unpackbits(packed.view(np.uint8).T, axis=0, bitorder="little")
+        fingerprints = _fingerprints(bits, *own)
+        for out, vectors, run_key, run_word in zip(keys, padded, run_keys, run_words):
+            np.bitwise_xor(fingerprints, run_key[runs], out=out[s:s + step, :, 0])
+            vectors[s:s + step] = run_word[runs]
+            vectors[s:s + step, :packed.shape[1]] |= packed
     return CoveringIndex(*keys, params.early_exit_budget, family.masks, *padded)
 
 
-def _fingerprints(rows: np.ndarray, phi: np.ndarray, mask_dim: int, r: np.ndarray) -> np.ndarray:
-    """(records, 2^mask_dim - 1): per padded vector (a column of the bit
-    matrix `rows`) and nonzero v, the XOR of r[i] over the positions i the
-    mask a(v) keeps, i.e. over the vector's ones with <phi(i), v> odd;
-    column v - 1 is v.
+def _by_class(phi: np.ndarray, r: np.ndarray, size: int):
+    """Positions grouped by class phi(i): their order, their r values in
+    that order, and bounds such that class u holds order[bounds[u]:bounds[u + 1]]."""
+    order = np.argsort(phi)
+    return order, r[order], np.searchsorted(phi[order], np.arange(size + 1))
 
-    c[u], the XOR of r[i] over the vector's ones with phi(i) = u, is one
-    scatter; the XOR of c[u] over the u with <u, v> odd is one butterfly
-    per bit of v."""
-    records, size = rows.shape[1], 1 << mask_dim
-    pos, rec = np.nonzero(rows)
-    c = np.zeros((records, size), dtype=np.uint64)
-    np.bitwise_xor.at(c.reshape(-1), rec * size + phi[pos], r[pos])
-    even, odd = c, np.zeros_like(c)
+
+def _fingerprints(bits: np.ndarray, order: np.ndarray, values: np.ndarray,
+                  bounds: np.ndarray) -> np.ndarray:
+    """(records, 2^mask_dim - 1): per vector (a column of the bit matrix
+    `bits`, one row per position) and nonzero v, the XOR of r[i] over the
+    positions i the mask a(v) keeps, i.e. over the vector's ones with
+    <phi(i), v> odd; column v - 1 is v.  The positions are grouped by
+    `_by_class`.
+
+    c[u], the XOR of r[i] over the vector's ones with phi(i) = u, is the
+    difference of two prefix XORs over the grouped positions (0 for an
+    empty class).  F(c)[v], the XOR of c[u] over the u with <u, v> odd,
+    splits on the top bit of u and v into F(c) = [F(c0 ^ c1), F(c0 ^ c1)
+    ^ XOR(c1)], so one halving pass and one doubling pass over c, class
+    axis first, compute it in O(2^mask_dim) per vector."""
+    prefix = np.empty((len(order) + 1, bits.shape[1]), dtype=np.uint64)
+    prefix[0] = 0
+    np.multiply(bits[order], values[:, None], out=prefix[1:])
+    np.bitwise_xor.accumulate(prefix, axis=0, out=prefix)
+    c = prefix[bounds[1:]] ^ prefix[bounds[:-1]]
+    tops, half = [], len(c) // 2
+    while half:   # c0 ^= c1, keeping XOR(c1)
+        tops.append(np.bitwise_xor.reduce(c[half:2 * half], axis=0))
+        c[:half] ^= c[half:2 * half]
+        half //= 2
+    c[0] = 0   # F of a single class is 0
     half = 1
-    while half < size:   # index bit `half` turns from a bit of u into a bit of v
-        e = even.reshape(records, -1, 2, half)
-        o = odd.reshape(records, -1, 2, half)
-        even = np.stack([e[:, :, 0] ^ e[:, :, 1], e[:, :, 0] ^ o[:, :, 1]], axis=2)
-        odd = np.stack([o[:, :, 0] ^ o[:, :, 1], o[:, :, 0] ^ e[:, :, 1]], axis=2)
-        even, odd = even.reshape(records, size), odd.reshape(records, size)
+    for top in reversed(tops):
+        np.bitwise_xor(c[:half], top, out=c[half:2 * half])
         half *= 2
-    return odd[:, 1:]
+    return c[1:].T
 
 
 def query(index: CoveringIndex, pairs: OrderedPairs, ctx: LevelContext, verify,

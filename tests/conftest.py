@@ -13,8 +13,16 @@ from lshmine.dataset import (
     TransactionDatabase,
     co_support,
 )
+from lshmine.covering_lsh import FINGERPRINT_SEED
 from lshmine.exact import Level, join_level, union_if_compatible
-from lshmine.transform import LevelContext, pad_preprocess, pad_query
+from lshmine.transform import (
+    PREPROCESS,
+    QUERY,
+    LevelContext,
+    pad_preprocess,
+    pad_query,
+    padded_bit_rows,
+)
 
 
 def record(items, vector):
@@ -364,6 +372,47 @@ def reference_tables(level, masks, ctx: LevelContext):
             table.setdefault(p & mask, []).append(idx)
         tables.append(table)
     return tables
+
+
+def reference_covering_index(level: Level, family, ctx: LevelContext):
+    """The covering keys and padded words built from the dense layout:
+    both roles' padded vectors as (padded_length x records) bit rows
+    (`transform.padded_bit_rows`), packed with `packbits`, and each
+    vector's fingerprints by one scatter of its ones into classes and
+    mask_dim butterfly steps.  Returns p_keys, q_keys, padded_p, padded_q
+    as `covering_lsh.build_index` lays them out."""
+    r = np.random.default_rng(FINGERPRINT_SEED).integers(
+        0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
+    keys, padded = [], []
+    for role in (PREPROCESS, QUERY):
+        rows = padded_bit_rows(level.packed, level.supports, ctx, role)
+        words = np.zeros((len(level), (ctx.padded_length + 63) // 64), dtype="<u8")
+        words.view(np.uint8)[:, :(len(rows) + 7) // 8] = np.packbits(
+            rows, axis=0, bitorder="little").T
+        keys.append(butterfly_fingerprints(rows, family.phi, family.mask_dim, r)[:, :, None])
+        padded.append(words)
+    return (*keys, *padded)
+
+
+def butterfly_fingerprints(rows, phi, mask_dim, r):
+    """(records, 2^mask_dim - 1): per column of the bit matrix `rows` and
+    nonzero v, the XOR of r[i] over its ones with <phi(i), v> odd.  c[u],
+    the XOR over the ones with phi(i) = u, is one scatter; the XOR of c[u]
+    over the u with <u, v> odd is one butterfly step per bit of v."""
+    records, size = rows.shape[1], 1 << mask_dim
+    pos, rec = np.nonzero(rows)
+    c = np.zeros((records, size), dtype=np.uint64)
+    np.bitwise_xor.at(c.reshape(-1), rec * size + phi[pos], r[pos])
+    even, odd = c, np.zeros_like(c)
+    half = 1
+    while half < size:   # index bit `half` turns from a bit of u into a bit of v
+        e = even.reshape(records, -1, 2, half)
+        o = odd.reshape(records, -1, 2, half)
+        even = np.stack([e[:, :, 0] ^ e[:, :, 1], e[:, :, 0] ^ o[:, :, 1]], axis=2)
+        odd = np.stack([o[:, :, 0] ^ o[:, :, 1], o[:, :, 0] ^ e[:, :, 1]], axis=2)
+        even, odd = even.reshape(records, size), odd.reshape(records, size)
+        half *= 2
+    return odd[:, 1:]
 
 
 def reference_probe(tables, masks, q, ctx, compatible, verify, early_exit_budget):

@@ -1,5 +1,10 @@
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +287,31 @@ def test_unknown_flag_exits_2(capsys, toy_path):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_one_shot_mines_leave_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma costs a one-shot mine 8-13 ms and about 1.5 MB;
+    # np.unique imports it when called without flags (numpy 2.4), and
+    # with return_index or return_inverse it does not
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses resolve their module here
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "negatives.dat"
+    workloads.write_fimi(workloads.generate("negatives", 1), path)
+    script = """if True:
+        import contextlib, io, sys
+        from lshmine import cli
+        for variant in sys.argv[2:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["mine", "--input", sys.argv[1], "--theta", "0.3", "--variant",
+                                 variant, "--epsilon", "0.5", "--delta", "0.1"]) == 0, variant
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, str(path), *engine.VARIANTS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

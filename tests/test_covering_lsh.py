@@ -77,6 +77,16 @@ def test_derive_params_cap():
     assert p.mask_dim == 41
 
 
+def test_derive_params_table_entry_cap():
+    # 3 itemsets at mask_dim 21, under the mask_dim cap: 3 x (2^21 - 1)
+    # table entries exceed MAX_TABLE_ENTRIES, unless the cap is raised
+    ctx = LevelContext(n=100, m_l=3, alpha_count=40, theta_count=30)
+    with pytest.raises(FamilyTooLarge, match=r"\(2\^21 - 1\) x 3 = 6291453 table entries"
+                                             r" > cap 1048576"):
+        derive_params(ctx, 0.5, 0.1)
+    assert derive_params(ctx, 0.5, 0.1, mask_dim_cap=25).mask_dim == 21
+
+
 def test_family_size_and_determinism():
     params = small_params(n_prime=10, mask_dim=4)
     fam1 = build_family(params, seed=3)

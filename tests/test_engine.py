@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -241,6 +242,18 @@ def test_family_too_large_fallback():
     report = lsh_apriori_mine(db, config)
     reasons = {row.fallback_reason for row in report.levels if row.level > 1}
     assert "family_too_large" in reasons
+    assert report.itemsets.same_itemsets(brute_force_mine(db, 0.3))
+
+
+def test_covering_table_entry_cap_falls_back_quickly():
+    # three items of supports 30, 35 and 40 at theta_count 30: level 2's
+    # family has mask_dim 21, 3 x (2^21 - 1) table entries, which once took
+    # seconds and gigabytes to build
+    db = db_from_rows([[i for i, s in enumerate((30, 35, 40)) if j < s] for j in range(100)])
+    t0 = time.perf_counter()
+    report = lsh_apriori_mine(db, lsh_config("covering", theta=0.3))
+    assert time.perf_counter() - t0 < 1.0
+    assert report.levels[1].fallback_reason == "family_too_large"
     assert report.itemsets.same_itemsets(brute_force_mine(db, 0.3))
 
 

@@ -5,7 +5,8 @@ numbering against the join's own pairing step, the Hamming tables against
 sampled-bit keys, the level screens of all three LSH variants against the
 per-record probes they replaced, the sorted first-table screen against the
 pairwise one, the level-wide union memo against direct verification, the
-one-pass MinHash columns against minima over the padded positions,
+one-pass MinHash columns against minima over the padded positions, the
+closed-form covering build against the dense padded layout,
 every variant against the brute-force oracle and against the database's
 columns, and the packed loader against the per-item Python-int one."""
 
@@ -58,6 +59,7 @@ from conftest import (
     query_view,
     record,
     reference_build_level,
+    reference_covering_index,
     reference_load_transactions,
     reference_minhash_query,
     reference_probe,
@@ -548,6 +550,7 @@ def check_covering_screen(case):
         lambda pairs, verify: covering_query(index, pairs, ctx, verify, early_exit),
         lambda q, compatible, verify: reference_probe(tables, family.masks, q, ctx, compatible,
                                                       verify, budget if early_exit else None))
+    return index
 
 
 # the all-zero phi: every mask is 0, so every pair collides in every table
@@ -566,14 +569,72 @@ def test_covering_screen_matches_per_record_probe(case):
 def test_covering_confirms_every_fingerprint_collision(monkeypatch):
     # with every fingerprint 0, every pair's fingerprints agree in every
     # table, and only the masked words decide what collides
-    monkeypatch.setattr(covering_lsh, "_fingerprints", lambda rows, phi, mask_dim, r: np.zeros(
-        (rows.shape[1], (1 << mask_dim) - 1), dtype=np.uint64))
+    monkeypatch.setattr(covering_lsh, "_fingerprints", lambda bits, order, values, bounds: np.zeros(
+        (bits.shape[1], len(bounds) - 2), dtype=np.uint64))
     rng = np.random.default_rng(11)
     for records, theta_count in (FIRST_PARTNER_AT_3, NO_PARTNER, JOIN_EDGES[4]):
         length = level_context(records, theta_count).padded_length
         for mask_dim, early_exit in ((1, False), (3, True), (4, False)):
             phi = rng.integers(0, 1 << mask_dim, length)
-            check_covering_screen((records, theta_count, mask_dim, phi, 2, early_exit))
+            index = check_covering_screen((records, theta_count, mask_dim, phi, 2, early_exit))
+            assert not index.p_keys.any() and not index.q_keys.any()
+
+
+# The closed-form covering build against the dense layout it replaced.
+
+@st.composite
+def covering_builds(draw):
+    """n at and around a word edge; record weights all equal, pairwise
+    distinct or free (a weight-0 record has the longest run, the heaviest
+    record an empty one); mask_dim 1-10 with phi over every class, over a
+    few classes (most classes empty) or all zero; whether each chunk holds
+    one word; and a seed for the records' ones and phi."""
+    n = draw(st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 130)))
+    shape = draw(st.sampled_from(["equal", "distinct", "free"]))
+    if shape == "equal":
+        weights = [draw(st.integers(1, n))] * draw(st.integers(1, 6))
+    else:
+        weights = draw(st.lists(st.integers(0, n), min_size=1, max_size=min(6, n + 1),
+                                unique=shape == "distinct"))
+    return (n, weights, draw(st.integers(1, 10)), draw(st.sampled_from(["any", "few", "zero"])),
+            draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+def check_covering_build(case):
+    n, weights, mask_dim, classes, one_word, seed = case
+    rng = np.random.default_rng(seed)
+    bits = np.zeros((len(weights), -(-n // 64) * 64), dtype=bool)
+    for row, w in zip(bits, weights):
+        row[rng.permutation(n)[:w]] = True
+    level = Level(np.arange(len(weights))[:, None], np.packbits(
+        bits, axis=1, bitorder="little").view("<u8"), np.array(weights), n)
+    ctx = LevelContext(n=n, m_l=len(level), alpha_count=max(1, *weights), theta_count=1)
+    size = 1 << mask_dim
+    if classes == "any":
+        phi = rng.integers(0, size, ctx.padded_length)
+    else:
+        phi = rng.choice(rng.integers(0, size, 3) if classes == "few" else [0], ctx.padded_length)
+    params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
+                            early_exit_budget=2)
+    family = build_family(params, 0, phi=phi)
+    with mock.patch.object(exact, "PAIR_CHUNK_WORDS", 1 if one_word else exact.PAIR_CHUNK_WORDS):
+        index = covering_build_index(level, family, ctx, params)
+    got = (index.p_keys, index.q_keys, index.padded_p, index.padded_q)
+    for name, a, b in zip(("p_keys", "q_keys", "padded_p", "padded_q"), got,
+                          reference_covering_index(level, family, ctx)):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+@SETTINGS
+@given(covering_builds())
+@example((1, [1, 0], 1, "zero", True, 0))
+@example((64, [64, 0, 5], 10, "few", True, 1))
+@example((65, [3, 3, 3], 4, "any", False, 2))
+@example((63, [0, 1, 2, 3, 4, 5], 10, "any", True, 3))
+@example((65, [65, 0, 64], 7, "zero", False, 4))
+def test_covering_build_matches_dense_layout(case):
+    check_covering_build(case)
 
 
 # The two ways a mask index finds each pair's first colliding table, called
