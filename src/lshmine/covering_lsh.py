@@ -14,18 +14,19 @@ The masks key the level screen the Hamming variant also uses
 each masked padded vector: the XOR of fixed random words r_i over the
 positions the mask keeps.  XOR is linear, so equal masked vectors have
 equal fingerprints, and a padded vector's fingerprint is that of its own
-bits XOR that of its padding run: `build_index` computes the own part
-once per record for both roles and each run part once per distinct run
-length, with no padded vector laid out.  Grouping the positions by phi
-gives the per-class XORs c as differences of prefix XORs, and c's
-fingerprints under all 2^mask_dim - 1 masks follow from one linear-time
-recursion on the top bit of the class (`_fingerprints`).  Unequal masked
-vectors share a fingerprint only by chance (probability 2^-64).
-Whichever way the screen finds collisions, comparing every pair's
-fingerprints or sorting each table's (chosen by `hamming_lsh.sort_pays`;
-with 2^mask_dim - 1 tables, sorting wins on wide levels), it confirms
-every one it acts on against the masked words themselves through one
-helper, `CoveringIndex._confirmed`.
+bits XOR that of its padding run (`transform.padding_runs`).  Grouping the
+positions by phi gives the per-class XORs c as differences of prefix
+XORs, and c's fingerprints under all 2^mask_dim - 1 masks follow from one
+linear-time recursion on the top bit of the class (`_fingerprints`).
+Unequal masked vectors share a fingerprint only by chance (probability
+2^-64).  Whichever way the screen finds collisions, comparing every
+pair's fingerprints or sorting each table's (chosen by
+`hamming_lsh.sort_pays`; with 2^mask_dim - 1 tables, sorting wins on wide
+levels), it confirms every one it acts on against the masked words
+themselves through one helper, `CoveringIndex._confirmed`.  The family
+keeps phi and the mask_dim basis masks a(2^k) as packed words, and the
+helper builds each table's mask a(v) as the XOR of the basis rows of v's
+bits.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ import numpy as np
 
 from . import exact
 from .exact import Level, OrderedPairs
-from .hamming_lsh import MaskIndex, QueryResult, _first_true, _grouped
+from .hamming_lsh import MaskIndex, QueryResult, _grouped
 from .transform import (
     DegenerateLevel,
     LevelContext,
     _ceil,
     check_tolerances,
+    padding_runs,
 )
 
 DEFAULT_MASK_DIM_CAP = 24
@@ -122,16 +124,29 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
 class CoveringFamily:
     mask_dim: int
     phi: np.ndarray          # (n_prime,) ints in [0, 2^mask_dim)
-    masks: list[int]         # 2^mask_dim - 1 projection masks, n_prime bits each
+    basis: np.ndarray        # (mask_dim, ceil(n_prime/64)) "<u8": a(2^k), bit i is bit k of phi(i)
+
+    @property
+    def masks(self) -> list[int]:
+        """The masks a(1), ..., a(2^mask_dim - 1) as n_prime-bit ints, built
+        on each access for inspection; mining reads `mask_words`."""
+        return [int.from_bytes(row.tobytes(), "little")
+                for row in self.mask_words(np.arange((1 << self.mask_dim) - 1))]
+
+    def mask_words(self, tables: np.ndarray) -> np.ndarray:
+        """The masks of tables t, a(t + 1), as rows of packed words: a is
+        linear in v, so each is the XOR of the basis rows of t + 1's bits."""
+        v = np.asarray(tables) + 1
+        words = np.zeros((len(v), self.basis.shape[1]), dtype="<u8")
+        for k in range(int(v.max(initial=0)).bit_length()):   # the bits some v sets
+            words[(v >> k) & 1 == 1] ^= self.basis[k]
+        return words
 
 
 def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) -> CoveringFamily:
-    """Draw phi and materialize the mask a(v) for every nonzero v.
-
-    a is linear in v, so each a(v) is a(v with its lowest set bit cleared)
-    XOR the basis mask of that bit, a(2^k), whose bit i is bit k of phi(i).
-    `phi` can be injected for tests (e.g. the all-zero map to exercise
-    total-collision handling).
+    """Draw phi and pack the basis masks a(2^k), k < mask_dim, which every
+    mask a(v) is the XOR of.  `phi` can be injected for tests (e.g. the
+    all-zero map to exercise total-collision handling).
     """
     if phi is None:
         rng = np.random.default_rng(seed)
@@ -140,16 +155,10 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
         phi = np.asarray(phi, dtype=np.int64)
         if phi.shape != (params.n_prime,):
             raise ValueError(f"phi must have shape ({params.n_prime},)")
-
-    basis = [int.from_bytes(np.packbits(((phi >> k) & 1).astype(np.uint8),
-                                         bitorder="little").tobytes(), "little")
-             for k in range(params.mask_dim)]
-    masks = [0]   # masks[v] = a(v); a(0) is dropped below
-    for v in range(1, 1 << params.mask_dim):
-        low = v & -v
-        masks.append(masks[v ^ low] ^ basis[low.bit_length() - 1])
-    del masks[0]
-    return CoveringFamily(mask_dim=params.mask_dim, phi=phi, masks=masks)
+    bits = np.zeros((params.mask_dim, -(-params.n_prime // 64) * 64), dtype=np.uint8)
+    bits[:, :params.n_prime] = phi >> np.arange(params.mask_dim)[:, None] & 1
+    basis = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return CoveringFamily(mask_dim=params.mask_dim, phi=phi, basis=basis)
 
 
 @dataclass
@@ -158,7 +167,7 @@ class CoveringIndex(MaskIndex):
     are fingerprints of the masked padded vectors (one word per table), and
     the packed padded vectors confirm each collision the screen acts on."""
 
-    masks: list[int]
+    family: CoveringFamily
     padded_p: np.ndarray   # (m_l, ceil(n_prime/64)) "<u8"
     padded_q: np.ndarray
 
@@ -167,36 +176,20 @@ class CoveringIndex(MaskIndex):
         """Per mask, the records under each key P(a) & mask.  Built on each
         access, for inspection; the screen never reads it."""
         padded = [int.from_bytes(row.tobytes(), "little") for row in self.padded_p]
-        return [_grouped(p & mask for p in padded) for mask in self.masks]
+        return [_grouped(p & mask for p in padded) for mask in self.family.masks]
 
     def _pair_words(self) -> int:   # a pair's fingerprint row, or its padded words
         return max(self.p_keys.shape[1], self.padded_p.shape[1])
-
-    def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
-        """The first table whose fingerprints agree and whose masked words
-        agree too; a table whose fingerprints agree by chance is dropped and
-        the pair's next one is tried."""
-        first = _first_true(hit)
-        todo = np.flatnonzero(first < hit.shape[1])
-        while len(todo):
-            todo = todo[~self._confirmed(q[todo], a[todo], first[todo])]
-            hit[todo, first[todo]] = False
-            first[todo] = _first_true(hit[todo])
-            todo = todo[first[todo] < hit.shape[1]]
-        return first
 
     def _confirmed(self, q: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Which of the fingerprint collisions of Q(q[i]) and P(a[i]) in
         table t[i] are collisions: those whose masked padded words agree
         too.  Each distinct table's mask words are built once per call, and
         PAIR_CHUNK_WORDS words of each operand are read at a time."""
-        words = self.padded_p.shape[1]
         tables, row = np.unique(t, return_inverse=True)
-        masks = np.frombuffer(b"".join(self.masks[x].to_bytes(8 * words, "little")
-                                       for x in tables.tolist()), dtype="<u8")
-        masks = masks.reshape(len(tables), words)
+        masks = self.family.mask_words(tables)
         same = np.empty(len(q), dtype=bool)
-        step = exact.chunk_rows(words)
+        step = exact.chunk_rows(masks.shape[1])
         for s in range(0, len(q), step):
             both = self.padded_p[a[s:s + step]] ^ self.padded_q[q[s:s + step]]
             same[s:s + step] = ~(both & masks[row[s:s + step]]).any(axis=1)
@@ -206,41 +199,36 @@ class CoveringIndex(MaskIndex):
 def build_index(level: Level, family: CoveringFamily, ctx: LevelContext,
                 params: CoveringParams) -> CoveringIndex:
     """One table per mask; the key of record a under mask m is P(a) & m for
-    indexing and Q(a) & m for querying, each held as its fingerprint.
-
-    P(a) and Q(a) are a's own bits plus a run of alpha_count - |a| ones
-    (from n for P, from n + alpha_count for Q), and a fingerprint is an
-    XOR, so each key is the fingerprint of the own bits XOR that of the
-    run.  The own part is computed once per record for both roles, the run
-    parts once per distinct run length, and the padded words are the
-    packed own words ORed with the run's."""
-    n, alpha, size = ctx.n, ctx.alpha_count, 1 << family.mask_dim
+    indexing and Q(a) & m for querying, each held as its fingerprint: that
+    of the own bits, once per record for both roles, XOR that of the role's
+    run, once per run length.  The padded words are the packed own words
+    ORed with the run's."""
+    n, size = ctx.n, 1 << family.mask_dim
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
-    lengths, run = np.unique(alpha - level.supports, return_inverse=True)
-    ones = np.arange(alpha)[:, None] < lengths   # (alpha, runs): each run length's ones
+    lengths, run, starts = padding_runs(level.supports, ctx)
     words = -(-ctx.padded_length // 64)
-    position = np.arange(64 * words)
     run_keys, run_words = [], []
-    for start in (n, n + alpha):   # P's run, then Q's
-        part = slice(start, start + alpha)
-        run_keys.append(_fingerprints(ones, *_by_class(family.phi[part], r[part], size)))
-        in_run = (position >= start) & (position < start + lengths[:, None])
-        run_words.append(np.packbits(in_run, axis=1, bitorder="little").view("<u8"))
+    for start in starts:   # P's run, then Q's
+        offset = np.arange(64 * words) - start
+        ones = (offset >= 0) & (offset < lengths[:, None])   # (runs, positions)
+        part = slice(start, start + ctx.alpha_count)
+        run_keys.append(_fingerprints(ones[:, part].T, *_by_class(family.phi[part], r[part], size)))
+        run_words.append(np.packbits(ones, axis=1, bitorder="little").view("<u8"))
 
     own = _by_class(family.phi[:n], r[:n], size)
     padded = [np.empty((len(level), words), dtype="<u8") for _ in range(2)]
     keys = [np.empty((len(level), size - 1, 1), dtype=np.uint64) for _ in range(2)]
     step = exact.chunk_rows(max(n + 1, size))   # prefix XORs, class XORs
     for s in range(0, len(level), step):
-        packed, runs = level.packed[s:s + step], run[s:s + step]
+        packed, which = level.packed[s:s + step], run[s:s + step]
         bits = np.unpackbits(packed.view(np.uint8).T, axis=0, bitorder="little")
         fingerprints = _fingerprints(bits, *own)
         for out, vectors, run_key, run_word in zip(keys, padded, run_keys, run_words):
-            np.bitwise_xor(fingerprints, run_key[runs], out=out[s:s + step, :, 0])
-            vectors[s:s + step] = run_word[runs]
+            np.bitwise_xor(fingerprints, run_key[which], out=out[s:s + step, :, 0])
+            vectors[s:s + step] = run_word[which]
             vectors[s:s + step, :packed.shape[1]] |= packed
-    return CoveringIndex(*keys, params.early_exit_budget, family.masks, *padded)
+    return CoveringIndex(*keys, params.early_exit_budget, family, *padded)
 
 
 def _by_class(phi: np.ndarray, r: np.ndarray, size: int):

@@ -5,8 +5,8 @@ L hash tables, each keyed by k uniformly sampled bit positions of the
 padded vector (the bit-sampling family of Gionis, Indyk & Motwani, VLDB
 1999).  Record a's key in table t is the k bits of P(a) at row t of the
 projections, its query key the same bits of Q(a), each packed into uint64
-words; both are read in closed form from the level's packed vectors and
-supports (`transform.padded_bit_rows`), and no vector is padded.
+words; both are read off the level's packed vectors and padding runs
+(`transform.padding_runs`), and no vector is padded.
 
 `MaskIndex.screen` screens a whole level at once.  For every compatible
 ordered pair (q, a) of the join it finds the first table in which Q(q)
@@ -42,13 +42,11 @@ import numpy as np
 from . import exact
 from .exact import Level, OrderedPairs
 from .transform import (
-    PREPROCESS,
-    QUERY,
     DegenerateLevel,
     LevelContext,
     _ceil,
     check_tolerances,
-    padded_bit_rows,
+    padding_runs,
 )
 
 # The sorted screen hashes each key, XOR its filing's group times MIX, to
@@ -213,7 +211,17 @@ class MaskIndex:
         return np.ones(len(q), dtype=bool)
 
     def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
-        return _first_true(hit)   # exact keys: a key collision is a collision
+        """Per pair, the first table whose keys agree and that `_confirmed`
+        confirms; a table whose keys agree by chance (a covering
+        fingerprint) is dropped and the pair's next one is tried."""
+        first = _first_true(hit)
+        todo = np.flatnonzero(first < hit.shape[1])
+        while len(todo):
+            todo = todo[~self._confirmed(q[todo], a[todo], first[todo])]
+            hit[todo, first[todo]] = False
+            first[todo] = _first_true(hit[todo])
+            todo = todo[first[todo] < hit.shape[1]]
+        return first
 
     def screen(self, pairs: OrderedPairs, ctx: LevelContext, verify,
                early_exit: bool) -> QueryResult:
@@ -312,7 +320,8 @@ def build_index(level: Level, params: HammingLshParams, ctx: LevelContext,
     All randomness (the L position sets) is drawn up front from the seed;
     `projections` can be supplied directly to pin the sample in tests.  A
     position sampled twice is read twice, which groups the records as
-    reading it once would.
+    reading it once would.  A key is that of the own bits (once per record)
+    ORed with that of the role's padding run (once per run length).
     """
     if projections is None:
         rng = np.random.default_rng(seed)
@@ -321,14 +330,22 @@ def build_index(level: Level, params: HammingLshParams, ctx: LevelContext,
         projections = np.asarray(projections, dtype=np.int64)
         if projections.shape != (params.L, params.k):
             raise ValueError(f"projections must have shape {(params.L, params.k)}")
+        if ((projections < 0) | (projections >= ctx.padded_length)).any():
+            raise ValueError(f"projections must lie in [0, {ctx.padded_length})")
+    lengths, run, starts = padding_runs(level.supports, ctx)
+    offsets = [projections[..., None] - start for start in starts]   # P's run, then Q's
+    run_keys = [_pack_bits((offset >= 0) & (offset < lengths)) for offset in offsets]
+    own = np.minimum(projections, ctx.n)   # row n of the own bits is 0
     words = (params.k + 63) // 64
-    step = exact.chunk_rows(max(-(-ctx.padded_length // 8), -(-params.L * params.k // 8),
-                                params.L * words))   # bit rows, sampled bits, keys
+    step = exact.chunk_rows(max(-(-(ctx.n + 1) // 8), -(-params.L * params.k // 8),
+                                params.L * words))   # own bits, sampled bits, keys
     keys = [np.empty((len(level), params.L, words), dtype=np.uint64) for _ in range(2)]
     for s in range(0, len(level), step):
-        for role, out in zip((PREPROCESS, QUERY), keys):
-            rows = padded_bit_rows(level.packed[s:s + step], level.supports[s:s + step], ctx, role)
-            out[s:s + step] = _pack_bits(rows[projections])
+        bits = np.unpackbits(level.packed[s:s + step].view(np.uint8).T, axis=0,
+                             count=ctx.n + 1, bitorder="little")
+        own_keys = _pack_bits(bits[own])
+        for out, run_key in zip(keys, run_keys):
+            np.bitwise_or(own_keys, run_key[run[s:s + step]], out=out[s:s + step])
     return MaskIndex(*keys, early_exit_budget=params.early_exit_budget)
 
 

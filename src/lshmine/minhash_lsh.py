@@ -22,8 +22,8 @@ bits: numpy fixes bit generators' raw streams, not the output of its
 `Generator` methods.
 
 The sketch is built in one pass.  P(v) and Q(v) share v's own |v|
-positions, and their padding is a run of alpha-|v| ones from the fixed
-offsets n and n+alpha.  So on each row h
+positions, and their padding is a run of alpha-|v| ones from n and
+n+alpha (`transform.padding_runs`).  So on each row h
 
     base(v) = min of h over v's own positions
     P(v)    = min(base(v), cummin(h[n : n+alpha])[alpha-|v|-1])
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import exact
 from .exact import Level, OrderedPairs
-from .transform import LevelContext, _ceil, check_tolerances
+from .transform import LevelContext, _ceil, check_tolerances, padding_runs
 
 DEFAULT_ROW_CAP = 2_000_000
 
@@ -101,8 +101,7 @@ def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -
         raise ValueError(f"padded length {length} does not fit int32")
     if len(level) and level.n != n:
         raise ValueError(f"vector length {level.n} != level n {n}")
-    if (level.supports > alpha).any():
-        raise ValueError(f"popcount {level.supports.max()} exceeds alpha_count {alpha}")
+    lengths, run, starts = padding_runs(level.supports, ctx)
     rows = params.rows
     words = np.random.default_rng(seed).bit_generator.random_raw((rows * length + 1) // 2)
     hashes = words.astype("<u8", copy=False).view("<u4")[:rows * length].reshape(rows, length)
@@ -112,12 +111,12 @@ def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -
     for i, row in enumerate(level.packed):
         ones = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
         base[i] = own[ones].min(axis=0, initial=top)   # empty v: padding decides
-    padded = (alpha - level.supports > 0)[:, None]
+    length = lengths[run]
     columns = []
-    for offset in (n, n + alpha):
-        run_min = np.minimum.accumulate(hashes[:, offset:offset + alpha].T, axis=0)
-        columns.append(np.minimum(base, run_min[alpha - level.supports - 1], out=base.copy(),
-                                  where=padded).T)
+    for start in starts:
+        run_min = np.minimum.accumulate(hashes[:, start:start + alpha].T, axis=0)
+        columns.append(np.minimum(base, run_min[length - 1], out=base.copy(),
+                                  where=(length > 0)[:, None]).T)
     return MinhashSketch(perms=hashes, columns=columns[0], query_columns=columns[1])
 
 

@@ -10,10 +10,10 @@ With x padded for preprocessing and y padded for querying:
 
 so a co-support threshold becomes a distance/similarity threshold the
 standard hash families understand.  `pad_preprocess` and `pad_query` are
-the only definition of the two layouts; the dense array and the one
-positions are read off them.  `padded_bit_rows` lays out a whole level's padded vectors in
-closed form instead, without padding any vector; the tests check it
-against the dense array.
+the per-vector definition of the two layouts; the dense array and the one
+positions are read off them.  The builders lay out no padded vector: it is
+the own bits plus one run of ones (`padding_runs`), so each reads a
+record's own bits once for both roles and each run once per length.
 """
 
 from __future__ import annotations
@@ -153,15 +153,11 @@ def padded_one_positions(v: BitVector, ctx: LevelContext, role: str) -> np.ndarr
     return np.flatnonzero(padded_bits_array(v, ctx, role))
 
 
-def padded_bit_rows(packed: np.ndarray, weights: np.ndarray, ctx: LevelContext,
-                    role: str) -> np.ndarray:
-    """The records' padded vectors as a uint8 bit matrix with one row per
-    padded position and one column per record, laid out in closed form
-    from their packed vectors (rows of little-endian uint64 words) and
-    weights, with no vector padded: the own bits, then the role's run of
-    alpha_count - |v| ones (from n for P, from n + alpha_count for Q),
-    zeros elsewhere."""
-    run = np.arange(ctx.alpha_count)[:, None] < ctx.alpha_count - np.asarray(weights)
-    run, blank = run.astype(np.uint8), np.zeros(run.shape, dtype=np.uint8)
-    own = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")[:, :ctx.n].T
-    return np.concatenate([own, run, blank] if role == PREPROCESS else [own, blank, run])
+def padding_runs(supports: np.ndarray, ctx: LevelContext):
+    """The padding runs of records of weights `supports`: the distinct run
+    lengths alpha_count - |v| ascending, each record's index into them, and
+    where the runs start, P's at n and Q's at n + alpha_count."""
+    if (supports > ctx.alpha_count).any():
+        raise ValueError(f"popcount {supports.max()} exceeds alpha_count {ctx.alpha_count}")
+    lengths, index = np.unique(ctx.alpha_count - supports, return_inverse=True)
+    return lengths, index, (ctx.n, ctx.n + ctx.alpha_count)

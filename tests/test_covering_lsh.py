@@ -124,6 +124,9 @@ def test_family_masks_match_definition():
             for v in range(1, 2**dim):
                 expected = sum((int(phi[i]) & v).bit_count() % 2 << i for i in range(13))
                 assert fam.masks[v - 1] == expected, (dim, v)
+                # the words `CoveringIndex._confirmed` builds for table v - 1
+                words = fam.mask_words(np.array([v - 1]))[0]
+                assert int.from_bytes(words.tobytes(), "little") == fam.masks[v - 1], (dim, v)
 
 
 def test_family_mask_dim_one_is_phi():

@@ -104,6 +104,35 @@ def test_identity_projection_partitions_by_vector():
     assert buckets == [(0, 1), (2,)]
 
 
+def test_build_rejects_projections_outside_the_padded_length():
+    ctx = LevelContext(n=6, m_l=2, alpha_count=3, theta_count=2)
+    params = HammingLshParams(rho=1.0, k=2, L=1, early_exit_budget=10)
+    level = Level.of(singleton_level([BitVector.from01("111000"), BitVector.from01("100000")]))
+    for bad in (-1, ctx.padded_length):
+        with pytest.raises(ValueError, match="projections must lie in"):
+            build_index(level, params, ctx, seed=0, projections=[[0, bad]])
+
+
+def test_keys_at_the_padding_boundaries_match_the_padded_vectors():
+    # the first and last own bits, the first and last position of P's run,
+    # the first position of Q's run and the last padded position, for a
+    # record of weight alpha (no run), the empty record (the longest runs)
+    # and one between
+    n, alpha = 8, 3
+    ctx = LevelContext(n=n, m_l=3, alpha_count=alpha, theta_count=1)
+    vectors = [BitVector.from01("10000101"), BitVector.from01("00000000"),
+               BitVector.from01("10000001")]
+    boundaries = [0, n - 1, n, n + alpha - 1, n + alpha, ctx.padded_length - 1]
+    proj = np.array([boundaries, boundaries[::-1]], dtype=np.int64)
+    params = HammingLshParams(rho=1.0, k=len(boundaries), L=2, early_exit_budget=10)
+    index = build_index(Level.of(singleton_level(vectors)), params, ctx, seed=0, projections=proj)
+    for keys, role in ((index.p_keys, PREPROCESS), (index.q_keys, QUERY)):
+        for a, v in enumerate(vectors):
+            bits = padded_bits_array(v, ctx, role)[proj]
+            expected = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
+            assert keys[a, :, 0].tolist() == expected, (role, a)
+
+
 def test_per_bit_collision_bounds():
     # count matching positions exactly over the whole padded dimension
     n, alpha_count, theta_count = 20, 12, 10

@@ -16,6 +16,7 @@ from lshmine.transform import (
     padded_hamming,
     padded_jaccard,
     padded_one_positions,
+    padding_runs,
 )
 
 from conftest import random_vector
@@ -145,6 +146,24 @@ def test_virtual_helpers_match_materialized():
         for role in (PREPROCESS, QUERY):
             dense = padded_bits_array(v, ctx, role)
             assert list(np.flatnonzero(dense)) == list(padded_one_positions(v, ctx, role))
+
+
+def test_padding_runs_match_padded_vectors():
+    # each record's padded vector is its own bits plus its run of ones from
+    # the role's start, and nothing else
+    rng = np.random.default_rng(3)
+    ctx = ctx_for(12, 7)
+    vectors = [random_vector(rng, 12, w) for w in (7, 0, 3, 3, 5)]
+    lengths, index, starts = padding_runs(np.array([v.popcount() for v in vectors]), ctx)
+    assert lengths.tolist() == [0, 2, 4, 7]
+    for v, j in zip(vectors, index):
+        for role, start in zip((PREPROCESS, QUERY), starts):
+            expected = np.zeros(ctx.padded_length, dtype=np.uint8)
+            expected[:12] = v.to_uint8()
+            expected[start:start + lengths[j]] = 1
+            assert np.array_equal(padded_bits_array(v, ctx, role), expected), (role, j)
+    with pytest.raises(ValueError, match="popcount 8 exceeds alpha_count 7"):
+        padding_runs(np.array([3, 8]), ctx)
 
 
 def test_level_context_validation():
