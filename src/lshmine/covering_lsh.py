@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .exact import Level, OrderedPairs
+from .exact import Level, PairSweep
 from .hamming_lsh import MaskIndex, QueryResult, _grouped
 from .transform import (
     DegenerateLevel,
@@ -270,16 +270,17 @@ def _fingerprints(bits: np.ndarray, order: np.ndarray, values: np.ndarray,
     return c[1:].T
 
 
-def query(index: CoveringIndex, pairs: OrderedPairs, ctx: LevelContext, verify,
+def query(index: CoveringIndex, sweep: PairSweep, ctx: LevelContext, verify,
           early_exit: bool = False) -> QueryResult:
-    """Screen the level's ordered pairs and verify every query's colliding
+    """Screen the join's ordered pairs and verify every query's colliding
     partners through `verify` (see `hamming_lsh.MaskIndex.screen`).
 
-    With `early_exit` off (the default) every collision is inspected, which
-    preserves the no-false-negative guarantee; switching it on applies the
-    same fruitless-inspection budget as the Hamming variant.
+    With `early_exit` off (the default) the screen's budget is one that no
+    query reaches, so every collision is inspected, which preserves the
+    no-false-negative guarantee; switching it on applies the same
+    fruitless-inspection budget as the Hamming variant.
     """
-    return index.screen(pairs, ctx, verify, early_exit)
+    return index.screen(sweep, ctx, verify, early_exit)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

@@ -4,16 +4,14 @@ I/O accounting that makes the variants comparable.
 `_produce_level` is the one level step, from one `exact.Level` to the
 next; the output keeps the levels, whose records are built only when one
 is iterated.  It starts with the array join of `exact.join_level`, the
-only place that decides which pairs are compatible.  The exact variant
-and every fallback level keep its frequent unions.  An LSH level hands
-the join's compatible ordered pairs (`PairSweep.ordered_pairs`) to one
-query per level through the per-variant hooks of `_LSH_VARIANTS`, and
-keeps the unions of the pairs the query returns, each as (q, a, y) of
-its first pair.  One `exact.build_level` call turns them into the next
-level.  Hamming and covering screen through one masked-projection index
-(`hamming_lsh.MaskIndex`) and differ only in where their keys come from
-and in the early-exit budget.  MinHash compares the sketch rows of every
-pair.
+only place that decides which pairs are compatible.  Each level then
+chooses some of the join's ordered pairs: the frequent ones on exact and
+fallback levels, on an LSH level the partners of one query through the
+per-variant hooks of `_LSH_VARIANTS`.  One `exact.build_level` call of
+their `PairSweep.unions` makes the next level.  Hamming and covering
+screen through one masked-projection index (`hamming_lsh.MaskIndex`)
+and differ only in where their keys come from and in the early-exit
+budget.  MinHash compares the sketch rows of every pair.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and
@@ -158,7 +156,7 @@ class _Variant:
 
     derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
     build: Callable     # (level, params, ctx, seed) -> index
-    query: Callable     # (index, pairs, params, ctx, config, verify) -> .partners (pair indices)
+    query: Callable     # (index, sweep, params, ctx, config, verify) -> .partners (pair indices)
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
 
 
@@ -166,15 +164,15 @@ _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
-        query=lambda index, pairs, params, ctx, config, verify: hamming_lsh.query(
-            index, pairs, ctx, verify),
+        query=lambda index, sweep, params, ctx, config, verify: hamming_lsh.query(
+            index, sweep, ctx, verify),
         phi=lambda params, ctx: params.k * params.L,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
-        query=lambda sketch, pairs, params, ctx, config, verify: minhash_lsh.query(
-            sketch, pairs, params),
+        query=lambda sketch, sweep, params, ctx, config, verify: minhash_lsh.query(
+            sketch, sweep, params),
         phi=lambda params, ctx: params.rows,
     ),
     "covering": _Variant(
@@ -182,8 +180,8 @@ _LSH_VARIANTS = {
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
         build=lambda level, params, ctx, seed: covering_lsh.build_index(
             level, covering_lsh.build_family(params, seed), ctx, params),
-        query=lambda index, pairs, params, ctx, config, verify: covering_lsh.query(
-            index, pairs, ctx, verify, early_exit=config.covering_early_exit),
+        query=lambda index, sweep, params, ctx, config, verify: covering_lsh.query(
+            index, sweep, ctx, verify, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
     ),
 }
@@ -208,29 +206,28 @@ def _produce_level(db, config, current, level, theta_count, timings):
             params = variant.derive(config, ctx)
         except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
             fallback = exc.reason
-    unions, emitted, tn, fp = sweep.frequent, sweep.distinct_candidates, 0, 0
+    chosen, emitted, tn, fp = np.flatnonzero(sweep.pair_frequent), sweep.distinct_candidates, 0, 0
     hashes = phi = 0
     if params is not None:
         seed = np.random.SeedSequence([config.seed, level])
-        unions, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
+        chosen, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
                                                 sweep, tag, timings)
         hashes, phi = 2 * m_l, variant.phi(params, ctx)
 
-    nxt = build_level(current, *unions, theta_count)   # drops the unions below threshold
+    nxt = build_level(current, *sweep.unions(chosen), theta_count)   # drops unions below threshold
     return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted, sweep=sweep,
                            hashes=hashes, phi=phi, tn=tn, fp=fp, fallback=fallback)
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
     """One LSH level: build, screen the join's ordered pairs in one query,
-    verify what it returns.  Returns the found unions, each as (q, a, y) of
-    a pair that forms it, the number of distinct unions read, TN and FP."""
+    verify what it returns.  Returns the query's partners, the number of
+    distinct unions read, TN and FP."""
     t0 = time.perf_counter()
     index = variant.build(current, params, ctx, seed)
     timings[f"{tag}:build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pairs = sweep.ordered_pairs()
     support = np.full(sweep.distinct_candidates, -1, dtype=np.int64)   # union -> co-support
     verified = np.zeros((2, sweep.candidate_pairs), dtype=bool)   # per ordered pair
     verify_s = 0.0
@@ -238,25 +235,23 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     def verify(sel):   # co-support of each selected pair, read once per union per level
         nonlocal verify_s
         t = time.perf_counter()
-        u = sweep.pair_union[sel % sweep.candidate_pairs]
+        u = sweep.union(sel)
         unread = support[u] < 0
         new, at = np.unique(u[unread], return_index=True)
         read = sel[unread][at]
-        support[new] = pair_cosupport(current.packed, *pairs.members(read)[:2])
+        support[new] = pair_cosupport(current.packed, *sweep.members(read)[:2])
         verified.reshape(-1)[sel] = True
         verify_s += time.perf_counter() - t
         return support[u]
 
-    partners = variant.query(index, pairs, params, ctx, config, verify).partners
+    partners = variant.query(index, sweep, params, ctx, config, verify).partners
     verify(partners)   # MinHash's sketch-approved pairs are read here
-    _, at = np.unique(sweep.pair_union[partners % sweep.candidate_pairs], return_index=True)
-    found = pairs.members(partners[at])
     timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
     timings[f"{tag}:verify"] = verify_s
     negative = ~sweep.pair_frequent   # per unordered pair, in both directions
     tn = int(np.count_nonzero(~verified & negative))
     fp = int(np.count_nonzero(verified & negative))
-    return found, int(np.count_nonzero(support >= 0)), tn, fp
+    return partners, int(np.count_nonzero(support >= 0)), tn, fp
 
 
 def _level_row(n, level, nxt, candidates, emitted, sweep=None, hashes=0, phi=0, tn=0, fp=0,

@@ -6,15 +6,15 @@ rows, vectors packed into 64-bit words as the database's rows are (the
 vertical bitmaps of MAFIA, Burdick et al., ICDE 2001) and supports.
 `frequent_singletons` filters the database's rows into level 1 and
 `build_level` makes every later one, in one array step (co-support,
-threshold, sort, AND) from the candidate unions it is given: the join's
-frequent unions for the exact variant and every fallback level, the
-unions an LSH level found for the others.  The output keeps the levels;
-iterating one gives its `ItemsetRecord`s.
+threshold, sort, AND) from the unions of the join's ordered pairs a level
+chose, one pair per union (`PairSweep.unions`): the frequent pairs on
+exact and fallback levels, the pairs its screen found on an LSH level.
+The output keeps the levels; iterating one gives its `ItemsetRecord`s.
 
 The join is the only place that decides Apriori compatibility.  It runs
 as whole-array steps, with no Python work per pair (see `join_level`).
-An LSH level reads the compatible ordered pairs off the join's filings
-(`OrderedPairs`); the exact variant and every fallback level never do.
+Its `PairSweep` reads the ordered pairs off the join's filings, the only
+code that knows how they are numbered.
 None of it charges reads; the engine prices what it returns.
 `apriori_mine` is the engine's exact variant.  The brute-force path
 shares no logic with any of it, so the miners always have an independent
@@ -107,18 +107,30 @@ class Level:
         return iter(self._records)
 
 
-class OrderedPairs:
-    """A level's compatible ordered pairs, read off the join's filings:
-    query record q, partner record a, and the item a adds to q.  Unordered
-    pair p of the join is at p as (i, j) and at p + candidate_pairs as
-    (j, i).  `q`, `a` and `y` list every pair, built on first access;
-    `members` and `index` number only the pairs they are given."""
+@dataclass
+class PairSweep:
+    """One level's candidate join: who is compatible with whom and which
+    unions are frequent.  `filings` holds one column per (record, item left
+    out), sorted by the (l-1)-subset that remains: the record, the item,
+    and the end of the columns filed under the same subset.  Per unordered
+    pair, in the join's pair order, `pair_union` numbers its union among
+    the distinct candidates, in item order, and `pair_frequent` says
+    whether the union meets the threshold.
 
-    def __init__(self, filings: np.ndarray):
-        self.filings = filings   # (3, m_l * l): record, item, group end
-        f = filings.shape[1]   # filing f pairs with the end[f] - f - 1 later ones of its group
-        self.candidate_pairs = int(filings[2].sum()) - f * (f + 1) // 2
-        self._every = None   # (3, len) q, a, y of every pair, once built
+    The ordered pairs are read off the filings, not kept: query record q,
+    partner record a, and the item a adds to q.  Unordered pair p is at p
+    as (i, j) and at p + candidate_pairs as (j, i).  `q`, `a` and `y` list
+    every pair, built on first access; the methods read only the pairs
+    they are given.  `build_level` of `unions` of the frequent pairs is the
+    exact next level."""
+
+    candidate_pairs: int
+    frequent_pairs: int
+    distinct_candidates: int
+    filings: np.ndarray = field(repr=False)         # (3, m_l * l): record, item, group end
+    pair_union: np.ndarray = field(repr=False)      # (candidate_pairs,) in [0, distinct_candidates)
+    pair_frequent: np.ndarray = field(repr=False)   # (candidate_pairs,) bool
+    _every: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -167,31 +179,16 @@ class OrderedPairs:
         fq, fa = np.where(swapped, second, first), np.where(swapped, first, second)
         return owner[fq], owner[fa], item[fa]
 
+    def union(self, idx: np.ndarray) -> np.ndarray:
+        """The distinct candidate that each pair of `idx` forms."""
+        return self.pair_union[idx - self.candidate_pairs * (idx >= self.candidate_pairs)]
 
-@dataclass
-class PairSweep:
-    """One level's candidate join: who is compatible with whom and which
-    unions are frequent; `build_level` of `frequent` is the exact next level.
-
-    The pairs themselves are not kept.  `filings` holds one column per
-    (record, item left out), sorted by the (l-1)-subset that remains: the
-    record, the item, and the end of the columns filed under the same
-    subset.  Per unordered pair, in the join's pair order, `pair_union`
-    numbers its union among the distinct candidates and `pair_frequent`
-    says whether the union meets the threshold."""
-
-    candidate_pairs: int
-    frequent_pairs: int
-    distinct_candidates: int
-    frequent: np.ndarray = field(repr=False)        # (3, F): first pair i, j and item j adds
-    filings: np.ndarray = field(repr=False)         # (3, m_l * l): record, item, group end
-    pair_union: np.ndarray = field(repr=False)      # (candidate_pairs,) in [0, distinct_candidates)
-    pair_frequent: np.ndarray = field(repr=False)   # (candidate_pairs,) bool
-
-    def ordered_pairs(self) -> OrderedPairs:
-        """Every compatible pair both ways, read off the filings.  Reads no
-        co-support."""
-        return OrderedPairs(self.filings)
+    def unions(self, idx: np.ndarray):
+        """The distinct candidates the pairs `idx` form, in item order, as q,
+        a and y of the first pair of `idx` that forms each: what
+        `build_level` takes."""
+        _, at = np.unique(self.union(idx), return_index=True)
+        return self.members(idx[at])
 
 
 def build_level(level: Level, i: np.ndarray, j: np.ndarray, y: np.ndarray,
@@ -227,7 +224,7 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
     popcount of the two packed vectors' AND, a chunk of pairs at a time.
     The distinct unions are counted by sorting the pairs' union rows (at
     l = 1 every pair's union is its own); the same sort numbers every
-    pair's union and gives each frequent union its first pair."""
+    pair's union, in item order."""
     items = level.items
     m, size = items.shape
     others = np.array([[c for c in range(size) if c != k] for k in range(size)],
@@ -249,18 +246,15 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
     is_frequent = pair_cosupport(level.packed, i, j) >= theta_count
 
     if size == 1:   # distinct singletons: every pair forms its own union
-        distinct, firsts, union = len(i), np.flatnonzero(is_frequent), np.arange(len(i))
+        distinct, union = len(i), np.arange(len(i))
     else:
         unions = np.sort(np.column_stack([items[i], y]), axis=1)
-        order = np.lexsort(unions.T[::-1])   # stable: one union's pairs stay in pair order
+        order = np.lexsort(unions.T[::-1])
         runs = _run_starts(unions[order])
         distinct = int(runs.sum())
         union = np.empty(len(i), dtype=np.intp)
         union[order] = np.cumsum(runs) - 1
-        kept = order[is_frequent[order]]
-        firsts = kept[_run_starts(unions[kept])]
     return PairSweep(len(i), int(is_frequent.sum()), distinct,
-                     np.stack([i[firsts], j[firsts], y[firsts]]),
                      np.stack([owner, left_out, end]), union, is_frequent)
 
 

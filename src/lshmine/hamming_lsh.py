@@ -29,7 +29,8 @@ table would meet them, and verifies them through the caller's `verify`
 (which decides what is read and charged) in two batches: every query's
 first `budget` partners, then the rest of each query that found a
 similar partner among those.  A query that found none there gives up
-early, as a per-record probe would after `budget` fruitless inspections.
+early, as a per-record probe would after `budget` fruitless inspections;
+without early exit (covering's default) no query reaches the budget.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .exact import Level, OrderedPairs
+from .exact import Level, PairSweep
 from .transform import (
     DegenerateLevel,
     LevelContext,
@@ -148,18 +149,18 @@ class MaskIndex:
         same = self.q_keys[q] == self.p_keys[a]
         return same[:, :, 0] if same.shape[2] == 1 else same.all(axis=2)
 
-    def first_tables(self, pairs: OrderedPairs) -> np.ndarray:
+    def first_tables(self, sweep: PairSweep) -> np.ndarray:
         """Per ordered pair, the first table in which Q(q) and P(a)
         collide, or the table count if none: by sorting each table's keys
         where `sort_pays`, unless the keys of a table meet more than
         pairs * key_words / MEETING_FACTOR times, else by comparing every
         pair's key rows."""
         key_words = self.p_keys.shape[2]
-        if sort_pays(len(pairs), key_words, pairs.filings.shape[1]):
-            first = self.sorted_first_tables(pairs, most=len(pairs) * key_words / MEETING_FACTOR)
+        if sort_pays(len(sweep), key_words, sweep.filings.shape[1]):
+            first = self.sorted_first_tables(sweep, most=len(sweep) * key_words / MEETING_FACTOR)
             if first is not None:
                 return first
-        return self.pairwise_first_tables(pairs.q, pairs.a)
+        return self.pairwise_first_tables(sweep.q, sweep.a)
 
     def pairwise_first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
         """`first_tables` of the pairs (q[p], a[p]) by comparing their key
@@ -172,7 +173,7 @@ class MaskIndex:
             first[s:s + step] = self._first_collision(qs, as_, self.collisions(qs, as_))
         return first
 
-    def sorted_first_tables(self, pairs: OrderedPairs, most: float = math.inf) -> np.ndarray | None:
+    def sorted_first_tables(self, sweep: PairSweep, most: float = math.inf) -> np.ndarray | None:
         """`first_tables` from one sort of each table's P and Q keys, a
         chunk of tables at a time, or None as soon as a chunk's keys meet
         more than `most` times per table.  Each record's keys are filed
@@ -180,14 +181,14 @@ class MaskIndex:
         filing meets the P filings of its own group and equal key, and
         others only by chance.  A meeting settles the pair's first table
         once it is confirmed: the same group, another record, the same
-        whole key row, and `_confirmed`.  The work is the sorts plus the
-        meetings, not pairs x tables."""
-        owner, _, end = pairs.filings
+        whole key row, and `_confirmed` (never called on none).  The work is
+        the sorts plus the meetings, not pairs x tables."""
+        owner, _, end = sweep.filings
         filings, tables = len(owner), self.p_keys.shape[1]
-        first = np.full(len(pairs), tables, dtype=np.int32)
+        first = np.full(len(sweep), tables, dtype=np.int32)
         group = np.tile(end.astype(np.uint64) * MIX, 2)
         step = exact.chunk_rows(2 * filings)   # tables whose keys one sort takes
-        for t0 in range(0, tables if len(pairs) else 0, step):
+        for t0 in range(0, tables if len(sweep) else 0, step):
             keys = np.concatenate([self.p_keys[:, t0:t0 + step, 0].T[:, owner],
                                    self.q_keys[:, t0:t0 + step, 0].T[:, owner]], axis=1)
             count, meetings = _meetings(keys ^ group, filings)
@@ -198,8 +199,10 @@ class MaskIndex:
                 t, fq, fa = t[mine] + t0, fq[mine], fa[mine]
                 q, a = owner[fq], owner[fa]
                 real = (self.q_keys[q, t] == self.p_keys[a, t]).all(axis=1)
+                if not real.any():
+                    continue
                 real[real] = self._confirmed(q[real], a[real], t[real])
-                np.minimum.at(first, pairs.index(fq[real], fa[real]), t[real].astype(np.int32))
+                np.minimum.at(first, sweep.index(fq[real], fa[real]), t[real].astype(np.int32))
         return first
 
     def _pair_words(self) -> int:   # a pair's key row
@@ -223,33 +226,28 @@ class MaskIndex:
             todo = todo[first[todo] < hit.shape[1]]
         return first
 
-    def screen(self, pairs: OrderedPairs, ctx: LevelContext, verify,
+    def screen(self, sweep: PairSweep, ctx: LevelContext, verify,
                early_exit: bool) -> QueryResult:
         """Verify, through `verify(pair_indices) -> co-supports`, the pairs
         that collide in some table, in each query's visit order, under the
-        early-exit budget if `early_exit` is set.  Only the colliding pairs
-        are read off `pairs` (`members`)."""
-        first = self.first_tables(pairs)
+        early-exit budget if `early_exit` is set, else under one that no
+        query reaches.  Only the colliding pairs are read off `sweep`."""
+        first = self.first_tables(sweep)
         hit = np.flatnonzero(first < self.p_keys.shape[1])
-        q, a, _ = pairs.members(hit)
+        q, a, _ = sweep.members(hit)
         order = np.lexsort((a, first[hit], q))
         visit, q = hit[order], q[order]
+        budget = self.early_exit_budget if early_exit else len(visit) + 1
+        counts = np.bincount(q, minlength=len(self.p_keys))
+        head = exact.run_positions(counts) < budget
         co = np.empty(len(visit), dtype=np.int64)
-        exited = np.zeros(len(self.p_keys), dtype=bool)
-        if not early_exit:
-            keep = np.ones(len(visit), dtype=bool)
-            co[:] = verify(visit)
-        else:
-            budget = self.early_exit_budget
-            counts = np.bincount(q, minlength=len(self.p_keys))
-            head = exact.run_positions(counts) < budget
-            co[head] = verify(visit[head])
-            found = np.zeros(len(self.p_keys), dtype=bool)
-            found[q[head][co[head] >= ctx.theta_count]] = True
-            exited = (counts >= budget) & ~found
-            tail = ~head & found[q]
-            co[tail] = verify(visit[tail])
-            keep = head | tail
+        co[head] = verify(visit[head])
+        found = np.zeros(len(self.p_keys), dtype=bool)
+        found[q[head][co[head] >= ctx.theta_count]] = True
+        exited = (counts >= budget) & ~found
+        tail = ~head & found[q]
+        co[tail] = verify(visit[tail])
+        keep = head | tail
         verified, co = visit[keep], co[keep]
         return QueryResult(first, verified, co, verified[co >= ctx.theta_count], exited)
 
@@ -358,8 +356,8 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.einsum("tkr,kw->rtw", bits, weight)
 
 
-def query(index: MaskIndex, pairs: OrderedPairs, ctx: LevelContext, verify) -> QueryResult:
-    """Screen the level's ordered pairs and verify every query's colliding
+def query(index: MaskIndex, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:
+    """Screen the join's ordered pairs and verify every query's colliding
     partners through `verify`, each query stopping early after
     `early_exit_budget` fruitless inspections."""
-    return index.screen(pairs, ctx, verify, early_exit=True)
+    return index.screen(sweep, ctx, verify, early_exit=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .exact import Level, OrderedPairs
+from .exact import Level, PairSweep
 from .transform import LevelContext, _ceil, check_tolerances, padding_runs
 
 DEFAULT_ROW_CAP = 2_000_000
@@ -146,15 +146,15 @@ class MinhashQueryResult:
         return self.approved
 
 
-def query(sketch: MinhashSketch, pairs: OrderedPairs, params: MinhashParams) -> MinhashQueryResult:
-    """Sketch-only screening of the level's ordered pairs, PAIR_CHUNK_WORDS
+def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:
+    """Sketch-only screening of the join's ordered pairs, PAIR_CHUNK_WORDS
     sketch values of each operand at a time: no database reads happen here."""
     columns, query_columns = (np.ascontiguousarray(c.T) for c in
                               (sketch.columns, sketch.query_columns))   # one row per record
-    matches = np.empty(len(pairs.q), dtype=np.int32)
+    matches = np.empty(len(sweep), dtype=np.int32)
     step = exact.chunk_rows(params.rows)
     for s in range(0, len(matches), step):
-        same = columns[pairs.a[s:s + step]] == query_columns[pairs.q[s:s + step]]
+        same = columns[sweep.a[s:s + step]] == query_columns[sweep.q[s:s + step]]
         matches[s:s + step] = np.count_nonzero(same, axis=1)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9

@@ -223,11 +223,10 @@ def partners_and_positives(sweep, m):
     """Per record of a join of m records, read off its ordered pairs: the
     compatible records, each mapped to the item it adds, and those whose
     union the join found frequent."""
-    pairs = sweep.ordered_pairs()
     frequent = np.tile(sweep.pair_frequent, 2).tolist()
     partners = [{} for _ in range(m)]
     positives = [set() for _ in range(m)]
-    for q, a, y, f in zip(pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist(), frequent):
+    for q, a, y, f in zip(sweep.q.tolist(), sweep.a.tolist(), sweep.y.tolist(), frequent):
         partners[q][a] = y
         if f:
             positives[q].add(a)
@@ -241,8 +240,9 @@ def assert_same_join(records, theta_count):
     sweep, ref = join_level(Level.of(records), theta_count), pairwise_join(records, theta_count)
     assert (sweep.candidate_pairs, sweep.frequent_pairs, sweep.distinct_candidates) == \
         (ref.candidate_pairs, ref.frequent_pairs, ref.distinct_candidates)
-    frequent = {add_item(records[i].items, y): (i, j) for i, j, y in sweep.frequent.T.tolist()}
-    assert len(frequent) == sweep.frequent.shape[1]
+    unions = np.stack(sweep.unions(np.flatnonzero(sweep.pair_frequent)))
+    frequent = {add_item(records[i].items, y): (i, j) for i, j, y in unions.T.tolist()}
+    assert len(frequent) == unions.shape[1]
     assert frequent.keys() == ref.frequent.keys()
     for u, (i, j) in frequent.items():
         a, b = ref.frequent[u]
@@ -278,7 +278,7 @@ def direct_verify(level, q):
 
 def level_pairs(level):
     """The join's compatible ordered pairs of `level`, which a level screen takes."""
-    return join_level(Level.of(level), 1).ordered_pairs()
+    return join_level(Level.of(level), 1)
 
 
 def pair_verify(level, pairs):

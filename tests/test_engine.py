@@ -340,9 +340,9 @@ def engine_screen(monkeypatch, variant, level, ctx, params, index, early_exit=Fa
     config = MiningConfig(theta=0.5, variant=variant, epsilon=0.5, delta=0.1,
                           covering_early_exit=early_exit)
     sweep = join_level(Level.of(level), ctx.theta_count)
-    found, emitted, tn, fp = engine._screen_level(hooks, config, Level.of(level), ctx, params, None,
-                                                  sweep, "level2", {})
-    return found, emitted, tn, fp, seen[0], sweep.ordered_pairs()
+    chosen, emitted, tn, fp = engine._screen_level(hooks, config, Level.of(level), ctx, params,
+                                                   None, sweep, "level2", {})
+    return sweep.unions(chosen), emitted, tn, fp, seen[0], sweep
 
 
 def assert_screen_matches_reference(monkeypatch, variant, level, ctx, params, index,
@@ -553,10 +553,36 @@ def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
     monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
     config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
     params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
-    _, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config,
-                                              Level.of(level), ctx, params,
-                                              np.random.SeedSequence([1, 2]), sweep, "level2", {})
+    chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config,
+                                                   Level.of(level), ctx, params,
+                                                   np.random.SeedSequence([1, 2]), sweep,
+                                                   "level2", {})
+    sweep.unions(chosen)
     assert emitted > 0 and fp > 0 and tn + fp == 2 * sweep.candidate_pairs
+
+
+def test_sorted_screen_confirms_no_empty_batch(monkeypatch):
+    # covering on the negatives-size level, as the engine screens it: its
+    # keys meet by hash in many table chunks, and a chunk none of whose
+    # meetings survives the group, record and key checks costs no
+    # `_confirmed` call
+    level, ctx = negatives_level()
+    sweep = join_level(Level.of(level), ctx.theta_count)
+    confirmed, meetings = covering_lsh.CoveringIndex._confirmed, hamming_lsh._meetings
+    calls, met = [], []
+
+    def counted(keys, filings):
+        count, chunks = meetings(keys, filings)
+        met.append(count)
+        return count, chunks
+    monkeypatch.setattr(covering_lsh.CoveringIndex, "_confirmed",
+                        lambda self, q, a, t: calls.append(len(q)) or confirmed(self, q, a, t))
+    monkeypatch.setattr(hamming_lsh, "_meetings", counted)
+    config = MiningConfig(theta=0.3, variant="covering", epsilon=0.5, delta=0.1)
+    params = covering_lsh.derive_params(ctx, 0.5, 0.1)
+    engine._screen_level(engine._LSH_VARIANTS["covering"], config, Level.of(level), ctx, params,
+                         np.random.SeedSequence([1, 2]), sweep, "level2", {})
+    assert sum(met) > 0 and 0 not in calls
 
 
 def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
@@ -565,7 +591,7 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
     # (43x slower at 63 tables); the level's sizes still favour sorting,
     # and the meeting count sends the screen to the pairwise path
     level, ctx = negatives_level()
-    pairs = join_level(Level.of(level), ctx.theta_count).ordered_pairs()
+    pairs = join_level(Level.of(level), ctx.theta_count)
     assert hamming_lsh.sort_pays(len(pairs), 1, len(level))
     pairwise = hamming_lsh.MaskIndex.pairwise_first_tables
     calls = []

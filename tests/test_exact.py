@@ -67,8 +67,9 @@ def joined_unions(level):
     """Every distinct union of the join (theta_count 1 keeps them all frequent)."""
     level = Level.of(level)
     sweep = join_level(level, theta_count=1)
-    assert sweep.distinct_candidates == sweep.frequent.shape[1]
-    return [r.items for r in build_level(level, *sweep.frequent, 1)]
+    unions = sweep.unions(np.flatnonzero(sweep.pair_frequent))
+    assert sweep.distinct_candidates == len(unions[0])
+    return [r.items for r in build_level(level, *unions, 1)]
 
 
 def test_join_triangle():

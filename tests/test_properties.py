@@ -110,19 +110,22 @@ JOIN_EDGES = [
     anded_level(5, [(0, 1, 2)], [31, 31, 31], 1),
     anded_level(10, [(0,), (1,), (2,), (3,)], [0b1111, 0b11110, 0b1010101, 1023], 11),
 ]
+# a selection of ordered pairs, taken modulo the join's: latest first, so a
+# union's second-half pair comes before its first-half one, and repeats
+PICKS = [*range(19, -1, -1), 3, 3]
 
 
 @SETTINGS
-@given(levels())
-@example(JOIN_EDGES[0])
-@example(JOIN_EDGES[1])
-@example(JOIN_EDGES[2])
-@example(JOIN_EDGES[3])
-@example(JOIN_EDGES[4])
-@example(JOIN_EDGES[5])
-@example(JOIN_EDGES[6])
-@example(JOIN_EDGES[7])
-def test_join_matches_all_pairs_reference(level):
+@given(levels(), st.lists(st.integers(0, 1 << 20), max_size=40))
+@example(JOIN_EDGES[0], PICKS)
+@example(JOIN_EDGES[1], PICKS)
+@example(JOIN_EDGES[2], PICKS)
+@example(JOIN_EDGES[3], PICKS)
+@example(JOIN_EDGES[4], PICKS)
+@example(JOIN_EDGES[5], PICKS)
+@example(JOIN_EDGES[6], PICKS)
+@example(JOIN_EDGES[7], PICKS)
+def test_join_matches_all_pairs_reference(level, picks):
     records, theta_count = level
     assert_same_join(records, theta_count)
     m = len(records)
@@ -147,8 +150,22 @@ def test_join_matches_all_pairs_reference(level):
     assert sweep.frequent_pairs == frequent_pairs
     assert sweep.distinct_candidates == len(unions)
     assert [(r.items, r.vector) for r in
-            build_level(Level.of(records), *sweep.frequent, theta_count)] \
+            build_level(Level.of(records), *sweep.unions(np.flatnonzero(sweep.pair_frequent)),
+                        theta_count)] \
         == sorted(frequent.items())
+    # `unions` of a drawn selection, read off the filings, then gathered:
+    # each distinct union once, in item order, by the first pair of the
+    # selection that forms it
+    sel = np.array(picks if len(sweep) else [], dtype=np.intp) % max(1, len(sweep))
+    chosen = sweep.unions(sel)
+    first = {}
+    for q, a in zip(sweep.q[sel].tolist(), sweep.a[sel].tolist()):
+        first.setdefault(union_if_compatible(records[q].items, records[a].items), (q, a))
+    q, a, y = (v.tolist() for v in chosen)
+    formed = [add_item(records[i].items, x) for i, x in zip(q, y)]
+    assert formed == sorted(first)
+    assert list(zip(q, a)) == [first[u] for u in formed]
+    assert all(np.array_equal(u, v) for u, v in zip(sweep.unions(sel), chosen))
     all_partners, positives = partners_and_positives(sweep, m)
     for i in range(m):
         partners = all_partners[i]
@@ -170,7 +187,7 @@ def test_pair_numbering_round_trips(level):
     # `members` reads every pair as the join's own pairing step lists it,
     # and `index` numbers each pair from its two filings, both ways round
     records, theta_count = level
-    pairs = join_level(Level.of(records), theta_count).ordered_pairs()
+    pairs = join_level(Level.of(records), theta_count)
     q, a, y = pairs.members(np.arange(len(pairs)))
     assert (q.tolist(), a.tolist(), y.tolist()) == \
         (pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist())
@@ -200,7 +217,7 @@ def candidate_unions(records, picked):
     sweep = join_level(Level.of(records), 1)
     picked = np.asarray(picked, dtype=np.int64)
     _, at = np.unique(sweep.pair_union[picked % max(1, sweep.candidate_pairs)], return_index=True)
-    return sweep.ordered_pairs().members(picked[np.sort(at)])
+    return sweep.members(picked[np.sort(at)])
 
 
 @st.composite
@@ -350,7 +367,7 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
                        alpha_count=max([theta_count, *(r.support for r in records)]))
     index = build_index(Level.of(records),
                         HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget), ctx, seed)
-    pairs = join_level(Level.of(records), theta_count).ordered_pairs()
+    pairs = join_level(Level.of(records), theta_count)
     support = {}
 
     def shared(sel):
