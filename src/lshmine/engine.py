@@ -19,13 +19,24 @@ every level verifies each distinct candidate once, as Apriori does, and
 row.  An LSH level verifies through the batched `verify` that
 `_screen_level` hands the query (and then applies to MinHash's approved
 pairs): a union's co-support is the popcount of its pair's packed
-vectors, read the first time the level meets the union.  The join's
-co-support serves only the accounting.  Hashing work is tracked
-separately as hash_bits_read.  Each ordered compatible pair whose union
-the join found below threshold is a false positive if the level verified
-it and a true negative otherwise.  Both are counted pair by pair, so the
-identity TN + FP == 2 * (candidate_pairs - frequent_pairs) that
-`accounting_check` tests stays a check on them.
+vectors, read the first time the level meets the union.  Hashing work is
+tracked separately as hash_bits_read.  Each ordered compatible pair whose
+union is below threshold is a false positive if the level verified it and
+a true negative otherwise.
+
+How a level counts them depends on whether its screen is lossless, which
+`_produce_level` knows before the join: covering with early exit off
+verifies every frequent pair (Pagh, "LSH without false negatives", SODA
+2016).  Every other level (exact, fallback, Hamming, MinHash, covering
+with early exit) reads the join's all-pairs co-support,
+`PairSweep.pair_frequent`, inside its timed sweep, and counts TN and FP
+pair by pair against it.  A lossless level never reads it: FP is the
+verified pairs whose union read below threshold, TN the pairs it did not
+verify, and frequent_pairs is C(l+1, 2) per (l+1)-itemset it found, as
+its level is complete.  Either way the identity TN + FP == 2 *
+(candidate_pairs - frequent_pairs) that `accounting_check` tests stays a
+check: on a lossless level it holds only if every frequent pair was
+verified in both directions.
 """
 
 from __future__ import annotations
@@ -158,6 +169,7 @@ class _Variant:
     build: Callable     # (level, params, ctx, seed) -> index
     query: Callable     # (index, sweep, params, ctx, config, verify) -> .partners (pair indices)
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
+    lossless: Callable  # (config) -> whether the query verifies every frequent pair
 
 
 _LSH_VARIANTS = {
@@ -167,6 +179,7 @@ _LSH_VARIANTS = {
         query=lambda index, sweep, params, ctx, config, verify: hamming_lsh.query(
             index, sweep, ctx, verify),
         phi=lambda params, ctx: params.k * params.L,
+        lossless=lambda config: False,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
@@ -174,6 +187,7 @@ _LSH_VARIANTS = {
         query=lambda sketch, sweep, params, ctx, config, verify: minhash_lsh.query(
             sketch, sweep, params),
         phi=lambda params, ctx: params.rows,
+        lossless=lambda config: False,
     ),
     "covering": _Variant(
         derive=lambda config, ctx: covering_lsh.derive_params(
@@ -183,19 +197,17 @@ _LSH_VARIANTS = {
         query=lambda index, sweep, params, ctx, config, verify: covering_lsh.query(
             index, sweep, ctx, verify, early_exit=config.covering_early_exit),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
+        # no false negatives (Pagh, SODA 2016) unless queries may exit early
+        lossless=lambda config: not config.covering_early_exit,
     ),
 }
 
 
 def _produce_level(db, config, current, level, theta_count, timings):
-    """One level step, from `current` to `level`: join, screen if LSH runs
-    here, build, price the row."""
+    """One level step, from `current` to `level`: derive the variant's
+    parameters, join, screen if LSH runs here, build, price the row."""
     m_l = len(current)
     tag = f"level{level}"
-
-    t0 = time.perf_counter()
-    sweep = join_level(current, theta_count)
-    timings[f"{tag}:sweep"] = time.perf_counter() - t0
 
     variant = _LSH_VARIANTS.get(config.variant)
     params = fallback = None
@@ -206,17 +218,32 @@ def _produce_level(db, config, current, level, theta_count, timings):
             params = variant.derive(config, ctx)
         except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
             fallback = exc.reason
-    chosen, emitted, tn, fp = np.flatnonzero(sweep.pair_frequent), sweep.distinct_candidates, 0, 0
-    hashes = phi = 0
-    if params is not None:
+    lossless = params is not None and variant.lossless(config)
+
+    t0 = time.perf_counter()
+    sweep = join_level(current, theta_count)
+    if lossless:   # nothing reads the all-pairs co-support: drop the records it would AND
+        frequent, sweep.pair_rows = None, None
+    else:
+        frequent = sweep.pair_frequent
+    timings[f"{tag}:sweep"] = time.perf_counter() - t0
+
+    hashes = phi = tn = fp = 0
+    if params is None:
+        chosen, emitted = np.flatnonzero(frequent), sweep.distinct_candidates
+    else:
         seed = np.random.SeedSequence([config.seed, level])
         chosen, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
                                                 sweep, tag, timings)
         hashes, phi = 2 * m_l, variant.phi(params, ctx)
 
     nxt = build_level(current, *sweep.unions(chosen), theta_count)   # drops unions below threshold
-    return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted, sweep=sweep,
-                           hashes=hashes, phi=phi, tn=tn, fp=fp, fallback=fallback)
+    # a lossless level is complete, and each of its (l+1)-itemsets is the union of C(l+1, 2) pairs
+    frequent_pairs = (math.comb(current.items.shape[1] + 1, 2) * len(nxt) if lossless
+                      else sweep.frequent_pairs)
+    return nxt, _level_row(db.n, level, nxt, sweep.distinct_candidates, emitted,
+                           pairs=(sweep.candidate_pairs, frequent_pairs), hashes=hashes, phi=phi,
+                           tn=tn, fp=fp, fallback=fallback)
 
 
 def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
@@ -248,21 +275,26 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
     verify(partners)   # MinHash's sketch-approved pairs are read here
     timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
     timings[f"{tag}:verify"] = verify_s
-    negative = ~sweep.pair_frequent   # per unordered pair, in both directions
-    tn = int(np.count_nonzero(~verified & negative))
-    fp = int(np.count_nonzero(verified & negative))
+    if variant.lossless(config):   # every frequent pair was verified, both ways round
+        done = np.flatnonzero(verified)
+        fp = int(np.count_nonzero(support[sweep.union(done)] < ctx.theta_count))
+        tn = 2 * sweep.candidate_pairs - len(done)
+    else:
+        negative = ~sweep.pair_frequent   # per unordered pair, in both directions
+        tn = int(np.count_nonzero(~verified & negative))
+        fp = int(np.count_nonzero(verified & negative))
     return partners, int(np.count_nonzero(support >= 0)), tn, fp
 
 
-def _level_row(n, level, nxt, candidates, emitted, sweep=None, hashes=0, phi=0, tn=0, fp=0,
+def _level_row(n, level, nxt, candidates, emitted, pairs=(0, 0), hashes=0, phi=0, tn=0, fp=0,
                fallback=None) -> LevelStats:
     """The level's report row, and the only place that prices it by the
     paper's cost model: n reads per distinct candidate verified, phi per
-    hash evaluation.  A level ran LSH iff it hashed (twice per record)."""
+    hash evaluation.  `pairs` is the join's (candidate_pairs,
+    frequent_pairs).  A level ran LSH iff it hashed (twice per record)."""
     return LevelStats(
         level=level, frequent_count=len(nxt), candidates=candidates, emitted_candidates=emitted,
-        candidate_pairs=sweep.candidate_pairs if sweep else 0,
-        frequent_pairs=sweep.frequent_pairs if sweep else 0,
+        candidate_pairs=pairs[0], frequent_pairs=pairs[1],
         transactions_read=n * emitted, hash_bits_read=hashes * phi,
         overhead_hashes=hashes, true_negatives=tn, false_positives=fp, phi=phi,
         savings_estimate=(n - phi) * tn, lsh_active=hashes > 0, fallback_reason=fallback,

@@ -115,7 +115,10 @@ class PairSweep:
     and the end of the columns filed under the same subset.  Per unordered
     pair, in the join's pair order, `pair_union` numbers its union among
     the distinct candidates, in item order, and `pair_frequent` says
-    whether the union meets the threshold.
+    whether the union meets the threshold.  That takes every pair's
+    co-support, so it is computed from `pair_rows` (the pair's two records)
+    and `packed` on first read; a level that never reads it (a lossless
+    screen's, see `engine`) drops `pair_rows` unread.
 
     The ordered pairs are read off the filings, not kept: query record q,
     partner record a, and the item a adds to q.  Unordered pair p is at p
@@ -125,12 +128,26 @@ class PairSweep:
     exact next level."""
 
     candidate_pairs: int
-    frequent_pairs: int
     distinct_candidates: int
-    filings: np.ndarray = field(repr=False)         # (3, m_l * l): record, item, group end
-    pair_union: np.ndarray = field(repr=False)      # (candidate_pairs,) in [0, distinct_candidates)
-    pair_frequent: np.ndarray = field(repr=False)   # (candidate_pairs,) bool
+    filings: np.ndarray = field(repr=False)      # (3, m_l * l): record, item, group end
+    pair_union: np.ndarray = field(repr=False)   # (candidate_pairs,) in [0, distinct_candidates)
+    pair_rows: tuple | None = field(repr=False)  # (i, j), each (candidate_pairs,): its records
+    packed: np.ndarray = field(repr=False)       # the level's packed vectors
+    theta_count: int
     _every: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def pair_frequent(self) -> np.ndarray:
+        """(candidate_pairs,) bool: whether each pair's union meets the
+        threshold, a chunk of pairs at a time (`pair_cosupport`).  Drops
+        `pair_rows`, which nothing else reads."""
+        frequent = pair_cosupport(self.packed, *self.pair_rows) >= self.theta_count
+        self.pair_rows = None
+        return frequent
+
+    @property
+    def frequent_pairs(self) -> int:
+        return int(np.count_nonzero(self.pair_frequent))
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -215,16 +232,16 @@ def union_if_compatible(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 def join_level(level: Level, theta_count: int) -> PairSweep:
-    """The candidate join of Agrawal & Srikant (VLDB 1994), with the support
-    of every union counted on the way, as whole-array steps over `level`.
+    """The candidate join of Agrawal & Srikant (VLDB 1994), as whole-array
+    steps over `level`.
 
     Every record is filed under its l subsets of size l-1 (one filing per
     item left out), the filings are grouped by subset with one lexsort, and
-    every two filings of a group form a compatible pair.  Co-support is the
-    popcount of the two packed vectors' AND, a chunk of pairs at a time.
-    The distinct unions are counted by sorting the pairs' union rows (at
-    l = 1 every pair's union is its own); the same sort numbers every
-    pair's union, in item order."""
+    every two filings of a group form a compatible pair.  The distinct
+    unions are counted by sorting the pairs' union rows (at l = 1 every
+    pair's union is its own); the same sort numbers every pair's union, in
+    item order.  No co-support is read here: the sweep counts every pair's
+    when its `pair_frequent` is first read."""
     items = level.items
     m, size = items.shape
     others = np.array([[c for c in range(size) if c != k] for k in range(size)],
@@ -242,9 +259,6 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
         end = np.repeat(ends, ends - starts)
     first, second = _filing_pairs(end)
     i, j, y = owner[first], owner[second], left_out[second]
-
-    is_frequent = pair_cosupport(level.packed, i, j) >= theta_count
-
     if size == 1:   # distinct singletons: every pair forms its own union
         distinct, union = len(i), np.arange(len(i))
     else:
@@ -254,8 +268,8 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
         distinct = int(runs.sum())
         union = np.empty(len(i), dtype=np.intp)
         union[order] = np.cumsum(runs) - 1
-    return PairSweep(len(i), int(is_frequent.sum()), distinct,
-                     np.stack([owner, left_out, end]), union, is_frequent)
+    return PairSweep(len(i), distinct, np.stack([owner, left_out, end]), union, (i, j),
+                     level.packed, theta_count)
 
 
 def _filing_pairs(end: np.ndarray):

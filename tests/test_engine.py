@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lshmine.transform import LevelContext
 
 from conftest import (
     TOY_FREQUENT,
+    ColumnDatabase,
     add_item,
     column_records,
     db_from_rows,
@@ -43,7 +45,7 @@ from conftest import (
     reference_tables,
     sketch_view,
 )
-from test_golden_reports import DATABASES, mine
+from test_golden_reports import DATABASES, bench_workload, mine, near_miss_db, sha256  # noqa: F401
 
 
 def lsh_config(variant, theta=0.5, seed=1, **kw):
@@ -609,3 +611,94 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
         assert (first == 0).all() and np.array_equal(first, pairwise(index, pairs.q, pairs.a))
         assert index.sorted_first_tables(pairs, most=len(pairs) / hamming_lsh.MEETING_FACTOR) \
             is None
+
+
+# A lossless level (covering with early exit off) reads no all-pairs
+# co-support: it counts TN and FP off the pairs it verified, and its
+# frequent pairs in closed form.
+
+def test_lossless_level_never_lists_every_co_support(monkeypatch):
+    # covering at negatives size: without early exit the level reads the
+    # co-support of the unions it verified and of the next level's build
+    # only; with early exit it reads every pair's, for TN and FP
+    level, ctx = negatives_level()
+    db = ColumnDatabase(n=ctx.n, m=len(level), columns={r.items[0]: r.vector for r in level})
+    rows = Counter()
+
+    def counted(packed, i, j):
+        rows["read"] += len(i)
+        return pair_cosupport(packed, i, j)
+    monkeypatch.setattr(exact, "pair_cosupport", counted)
+    monkeypatch.setattr(engine, "pair_cosupport", counted)
+    for early_exit in (False, True):
+        rows.clear()
+        report = lsh_apriori_mine(db, MiningConfig(theta=0.3, variant="covering", epsilon=0.5,
+                                                   delta=0.1, covering_early_exit=early_exit))
+        assert len(report.levels) == 2
+        row = report.levels[1]
+        assert row.lsh_active and row.candidate_pairs == 400 * 399 // 2
+        assert accounting_check(row, db.n), row
+        if early_exit:
+            assert rows["read"] >= row.candidate_pairs
+        else:
+            assert rows["read"] <= row.emitted_candidates + row.frequent_count
+            assert rows["read"] < row.candidate_pairs // 100
+
+
+def test_accounting_check_catches_a_lossless_level_that_skips_a_frequent_pair(monkeypatch):
+    # covering's query made to skip one direction of one frequent pair: the
+    # other direction still finds the union, so the itemsets stay the same,
+    # but the level no longer verified every frequent pair both ways round
+    db, theta = near_miss_db(), 0.25
+    config = MiningConfig(theta=theta, variant="covering", epsilon=0.5, delta=0.1, seed=3)
+    whole = lsh_apriori_mine(db, config)
+    lsh_rows = [row for row in whole.levels if row.lsh_active]
+    assert len(lsh_rows) == 5 and sum(row.frequent_pairs for row in lsh_rows) == 160
+    assert all(accounting_check(row, db.n) for row in whole.levels)
+
+    query, skipped = covering_lsh.query, []
+
+    def skipping_query(index, sweep, ctx, verify, early_exit=False):
+        skip = []   # the first frequent pair verified at the first level that has one
+
+        def skipping_verify(sel):
+            co = pair_cosupport(sweep.packed, *sweep.members(sel)[:2])
+            if not skipped and (co >= ctx.theta_count).any():
+                skip.append(sel[np.argmax(co >= ctx.theta_count)])
+                skipped.append(skip[0])
+            kept = ~np.isin(sel, skip)
+            co[kept] = verify(sel[kept])
+            return co
+        result = query(index, sweep, ctx, skipping_verify, early_exit)
+        return replace(result, partners=result.partners[~np.isin(result.partners, skip)])
+    monkeypatch.setattr(covering_lsh, "query", skipping_query)
+    report = lsh_apriori_mine(db, config)
+    assert len(skipped) == 1
+    assert report.itemsets.as_dict() == whole.itemsets.as_dict()
+    assert [row.level for row in report.levels if not accounting_check(row, db.n)] == [2]
+
+
+def test_complete_levels_pair_in_closed_form(bench_workload):
+    # the premise of the lossless count: a level that holds every frequent
+    # l-itemset (exact, or covering without early exit) makes each frequent
+    # (l+1)-itemset from C(l+1, 2) compatible pairs
+    reports = [mine(make(), theta, variant, seed=3) for make, theta in DATABASES.values()
+               for variant in ("exact", "covering")]
+    for workload in ("negatives", "dense-deep", "wide"):
+        db, theta = bench_workload(workload)
+        reports += [mine(db, theta, variant, seed=1) for variant in ("exact", "covering")
+                    if (workload, variant) != ("wide", "covering")]   # raises OverflowError
+    rows = [row for report in reports for row in report.levels if row.level >= 2]
+    for row in rows:
+        assert row.frequent_pairs == comb(row.level, 2) * row.frequent_count, row
+    assert sum(row.frequent_pairs > 0 for row in rows) > 20
+
+
+def test_covering_early_exit_report_json_hash():
+    # the covering path that still reads every pair's co-support, pinned
+    # beside the golden reports (computed before covering's lossless levels
+    # stopped reading it)
+    config = MiningConfig(theta=0.25, variant="covering", epsilon=0.5, delta=0.1, seed=3,
+                          covering_early_exit=True)
+    assert sha256(report_json(lsh_apriori_mine(near_miss_db(), config))) == \
+        "e41f62c39ebd277830509c6d72d27c73c36873a51ea7bd2208e2b265973b8015"

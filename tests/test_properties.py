@@ -45,6 +45,7 @@ from lshmine.transform import (
 )
 
 from conftest import (
+    TOY_ROWS,
     ColumnDatabase,
     add_item,
     assert_same_join,
@@ -856,6 +857,40 @@ def test_variants_against_oracle(case, seed):
         if variant in ("exact", "covering"):
             assert found == oracle
             assert downward_closed(report.itemsets)
+
+
+@SETTINGS
+@given(databases(), st.integers(0, 3))
+@example((db_from_rows(TOY_ROWS * 2), 0.2), 0)   # frequent pairs at both LSH levels
+def test_lossless_counters_match_all_pairs_co_support(case, seed):
+    # covering without early exit reads no all-pairs co-support, yet its
+    # TN, FP and frequent pairs are what the per-pair reference join counts
+    # against the pairs the level verified
+    db, theta = case
+    query, screened = covering_lsh.query, []
+
+    def recording(index, sweep, ctx, verify, early_exit=False):
+        seen = np.zeros(len(sweep), dtype=bool)
+        screened.append((sweep, seen))
+
+        def marking(sel):
+            seen[sel] = True
+            return verify(sel)
+        return query(index, sweep, ctx, marking, early_exit)
+    config = MiningConfig(theta=theta, variant="covering", epsilon=0.5, delta=0.1, seed=seed,
+                          mask_dim_cap=12)
+    with mock.patch.object(covering_lsh, "query", recording):
+        report = lsh_apriori_mine(db, config)
+    rows = [row for row in report.levels if row.lsh_active]
+    assert len(rows) == len(screened)
+    for row, (sweep, seen) in zip(rows, screened):
+        ref = pairwise_join(list(report.itemsets.levels[row.level - 2]),
+                            report.itemsets.theta_count)
+        negative = np.array([a not in ref.positives[q]
+                             for q, a in zip(sweep.q.tolist(), sweep.a.tolist())], dtype=bool)
+        assert (row.true_negatives, row.false_positives, row.frequent_pairs) == \
+            (np.count_nonzero(negative & ~seen), np.count_nonzero(negative & seen),
+             ref.frequent_pairs)
 
 
 @st.composite
