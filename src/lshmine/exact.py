@@ -114,7 +114,8 @@ class PairSweep:
     out), sorted by the (l-1)-subset that remains: the record, the item,
     and the end of the columns filed under the same subset.  Per unordered
     pair, in the join's pair order, `pair_union` numbers its union among
-    the distinct candidates, in item order, and `pair_frequent` says
+    the distinct candidates, in item order (None at l = 1, where every pair
+    is its own union, numbered as the pair), and `pair_frequent` says
     whether the union meets the threshold.  That takes every pair's
     co-support, so it is computed from `pair_rows` (the pair's two records)
     and `packed` on first read; a level that never reads it (a lossless
@@ -130,7 +131,7 @@ class PairSweep:
     candidate_pairs: int
     distinct_candidates: int
     filings: np.ndarray = field(repr=False)      # (3, m_l * l): record, item, group end
-    pair_union: np.ndarray = field(repr=False)   # (candidate_pairs,) in [0, distinct_candidates)
+    pair_union: np.ndarray | None = field(repr=False)   # (candidate_pairs,); None at l = 1
     pair_rows: tuple | None = field(repr=False)  # (i, j), each (candidate_pairs,): its records
     packed: np.ndarray = field(repr=False)       # the level's packed vectors
     theta_count: int
@@ -198,7 +199,8 @@ class PairSweep:
 
     def union(self, idx: np.ndarray) -> np.ndarray:
         """The distinct candidate that each pair of `idx` forms."""
-        return self.pair_union[idx - self.candidate_pairs * (idx >= self.candidate_pairs)]
+        unordered = idx - self.candidate_pairs * (idx >= self.candidate_pairs)
+        return unordered if self.pair_union is None else self.pair_union[unordered]
 
     def unions(self, idx: np.ndarray):
         """The distinct candidates the pairs `idx` form, in item order, as q,
@@ -258,11 +260,11 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
         ends = np.r_[starts[1:], m * size]
         end = np.repeat(ends, ends - starts)
     first, second = _filing_pairs(end)
-    i, j, y = owner[first], owner[second], left_out[second]
-    if size == 1:   # distinct singletons: every pair forms its own union
-        distinct, union = len(i), np.arange(len(i))
+    i, j = owner[first], owner[second]
+    if size == 1:   # distinct singletons: every pair forms its own union, numbered as the pair
+        distinct, union = len(i), None
     else:
-        unions = np.sort(np.column_stack([items[i], y]), axis=1)
+        unions = np.sort(np.column_stack([items[i], left_out[second]]), axis=1)
         order = np.lexsort(unions.T[::-1])
         runs = _run_starts(unions[order])
         distinct = int(runs.sum())

@@ -26,13 +26,23 @@ positions, and their padding is a run of alpha-|v| ones from n and
 n+alpha (`transform.padding_runs`).  So on each row h
 
     base(v) = min of h over v's own positions
-    P(v)    = min(base(v), cummin(h[n : n+alpha])[alpha-|v|-1])
-    Q(v)    = min(base(v), cummin(h[n+alpha : n+2*alpha])[alpha-|v|-1])
+    P(v)    = min(base(v), min(h[n : n+alpha-|v|]))
+    Q(v)    = min(base(v), min(h[n+alpha : n+2*alpha-|v|]))
 
-with both padding minima dropped when |v| == alpha.  base(v) is one gather
-of |v| rows from the transposed own-position block, shared by both roles;
-the two running minima are taken once per level.  Every record's P and Q
-column is stored.
+with both padding minima dropped when |v| == alpha.  base(v) is shared by
+both roles and found among each row's candidates, the own positions whose
+value is below the level's cut tau = CUT_FACTOR * 2^32 / s_min (s_min the
+lightest record's weight): a row's minimum over a record of weight s lies
+among them unless all s values lie above, which has probability about
+e^(-CUT_FACTOR * s / s_min).  This is the threshold view of bottom-k
+sketches (Cohen & Kaplan, PODC 2007).  The candidates are read off the
+row-major hash block with one compare, and a chunk of records probes them
+at once (`own_minima`).  The (record, row) cells that no candidate falls
+in take the minimum of the record's gathered own positions on those rows;
+at cut 0, chosen where probing would cost more than gathering
+(`candidate_cut`), that is every cell.  Each role's run minima are the
+minima of its run's segments between the level's distinct run lengths,
+then their running minimum.  P and Q are stored one row per record.
 """
 
 from __future__ import annotations
@@ -47,6 +57,24 @@ from .exact import Level, PairSweep
 from .transform import LevelContext, _ceil, check_tolerances, padding_runs
 
 DEFAULT_ROW_CAP = 2_000_000
+TOP = np.iinfo(np.uint32).max
+# The level's cut is CUT_FACTOR * 2^32 / s_min: a row's CUT_FACTOR * n / s_min
+# candidates on average, and a cell of the lightest record misses them with
+# probability (1 - CUT_FACTOR / s_min)^s_min < e^-CUT_FACTOR (3.4e-4 at 8).
+# Measured on the `negatives` and `wide` level-1 levels (seed 1), in
+# process on a 2-vCPU host, min of 7: of 2, 4, 6, 8, 12 and 16, 8 is the
+# fastest (1.5 and 1.3 ms, against 17.6 and 15.1 ms gathering every cell);
+# at 6 the misses' gather makes the step 1.9-2.0x slower, at 12 the probes
+# 1.1-1.2x.
+CUT_FACTOR = 8
+# How many gathered own positions one probe of a candidate costs
+# (`candidate_cut`).  Measured on ten synthetic levels (n 800 to 20,000,
+# 11 to 400 records of one weight from 50 to 2,000, 57 to 1,117 rows), both
+# ways in process, 2-vCPU host, min of 7: a probe costs 1.8-9.7 ns (the
+# most where few records share the compare over the rows), a gathered
+# position 0.5-2.5 ns, and at 4 the cut picks the faster way on all ten
+# (the closest at 1.01x).
+PROBE_COST = 4
 
 
 @dataclass(frozen=True)
@@ -87,8 +115,11 @@ class MinhashSketch:
     # positions.  It keeps the name it had when it held permutations, since
     # the benchmark's probe reads `perms.nbytes`.
     perms: np.ndarray
-    columns: np.ndarray        # (rows, m_l) minwise values of the P-padded records
-    query_columns: np.ndarray  # (rows, m_l) minwise values of the Q-padded records
+    records: np.ndarray        # (m_l, rows) minwise values of the P-padded records
+    query_records: np.ndarray  # (m_l, rows) minwise values of the Q-padded records
+
+    columns = property(lambda self: self.records.T)               # (rows, m_l)
+    query_columns = property(lambda self: self.query_records.T)   # (rows, m_l)
 
 
 def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -> MinhashSketch:
@@ -96,7 +127,7 @@ def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -
     and record the minwise value of every P-padded and Q-padded record on
     each: the generator's first ceil(rows * padded_length / 2) raw words,
     split into 32-bit values as the module docstring says, row by row."""
-    n, alpha, length = ctx.n, ctx.alpha_count, ctx.padded_length
+    n, length = ctx.n, ctx.padded_length
     if length > np.iinfo(np.int32).max:
         raise ValueError(f"padded length {length} does not fit int32")
     if len(level) and level.n != n:
@@ -105,19 +136,62 @@ def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -
     rows = params.rows
     words = np.random.default_rng(seed).bit_generator.random_raw((rows * length + 1) // 2)
     hashes = words.astype("<u8", copy=False).view("<u4")[:rows * length].reshape(rows, length)
-    top = np.iinfo(np.uint32).max
-    own = np.ascontiguousarray(hashes[:, :n].T)   # one row per transaction
-    base = np.empty((len(level), rows), dtype=np.uint32)   # one row per record
-    for i, row in enumerate(level.packed):
-        ones = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
-        base[i] = own[ones].min(axis=0, initial=top)   # empty v: padding decides
-    length = lengths[run]
-    columns = []
-    for start in starts:
-        run_min = np.minimum.accumulate(hashes[:, start:start + alpha].T, axis=0)
-        columns.append(np.minimum(base, run_min[length - 1], out=base.copy(),
-                                  where=(length > 0)[:, None]).T)
-    return MinhashSketch(perms=hashes, columns=columns[0], query_columns=columns[1])
+    base = own_minima(level.packed, hashes[:, :n], candidate_cut(level.supports, n))
+    padded = lengths > 0
+    ends = lengths[padded]
+    records = []
+    for start in starts:   # each run's minimum: its segments' minima, then their running minimum
+        run_min = np.full((len(lengths), rows), TOP, dtype=np.uint32)
+        if len(ends):
+            segments = np.minimum.reduceat(hashes[:, start:start + ends[-1]], np.r_[0, ends[:-1]],
+                                           axis=1)
+            run_min[padded] = np.minimum.accumulate(segments, axis=1).T
+        records.append(np.minimum(base, run_min[run]))
+    return MinhashSketch(perms=hashes, records=records[0], query_records=records[1])
+
+
+def candidate_cut(supports: np.ndarray, n: int) -> int:
+    """The level's cut: CUT_FACTOR * 2^32 / s_min, or 0 (every cell
+    gathered) where probing each row's CUT_FACTOR * n / s_min candidates,
+    PROBE_COST each, would cost at least gathering the mean record's own
+    positions.  A nonzero cut is below 2^32, as its s_min exceeds
+    PROBE_COST * CUT_FACTOR."""
+    if not len(supports):
+        return 0
+    lightest = int(supports.min())
+    if PROBE_COST * CUT_FACTOR * n >= lightest * supports.mean():
+        return 0
+    return CUT_FACTOR * 2**32 // lightest
+
+
+def own_minima(packed: np.ndarray, own: np.ndarray, cut: int) -> np.ndarray:
+    """(len(packed), rows) uint32: the least value of each row of `own`
+    (rows, n) over each packed record's own positions, 2^32-1 for an empty
+    record.  A cell takes its record's least candidate, a position whose
+    value is below `cut`, found for a chunk of records at once; a cell with
+    none takes the minimum of the record's gathered own positions, on the
+    rows where some cell had none (every row at cut 0)."""
+    rows, n = own.shape
+    base = np.full((len(packed), rows), TOP, dtype=np.uint32)
+    row, pos = np.divmod(np.flatnonzero(own < cut), n) if cut else ((), ())
+    if len(pos):
+        inverse = ~own[row, pos]   # the least candidate in a record is its most inverse
+        counts = np.bincount(row, minlength=rows)
+        probed = np.flatnonzero(counts)
+        at = (np.cumsum(counts) - counts)[probed]
+        step = exact.chunk_rows(max(8 * packed.shape[1], len(pos) // 2))   # unpacked, or probes
+        for s in range(0, len(packed), step):
+            bits = np.unpackbits(packed[s:s + step].view(np.uint8), axis=1, bitorder="little")
+            found = np.multiply(bits.take(pos, axis=1), inverse, dtype=np.uint32)   # 0: absent
+            base[s:s + step, probed] = ~np.maximum.reduceat(found, at, axis=1)
+    missed = base == TOP
+    lost = np.flatnonzero(missed.any(axis=0))
+    if len(lost):
+        block = np.ascontiguousarray((own if len(lost) == rows else own[lost]).T)
+        for i in np.flatnonzero(missed.any(axis=1)):
+            ones = np.flatnonzero(np.unpackbits(packed[i].view(np.uint8), bitorder="little"))
+            base[i, lost] = block[ones].min(axis=0, initial=TOP)   # empty v: padding decides
+    return base
 
 
 def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
@@ -149,12 +223,11 @@ class MinhashQueryResult:
 def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:
     """Sketch-only screening of the join's ordered pairs, PAIR_CHUNK_WORDS
     sketch values of each operand at a time: no database reads happen here."""
-    columns, query_columns = (np.ascontiguousarray(c.T) for c in
-                              (sketch.columns, sketch.query_columns))   # one row per record
+    records, query_records = sketch.records, sketch.query_records   # one row per record
     matches = np.empty(len(sweep), dtype=np.int32)
     step = exact.chunk_rows(params.rows)
     for s in range(0, len(matches), step):
-        same = columns[sweep.a[s:s + step]] == query_columns[sweep.q[s:s + step]]
+        same = records[sweep.a[s:s + step]] == query_records[sweep.q[s:s + step]]
         matches[s:s + step] = np.count_nonzero(same, axis=1)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9

@@ -1,14 +1,18 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from lshmine import minhash_lsh
 from lshmine.dataset import BitVector
+from lshmine.engine import MiningConfig, lsh_apriori_mine
 from lshmine.exact import Level
 from lshmine.minhash_lsh import (
     MinhashParams,
     build_sketch,
+    candidate_cut,
     derive_params,
     estimate_js,
     query,
@@ -24,6 +28,7 @@ from lshmine.transform import (
 )
 
 from conftest import level_pairs, random_vector, shared_item_level, singleton_level, sketch_view
+from test_golden_reports import bench_workload  # noqa: F401
 
 
 def screen(sketch, level, params, qi):
@@ -266,3 +271,44 @@ def test_level_off_its_context_rejected():
     with pytest.raises(ValueError, match="popcount 4 exceeds alpha_count 3"):
         build_sketch(level, params, LevelContext(n=6, m_l=2, alpha_count=3, theta_count=1), 0)
     build_sketch(level, params, LevelContext(n=6, m_l=2, alpha_count=4, theta_count=1), 0)
+
+
+def test_bench_levels_probe_candidates_or_gather(bench_workload, monkeypatch):
+    # the level-1 singletons of negatives (s 601-604 of n 2000) and wide
+    # (1500 of 5000) probe candidates; dense-deep's levels 3-8, whose
+    # lightest records hold 85 of 800 transactions, gather every cell
+    cuts = {}
+    build = minhash_lsh.build_sketch
+
+    def spy(level, params, ctx, seed):
+        cuts[workload, level.items.shape[1]] = candidate_cut(level.supports, ctx.n)
+        return build(level, params, ctx, seed)
+
+    monkeypatch.setattr(minhash_lsh, "build_sketch", spy)
+    for workload in ("negatives", "dense-deep", "wide"):
+        db, theta = bench_workload(workload)
+        lsh_apriori_mine(db, MiningConfig(theta=theta, variant="minhash", epsilon=0.5, delta=0.1))
+    assert cuts["negatives", 1] > 0 and cuts["wide", 1] > 0
+    assert [cuts["dense-deep", size] for size in range(3, 9)] == [0] * 6
+
+
+def test_candidate_sketch_transposes_no_own_block():
+    # a wide-shaped level: 40 records of weight 1500 of n = 5000, 281 rows.
+    # Probing candidates, the build holds the hash values and less than
+    # their own block again (the gather's transposed copy)
+    n, rows, rng = 5000, 281, np.random.default_rng(8)
+    hits = np.zeros((40, 5056), dtype=bool)
+    for row in hits:
+        row[rng.choice(n, size=1500, replace=False)] = True
+    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+    level = Level(np.arange(40).reshape(-1, 1), packed, np.full(40, 1500), n)
+    ctx = LevelContext(n=n, m_l=40, alpha_count=1500, theta_count=600)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+    assert candidate_cut(level.supports, n) > 0
+    tracemalloc.start()
+    try:
+        sketch = build_sketch(level, params, ctx, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * rows * 4 + sketch.perms.nbytes

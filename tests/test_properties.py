@@ -5,10 +5,11 @@ numbering against the join's own pairing step, the Hamming tables against
 sampled-bit keys, the level screens of all three LSH variants against the
 per-record probes they replaced, the sorted first-table screen against the
 pairwise one, the level-wide union memo against direct verification, the
-one-pass MinHash columns against minima over the padded positions, the
-closed-form covering build against the dense padded layout,
-every variant against the brute-force oracle and against the database's
-columns, and the packed loader against the per-item Python-int one."""
+one-pass MinHash columns and the candidate own minima against minima over
+the padded or own positions, the closed-form covering build against the
+dense padded layout, every variant against the brute-force oracle and
+against the database's columns, and the packed loader against the
+per-item Python-int one."""
 
 import tempfile
 from itertools import combinations
@@ -34,7 +35,14 @@ from lshmine.covering_lsh import CoveringParams, build_family
 from lshmine.covering_lsh import build_index as covering_build_index
 from lshmine.covering_lsh import query as covering_query
 from lshmine.hamming_lsh import HammingLshParams, build_index, query
-from lshmine.minhash_lsh import MinhashParams, build_sketch
+from lshmine.minhash_lsh import (
+    CUT_FACTOR,
+    TOP,
+    MinhashParams,
+    build_sketch,
+    candidate_cut,
+    own_minima,
+)
 from lshmine.minhash_lsh import query as minhash_query
 from lshmine.transform import (
     PREPROCESS,
@@ -217,7 +225,7 @@ def candidate_unions(records, picked):
     level hands them to `build_level`."""
     sweep = join_level(Level.of(records), 1)
     picked = np.asarray(picked, dtype=np.int64)
-    _, at = np.unique(sweep.pair_union[picked % max(1, sweep.candidate_pairs)], return_index=True)
+    _, at = np.unique(sweep.union(picked), return_index=True)
     return sweep.members(picked[np.sort(at)])
 
 
@@ -391,14 +399,56 @@ def sketch_level(patterns, alpha_count):
                                  theta_count=1)
 
 
+def hashed_level(n, values, hashes):
+    """Singleton records of the given ints over n transactions, and the
+    first n columns of `hashes` as their own block: a view into a wider
+    matrix, as the sketch's own positions are."""
+    return Level.of([record((i,), BitVector(n, v)) for i, v in enumerate(values)]), hashes[:, :n]
+
+
+@st.composite
+def hashed_levels(draw):
+    """Records over n in 1..130 transactions (empty ones included) and a
+    block of 1..6 rows of hash values, many of them tied at 2^32-1 on some
+    draws, and some 0."""
+    n = draw(st.integers(1, 130))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hashes = rng.integers(0, 1 << 32, size=(draw(st.integers(1, 6)), n + 3), dtype=np.uint32)
+    hashes[rng.random(hashes.shape) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = TOP
+    hashes[rng.random(hashes.shape) < 0.05] = 0
+    return hashed_level(n, values, hashes)
+
+
+@SETTINGS
+@given(hashed_levels(), st.booleans())
+@example(hashed_level(1, [1], np.array([[TOP, 7]], dtype=np.uint32)), False)   # one record, n = 1
+@example(hashed_level(1, [0, 1], np.array([[0, 7], [TOP, 7]], dtype=np.uint32)), True)
+@example(hashed_level(70, [(1 << 70) - 1], np.full((3, 72), TOP, dtype=np.uint32)), False)
+def test_own_minima_are_minima_over_own_positions(level, one_per_chunk):
+    # at every cut, from 0 (every cell gathered) to 2^32-1 (every value but
+    # the ties at 2^32-1 a candidate), and one record per chunk or all at once
+    level, own = level
+    lightest = max(1, int(level.supports.min()))
+    expected = np.array([own[:, np.flatnonzero(r.vector.to_uint8())].min(axis=1, initial=TOP)
+                         for r in level], dtype=np.uint32)
+    chunk = 1 if one_per_chunk else exact.PAIR_CHUNK_WORDS
+    with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
+        for cut in (0, 1, candidate_cut(level.supports, level.n),
+                    min(TOP, CUT_FACTOR * 2**32 // lightest), TOP):
+            assert np.array_equal(own_minima(level.packed, own, cut), expected), cut
+
+
 @SETTINGS
 @given(singleton_levels(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 @example(sketch_level(["1101"], 3), 1, 0)                    # one record, one row, |v| == alpha
 @example(sketch_level(["1101", "0101", "0000"], 3), 1, 5)    # alpha, alpha-1, empty
 @example(sketch_level(["110100", "100100", "111000"], 3), 64, 9)
+@example(sketch_level(["1" * 120 + "0" * 80, "0" * 50 + "1" * 150, "1" * 200], 200), 64, 3)
 def test_sketch_columns_are_padded_minima(level, rows, seed):
     # reference: each column is the minimum of the sketch's own permutations
-    # over the padded vector's one positions
+    # over the padded vector's one positions; the last example's cut is
+    # above 0, so its own minima are found among candidates
     records, ctx = level
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
     sketch = build_sketch(Level.of(records), params, ctx, seed)
