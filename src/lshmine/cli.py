@@ -2,7 +2,7 @@
 benchmark variants side by side, and generate synthetic data.
 
 Reports go to stdout (or --output) as JSON documents with schema_version
-"lshmine-report/1", or as fixed-column CSV; everything else goes to
+"lshmine-report/2", or as fixed-column CSV; everything else goes to
 stderr.  Seeds default to a fixed constant so published runs reproduce.
 """
 
@@ -28,7 +28,7 @@ from .engine import (
 )
 from .exact import brute_force_mine
 
-SCHEMA_VERSION = "lshmine-report/1"
+SCHEMA_VERSION = "lshmine-report/2"
 CSV_COLUMNS = ["variant", "level", "candidates", "transactions_read", "hash_overhead",
                "true_negatives", "false_positives", "wall_clock_ms"]
 EXIT_OK = 0
@@ -116,9 +116,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--mask-dim-cap", type=int, default=DEFAULT_MASK_DIM_CAP)
-    p.add_argument("--covering-early-exit", action="store_true",
-                   help="enable the fruitless-inspection cutoff for the covering variant "
-                        "(reintroduces a miss probability)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args, variant: str) -> MiningConfig:
     return MiningConfig(
         theta=args.theta, variant=variant, epsilon=args.epsilon, delta=args.delta,
-        seed=args.seed, max_level=args.max_level,
-        covering_early_exit=args.covering_early_exit, mask_dim_cap=args.mask_dim_cap,
+        seed=args.seed, max_level=args.max_level, mask_dim_cap=args.mask_dim_cap,
     )
 
 
@@ -227,6 +223,8 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ValueError("--variants names no variant")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import exact
 from .exact import Level, PairSweep
-from .hamming_lsh import MaskIndex, QueryResult, _grouped
+from .hamming_lsh import MaskIndex, QueryResult
 from .transform import (
     DegenerateLevel,
     LevelContext,
@@ -75,7 +75,6 @@ class CoveringParams:
     nu: float               # (t+eps_round)/(c*t)
     mask_dim: int           # t*theta_prime + 1
     psi_bound: float        # expected false positives per query: 2^(theta'*eps_round+1) m_l^(1/c)
-    early_exit_budget: int  # ceil(psi_bound/delta)
 
 
 def derive_params(ctx: LevelContext, epsilon: float, delta: float,
@@ -116,7 +115,6 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     return CoveringParams(
         n_prime=ctx.padded_length, theta_prime=theta_prime, t=t, c=c,
         eps_round=eps_round, nu=nu, mask_dim=mask_dim, psi_bound=psi_bound,
-        early_exit_budget=max(1, _ceil(psi_bound / delta)),
     )
 
 
@@ -196,13 +194,13 @@ class CoveringIndex(MaskIndex):
         return same
 
 
-def build_index(level: Level, family: CoveringFamily, ctx: LevelContext,
-                params: CoveringParams) -> CoveringIndex:
+def build_index(level: Level, family: CoveringFamily, ctx: LevelContext) -> CoveringIndex:
     """One table per mask; the key of record a under mask m is P(a) & m for
     indexing and Q(a) & m for querying, each held as its fingerprint: that
     of the own bits, once per record for both roles, XOR that of the role's
     run, once per run length.  The padded words are the packed own words
-    ORed with the run's."""
+    ORed with the run's.  The index has no early-exit budget: every query
+    verifies all its collisions."""
     n, size = ctx.n, 1 << family.mask_dim
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
@@ -228,7 +226,14 @@ def build_index(level: Level, family: CoveringFamily, ctx: LevelContext,
             np.bitwise_xor(fingerprints, run_key[which], out=out[s:s + step, :, 0])
             vectors[s:s + step] = run_word[which]
             vectors[s:s + step, :packed.shape[1]] |= packed
-    return CoveringIndex(*keys, params.early_exit_budget, family, *padded)
+    return CoveringIndex(*keys, None, family, *padded)
+
+
+def _grouped(keys) -> dict:
+    table: dict = {}
+    for idx, key in enumerate(keys):
+        table.setdefault(key, []).append(idx)
+    return table
 
 
 def _by_class(phi: np.ndarray, r: np.ndarray, size: int):
@@ -270,17 +275,12 @@ def _fingerprints(bits: np.ndarray, order: np.ndarray, values: np.ndarray,
     return c[1:].T
 
 
-def query(index: CoveringIndex, sweep: PairSweep, ctx: LevelContext, verify,
-          early_exit: bool = False) -> QueryResult:
+def query(index: CoveringIndex, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:
     """Screen the join's ordered pairs and verify every query's colliding
-    partners through `verify` (see `hamming_lsh.MaskIndex.screen`).
-
-    With `early_exit` off (the default) the screen's budget is one that no
-    query reaches, so every collision is inspected, which preserves the
-    no-false-negative guarantee; switching it on applies the same
-    fruitless-inspection budget as the Hamming variant.
-    """
-    return index.screen(sweep, ctx, verify, early_exit)
+    partners through `verify` (see `hamming_lsh.MaskIndex.screen`).  The
+    index has no early-exit budget, so every collision is inspected, which
+    keeps the no-false-negative guarantee."""
+    return index.screen(sweep, ctx, verify)
 
 
 def verify_covering(family: CoveringFamily, positions) -> bool:

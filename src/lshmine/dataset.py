@@ -140,40 +140,43 @@ def co_support(x: BitVector, y: BitVector) -> int:
 
 
 LOAD_CHUNK_TOKENS = 1 << 13   # tokens per scatter step: bounds its transient arrays
+# Deletes the ASCII digits and whitespace: what is left of a file's text is
+# what its tokens hold besides decimal digits.
+NOT_DIGITS = str.maketrans("", "", "".join(c for c in map(chr, range(128))
+                                           if c.isdigit() or c.isspace()))
 
 
 def load_transactions(path) -> TransactionDatabase:
     """Read a FIMI flat file: one transaction per line, whitespace-separated
-    item ids in [0, 2**63) (int64 in every level), no header.  Empty lines
-    are skipped; an id repeated within a line counts once."""
+    item ids in [0, 2**63) (int64 in every level) written in decimal digits
+    only, no header.  Empty lines are skipped; an id repeated within a line
+    counts once."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not an ASCII FIMI file: {exc}") from None
 
+    lines = text.split("\n")
     ids, lengths = array("q"), []   # every token's id; every transaction's token count
+    bad = bool(text.translate(NOT_DIGITS))   # a sign, a "_", a letter: int() takes some
+    del text
     try:
-        for line in lines:
+        for line in [] if bad else lines:
             row = line.split()
             if row:
                 ids.extend(map(int, row))
                 lengths.append(len(row))
-        bad = np.frombuffer(ids, dtype=np.int64).min(initial=0) < 0
-    except (ValueError, OverflowError):
+    except OverflowError:
         bad = True
     for lineno, line in enumerate(lines if bad else [], start=1):   # the first bad token's error
         for tok in line.split():
-            try:
-                item = int(tok)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}") from None
-            if item < 0:
-                raise DatasetError(f"{path}:{lineno}: negative item id {item}")
-            if item >= 1 << 63:
-                raise DatasetError(f"{path}:{lineno}: item id {item} is 2**63 or above")
+            if not tok.isdigit():
+                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}")
+            if int(tok) >= 1 << 63:
+                raise DatasetError(f"{path}:{lineno}: item id {int(tok)} is 2**63 or above")
     if not lengths:
         raise DatasetError("empty database")
 

@@ -11,7 +11,8 @@ per-variant hooks of `_LSH_VARIANTS`.  One `exact.build_level` call of
 their `PairSweep.unions` makes the next level.  Hamming and covering
 screen through one masked-projection index (`hamming_lsh.MaskIndex`)
 and differ only in where their keys come from and in the early-exit
-budget.  MinHash compares the sketch rows of every pair.
+budget, which covering's index does not have.  MinHash compares the
+sketch rows of every pair.
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and
@@ -25,18 +26,17 @@ union is below threshold is a false positive if the level verified it and
 a true negative otherwise.
 
 How a level counts them depends on whether its screen is lossless, which
-`_produce_level` knows before the join: covering with early exit off
-verifies every frequent pair (Pagh, "LSH without false negatives", SODA
-2016).  Every other level (exact, fallback, Hamming, MinHash, covering
-with early exit) reads the join's all-pairs co-support,
-`PairSweep.pair_frequent`, inside its timed sweep, and counts TN and FP
-pair by pair against it.  A lossless level never reads it: FP is the
-verified pairs whose union read below threshold, TN the pairs it did not
-verify, and frequent_pairs is C(l+1, 2) per (l+1)-itemset it found, as
-its level is complete.  Either way the identity TN + FP == 2 *
-(candidate_pairs - frequent_pairs) that `accounting_check` tests stays a
-check: on a lossless level it holds only if every frequent pair was
-verified in both directions.
+`_produce_level` knows before the join: a covering level verifies every
+frequent pair (Pagh, "LSH without false negatives", SODA 2016).  Every
+other level (exact, fallback, Hamming, MinHash) reads the join's
+all-pairs co-support, `PairSweep.pair_frequent`, inside its timed sweep,
+and counts TN and FP pair by pair against it.  A lossless level never
+reads it: FP is the verified pairs whose union read below threshold, TN
+the pairs it did not verify, and frequent_pairs is C(l+1, 2) per
+(l+1)-itemset it found, as its level is complete.  Either way the
+identity TN + FP == 2 * (candidate_pairs - frequent_pairs) that
+`accounting_check` tests stays a check: on a lossless level it holds
+only if every frequent pair was verified in both directions.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class MiningConfig:
     delta: float | None = None
     seed: int = 1
     max_level: int | None = None
-    covering_early_exit: bool = False
     mask_dim_cap: int = covering_lsh.DEFAULT_MASK_DIM_CAP
 
     def validate(self):
@@ -167,38 +166,37 @@ class _Variant:
 
     derive: Callable    # (config, ctx) -> params; may raise DegenerateLevel / FamilyTooLarge
     build: Callable     # (level, params, ctx, seed) -> index
-    query: Callable     # (index, sweep, params, ctx, config, verify) -> .partners (pair indices)
+    query: Callable     # (index, sweep, params, ctx, verify) -> .partners (pair indices)
     phi: Callable       # (params, ctx) -> cost of one hash evaluation in transaction units
-    lossless: Callable  # (config) -> whether the query verifies every frequent pair
+    lossless: bool      # whether the query verifies every frequent pair
 
 
 _LSH_VARIANTS = {
     "hamming": _Variant(
         derive=lambda config, ctx: hamming_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: hamming_lsh.build_index(level, params, ctx, seed),
-        query=lambda index, sweep, params, ctx, config, verify: hamming_lsh.query(
+        query=lambda index, sweep, params, ctx, verify: hamming_lsh.query(
             index, sweep, ctx, verify),
         phi=lambda params, ctx: params.k * params.L,
-        lossless=lambda config: False,
+        lossless=False,
     ),
     "minhash": _Variant(
         derive=lambda config, ctx: minhash_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: minhash_lsh.build_sketch(level, params, ctx, seed),
-        query=lambda sketch, sweep, params, ctx, config, verify: minhash_lsh.query(
+        query=lambda sketch, sweep, params, ctx, verify: minhash_lsh.query(
             sketch, sweep, params),
         phi=lambda params, ctx: params.rows,
-        lossless=lambda config: False,
+        lossless=False,
     ),
     "covering": _Variant(
         derive=lambda config, ctx: covering_lsh.derive_params(
             ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
         build=lambda level, params, ctx, seed: covering_lsh.build_index(
-            level, covering_lsh.build_family(params, seed), ctx, params),
-        query=lambda index, sweep, params, ctx, config, verify: covering_lsh.query(
-            index, sweep, ctx, verify, early_exit=config.covering_early_exit),
+            level, covering_lsh.build_family(params, seed), ctx),
+        query=lambda index, sweep, params, ctx, verify: covering_lsh.query(
+            index, sweep, ctx, verify),
         phi=lambda params, ctx: int(math.ceil(math.log(ctx.m_l) / params.c)) + 1,
-        # no false negatives (Pagh, SODA 2016) unless queries may exit early
-        lossless=lambda config: not config.covering_early_exit,
+        lossless=True,   # no false negatives (Pagh, SODA 2016)
     ),
 }
 
@@ -218,7 +216,7 @@ def _produce_level(db, config, current, level, theta_count, timings):
             params = variant.derive(config, ctx)
         except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
             fallback = exc.reason
-    lossless = params is not None and variant.lossless(config)
+    lossless = params is not None and variant.lossless
 
     t0 = time.perf_counter()
     sweep = join_level(current, theta_count)
@@ -233,8 +231,8 @@ def _produce_level(db, config, current, level, theta_count, timings):
         chosen, emitted = np.flatnonzero(frequent), sweep.distinct_candidates
     else:
         seed = np.random.SeedSequence([config.seed, level])
-        chosen, emitted, tn, fp = _screen_level(variant, config, current, ctx, params, seed,
-                                                sweep, tag, timings)
+        chosen, emitted, tn, fp = _screen_level(variant, current, ctx, params, seed, sweep, tag,
+                                                timings)
         hashes, phi = 2 * m_l, variant.phi(params, ctx)
 
     nxt = build_level(current, *sweep.unions(chosen), theta_count)   # drops unions below threshold
@@ -246,7 +244,7 @@ def _produce_level(db, config, current, level, theta_count, timings):
                            tn=tn, fp=fp, fallback=fallback)
 
 
-def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timings):
+def _screen_level(variant, current, ctx, params, seed, sweep, tag, timings):
     """One LSH level: build, screen the join's ordered pairs in one query,
     verify what it returns.  Returns the query's partners, the number of
     distinct unions read, TN and FP."""
@@ -271,11 +269,11 @@ def _screen_level(variant, config, current, ctx, params, seed, sweep, tag, timin
         verify_s += time.perf_counter() - t
         return support[u]
 
-    partners = variant.query(index, sweep, params, ctx, config, verify).partners
+    partners = variant.query(index, sweep, params, ctx, verify).partners
     verify(partners)   # MinHash's sketch-approved pairs are read here
     timings[f"{tag}:query"] = time.perf_counter() - t0 - verify_s
     timings[f"{tag}:verify"] = verify_s
-    if variant.lossless(config):   # every frequent pair was verified, both ways round
+    if variant.lossless:   # every frequent pair was verified, both ways round
         done = np.flatnonzero(verified)
         fp = int(np.count_nonzero(support[sweep.union(done)] < ctx.theta_count))
         tn = 2 * sweep.candidate_pairs - len(done)

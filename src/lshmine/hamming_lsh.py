@@ -30,7 +30,7 @@ table would meet them, and verifies them through the caller's `verify`
 first `budget` partners, then the rest of each query that found a
 similar partner among those.  A query that found none there gives up
 early, as a per-record probe would after `budget` fruitless inspections;
-without early exit (covering's default) no query reaches the budget.
+an index with no budget (covering's) has every query verify all of them.
 """
 
 from __future__ import annotations
@@ -135,14 +135,7 @@ class MaskIndex:
 
     p_keys: np.ndarray   # (m_l, tables, words) uint64
     q_keys: np.ndarray
-    early_exit_budget: int
-
-    @property
-    def tables(self) -> list[dict[int, list[int]]]:
-        """Per table, the records under each P key (the key as an int).
-        Built on each access, for inspection; the screen never reads it."""
-        return [_grouped(int.from_bytes(row.tobytes(), "little") for row in self.p_keys[:, t])
-                for t in range(self.p_keys.shape[1])]
+    early_exit_budget: int | None   # None: no query exits early
 
     def collisions(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
         """(pairs, tables) bool: where the key rows of Q(q[p]) and P(a[p]) agree."""
@@ -226,18 +219,17 @@ class MaskIndex:
             todo = todo[first[todo] < hit.shape[1]]
         return first
 
-    def screen(self, sweep: PairSweep, ctx: LevelContext, verify,
-               early_exit: bool) -> QueryResult:
+    def screen(self, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:
         """Verify, through `verify(pair_indices) -> co-supports`, the pairs
         that collide in some table, in each query's visit order, under the
-        early-exit budget if `early_exit` is set, else under one that no
-        query reaches.  Only the colliding pairs are read off `sweep`."""
+        early-exit budget, or under one that no query reaches if it is
+        None.  Only the colliding pairs are read off `sweep`."""
         first = self.first_tables(sweep)
         hit = np.flatnonzero(first < self.p_keys.shape[1])
         q, a, _ = sweep.members(hit)
         order = np.lexsort((a, first[hit], q))
         visit, q = hit[order], q[order]
-        budget = self.early_exit_budget if early_exit else len(visit) + 1
+        budget = len(visit) + 1 if self.early_exit_budget is None else self.early_exit_budget
         counts = np.bincount(q, minlength=len(self.p_keys))
         head = exact.run_positions(counts) < budget
         co = np.empty(len(visit), dtype=np.int64)
@@ -304,13 +296,6 @@ def _first_true(hit: np.ndarray) -> np.ndarray:
     return first
 
 
-def _grouped(keys) -> dict:
-    table: dict = {}
-    for idx, key in enumerate(keys):
-        table.setdefault(key, []).append(idx)
-    return table
-
-
 def build_index(level: Level, params: HammingLshParams, ctx: LevelContext,
                 seed, projections: np.ndarray | None = None) -> MaskIndex:
     """Key every record's P- and Q-padded vector in each of the L tables.
@@ -360,4 +345,4 @@ def query(index: MaskIndex, sweep: PairSweep, ctx: LevelContext, verify) -> Quer
     """Screen the join's ordered pairs and verify every query's colliding
     partners through `verify`, each query stopping early after
     `early_exit_budget` fruitless inspections."""
-    return index.screen(sweep, ctx, verify, early_exit=True)
+    return index.screen(sweep, ctx, verify)

@@ -80,12 +80,9 @@ def reference_load_transactions(path):
             continue
         row = []
         for tok in tokens:
-            try:
-                item = int(tok)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}") from None
-            if item < 0:
-                raise DatasetError(f"{path}:{lineno}: negative item id {item}")
+            if not all("0" <= c <= "9" for c in tok):   # int() also reads -0, +5 and 1_0
+                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}")
+            item = int(tok)
             if item >= 1 << 63:
                 raise DatasetError(f"{path}:{lineno}: item id {item} is 2**63 or above")
             row.append(item)

@@ -157,7 +157,7 @@ def test_c04_covering_property_brute_force():
     n_prime, mask_dim, radius = 20, 6, 5
     params = CoveringParams(n_prime=n_prime, theta_prime=radius, t=1, c=2.0,
                             eps_round=0.5, nu=0.75, mask_dim=mask_dim,
-                            psi_bound=1.0, early_exit_budget=10)
+                            psi_bound=1.0)
     checked = 0
     for draw in range(20):
         fam = build_family(params, seed=draw)

@@ -32,7 +32,7 @@ def test_mine_exact_json(capsys, toy_path):
     rc, out, err = run(capsys, "mine", "--input", toy_path, "--theta", "0.5")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == "lshmine-report/1"
+    assert doc["schema_version"] == "lshmine-report/2"
     assert len(doc["itemsets"]) == 6
     assert doc["itemsets"][0] == {"items": [1], "support": 3}
     assert doc["config"]["variant"] == "exact"
@@ -155,6 +155,14 @@ def test_bench_unknown_variant(capsys, toy_path):
                      "--variants", "exact,simhash")
     assert rc == 2
     assert "unknown variant" in err
+
+
+def test_bench_without_variants_is_a_usage_error(capsys, toy_path):
+    for variants in (",", ""):
+        rc, out, err = run(capsys, "bench", "--input", toy_path, "--theta", "0.5",
+                           "--variants", variants)
+        assert rc == 2 and out == ""
+        assert err == "error: --variants names no variant\n"
 
 
 def test_gen_writes_loadable_file(capsys, tmp_path):
@@ -283,6 +291,15 @@ def test_gen_bad_density(capsys, tmp_path):
 def test_unknown_flag_exits_2(capsys, toy_path):
     rc, _, _ = run(capsys, "mine", "--input", toy_path, "--theta", "0.5", "--bogus")
     assert rc == 2
+
+
+def test_covering_early_exit_flag_is_gone(capsys, toy_path):
+    # covering never exits early, so it never misses an itemset
+    rc, out, err = run(capsys, "mine", "--input", toy_path, "--theta", "0.5",
+                       "--variant", "covering", "--epsilon", "0.5", "--delta", "0.1",
+                       "--covering-early-exit")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --covering-early-exit" in err
 
 
 def test_help_exits_0(capsys):

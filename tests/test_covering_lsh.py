@@ -20,17 +20,17 @@ from lshmine.transform import DegenerateLevel, LevelContext, pad_preprocess
 from conftest import level_pairs, pair_verify, query_view, random_vector, singleton_level
 
 
-def screen(index, level, ctx, qi, early_exit=False):
+def screen(index, level, ctx, qi):
     """Query record qi's part of the covering screen of `level`."""
     pairs = level_pairs(level)
-    res = query(index, pairs, ctx, pair_verify(level, pairs), early_exit=early_exit)
+    res = query(index, pairs, ctx, pair_verify(level, pairs))
     return query_view(pairs, res, qi, index.p_keys.shape[1])
 
 
-def screen_all(index, level, ctx, early_exit=False):
+def screen_all(index, level, ctx):
     """Every query record's part of the covering screen of `level`."""
     pairs = level_pairs(level)
-    res = query(index, pairs, ctx, pair_verify(level, pairs), early_exit=early_exit)
+    res = query(index, pairs, ctx, pair_verify(level, pairs))
     return [query_view(pairs, res, qi, index.p_keys.shape[1]) for qi in range(len(level))]
 
 
@@ -38,7 +38,7 @@ def small_params(n_prime, mask_dim, theta_prime=None):
     """Hand-rolled parameter block for family-level tests."""
     return CoveringParams(
         n_prime=n_prime, theta_prime=theta_prime or (mask_dim - 1), t=1, c=2.0,
-        eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0, early_exit_budget=80,
+        eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
     )
 
 
@@ -54,7 +54,6 @@ def test_derive_params_reference_values():
     assert abs(p.nu - 0.4774455064084063) < 1e-12
     assert p.mask_dim == 5
     assert abs(p.psi_bound - 47.917532553820514) < 1e-9
-    assert p.early_exit_budget == 480
 
 
 def test_derive_params_single_itemset_floors_t():
@@ -152,7 +151,7 @@ def test_index_zero_mask_single_bucket():
     ctx = LevelContext(n=n, m_l=5, alpha_count=3, theta_count=3)
     params = small_params(n_prime=ctx.padded_length, mask_dim=3)
     fam = build_family(params, seed=0, phi=np.zeros(ctx.padded_length, dtype=np.int64))
-    index = build_index(Level.of(level), fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx)
     for table in index.tables:
         assert list(table) == [0] and sorted(table[0]) == [0, 1, 2, 3, 4]
     res = screen(index, level, ctx, 0)
@@ -169,7 +168,7 @@ def test_index_all_ones_mask_partitions_by_vector():
     params = small_params(n_prime=ctx.padded_length, mask_dim=1, theta_prime=0)
     fam = build_family(params, seed=0, phi=np.ones(ctx.padded_length, dtype=np.int64))
     assert fam.masks == [(1 << ctx.padded_length) - 1]
-    index = build_index(Level.of(level), fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx)
     keys = {pad_preprocess(v, ctx).bits.value for v in vectors}
     assert set(index.tables[0]) == keys
     assert sorted(map(tuple, index.tables[0].values())) == [(0, 1), (2,)]
@@ -190,7 +189,7 @@ def test_close_pairs_always_share_a_bucket():
         ctx = LevelContext(n=n, m_l=5, alpha_count=alpha, theta_count=theta_count)
         params = derive_params(ctx, epsilon=0.5, delta=0.1, mask_dim_cap=16)
         fam = build_family(params, seed=trial)
-        index = build_index(Level.of(level), fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx)
         padded = [pad_preprocess(v, ctx).bits.value for v in vectors]
         res = screen_all(index, level, ctx)
         for i in range(5):
@@ -221,7 +220,7 @@ def test_query_no_misses_on_random_levels():
         except FamilyTooLarge:
             continue
         fam = build_family(params, seed=1000 + trial)
-        index = build_index(Level.of(level), fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx)
         for qi, res in enumerate(screen_all(index, level, ctx)):
             expected = {i for i in range(m_l)
                         if i != qi and co_support(vectors[qi], vectors[i]) >= theta_count}
@@ -237,7 +236,7 @@ def test_query_disjoint_level_empty():
     ctx = LevelContext(n=n, m_l=4, alpha_count=3, theta_count=2)
     params = derive_params(ctx, 0.5, 0.1, mask_dim_cap=16)
     fam = build_family(params, seed=2)
-    index = build_index(Level.of(level), fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx)
     for res in screen_all(index, level, ctx):
         assert res.partners == []
 
@@ -254,7 +253,7 @@ def test_false_positive_load_within_bound():
     totals = []
     for seed in range(30):
         fam = build_family(params, seed=seed)
-        index = build_index(Level.of(level), fam, ctx, params)
+        index = build_index(Level.of(level), fam, ctx)
         for res in screen_all(index, level, ctx):
             fp = sum(1 for idx, co in res.verified.items() if co < theta_count)
             totals.append(fp)
@@ -262,47 +261,22 @@ def test_false_positive_load_within_bound():
 
 
 def test_early_exit_flag():
+    # a covering index has no budget; the shared screen applies one set on it
     n = 10
     rng = np.random.default_rng(60)
     vectors = [random_vector(rng, n, 3) for _ in range(8)]
     level = singleton_level(vectors)
     ctx = LevelContext(n=n, m_l=8, alpha_count=3, theta_count=3)
-    base = small_params(n_prime=ctx.padded_length, mask_dim=3)
-    params = replace(base, early_exit_budget=2)
+    params = small_params(n_prime=ctx.padded_length, mask_dim=3)
     fam = build_family(params, seed=0, phi=np.zeros(ctx.padded_length, dtype=np.int64))
-    index = build_index(Level.of(level), fam, ctx, params)
+    index = build_index(Level.of(level), fam, ctx)
     q = level[0]
     assert all(co_support(q.vector, v) < 3 for v in vectors[1:])
-    res_off = screen(index, level, ctx, 0, early_exit=False)
+    assert index.early_exit_budget is None
+    res_off = screen(index, level, ctx, 0)
     assert not res_off.early_exit and res_off.inspections == 7
-    res_on = screen(index, level, ctx, 0, early_exit=True)
+    res_on = screen(replace(index, early_exit_budget=2), level, ctx, 0)
     assert res_on.early_exit and res_on.inspections == 2
-
-
-def test_early_exit_miss_probability_within_delta():
-    # with the cutoff active at its derived budget, a planted similar
-    # partner may in principle be missed, but at rate <= delta
-    rng = np.random.default_rng(90)
-    n, theta_count = 30, 10
-    a = BitVector.from_indices(n, range(12))
-    b = BitVector.from_indices(n, range(2, 14))  # co = 10 == theta_count
-    partners = []
-    while len(partners) < 20:
-        cand = random_vector(rng, n, 11)
-        if co_support(cand, a) < 5 and co_support(cand, b) < 5:
-            partners.append(cand)
-    level = singleton_level([a, *partners, b])   # planted partner probed last
-    ctx = LevelContext(n=n, m_l=len(level), alpha_count=12, theta_count=theta_count)
-    params = derive_params(ctx, epsilon=0.5, delta=0.1, mask_dim_cap=16)
-    trials = 200
-    misses = 0
-    for seed in range(trials):
-        fam = build_family(params, seed=seed)
-        index = build_index(Level.of(level), fam, ctx, params)
-        res = screen(index, level, ctx, 0, early_exit=True)
-        if len(level) - 1 not in res.partners:
-            misses += 1
-    assert misses / trials <= 0.1 + 3 * np.sqrt(0.1 * 0.9 / trials)
 
 
 def test_verify_covering_trivial_cases():

@@ -53,8 +53,18 @@ def test_load_empty_file(tmp_path):
 def test_load_bad_token(tmp_path):
     with pytest.raises(DatasetError, match="non-integer"):
         load_transactions(write_file(tmp_path, "1 x 3\n"))
-    with pytest.raises(DatasetError, match="negative"):
+    with pytest.raises(DatasetError, match="non-integer token '-2'"):
         load_transactions(write_file(tmp_path, "1 -2\n"))
+
+
+def test_load_takes_decimal_digits_only(tmp_path):
+    # int() reads each of these as an id (10, 3 and 0); a FIMI id is digits
+    for lineno, tok in ((1, "1_0"), (2, "+3"), (3, "-0")):
+        lines = ["1 2"] * (lineno - 1) + [f"{tok} 2", "1 2"]
+        path = write_file(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load_transactions(path)
+        assert str(exc.value) == f"{path}:{lineno}: non-integer token {tok!r}"
 
 
 def test_load_missing_file(tmp_path):

@@ -45,7 +45,7 @@ from conftest import (
     reference_tables,
     sketch_view,
 )
-from test_golden_reports import DATABASES, bench_workload, mine, near_miss_db, sha256  # noqa: F401
+from test_golden_reports import DATABASES, bench_workload, mine, near_miss_db  # noqa: F401
 
 
 def lsh_config(variant, theta=0.5, seed=1, **kw):
@@ -259,16 +259,6 @@ def test_covering_table_entry_cap_falls_back_quickly():
     assert report.itemsets.same_itemsets(brute_force_mine(db, 0.3))
 
 
-def test_covering_early_exit_flag_end_to_end(toy_db):
-    # derived budgets dwarf the toy level sizes, so the flag must not cost
-    # anything here; output still matches the oracle, no sub-threshold leaks
-    for seed in range(50):
-        comp = compare_with_oracle(
-            toy_db, lsh_config("covering", seed=seed, covering_early_exit=True))
-        assert comp.sub_threshold == []
-        assert comp.missed == []
-
-
 def test_max_level():
     db = db_from_rows([[1, 2, 3], [1, 2, 3], [1, 2], [1, 3]])
     report = lsh_apriori_mine(db, MiningConfig(theta=0.5, max_level=1))
@@ -329,7 +319,7 @@ def test_compare_oracle_guard():
 # The level screen against the per-record screen it replaced
 # (`conftest.reference_screen`), on levels of the benchmark's sizes.
 
-def engine_screen(monkeypatch, variant, level, ctx, params, index, early_exit=False):
+def engine_screen(monkeypatch, variant, level, ctx, params, index):
     """The engine's screen of `level` with `index` as the variant's index:
     the found unions, distinct unions read, TN, FP, the query's result and
     the pairs it screened."""
@@ -339,21 +329,19 @@ def engine_screen(monkeypatch, variant, level, ctx, params, index, early_exit=Fa
     monkeypatch.setattr(module, "query",
                         lambda *args, **kw: seen.append(query(*args, **kw)) or seen[-1])
     hooks = replace(engine._LSH_VARIANTS[variant], build=lambda *args: index)
-    config = MiningConfig(theta=0.5, variant=variant, epsilon=0.5, delta=0.1,
-                          covering_early_exit=early_exit)
     sweep = join_level(Level.of(level), ctx.theta_count)
-    chosen, emitted, tn, fp = engine._screen_level(hooks, config, Level.of(level), ctx, params,
-                                                   None, sweep, "level2", {})
+    chosen, emitted, tn, fp = engine._screen_level(hooks, Level.of(level), ctx, params, None,
+                                                   sweep, "level2", {})
     return sweep.unions(chosen), emitted, tn, fp, seen[0], sweep
 
 
 def assert_screen_matches_reference(monkeypatch, variant, level, ctx, params, index,
-                                    reference_query, early_exit=False):
+                                    reference_query):
     """Per query: the verified partners in visit order (with co-supports),
     the found partners and the early exit, or MinHash's approved and
     rejected partners; per level: the unions found and read, TN and FP."""
     found, emitted, tn, fp, res, pairs = engine_screen(monkeypatch, variant, level, ctx, params,
-                                                       index, early_exit)
+                                                       index)
     ref_found, ref_emitted, ref_tn, ref_fp, ref_results = reference_screen(
         level, reference_join(level, ctx.theta_count), reference_query)
     assert (emitted, tn, fp) == (ref_emitted, ref_tn, ref_fp)
@@ -432,23 +420,23 @@ def test_screen_matches_reference_at_negatives_size(monkeypatch):
     assert params.mask_dim == 9
     # a drawn phi keeps about half the positions in every mask, and nothing
     # collides; one that maps all but 60 positions to 0 keeps at most those
-    # 60, so some keys collide and some fruitless queries exit early
+    # 60, so some keys collide and, under a budget set on the index (the
+    # shared screen's, which covering's index does not have), some
+    # fruitless queries exit early
     sparse = np.zeros(ctx.padded_length, dtype=np.int64)
     rng = np.random.default_rng(43)
     sparse[rng.choice(ctx.padded_length, 60, replace=False)] = rng.integers(1, 512, 60)
     collided = exits = 0
-    for phi, budget in ((None, params.early_exit_budget), (sparse, 5)):
-        params = replace(params, early_exit_budget=budget)
+    for phi in (None, sparse):
         family = covering_lsh.build_family(params, seed, phi=phi)
-        index = covering_lsh.build_index(Level.of(level), family, ctx, params)
+        index = covering_lsh.build_index(Level.of(level), family, ctx)
         tables = reference_tables(level, family.masks, ctx)
-        for early_exit in (False, True):
+        for budget in (None, 5):
             res, tn, fp = assert_screen_matches_reference(
-                monkeypatch, "covering", level, ctx, params, index,
+                monkeypatch, "covering", level, ctx, params,
+                replace(index, early_exit_budget=budget),
                 lambda i, q, compatible, verify: reference_probe(
-                    tables, family.masks, q, ctx, compatible, verify,
-                    budget if early_exit else None),
-                early_exit)
+                    tables, family.masks, q, ctx, compatible, verify, budget))
             assert tn + fp == pairs
             collided += fp
             exits += res.early_exit
@@ -503,7 +491,6 @@ def test_level_screen_memory_is_bounded():
     pairs = 2 * sweep.candidate_pairs
     chunks = 16 * 8 * exact.PAIR_CHUNK_WORDS
     words = (ctx.padded_length + 63) // 64
-    config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
     hamming = hamming_lsh.derive_params(ctx, 0.5, 0.1)
     covering = covering_lsh.derive_params(ctx, 0.5, 0.1)
     masks = (1 << covering.mask_dim) - 1
@@ -512,8 +499,8 @@ def test_level_screen_memory_is_bounded():
             ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8))):
         tracemalloc.start()
         try:
-            engine._screen_level(engine._LSH_VARIANTS[variant], config, Level.of(level), ctx,
-                                 params, np.random.SeedSequence([1, 2]), sweep, "level2", {})
+            engine._screen_level(engine._LSH_VARIANTS[variant], Level.of(level), ctx, params,
+                                 np.random.SeedSequence([1, 2]), sweep, "level2", {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -527,18 +514,17 @@ def test_level_screen_memory_is_bounded_with_4095_tables():
     sweep = join_level(Level.of(level), ctx.theta_count)
     params = covering_lsh.CoveringParams(
         n_prime=ctx.padded_length, theta_prime=11, t=1, c=2.0, eps_round=0.5, nu=0.75,
-        mask_dim=12, psi_bound=8.0, early_exit_budget=80)
+        mask_dim=12, psi_bound=8.0)
     phi = np.random.default_rng(44).integers(0, 1 << 12, ctx.padded_length)
     hooks = replace(engine._LSH_VARIANTS["covering"], build=lambda level, params, ctx, seed:
                     covering_lsh.build_index(level, covering_lsh.build_family(params, seed, phi=phi),
-                                             ctx, params))
-    config = MiningConfig(theta=0.3, variant="covering", epsilon=0.5, delta=0.1)
+                                             ctx))
     pairs = 2 * sweep.candidate_pairs
     masks, words = (1 << 12) - 1, (ctx.padded_length + 63) // 64
     assert hamming_lsh.sort_pays(pairs, 1, len(level))
     tracemalloc.start()
     try:
-        engine._screen_level(hooks, config, Level.of(level), ctx, params,
+        engine._screen_level(hooks, Level.of(level), ctx, params,
                              np.random.SeedSequence([1, 2]), sweep, "level2", {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -553,9 +539,8 @@ def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
     level, ctx = negatives_level()
     sweep = join_level(Level.of(level), ctx.theta_count)
     monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
-    config = MiningConfig(theta=0.3, variant="hamming", epsilon=0.5, delta=0.1)
     params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
-    chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"], config,
+    chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"],
                                                    Level.of(level), ctx, params,
                                                    np.random.SeedSequence([1, 2]), sweep,
                                                    "level2", {})
@@ -580,9 +565,8 @@ def test_sorted_screen_confirms_no_empty_batch(monkeypatch):
     monkeypatch.setattr(covering_lsh.CoveringIndex, "_confirmed",
                         lambda self, q, a, t: calls.append(len(q)) or confirmed(self, q, a, t))
     monkeypatch.setattr(hamming_lsh, "_meetings", counted)
-    config = MiningConfig(theta=0.3, variant="covering", epsilon=0.5, delta=0.1)
     params = covering_lsh.derive_params(ctx, 0.5, 0.1)
-    engine._screen_level(engine._LSH_VARIANTS["covering"], config, Level.of(level), ctx, params,
+    engine._screen_level(engine._LSH_VARIANTS["covering"], Level.of(level), ctx, params,
                          np.random.SeedSequence([1, 2]), sweep, "level2", {})
     assert sum(met) > 0 and 0 not in calls
 
@@ -602,9 +586,9 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
     for mask_dim in (3, 6):
         params = covering_lsh.CoveringParams(
             n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0, eps_round=0.5,
-            nu=0.75, mask_dim=mask_dim, psi_bound=8.0, early_exit_budget=80)
+            nu=0.75, mask_dim=mask_dim, psi_bound=8.0)
         family = covering_lsh.build_family(params, 0, phi=np.zeros(ctx.padded_length, dtype=int))
-        index = covering_lsh.build_index(Level.of(level), family, ctx, params)
+        index = covering_lsh.build_index(Level.of(level), family, ctx)
         calls.clear()
         first = index.first_tables(pairs)
         assert calls == [len(pairs)]
@@ -613,14 +597,14 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
             is None
 
 
-# A lossless level (covering with early exit off) reads no all-pairs
+# A lossless level (covering) reads no all-pairs
 # co-support: it counts TN and FP off the pairs it verified, and its
 # frequent pairs in closed form.
 
 def test_lossless_level_never_lists_every_co_support(monkeypatch):
-    # covering at negatives size: without early exit the level reads the
-    # co-support of the unions it verified and of the next level's build
-    # only; with early exit it reads every pair's, for TN and FP
+    # covering at negatives size reads the co-support of the unions it
+    # verified and of the next level's build only; Hamming, which is not
+    # lossless, reads every pair's on the same level, for TN and FP
     level, ctx = negatives_level()
     db = ColumnDatabase(n=ctx.n, m=len(level), columns={r.items[0]: r.vector for r in level})
     rows = Counter()
@@ -630,15 +614,15 @@ def test_lossless_level_never_lists_every_co_support(monkeypatch):
         return pair_cosupport(packed, i, j)
     monkeypatch.setattr(exact, "pair_cosupport", counted)
     monkeypatch.setattr(engine, "pair_cosupport", counted)
-    for early_exit in (False, True):
+    for variant in ("covering", "hamming"):
         rows.clear()
-        report = lsh_apriori_mine(db, MiningConfig(theta=0.3, variant="covering", epsilon=0.5,
-                                                   delta=0.1, covering_early_exit=early_exit))
+        report = lsh_apriori_mine(db, MiningConfig(theta=0.3, variant=variant, epsilon=0.5,
+                                                   delta=0.1))
         assert len(report.levels) == 2
         row = report.levels[1]
         assert row.lsh_active and row.candidate_pairs == 400 * 399 // 2
         assert accounting_check(row, db.n), row
-        if early_exit:
+        if variant == "hamming":
             assert rows["read"] >= row.candidate_pairs
         else:
             assert rows["read"] <= row.emitted_candidates + row.frequent_count
@@ -658,7 +642,7 @@ def test_accounting_check_catches_a_lossless_level_that_skips_a_frequent_pair(mo
 
     query, skipped = covering_lsh.query, []
 
-    def skipping_query(index, sweep, ctx, verify, early_exit=False):
+    def skipping_query(index, sweep, ctx, verify):
         skip = []   # the first frequent pair verified at the first level that has one
 
         def skipping_verify(sel):
@@ -669,7 +653,7 @@ def test_accounting_check_catches_a_lossless_level_that_skips_a_frequent_pair(mo
             kept = ~np.isin(sel, skip)
             co[kept] = verify(sel[kept])
             return co
-        result = query(index, sweep, ctx, skipping_verify, early_exit)
+        result = query(index, sweep, ctx, skipping_verify)
         return replace(result, partners=result.partners[~np.isin(result.partners, skip)])
     monkeypatch.setattr(covering_lsh, "query", skipping_query)
     report = lsh_apriori_mine(db, config)
@@ -680,7 +664,7 @@ def test_accounting_check_catches_a_lossless_level_that_skips_a_frequent_pair(mo
 
 def test_complete_levels_pair_in_closed_form(bench_workload):
     # the premise of the lossless count: a level that holds every frequent
-    # l-itemset (exact, or covering without early exit) makes each frequent
+    # l-itemset (exact, or covering) makes each frequent
     # (l+1)-itemset from C(l+1, 2) compatible pairs
     reports = [mine(make(), theta, variant, seed=3) for make, theta in DATABASES.values()
                for variant in ("exact", "covering")]
@@ -692,13 +676,3 @@ def test_complete_levels_pair_in_closed_form(bench_workload):
     for row in rows:
         assert row.frequent_pairs == comb(row.level, 2) * row.frequent_count, row
     assert sum(row.frequent_pairs > 0 for row in rows) > 20
-
-
-def test_covering_early_exit_report_json_hash():
-    # the covering path that still reads every pair's co-support, pinned
-    # beside the golden reports (computed before covering's lossless levels
-    # stopped reading it)
-    config = MiningConfig(theta=0.25, variant="covering", epsilon=0.5, delta=0.1, seed=3,
-                          covering_early_exit=True)
-    assert sha256(report_json(lsh_apriori_mine(near_miss_db(), config))) == \
-        "e41f62c39ebd277830509c6d72d27c73c36873a51ea7bd2208e2b265973b8015"

@@ -80,33 +80,33 @@ DATABASES = {
 
 REPORT_SHA256 = {
     ("negatives", "exact"):
-        "cd03260ea8401294e3d55ab9fcc0d5e59f4ffdf293deb1b814eae25ff0876b94",
+        "1dca114795685ad2484837e6b6f768057a6c5c64f0db6238e43c2b7ef6fea5d5",
     ("negatives", "hamming"):
-        "c3d2d17970b342e93bb9b4e9ebd87d4e48a42e90db70bd66235af99958205b75",
+        "261149948ba3322d4e3d66772de8635f680fccea011c8d333a6c68b2443724cb",
     ("negatives", "minhash"):
-        "951755e48d9a06c7401556168a24c580796b995ed79094896440e96c8f144237",
+        "8407d16288229615493db91f1fe780439ed04cfcf7b3083c43f7b1258dea3f0c",
     ("negatives", "covering"):
-        "8b866cf66599dd4398612db499db155410ba468ace2ea3588974833e4b3be8be",
+        "4f035236b8fe9d1b691123dd16123858c2b67bb8bc39c02d068f6bd680ef11d7",
     ("bernoulli", "exact"):
-        "dbdf71e48b28884d1648b8b680c8b89d68a23918b8191729e8402bd247b9c98f",
+        "edc13e60fccf4dd0f91086b90e42756a270c3f048325320348936e1b4132a244",
     ("bernoulli", "hamming"):
-        "3d432a73d9b1cdf8d1f607589c81691762cfd5a0d274a6e5a0ac4ee6ee35fb29",
+        "2abb766dec23b9bf442a3b63eb61da30967787c205fb820cc4c0081cd7112b24",
     ("bernoulli", "minhash"):
-        "0d3a3a5ba3598ff2d50bad030c7989eab2e68412ad1dbdf8b4dd4289094aaf6d",
+        "cbcd93c7818f7d4fc34e5ad6c6e7c90fa28ca88ddf05044fd21ed039cf65556f",
     ("bernoulli", "covering"):
-        "83254adc3cee1013617f14d39970f673540d368ed2e028b7735416c0bfa6adb1",
+        "b2e72d70ea074cf12e5bc07357f5a712d5698474db27e193d2e89b9a4c26b916",
     ("toy60", "exact"):
-        "64ec945cba09c240552ef9411978c773c91f65f2cb0cc4a038765e55811f6639",
+        "cdd77793f6940d5980098b98e763535d5a416a414bdf6401898a49f943f376e1",
     ("toy60", "hamming"):
-        "200bf7fb994d48007bb0aecdafed9837976ef4b76cea64529322e615aba4f329",
+        "fb8fee255e63e89bfd06cb9b084f2fe65dd9c07c2329819348d6da85f3183f34",
     ("toy60", "minhash"):
-        "52a126b715fa8fec29e2ad69ecee6e76f6d1ce3a7e3008ffbeeed6f2102438c8",
+        "446624e6b6d1fa7f3ded09b0c04bf2f89ae3f1151ac2ca8f83c815bdf9fb3283",
     ("toy60", "covering"):
-        "8759a654fdd25528da445f0a0eade5cd518be641623882cf31c55eb4eec68fc6",
+        "a5b4367436f0350d72a1c5386f898b3bac14278ede5180ee3d178abe858adc41",
     ("near_miss", "hamming"):
-        "cffe47769428617473cdad663b3065f25cbdd2363ae563556f28b2bb708fc988",
+        "933362cd9049df5cd43f6902c52bd66cff4809718af48852c3d02047613575c8",
     ("near_miss", "covering"):
-        "4e61bbcbd298f5bbcd872a7d095aa2367c34559756d8b8e14aa3a6d900cd9b81",
+        "870db4e4d417bffebee7b9cd7410e70d230a04dabbb1c33a373b9bf1b4179da5",
 }
 
 CSV_SHA256 = {
@@ -120,27 +120,27 @@ CSV_SHA256 = {
 # on `wide` is left out: it raises OverflowError (open item 5 in ROADMAP.md).
 BENCH_REPORT_SHA256 = {
     ("negatives", "exact"):
-        "67a58ad93c3e2a46046246373154dca36c0fced6018060daadb7281eee3e7459",
+        "5d24c19dc54bd8c0d46a5ca77ab9c778651b67c47c410353719f0fae9f42f203",
     ("negatives", "hamming"):
-        "0a224d52a6d4f8e5f578734d19970b5084ad5b332cac3e197a363ad65aae404d",
+        "44df10d4c0bd0640d9bebdce43608eea45299f98dcd333cf55a4ad6183982cf3",
     ("negatives", "minhash"):
-        "b65fb86782f75a3289c2a01557415ba4ae6b8dcc277a7a13ce52c5f0f3239f52",
+        "89189e7939ab68c6bff522e4203f552241b09da7c1a7cf53cce9e0488eddd7f1",
     ("negatives", "covering"):
-        "e805ef75656ad5c39a2f2308b28fe9d1075eff81848cde49af9b28d643ff0d74",
+        "4929442e5035e9530fac5f546b300b895649210bd6cb2a1f7b70ce55ae3fcea2",
     ("dense-deep", "exact"):
-        "9d055163daf9538e340e9e9c3158b503bdbc4a4c755b44e23b807880b8ca69ba",
+        "5dc59779e4d470d25ca8aab671bcc64a13308880bbf07481974b1f70ac2594a9",
     ("dense-deep", "hamming"):
-        "bc32e8e65be62e6f0f268858859f82d6bfe7dbecef2a87f7a9c3be9bc736384e",
+        "52ab8c1ad4d1614dda510d550a30275718570078e47754a61b5c92e471a69ac5",
     ("dense-deep", "minhash"):
-        "738fe0b026684624d606988f4162e037236447f3df7fc1a05fb9234cdfbe79f1",
+        "3402ce19535563fb25797038825542eb854dd6fdc30e9fe490371dc1467bddb6",
     ("dense-deep", "covering"):
-        "0cef580b3f9b1801aaa5fe8be35322fac66c05ad605ebe362269ce91a1acbb67",
+        "070df126ec448f72f17d1e5c53e99ee779124e044e0334eee472dd8dd766ceb1",
     ("wide", "exact"):
-        "1a81a9c15b11361e1aad3ab782fe08a32822566a7bf6f7db5b2ae4fb78c9107f",
+        "d32df696bd92ef0195c5a50254e06fb7e6e22d9516bc0ebe069e55f26e65875c",
     ("wide", "hamming"):
-        "0bfe132a3456f41017b995debc4c1f12a03bdaa5804210b53847e12087732e27",
+        "85d37384591f53bdb4ad90ba09813b8b6d29e214b4e8703e8d39f032d5b8d484",
     ("wide", "minhash"):
-        "e03b4f78e3a7cf42881709e3ad60dba4dab2498d342d322aca8beb1efb84530a",
+        "82fe9f3f6a88e8887295884bd2178e9f4438556c0e78db7f8655c58b983cd526",
 }
 
 
@@ -150,34 +150,34 @@ BENCH_REPORT_SHA256 = {
 # TN/FP, early exits, fallbacks) stays pinned here when that charge changes.
 STRIPPED_REPORT_SHA256 = {
     ("negatives", "hamming"):
-        "409ab392f627a86bfe7ae917abc475be1070330ad4c0e794e42f055f742195db",
+        "2a27d136d74d01423abebab002c1cf5afa7520701768c5c8aef5918d42609cba",
     ("negatives", "covering"):
-        "dad491c01f3dec4f266381a5f46d4d72116c0a83749db07cab20c55cca1d6c64",
+        "99db9c1b25279b1898a6fa010f7e14da5b6d98fefc069497485ca7a7350e4910",
     ("bernoulli", "hamming"):
-        "b1a98a98311ac1cbc143ddb6bab669abd7801e401ad5750242b66d9c13521d2d",
+        "296a3d5c67a47020b06e4001df70d2637149bd450bb2c52a31a0f308e1740b01",
     ("bernoulli", "covering"):
-        "d9beb4e8f4a1c2a3fff57fb3ad2e928f90a50dcd6fe0ad053edd0df9e5842806",
+        "6202c2970999bae6cc0d1ae1382249c768709c81ea38fcc2ebb7ac73fe6c0ea3",
     ("toy60", "hamming"):
-        "24249e9348ec2aab419a268f4b707b26e7827696190c00340e3ec4145541a29b",
+        "567a57f131a6b15e2b11a283c537b28c97b35dde992ca945d5c474a19a406709",
     ("toy60", "covering"):
-        "be46bd740b637a02f05611878e8cc11add5461dc65d16e954c29feea6a4d762e",
+        "80292ae479b2933d311da791477edeb64b8fcce64fa923153dd4797e8349d010",
     ("near_miss", "hamming"):
-        "453d630f5ff19beaf070777246bdfc63353b84516de9e4d0cde330a302627b81",
+        "5b333dcd03c5cba3fcd0750314ac19e7a7fcc97884ce8e75e658bd722fe510de",
     ("near_miss", "covering"):
-        "288eea465f9e3a1254b406d06e271a1ad6f31e1063fa3ce4bc6943fbfa96077c",
+        "8c295fcdafa9057036ed4285daa5a9463f1703786bfaf261325a91c6891f64ec",
 }
 
 BENCH_STRIPPED_REPORT_SHA256 = {
     ("negatives", "hamming"):
-        "5d379f6dd11843adf81cfee54346269d59d15e5c7269257c34c36d2ac747e5a1",
+        "5b73df21636385ee30f201c14cdbe44ce4e5c2b2c9bdfff7228e5e8962fabb02",
     ("negatives", "covering"):
-        "86167bc37e4f4a0529d616dda1eb4f247ff5e279f800b99dc37f8168330f563d",
+        "9f5fba73d8c857a68314f3c088d356a78d38899f72032177030635bb2c640184",
     ("dense-deep", "hamming"):
-        "fe5dd4c2ed34b79a3a34844c4065f4463608a15cc6de9f51361dc7f86b30f933",
+        "7b559450b5efd237abf7186e2189f2c6139343abc5dd741d5a5a3eab4b309581",
     ("dense-deep", "covering"):
-        "ac47a3d5b3ffa1e0af4a8be7892e24201f66c54b72f452e50f8bdcc876171dd5",
+        "e9daddd70eab17c31a9e75d7ff8ec99408cb70e23839904d8af049612bda5fa0",
     ("wide", "hamming"):
-        "6d67fd3f7a8422b561743c463b788666b8f2c0c9e34652e5707a8e5efef3d33a",
+        "b3aebbbeb75c27a8057525fd4f3726fb88b2198a87d57cf49143e5de1075bb75",
 }
 
 

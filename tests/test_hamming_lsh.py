@@ -79,8 +79,7 @@ def test_build_single_itemset():
     params = HammingLshParams(rho=0.5, k=3, L=5, early_exit_budget=50)
     level = singleton_level([BitVector.from01("11000000")])
     index = build_index(Level.of(level), params, ctx, seed=0)
-    assert sum(len(t) for t in index.tables) == params.L
-    assert all(list(t.values()) == [[0]] for t in index.tables)
+    assert index.p_keys.shape == index.q_keys.shape == (1, params.L, 1)
 
 
 def test_build_identical_vectors_share_buckets():
@@ -88,8 +87,7 @@ def test_build_identical_vectors_share_buckets():
     params = HammingLshParams(rho=0.5, k=4, L=6, early_exit_budget=60)
     v = BitVector.from01("10100000")
     index = build_index(Level.of(singleton_level([v, v])), params, ctx, seed=1)
-    for table in index.tables:
-        assert list(table.values()) == [[0, 1]]
+    assert np.array_equal(index.p_keys[0], index.p_keys[1])
 
 
 def test_identity_projection_partitions_by_vector():
@@ -100,8 +98,8 @@ def test_identity_projection_partitions_by_vector():
     vectors = [BitVector.from01("110000"), BitVector.from01("110000"), BitVector.from01("001100")]
     proj = np.arange(nprime, dtype=np.int64).reshape(1, nprime)
     index = build_index(Level.of(singleton_level(vectors)), params, ctx, seed=0, projections=proj)
-    buckets = sorted(tuple(v) for v in index.tables[0].values())
-    assert buckets == [(0, 1), (2,)]
+    keys = index.p_keys[:, 0].tolist()
+    assert keys[0] == keys[1] != keys[2]
 
 
 def test_build_rejects_projections_outside_the_padded_length():
@@ -246,7 +244,6 @@ def test_determinism():
     a = build_index(Level.of(level), params, ctx, seed=123)
     b = build_index(Level.of(level), params, ctx, seed=123)
     assert np.array_equal(a.p_keys, b.p_keys) and np.array_equal(a.q_keys, b.q_keys)
-    assert a.tables == b.tables
     for qi, q in enumerate(level):
         ra, rb = screen(a, level, ctx, qi), screen(b, level, ctx, qi)
         assert ra.partners == rb.partners

@@ -12,6 +12,7 @@ against the database's columns, and the packed loader against the
 per-item Python-int one."""
 
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -346,7 +347,10 @@ def test_hamming_masks_group_as_sampled_bits(case, budget):
             key = padded_bits_array(r.vector, ctx, PREPROCESS)[row].tobytes()
             table.setdefault(key, []).append(idx)
         reference.append(table)
-    assert [list(t.values()) for t in index.tables] == [list(t.values()) for t in reference]
+    for t, table in enumerate(reference):   # the records that share a P key, as grouped here
+        keys = index.p_keys[:, t]
+        assert [np.flatnonzero((keys == keys[group[0]]).all(axis=1)).tolist()
+                for group in table.values()] == list(table.values())
     pairs = level_pairs(records)
     screened = query(index, pairs, ctx, pair_verify(records, pairs))
     for qi, q in enumerate(records):
@@ -388,8 +392,10 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
             out.append(support[u])
         return np.array(out, dtype=np.int64)
 
-    assert_same_screen(index.screen(pairs, ctx, shared, early_exit),
-                       index.screen(pairs, ctx, pair_verify(records, pairs), early_exit))
+    if not early_exit:
+        index = replace(index, early_exit_budget=None)
+    assert_same_screen(index.screen(pairs, ctx, shared),
+                       index.screen(pairs, ctx, pair_verify(records, pairs)))
 
 
 def sketch_level(patterns, alpha_count):
@@ -608,14 +614,15 @@ def check_covering_screen(case):
     records, theta_count, mask_dim, phi, budget, early_exit = case
     ctx = level_context(records, theta_count)
     params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
-                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
-                            early_exit_budget=budget)
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0)
     family = build_family(params, 0, phi=phi)
-    index = covering_build_index(Level.of(records), family, ctx, params)
+    index = covering_build_index(Level.of(records), family, ctx)
     tables = reference_tables(records, family.masks, ctx)
+    # the shared screen's budget, set on a covering index (which has none)
+    screened = replace(index, early_exit_budget=budget) if early_exit else index
     assert_screen_matches_probe(
         records, theta_count, index,
-        lambda pairs, verify: covering_query(index, pairs, ctx, verify, early_exit),
+        lambda pairs, verify: covering_query(screened, pairs, ctx, verify),
         lambda q, compatible, verify: reference_probe(tables, family.masks, q, ctx, compatible,
                                                       verify, budget if early_exit else None))
     return index
@@ -683,11 +690,10 @@ def check_covering_build(case):
     else:
         phi = rng.choice(rng.integers(0, size, 3) if classes == "few" else [0], ctx.padded_length)
     params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
-                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
-                            early_exit_budget=2)
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0)
     family = build_family(params, 0, phi=phi)
     with mock.patch.object(exact, "PAIR_CHUNK_WORDS", 1 if one_word else exact.PAIR_CHUNK_WORDS):
-        index = covering_build_index(level, family, ctx, params)
+        index = covering_build_index(level, family, ctx)
     got = (index.p_keys, index.q_keys, index.padded_p, index.padded_q)
     for name, a, b in zip(("p_keys", "q_keys", "padded_p", "padded_q"), got,
                           reference_covering_index(level, family, ctx)):
@@ -736,9 +742,8 @@ def path_index(records, ctx, spec, budget):
         return build_index(Level.of(records), params, ctx, 0, projections=spec)
     mask_dim, phi, blind = spec
     params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
-                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0,
-                            early_exit_budget=budget)
-    index = covering_build_index(Level.of(records), build_family(params, 0, phi=phi), ctx, params)
+                            eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0)
+    index = covering_build_index(Level.of(records), build_family(params, 0, phi=phi), ctx)
     if blind:   # every fingerprint agrees: only the masked words decide
         index.p_keys[:] = 0
         index.q_keys[:] = 0
@@ -757,10 +762,11 @@ def check_paths(case):
         assert first.dtype == np.int32
         assert np.array_equal(first, index.pairwise_first_tables(pairs.q, pairs.a))
         for early_exit in (False, True):
+            screened = replace(index, early_exit_budget=budget if early_exit else None)
             results = []
             for sort in (True, False):
                 patch.setattr(hamming_lsh, "sort_pays", lambda *args, sort=sort: sort)
-                results.append(index.screen(pairs, ctx, pair_verify(records, pairs), early_exit))
+                results.append(screened.screen(pairs, ctx, pair_verify(records, pairs)))
             assert_same_screen(*results)
     return first
 
@@ -913,20 +919,20 @@ def test_variants_against_oracle(case, seed):
 @given(databases(), st.integers(0, 3))
 @example((db_from_rows(TOY_ROWS * 2), 0.2), 0)   # frequent pairs at both LSH levels
 def test_lossless_counters_match_all_pairs_co_support(case, seed):
-    # covering without early exit reads no all-pairs co-support, yet its
+    # covering reads no all-pairs co-support, yet its
     # TN, FP and frequent pairs are what the per-pair reference join counts
     # against the pairs the level verified
     db, theta = case
     query, screened = covering_lsh.query, []
 
-    def recording(index, sweep, ctx, verify, early_exit=False):
+    def recording(index, sweep, ctx, verify):
         seen = np.zeros(len(sweep), dtype=bool)
         screened.append((sweep, seen))
 
         def marking(sel):
             seen[sel] = True
             return verify(sel)
-        return query(index, sweep, ctx, marking, early_exit)
+        return query(index, sweep, ctx, marking)
     config = MiningConfig(theta=theta, variant="covering", epsilon=0.5, delta=0.1, seed=seed,
                           mask_dim_cap=12)
     with mock.patch.object(covering_lsh, "query", recording):
@@ -1003,8 +1009,8 @@ def test_transactions_round_trip_rows(rows):
     assert db_from_rows(rows).transactions() == [sorted(set(row)) for row in rows]
 
 
-# tokens that int() reads as an id (-0, +5, 1_0, 007, 2**63 - 1) or that no
-# loader may accept
+# tokens that a loader reads as an id (007, 2**63 - 1), that int() reads as
+# one but a loader may not (-0, +5, 1_0), or that neither reads
 ODD_TOKENS = ["x", "-3", "-0", "+5", "1_0", "007", "1.5", "0x10", str(2**63 - 1), str(2**63),
               "99999999999999999999999"]
 
@@ -1040,7 +1046,7 @@ def fimi_texts(draw):
 @example("\n \n\t\n", 1)                       # empty database
 @example("1 2\n3 x\n-4 7\n", 1)                 # the first bad token wins
 @example("1 2\n-4 7\n3 x\n", 1)
-@example("5 -0 +6 1_0\n", 1)                      # int() reads all four
+@example("5 -0 +6 1_0\n", 1)                      # int() reads all four, a loader one
 @example(f"1 {2**63 - 1}\n{2**63}\n", 1)
 @example("1 2\n3 \xe9\n", 1)                    # not ASCII
 def test_loader_matches_reference(text, chunk):
