@@ -28,9 +28,14 @@ a true negative otherwise.
 How a level counts them depends on whether its screen is lossless, which
 `_produce_level` knows before the join: a covering level verifies every
 frequent pair (Pagh, "LSH without false negatives", SODA 2016).  Every
-other level (exact, fallback, Hamming, MinHash) reads the join's
-all-pairs co-support, `PairSweep.pair_frequent`, inside its timed sweep,
-and counts TN and FP pair by pair against it.  A lossless level never
+other level (exact, fallback, Hamming, MinHash) reads whether each of the
+join's pairs is frequent, `PairSweep.pair_frequent`, inside its timed
+sweep, and counts TN and FP pair by pair against it.  Where some
+record's ones past its first word fall short of the threshold, the sweep
+ANDs the first word of every pair and the other words only of the pairs
+that a support bound leaves open (see `PairSweep`), and every word of
+every pair otherwise; none of it is charged as reads, which stay n per
+verified candidate.  A lossless level never
 reads it: FP is the verified pairs whose union read below threshold, TN
 the pairs it did not verify, and frequent_pairs is C(l+1, 2) per
 (l+1)-itemset it found, as its level is complete.  Either way the

@@ -14,8 +14,10 @@ The output keeps the levels; iterating one gives its `ItemsetRecord`s.
 The join is the only place that decides Apriori compatibility.  It runs
 as whole-array steps, with no Python work per pair (see `join_level`).
 Its `PairSweep` reads the ordered pairs off the join's filings, the only
-code that knows how they are numbered.
-None of it charges reads; the engine prices what it returns.
+code that knows how they are numbered, and decides which pairs are
+frequent, on their first word alone where a support bound settles them.
+None of it charges reads; the engine prices what it returns, the same
+whatever words the sweep ANDs.
 `apriori_mine` is the engine's exact variant.  The brute-force path
 shares no logic with any of it, so the miners always have an independent
 ground truth to be checked against.
@@ -116,10 +118,11 @@ class PairSweep:
     pair, in the join's pair order, `pair_union` numbers its union among
     the distinct candidates, in item order (None at l = 1, where every pair
     is its own union, numbered as the pair), and `pair_frequent` says
-    whether the union meets the threshold.  That takes every pair's
-    co-support, so it is computed from `pair_rows` (the pair's two records)
-    and `packed` on first read; a level that never reads it (a lossless
-    screen's, see `engine`) drops `pair_rows` unread.
+    whether the union meets the threshold.  It is decided from `pair_rows`
+    (the pair's two records), `packed` and `supports` on first read, most
+    pairs on their first word alone when the level's supports allow it; a
+    level that never reads it (a lossless screen's, see `engine`) drops
+    `pair_rows` unread.
 
     The ordered pairs are read off the filings, not kept: query record q,
     partner record a, and the item a adds to q.  Unordered pair p is at p
@@ -134,6 +137,7 @@ class PairSweep:
     pair_union: np.ndarray | None = field(repr=False)   # (candidate_pairs,); None at l = 1
     pair_rows: tuple | None = field(repr=False)  # (i, j), each (candidate_pairs,): its records
     packed: np.ndarray = field(repr=False)       # the level's packed vectors
+    supports: np.ndarray = field(repr=False)     # the level's supports
     theta_count: int
     _every: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -141,9 +145,33 @@ class PairSweep:
     def pair_frequent(self) -> np.ndarray:
         """(candidate_pairs,) bool: whether each pair's union meets the
         threshold, a chunk of pairs at a time (`pair_cosupport`).  Drops
-        `pair_rows`, which nothing else reads."""
-        frequent = pair_cosupport(self.packed, *self.pair_rows) >= self.theta_count
+        `pair_rows`, which nothing else reads.
+
+        A pair's co-support is at most what its first words share, `part`,
+        plus the fewer ones either record has past the first word, `rest`
+        (support less the first word's popcount).  So when some record's
+        `rest` is below the threshold (every record's at one word), a first
+        pass ANDs only word 0 of every pair: a pair is frequent if `part`
+        meets the threshold, infrequent if `part + min(rest_i, rest_j)` does
+        not, and only the pairs left open read their other words.  Where no
+        record's is, the bound settles no pair infrequent, and one pass
+        reads every word: two passes would read nearly as many words and
+        take longer (they do on the bench's `dense-deep` and `wide` levels).
+        Either way the result is exact."""
+        (i, j), theta, packed = self.pair_rows, self.theta_count, self.packed
         self.pair_rows = None
+        head = packed[:, :1]
+        rest = self.supports - np.bitwise_count(head).sum(axis=1, dtype=np.int64)
+        if not (rest < theta).any():
+            return pair_cosupport(packed, i, j) >= theta
+        part = pair_cosupport(head, i, j)
+        frequent = part >= theta
+        bound = rest[i]                          # min(rest_i, rest_j) + part, in place
+        np.minimum(bound, rest[j], out=bound)
+        bound += part
+        unsettled = np.flatnonzero(~frequent & (bound >= theta))
+        frequent[unsettled] = (part[unsettled] + pair_cosupport(
+            packed[:, 1:], i[unsettled], j[unsettled])) >= theta
         return frequent
 
     @property
@@ -242,8 +270,9 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
     every two filings of a group form a compatible pair.  The distinct
     unions are counted by sorting the pairs' union rows (at l = 1 every
     pair's union is its own); the same sort numbers every pair's union, in
-    item order.  No co-support is read here: the sweep counts every pair's
-    when its `pair_frequent` is first read."""
+    item order.  No co-support is read here: the sweep decides every pair
+    when its `pair_frequent` is first read, from the level's supports and
+    as few words as they allow."""
     items = level.items
     m, size = items.shape
     others = np.array([[c for c in range(size) if c != k] for k in range(size)],
@@ -271,7 +300,7 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
         union = np.empty(len(i), dtype=np.intp)
         union[order] = np.cumsum(runs) - 1
     return PairSweep(len(i), distinct, np.stack([owner, left_out, end]), union, (i, j),
-                     level.packed, theta_count)
+                     level.packed, level.supports, theta_count)
 
 
 def _filing_pairs(end: np.ndarray):

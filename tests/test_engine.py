@@ -597,6 +597,43 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
             is None
 
 
+def test_sweep_reads_the_first_word_where_the_bound_can_settle(monkeypatch):
+    # at negatives size every record has fewer than theta ones past word 0,
+    # so the sweep reads one word per pair and the other words of the pairs
+    # the bound leaves open; at the planted level no record does, and the
+    # sweep reads every word of every pair in one pass
+    words = Counter()
+
+    def counted(packed, i, j):
+        words["passes"] += 1
+        words["read"] += len(i) * packed.shape[1]
+        return pair_cosupport(packed, i, j)
+    for make in (negatives_level, planted_deep_level):
+        level, ctx = make()
+        current = Level.of(level)
+        sweep = join_level(current, ctx.theta_count)
+        i, j = (rows.copy() for rows in sweep.pair_rows)   # the first read drops them
+        every_word = sweep.candidate_pairs * current.packed.shape[1]
+        rest = current.supports - np.bitwise_count(current.packed[:, 0])
+        part = pair_cosupport(current.packed[:, :1], i, j)
+        unsettled = (part < ctx.theta_count) & \
+            (part + np.minimum(rest[i], rest[j]) >= ctx.theta_count)
+        words.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "pair_cosupport", counted)
+            frequent = sweep.pair_frequent
+        assert frequent.tolist() == (pair_cosupport(current.packed, i, j)
+                                     >= ctx.theta_count).tolist()
+        if make is negatives_level:
+            assert (rest < ctx.theta_count).all()
+            assert words["read"] <= sweep.candidate_pairs + \
+                np.count_nonzero(unsettled) * (current.packed.shape[1] - 1)
+            assert words["read"] * 32 <= every_word
+        else:
+            assert (rest >= ctx.theta_count).all()
+            assert words == {"passes": 1, "read": every_word}
+
+
 # A lossless level (covering) reads no all-pairs
 # co-support: it counts TN and FP off the pairs it verified, and its
 # frequent pairs in closed form.

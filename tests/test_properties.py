@@ -96,12 +96,14 @@ def anded_level(n, itemsets, columns, theta_count):
 
 @st.composite
 def levels(draw):
-    """A level of distinct l-itemsets (l in 1..4) over at most 10 items, each
-    with the AND of its items' random columns, plus a support threshold."""
+    """A level of distinct l-itemsets (l in 1..4) over at most 10 items, in
+    item order, each with the AND of its items' random columns, plus a
+    support threshold."""
     size = draw(st.integers(1, 4))
     universe = draw(st.integers(size, 10))
-    itemsets = draw(st.lists(st.sets(st.integers(0, universe - 1), min_size=size, max_size=size),
-                             max_size=25, unique_by=frozenset))
+    itemsets = sorted(draw(st.lists(st.sets(st.integers(0, universe - 1), min_size=size,
+                                            max_size=size),
+                                    max_size=25, unique_by=frozenset)), key=sorted)
     n = draw(st.integers(1, 12))
     columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=universe, max_size=universe))
     return anded_level(n, itemsets, columns, draw(st.integers(1, n)))
@@ -125,8 +127,68 @@ JOIN_EDGES = [
 PICKS = [*range(19, -1, -1), 3, 3]
 
 
+def band(start, width, span, offset=0):
+    """`width` ones from bit offset + start on, wrapping round within bits
+    offset .. offset + span - 1."""
+    return sum(1 << (offset + (start + k) % span) for k in range(width))
+
+
+# one word (ragged, then full), a one-bit ragged tail, two full words, many words
+SWEEP_LENGTHS = (40, 64, 65, 130, 700)
+
+
+@st.composite
+def sweep_levels(draw):
+    """A level of 1- or 2-itemsets over n in SWEEP_LENGTHS, in item order,
+    whose supports sit within a few ones of the threshold.  Each record holds one band of
+    ones in word 0 and one past it, of drawn widths and starts, so the
+    first-word bound settles some pairs either way and leaves others open.
+    The bands start a few bits apart, so that records share most of them."""
+    n = draw(st.sampled_from(SWEEP_LENGTHS))
+    size = draw(st.integers(1, 2))
+    itemsets = sorted(draw(st.lists(st.sets(st.integers(0, 5), min_size=size, max_size=size),
+                                    min_size=2, max_size=15, unique_by=frozenset)), key=sorted)
+    head = min(n, 64)
+    theta_count = draw(st.one_of(st.integers(1, head), st.integers(1, n)))
+    starts = draw(st.integers(0, head - 1)), draw(st.integers(0, max(0, n - head - 1)))
+    shift = st.integers(0, 8)
+    records = []
+    for items in itemsets:
+        ones = min(n, max(0, theta_count + draw(st.integers(-2, 3))))
+        first = draw(st.integers(max(0, ones - (n - head)), min(ones, head)))   # ones in word 0
+        value = band(starts[0] + draw(shift), first, head)
+        if n > head:
+            value |= band(starts[1] + draw(shift), ones - first, n - head, head)
+        records.append(record(tuple(sorted(items)), BitVector(n, value)))
+    return records, theta_count
+
+
+def banded_level(n, bands, theta_count, size=1):
+    """A level over n transactions whose record r holds ones at the bit
+    ranges bands[r], each (start, stop): item r at l = 1, items (0, r + 1)
+    at l = 2, so every two records are compatible."""
+    records = [record((r,) if size == 1 else (0, r + 1),
+                      BitVector(n, sum(band(start, stop - start, n) for start, stop in ranges)))
+               for r, ranges in enumerate(bands)]
+    return records, theta_count
+
+
+# at theta 40: records 0 and 1 hold their ones in word 0 alone and share 42
+# of them; records 2..4 hold 14 ones in word 0 and 27, 29 and 30 past it,
+# of which 2 and 3 share 27
+EVERY_OUTCOME = [[(0, 45)], [(2, 44)], [(50, 91)], [(50, 93)], [(50, 64), (100, 130)]]
+SWEEP_EDGES = [
+    banded_level(130, EVERY_OUTCOME, 40),
+    banded_level(130, EVERY_OUTCOME, 40, size=2),
+    banded_level(65, [[(0, 3)], [(1, 4)], [(60, 65)], [(62, 65)]], 3),   # bit 64 decides
+    banded_level(64, EVERY_OUTCOME[:3], 40),                              # one full word
+    banded_level(40, [[(0, 30)], [(5, 35)], [(10, 40)]], 25),             # one ragged word
+    banded_level(700, [[(0, 100)], [(50, 150)], [(600, 700)]], 30),      # every rest >= theta
+]
+
+
 @SETTINGS
-@given(levels(), st.lists(st.integers(0, 1 << 20), max_size=40))
+@given(st.one_of(levels(), sweep_levels()), st.lists(st.integers(0, 1 << 20), max_size=40))
 @example(JOIN_EDGES[0], PICKS)
 @example(JOIN_EDGES[1], PICKS)
 @example(JOIN_EDGES[2], PICKS)
@@ -135,6 +197,12 @@ PICKS = [*range(19, -1, -1), 3, 3]
 @example(JOIN_EDGES[5], PICKS)
 @example(JOIN_EDGES[6], PICKS)
 @example(JOIN_EDGES[7], PICKS)
+@example(SWEEP_EDGES[0], PICKS)
+@example(SWEEP_EDGES[1], PICKS)
+@example(SWEEP_EDGES[2], PICKS)
+@example(SWEEP_EDGES[3], PICKS)
+@example(SWEEP_EDGES[4], PICKS)
+@example(SWEEP_EDGES[5], PICKS)
 def test_join_matches_all_pairs_reference(level, picks):
     records, theta_count = level
     assert_same_join(records, theta_count)
@@ -214,7 +282,7 @@ def test_join_crosses_every_chunk_boundary(monkeypatch):
     rng = np.random.default_rng(9)
     columns = [int(c) for c in rng.integers(0, 1 << 62, size=6)]
     wide = [c | c << 62 | c << 124 for c in columns]   # n = 190: three words
-    for records, theta_count in [*JOIN_EDGES,
+    for records, theta_count in [*JOIN_EDGES, *SWEEP_EDGES,
                                  anded_level(190, combinations(range(6), 2), wide, 40),
                                  anded_level(190, combinations(range(6), 3), wide, 20)]:
         assert_same_join(records, theta_count)
