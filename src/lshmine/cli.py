@@ -2,7 +2,7 @@
 benchmark variants side by side, and generate synthetic data.
 
 Reports go to stdout (or --output) as JSON documents with schema_version
-"lshmine-report/2", or as fixed-column CSV; everything else goes to
+"lshmine-report/3", or as fixed-column CSV; everything else goes to
 stderr.  Seeds default to a fixed constant so published runs reproduce.
 """
 
@@ -15,7 +15,6 @@ import io
 import json
 import sys
 
-from .covering_lsh import DEFAULT_MASK_DIM_CAP
 from .dataset import DatasetError, generate_synthetic, load_transactions, write_transactions
 from .engine import (
     VARIANTS,
@@ -28,7 +27,7 @@ from .engine import (
 )
 from .exact import brute_force_mine
 
-SCHEMA_VERSION = "lshmine-report/2"
+SCHEMA_VERSION = "lshmine-report/3"
 CSV_COLUMNS = ["variant", "level", "candidates", "transactions_read", "hash_overhead",
                "true_negatives", "false_positives", "wall_clock_ms"]
 EXIT_OK = 0
@@ -115,7 +114,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=float, default=None, help="LSH error probability in (0,1)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--mask-dim-cap", type=int, default=DEFAULT_MASK_DIM_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args, variant: str) -> MiningConfig:
     return MiningConfig(
         theta=args.theta, variant=variant, epsilon=args.epsilon, delta=args.delta,
-        seed=args.seed, max_level=args.max_level, mask_dim_cap=args.mask_dim_cap,
+        seed=args.seed, max_level=args.max_level,
     )
 
 

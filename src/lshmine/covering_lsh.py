@@ -47,9 +47,8 @@ from .transform import (
     padding_runs,
 )
 
-DEFAULT_MASK_DIM_CAP = 24
-# The most table entries, (2^mask_dim - 1) * m_l, a level's family may hold
-# while mask_dim_cap is at most its default.  Measured for the family, the
+# The most table entries, (2^mask_dim - 1) * m_l, a level's family may
+# hold; the one rule that refuses a family.  Measured for the family, the
 # build and the screen of one level (n = 300 and 2000, 2-vCPU host): at
 # about 2^20 entries they take 0.11-0.35 s and 13-150 MB (400 records at
 # mask_dim 11 to 2 records at mask_dim 19); at 2^21-2^22 entries 0.3-1.1 s
@@ -59,8 +58,8 @@ FINGERPRINT_SEED = 0   # draws the r_i; every collision is confirmed, so no resu
 
 
 class FamilyTooLarge(Exception):
-    """The mask space 2^(t*theta'+1) exceeds the configured cap, or its
-    tables exceed MAX_TABLE_ENTRIES entries."""
+    """The family's 2^(t*theta'+1) - 1 tables of m_l entries exceed
+    MAX_TABLE_ENTRIES entries."""
 
     reason = "family_too_large"
 
@@ -77,16 +76,14 @@ class CoveringParams:
     psi_bound: float        # expected false positives per query: 2^(theta'*eps_round+1) m_l^(1/c)
 
 
-def derive_params(ctx: LevelContext, epsilon: float, delta: float,
-                  mask_dim_cap: int = DEFAULT_MASK_DIM_CAP) -> CoveringParams:
+def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> CoveringParams:
     """Parameter table for the covering family at this level.
 
     theta_prime uses integer counts, 2*(alpha_count - theta_count): supports
     are integers, so this radius captures exactly the pairs at or above the
     threshold.  t floors at 1.  Raises DegenerateLevel when alpha == theta
-    (c undefined), and FamilyTooLarge when mask_dim exceeds the cap or,
-    unless the cap is raised above its default, when the 2^mask_dim - 1
-    tables of m_l entries exceed MAX_TABLE_ENTRIES.
+    (c undefined), and FamilyTooLarge when the 2^mask_dim - 1 tables of
+    m_l entries exceed MAX_TABLE_ENTRIES.
     """
     check_tolerances(epsilon, delta)
     if ctx.alpha_count == ctx.theta_count:
@@ -102,12 +99,8 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float,
     nu = (t + eps_round) / (c * t)
     mask_dim = t * theta_prime + 1
     psi_bound = 2.0 ** (theta_prime * eps_round + 1) * m_l ** (1.0 / c)
-    if mask_dim > mask_dim_cap:
-        raise FamilyTooLarge(
-            f"covering family too large: mask_dim {mask_dim} > cap {mask_dim_cap}"
-        )
     entries = ((1 << mask_dim) - 1) * m_l
-    if entries > MAX_TABLE_ENTRIES and mask_dim_cap <= DEFAULT_MASK_DIM_CAP:
+    if entries > MAX_TABLE_ENTRIES:
         raise FamilyTooLarge(
             f"covering family too large: (2^{mask_dim} - 1) x {m_l} = {entries} table entries"
             f" > cap {MAX_TABLE_ENTRIES}"

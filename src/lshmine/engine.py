@@ -76,7 +76,6 @@ class MiningConfig:
     delta: float | None = None
     seed: int = 1
     max_level: int | None = None
-    mask_dim_cap: int = covering_lsh.DEFAULT_MASK_DIM_CAP
 
     def validate(self):
         if not 0.0 < self.theta < 1.0:
@@ -94,8 +93,6 @@ class MiningConfig:
             raise ValueError("seed must be non-negative")
         if self.max_level is not None and self.max_level < 1:
             raise ValueError("max_level must be at least 1")
-        if self.mask_dim_cap < 1:
-            raise ValueError("mask_dim_cap must be at least 1")
 
 
 @dataclass
@@ -194,8 +191,7 @@ _LSH_VARIANTS = {
         lossless=False,
     ),
     "covering": _Variant(
-        derive=lambda config, ctx: covering_lsh.derive_params(
-            ctx, config.epsilon, config.delta, mask_dim_cap=config.mask_dim_cap),
+        derive=lambda config, ctx: covering_lsh.derive_params(ctx, config.epsilon, config.delta),
         build=lambda level, params, ctx, seed: covering_lsh.build_index(
             level, covering_lsh.build_family(params, seed), ctx),
         query=lambda index, sweep, params, ctx, verify: covering_lsh.query(

@@ -360,8 +360,9 @@ def brute_force_mine(db: TransactionDatabase, theta: float) -> FrequentItemsetSe
     """Enumerate every non-empty itemset over the occurring items and keep
     the ones meeting the threshold.  Deliberately has no shared logic with
     apriori_mine so it can act as an oracle."""
-    if db.m > BRUTE_FORCE_MAX_ITEMS:
-        raise ValueError(f"item universe too large for brute force (m={db.m} > {BRUTE_FORCE_MAX_ITEMS})")
+    if len(db.items) > BRUTE_FORCE_MAX_ITEMS:
+        raise ValueError(f"item universe too large for brute force"
+                         f" ({len(db.items)} occurring items > {BRUTE_FORCE_MAX_ITEMS})")
     theta_count = support_threshold(theta, db.n)
     fis = FrequentItemsetSet(theta_count=theta_count)
     columns = {item: int.from_bytes(row.tobytes(), "little")

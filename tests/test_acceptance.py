@@ -127,7 +127,7 @@ def covering_runs():
             columns[0] = BitVector.from_indices(n, [0])
         db = ColumnDatabase(n=n, m=m, columns=columns)
         config = MiningConfig(theta=0.5, variant="covering", epsilon=0.5, delta=0.1,
-                              seed=trial, mask_dim_cap=12)
+                              seed=trial)
         runs.append((db, compare_with_oracle(db, config)))
     return runs, time.perf_counter() - start
 

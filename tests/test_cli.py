@@ -32,7 +32,7 @@ def test_mine_exact_json(capsys, toy_path):
     rc, out, err = run(capsys, "mine", "--input", toy_path, "--theta", "0.5")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == "lshmine-report/2"
+    assert doc["schema_version"] == "lshmine-report/3"
     assert len(doc["itemsets"]) == 6
     assert doc["itemsets"][0] == {"items": [1], "support": 3}
     assert doc["config"]["variant"] == "exact"
@@ -242,7 +242,8 @@ def test_mine_id_of_2_63_or_above_is_data_error(capsys, tmp_path):
 
 
 def test_sparse_large_id_is_one_row(capsys, tmp_path):
-    # the database holds one row per occurring id, not one per id below m
+    # the database holds one row per occurring id, not one per id below m,
+    # and the oracle enumerates the occurring ids only
     path = tmp_path / "sparse.dat"
     big = 10**11
     path.write_text(f"1 {big}\n{big}\n1 2\n1 {big}\n")
@@ -256,6 +257,10 @@ def test_sparse_large_id_is_one_row(capsys, tmp_path):
         assert doc["database"] == {"n": 4, "m": big + 1}
         assert doc["itemsets"] == [{"items": [1], "support": 3}, {"items": [big], "support": 3},
                                    {"items": [1, big], "support": 2}]
+        rc, out, _ = run(capsys, "compare", "--input", str(path), "--theta", "0.5",
+                         "--variant", variant, "--epsilon", "0.5", "--delta", "0.1")
+        assert rc == 0
+        assert json.loads(out)["comparison"]["oracle_count"] == 3
 
 
 def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
@@ -275,10 +280,13 @@ def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
     assert calls == [0.5]
 
 
-def test_mask_dim_cap_default_is_the_config_default(toy_path):
+def test_mask_dim_cap_flag_is_gone(capsys, toy_path):
+    # MAX_TABLE_ENTRIES alone decides which covering families are too large
     for command in ("mine", "compare", "bench"):
-        args = cli.build_parser().parse_args([command, "--input", toy_path, "--theta", "0.5"])
-        assert args.mask_dim_cap == engine.MiningConfig(theta=0.5).mask_dim_cap
+        rc, out, err = run(capsys, command, "--input", toy_path, "--theta", "0.5",
+                           "--mask-dim-cap", "24")
+        assert rc == 2 and out == ""
+        assert "unrecognized arguments: --mask-dim-cap 24" in err
 
 
 def test_gen_bad_density(capsys, tmp_path):

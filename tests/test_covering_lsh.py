@@ -72,18 +72,15 @@ def test_derive_params_cap():
     ctx = LevelContext(n=100, m_l=50, alpha_count=70, theta_count=50)
     with pytest.raises(FamilyTooLarge, match="covering family too large"):
         derive_params(ctx, 0.5, 0.1)
-    p = derive_params(ctx, 0.5, 0.1, mask_dim_cap=41)
-    assert p.mask_dim == 41
 
 
 def test_derive_params_table_entry_cap():
-    # 3 itemsets at mask_dim 21, under the mask_dim cap: 3 x (2^21 - 1)
-    # table entries exceed MAX_TABLE_ENTRIES, unless the cap is raised
+    # 3 itemsets at mask_dim 21: 3 x (2^21 - 1) table entries exceed
+    # MAX_TABLE_ENTRIES
     ctx = LevelContext(n=100, m_l=3, alpha_count=40, theta_count=30)
     with pytest.raises(FamilyTooLarge, match=r"\(2\^21 - 1\) x 3 = 6291453 table entries"
                                              r" > cap 1048576"):
         derive_params(ctx, 0.5, 0.1)
-    assert derive_params(ctx, 0.5, 0.1, mask_dim_cap=25).mask_dim == 21
 
 
 def test_family_size_and_determinism():
@@ -187,7 +184,7 @@ def test_close_pairs_always_share_a_bucket():
         if alpha == theta_count:
             continue
         ctx = LevelContext(n=n, m_l=5, alpha_count=alpha, theta_count=theta_count)
-        params = derive_params(ctx, epsilon=0.5, delta=0.1, mask_dim_cap=16)
+        params = derive_params(ctx, epsilon=0.5, delta=0.1)
         fam = build_family(params, seed=trial)
         index = build_index(Level.of(level), fam, ctx)
         padded = [pad_preprocess(v, ctx).bits.value for v in vectors]
@@ -216,7 +213,7 @@ def test_query_no_misses_on_random_levels():
         level = singleton_level(vectors)
         ctx = LevelContext(n=n, m_l=m_l, alpha_count=alpha, theta_count=theta_count)
         try:
-            params = derive_params(ctx, epsilon=0.5, delta=0.1, mask_dim_cap=14)
+            params = derive_params(ctx, epsilon=0.5, delta=0.1)
         except FamilyTooLarge:
             continue
         fam = build_family(params, seed=1000 + trial)
@@ -234,7 +231,7 @@ def test_query_disjoint_level_empty():
     vectors = [BitVector.from_indices(n, range(i * 3, i * 3 + 3)) for i in range(4)]
     level = singleton_level(vectors)
     ctx = LevelContext(n=n, m_l=4, alpha_count=3, theta_count=2)
-    params = derive_params(ctx, 0.5, 0.1, mask_dim_cap=16)
+    params = derive_params(ctx, 0.5, 0.1)
     fam = build_family(params, seed=2)
     index = build_index(Level.of(level), fam, ctx)
     for res in screen_all(index, level, ctx):
@@ -249,7 +246,7 @@ def test_false_positive_load_within_bound():
     alpha = max(v.popcount() for v in vectors)
     level = singleton_level(vectors)
     ctx = LevelContext(n=n, m_l=12, alpha_count=alpha, theta_count=theta_count)
-    params = derive_params(ctx, 0.5, 0.1, mask_dim_cap=14)
+    params = derive_params(ctx, 0.5, 0.1)
     totals = []
     for seed in range(30):
         fam = build_family(params, seed=seed)

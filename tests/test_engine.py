@@ -88,8 +88,7 @@ def test_covering_equals_exact_random():
     rng = np.random.default_rng(515)
     for trial in range(25):
         db = random_db(rng, n_max=20, m_max=7, density_range=(0.3, 0.6))
-        comp = compare_with_oracle(db, lsh_config("covering", theta=0.5, seed=trial,
-                                                  mask_dim_cap=14))
+        comp = compare_with_oracle(db, lsh_config("covering", theta=0.5, seed=trial))
         assert comp.missed == [], f"trial {trial}"
         assert comp.sub_threshold == []
 
@@ -237,10 +236,11 @@ def test_degenerate_fallback_logged(toy_db):
         assert report.itemsets.as_dict() == TOY_FREQUENT
 
 
-def test_family_too_large_fallback():
+def test_family_too_large_fallback(monkeypatch):
+    monkeypatch.setattr(covering_lsh, "MAX_TABLE_ENTRIES", 0)
     rng = np.random.default_rng(848)
     db = random_db(rng, n_max=30, m_max=7, density_range=(0.4, 0.6))
-    config = lsh_config("covering", theta=0.3, mask_dim_cap=1)
+    config = lsh_config("covering", theta=0.3)
     report = lsh_apriori_mine(db, config)
     reasons = {row.fallback_reason for row in report.levels if row.level > 1}
     assert "family_too_large" in reasons

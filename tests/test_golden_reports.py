@@ -80,33 +80,33 @@ DATABASES = {
 
 REPORT_SHA256 = {
     ("negatives", "exact"):
-        "1dca114795685ad2484837e6b6f768057a6c5c64f0db6238e43c2b7ef6fea5d5",
+        "7a8daeb33e3efdc76452fb52567472d206696f56786a5ab591c2cb56bf45881f",
     ("negatives", "hamming"):
-        "261149948ba3322d4e3d66772de8635f680fccea011c8d333a6c68b2443724cb",
+        "a24c6eacbdff4a7596c256b167fa241a61f3e3b071751d9dcb7629a005b0e180",
     ("negatives", "minhash"):
-        "8407d16288229615493db91f1fe780439ed04cfcf7b3083c43f7b1258dea3f0c",
+        "9b9dccba2499d9dcff15157a3d16949b33296c2f6816b9ab4114aa004756b534",
     ("negatives", "covering"):
-        "4f035236b8fe9d1b691123dd16123858c2b67bb8bc39c02d068f6bd680ef11d7",
+        "805aac46416854ae0cd18c69b4478fa8f5ef579b11aaa871442704fe29b3be90",
     ("bernoulli", "exact"):
-        "edc13e60fccf4dd0f91086b90e42756a270c3f048325320348936e1b4132a244",
+        "62e17126344b39ee94acb73e16ccbf8cdb81c8f61bdf0ffb18853c0d3eba3727",
     ("bernoulli", "hamming"):
-        "2abb766dec23b9bf442a3b63eb61da30967787c205fb820cc4c0081cd7112b24",
+        "ce0374dc590a081eb9318e064fbc826ebf1c9350002042a5520dc334147e6d4b",
     ("bernoulli", "minhash"):
-        "cbcd93c7818f7d4fc34e5ad6c6e7c90fa28ca88ddf05044fd21ed039cf65556f",
+        "1cec48fec756bcf006217d4fbafceb72ea2a5466fd5616d4775777aa69f41d4f",
     ("bernoulli", "covering"):
-        "b2e72d70ea074cf12e5bc07357f5a712d5698474db27e193d2e89b9a4c26b916",
+        "5f120217ca2d6cc9ab0c99e8ecc6baaac041d3dd23eda0bbcde7e8a1cccabe89",
     ("toy60", "exact"):
-        "cdd77793f6940d5980098b98e763535d5a416a414bdf6401898a49f943f376e1",
+        "b4479f86a71699fc605aec08fc3b13910979df836c0e8840b0866ecf20cf9b69",
     ("toy60", "hamming"):
-        "fb8fee255e63e89bfd06cb9b084f2fe65dd9c07c2329819348d6da85f3183f34",
+        "4cc3b83fc0663f1c00893a119479f62d25b7b35a42798244a03f461ef57a278b",
     ("toy60", "minhash"):
-        "446624e6b6d1fa7f3ded09b0c04bf2f89ae3f1151ac2ca8f83c815bdf9fb3283",
+        "30d2f7b9e2cdc966d5a0b61c5b62ece88d09bafd6a8f5a1c1b993738fd335d08",
     ("toy60", "covering"):
-        "a5b4367436f0350d72a1c5386f898b3bac14278ede5180ee3d178abe858adc41",
+        "b14fd95918f08c6c19773e6f77bf6b25f9b0f703fa130da61b45ce60bf95e27f",
     ("near_miss", "hamming"):
-        "933362cd9049df5cd43f6902c52bd66cff4809718af48852c3d02047613575c8",
+        "ddf6d74706cafe9f7c03e289588275775b8ef8d7fa94165659897636f26aad71",
     ("near_miss", "covering"):
-        "870db4e4d417bffebee7b9cd7410e70d230a04dabbb1c33a373b9bf1b4179da5",
+        "274528114cc567fe9011363c62fb0829eed4c1e482b3a39c14badf2e9090c5da",
 }
 
 CSV_SHA256 = {
@@ -117,30 +117,30 @@ CSV_SHA256 = {
 
 
 # epsilon 0.5, delta 0.1, seed 1, as the benchmark mines them.  Covering
-# on `wide` is left out: it raises OverflowError (open item 5 in ROADMAP.md).
+# on `wide` is left out: it raises OverflowError (open item 1 in ROADMAP.md).
 BENCH_REPORT_SHA256 = {
     ("negatives", "exact"):
-        "5d24c19dc54bd8c0d46a5ca77ab9c778651b67c47c410353719f0fae9f42f203",
+        "d400e7705b7fb488519d776151ece79efd5d6988de739f18bdbdd05f184de271",
     ("negatives", "hamming"):
-        "44df10d4c0bd0640d9bebdce43608eea45299f98dcd333cf55a4ad6183982cf3",
+        "06ec1d3fee2a4a4aa17fa2e2eacf6e01a2fc0144f09d2cc25a8979ef283cf99f",
     ("negatives", "minhash"):
-        "89189e7939ab68c6bff522e4203f552241b09da7c1a7cf53cce9e0488eddd7f1",
+        "051b44d38487066a8c13ccc4278c86a1c3733959cbb3d3e1995df7f005833ad4",
     ("negatives", "covering"):
-        "4929442e5035e9530fac5f546b300b895649210bd6cb2a1f7b70ce55ae3fcea2",
+        "2638aadaf7b9d4a7738430454f1bdae6943cc082c3a894b4000196cf9df31c27",
     ("dense-deep", "exact"):
-        "5dc59779e4d470d25ca8aab671bcc64a13308880bbf07481974b1f70ac2594a9",
+        "501329d8f33a1be8d4f4461a8f248a4970cc5cb776fef4780864ab7f4f6a0fcc",
     ("dense-deep", "hamming"):
-        "52ab8c1ad4d1614dda510d550a30275718570078e47754a61b5c92e471a69ac5",
+        "53c6ad9a7c784a6374ce830c1eb9bbe45e124bc6ee077c88de3112aa26448f8a",
     ("dense-deep", "minhash"):
-        "3402ce19535563fb25797038825542eb854dd6fdc30e9fe490371dc1467bddb6",
+        "6f49e5660d6e708a4518b925b43d0f1c6ac8877db82bc0d681bc34a9de1df4a9",
     ("dense-deep", "covering"):
-        "070df126ec448f72f17d1e5c53e99ee779124e044e0334eee472dd8dd766ceb1",
+        "c303b68005f2a297b8a8ea67de29189c37ce48542a07904e179772fa1d746ae9",
     ("wide", "exact"):
-        "d32df696bd92ef0195c5a50254e06fb7e6e22d9516bc0ebe069e55f26e65875c",
+        "8923507b33037bc1a927c77d39a568cc356b448d4c81302e06d71cde085382fa",
     ("wide", "hamming"):
-        "85d37384591f53bdb4ad90ba09813b8b6d29e214b4e8703e8d39f032d5b8d484",
+        "7d4b0b3cc5388bd1f0dd60a7688fd22806128cbec442162c1dfc4d2941b68b07",
     ("wide", "minhash"):
-        "82fe9f3f6a88e8887295884bd2178e9f4438556c0e78db7f8655c58b983cd526",
+        "2dd6b9c9cb4346fea0e0f5097ebccd2a0216b79ebc2ffb21be4da9075831550c",
 }
 
 
@@ -150,34 +150,34 @@ BENCH_REPORT_SHA256 = {
 # TN/FP, early exits, fallbacks) stays pinned here when that charge changes.
 STRIPPED_REPORT_SHA256 = {
     ("negatives", "hamming"):
-        "2a27d136d74d01423abebab002c1cf5afa7520701768c5c8aef5918d42609cba",
+        "a799ce0a8e5b87d686092f2d9ce610d701a9f1080c313e668b25cc0ceab65348",
     ("negatives", "covering"):
-        "99db9c1b25279b1898a6fa010f7e14da5b6d98fefc069497485ca7a7350e4910",
+        "9bc2237d6f7685220d13fc2825da93106a41df622c3d5b56d2a41a22c8651f93",
     ("bernoulli", "hamming"):
-        "296a3d5c67a47020b06e4001df70d2637149bd450bb2c52a31a0f308e1740b01",
+        "02f1d7eacf145bd3bec8a86bbb82e8fc2c3d18d67302dcc4a7c274b0c185503b",
     ("bernoulli", "covering"):
-        "6202c2970999bae6cc0d1ae1382249c768709c81ea38fcc2ebb7ac73fe6c0ea3",
+        "b80ca0531fb531b2db5efeeb4b91c5cf0b6a87baf94bb0b5fa176535107b2c99",
     ("toy60", "hamming"):
-        "567a57f131a6b15e2b11a283c537b28c97b35dde992ca945d5c474a19a406709",
+        "97f251ceb7a825cad1b52115d21ec6080727d0a7556d853cbc542c8c48b43e70",
     ("toy60", "covering"):
-        "80292ae479b2933d311da791477edeb64b8fcce64fa923153dd4797e8349d010",
+        "fa4bab7a27a68ea7b634ce62862a178e2726143b74383ee7d8f6f3f3585d4019",
     ("near_miss", "hamming"):
-        "5b333dcd03c5cba3fcd0750314ac19e7a7fcc97884ce8e75e658bd722fe510de",
+        "e5ed1ab6807e2225cfde447e04cadd8903f0c7c12a37d6d320944ad25a7c0c85",
     ("near_miss", "covering"):
-        "8c295fcdafa9057036ed4285daa5a9463f1703786bfaf261325a91c6891f64ec",
+        "5a19f0936897bc819ddc564d3d75c3b5d97ecae6077ba12f4296b2d889cefdf7",
 }
 
 BENCH_STRIPPED_REPORT_SHA256 = {
     ("negatives", "hamming"):
-        "5b73df21636385ee30f201c14cdbe44ce4e5c2b2c9bdfff7228e5e8962fabb02",
+        "31ed99e71338fb2ff6b9d3e55e878c48312e00736ae3cedd725dd5a255585744",
     ("negatives", "covering"):
-        "9f5fba73d8c857a68314f3c088d356a78d38899f72032177030635bb2c640184",
+        "94ec117ef869fca8fa95a95909a7cba307c5493bc48b3801ec2f9176b6b6e161",
     ("dense-deep", "hamming"):
-        "7b559450b5efd237abf7186e2189f2c6139343abc5dd741d5a5a3eab4b309581",
+        "506a3bf4a865e68e8d61eec94737b063cba20bc25109510c2b5c6460c823b8ce",
     ("dense-deep", "covering"):
-        "e9daddd70eab17c31a9e75d7ff8ec99408cb70e23839904d8af049612bda5fa0",
+        "a7fc413f25b2d28f690d82e4f03071ede666a105bab417e14f2504857635ee76",
     ("wide", "hamming"):
-        "b3aebbbeb75c27a8057525fd4f3726fb88b2198a87d57cf49143e5de1075bb75",
+        "dd264347591a64daa55490883cd29828c178d44e94b941675060ff925c42df0b",
 }
 
 

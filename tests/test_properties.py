@@ -7,10 +7,11 @@ per-record probes they replaced, the sorted first-table screen against the
 pairwise one, the level-wide union memo against direct verification, the
 one-pass MinHash columns and the candidate own minima against minima over
 the padded or own positions, the closed-form covering build against the
-dense padded layout, every variant against the brute-force oracle and
-against the database's columns, and the packed loader against the
-per-item Python-int one."""
+dense padded layout, the covering family's one size rule, every variant
+against the brute-force oracle and against the database's columns, and
+the packed loader against the per-item Python-int one."""
 
+import math
 import tempfile
 from dataclasses import replace
 from itertools import combinations
@@ -48,6 +49,7 @@ from lshmine.minhash_lsh import query as minhash_query
 from lshmine.transform import (
     PREPROCESS,
     QUERY,
+    DegenerateLevel,
     LevelContext,
     padded_bits_array,
     padded_one_positions,
@@ -779,6 +781,41 @@ def test_covering_build_matches_dense_layout(case):
     check_covering_build(case)
 
 
+@st.composite
+def covering_contexts(draw):
+    """A level's constants with m_l in 1..400 and alpha - theta in 0..600."""
+    theta_count = draw(st.integers(1, 200))
+    alpha_count = theta_count + draw(st.integers(0, 600))
+    return LevelContext(n=alpha_count + draw(st.integers(0, 50)), m_l=draw(st.integers(1, 400)),
+                        alpha_count=alpha_count, theta_count=theta_count)
+
+
+@SETTINGS
+@given(covering_contexts(), st.floats(0.0, 1.0, exclude_min=True))
+@example(LevelContext(n=100, m_l=3, alpha_count=40, theta_count=30), 0.5)    # 3 x (2^21 - 1)
+@example(LevelContext(n=40, m_l=400, alpha_count=12, theta_count=10), 0.5)   # 400 x (2^5 - 1)
+@example(LevelContext(n=50, m_l=7, alpha_count=20, theta_count=20), 1.0)
+@example(LevelContext(n=700, m_l=2, alpha_count=610, theta_count=10), 0.5)    # theta' = 1200
+def test_covering_size_rule_is_the_only_refusal(ctx, epsilon):
+    # MAX_TABLE_ENTRIES alone refuses a family; the other ends are a
+    # degenerate level and, while psi_bound is computed before the size
+    # rule (ROADMAP item 1), its OverflowError past theta' = 1023
+    try:
+        params = covering_lsh.derive_params(ctx, epsilon, 0.1)
+    except covering_lsh.FamilyTooLarge:
+        with mock.patch.object(covering_lsh, "MAX_TABLE_ENTRIES", math.inf):
+            params = covering_lsh.derive_params(ctx, epsilon, 0.1)
+        assert ((1 << params.mask_dim) - 1) * ctx.m_l > covering_lsh.MAX_TABLE_ENTRIES
+    except DegenerateLevel:
+        assert ctx.alpha_count == ctx.theta_count
+        return
+    except OverflowError:
+        assert 2 * (ctx.alpha_count - ctx.theta_count) >= 1023
+    else:
+        assert ((1 << params.mask_dim) - 1) * ctx.m_l <= covering_lsh.MAX_TABLE_ENTRIES
+    assert ctx.alpha_count != ctx.theta_count
+
+
 # The two ways a mask index finds each pair's first colliding table, called
 # directly: the sort path against the pairwise path it stands in for.
 
@@ -970,7 +1007,7 @@ def test_variants_against_oracle(case, seed):
     for variant in VARIANTS:
         lsh = variant != "exact"
         config = MiningConfig(theta=theta, variant=variant, epsilon=0.5 if lsh else None,
-                              delta=0.1 if lsh else None, seed=seed, mask_dim_cap=12)
+                              delta=0.1 if lsh else None, seed=seed)
         report = lsh_apriori_mine(db, config)
         found = report.itemsets.as_dict()
         theta_count = report.itemsets.theta_count
@@ -1001,8 +1038,7 @@ def test_lossless_counters_match_all_pairs_co_support(case, seed):
             seen[sel] = True
             return verify(sel)
         return query(index, sweep, ctx, marking)
-    config = MiningConfig(theta=theta, variant="covering", epsilon=0.5, delta=0.1, seed=seed,
-                          mask_dim_cap=12)
+    config = MiningConfig(theta=theta, variant="covering", epsilon=0.5, delta=0.1, seed=seed)
     with mock.patch.object(covering_lsh, "query", recording):
         report = lsh_apriori_mine(db, config)
     rows = [row for row in report.levels if row.lsh_active]
@@ -1041,7 +1077,7 @@ def test_output_vectors_are_anded_columns(case, seed):
     for variant in VARIANTS:
         lsh = variant != "exact"
         config = MiningConfig(theta=theta, variant=variant, epsilon=0.5 if lsh else None,
-                              delta=0.1 if lsh else None, seed=seed, mask_dim_cap=12)
+                              delta=0.1 if lsh else None, seed=seed)
         for r in lsh_apriori_mine(db, config).itemsets.all_records():
             value = (1 << db.n) - 1
             for item in r.items:
