@@ -11,8 +11,9 @@ per-variant hooks of `_LSH_VARIANTS`.  One `exact.build_level` call of
 their `PairSweep.unions` makes the next level.  Hamming and covering
 screen through one masked-projection index (`hamming_lsh.MaskIndex`)
 and differ only in where their keys come from and in the early-exit
-budget, which covering's index does not have.  MinHash compares the
-sketch rows of every pair.
+budget, which covering's index does not have.  MinHash counts every
+pair's matching sketch rows a join group at a time
+(`minhash_lsh.query`).
 
 Accounting model ("reading a transaction" = touching one bit of a column):
 every level verifies each distinct candidate once, as Apriori does, and

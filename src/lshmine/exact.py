@@ -134,8 +134,10 @@ class PairSweep:
     candidate_pairs: int
     distinct_candidates: int
     filings: np.ndarray = field(repr=False)      # (3, m_l * l): record, item, group end
-    pair_union: np.ndarray | None = field(repr=False)   # (candidate_pairs,); None at l = 1
-    pair_rows: tuple | None = field(repr=False)  # (i, j), each (candidate_pairs,): its records
+    # (candidate_pairs,) int32 unless `index_dtype` widens it; None at l = 1
+    pair_union: np.ndarray | None = field(repr=False)
+    # (i, j), each (candidate_pairs,) int32 unless `index_dtype` widens it: its records
+    pair_rows: tuple | None = field(repr=False)
     packed: np.ndarray = field(repr=False)       # the level's packed vectors
     supports: np.ndarray = field(repr=False)     # the level's supports
     theta_count: int
@@ -162,12 +164,13 @@ class PairSweep:
         self.pair_rows = None
         head = packed[:, :1]
         rest = self.supports - np.bitwise_count(head).sum(axis=1, dtype=np.int64)
+        rest = rest.astype(index_dtype(self.supports.max(initial=0)))   # as wide as a support
         if not (rest < theta).any():
             return pair_cosupport(packed, i, j) >= theta
         part = pair_cosupport(head, i, j)
         frequent = part >= theta
-        bound = rest[i]                          # min(rest_i, rest_j) + part, in place
-        np.minimum(bound, rest[j], out=bound)
+        bound = rest.take(i)                     # min(rest_i, rest_j) + part, in place
+        np.minimum(bound, rest.take(j), out=bound)
         bound += part
         unsettled = np.flatnonzero(~frequent & (bound >= theta))
         frequent[unsettled] = (part[unsettled] + pair_cosupport(
@@ -188,17 +191,18 @@ class PairSweep:
         return 2 * self.candidate_pairs
 
     def every(self) -> np.ndarray:
-        """q, a and y of every pair as (3, len) int32 (int64 if an item id
-        needs it), built on first call by the join's own pairing step."""
+        """q, a and y of every pair as (3, len) `index_dtype` of the filing
+        count and the largest item id, built on first call by the join's own
+        pairing step."""
         if self._every is None:
             owner, item, end = self.filings
             first, second = _filing_pairs(end)
             half = len(first)
-            wide = item.max(initial=0) > np.iinfo(np.int32).max
-            self._every = np.empty((3, 2 * half), dtype=np.int64 if wide else np.int32)
-            self._every[0, :half], self._every[0, half:] = owner[first], owner[second]
-            self._every[1, :half], self._every[1, half:] = owner[second], owner[first]
-            self._every[2, :half], self._every[2, half:] = item[second], item[first]
+            limit = max(len(end), int(item.max(initial=0)))
+            self._every = np.empty((3, 2 * half), dtype=index_dtype(limit))
+            self._every[0, :half], self._every[0, half:] = owner.take(first), owner.take(second)
+            self._every[1, :half], self._every[1, half:] = owner.take(second), owner.take(first)
+            self._every[2, :half], self._every[2, half:] = item.take(second), item.take(first)
         return self._every
 
     q = property(lambda self: self.every()[0])
@@ -278,7 +282,7 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
     others = np.array([[c for c in range(size) if c != k] for k in range(size)],
                       dtype=np.intp).reshape(size, size - 1)   # row k: the columns but k
     keys = items[:, others].reshape(m * size, size - 1)
-    owner = np.repeat(np.arange(m), size)
+    owner = np.repeat(np.arange(m, dtype=index_dtype(m)), size)
     left_out = items.reshape(-1)
     if size == 1:   # every key is (): one group
         end = np.full(m, m)
@@ -289,15 +293,16 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
         ends = np.r_[starts[1:], m * size]
         end = np.repeat(ends, ends - starts)
     first, second = _filing_pairs(end)
-    i, j = owner[first], owner[second]
-    if size == 1:   # distinct singletons: every pair forms its own union, numbered as the pair
+    if size == 1:   # distinct singletons, each filed once in order: every pair forms its own
+        i, j = first, second   # union, numbered as the pair
         distinct, union = len(i), None
     else:
-        unions = np.sort(np.column_stack([items[i], left_out[second]]), axis=1)
+        i, j = owner.take(first), owner.take(second)
+        unions = np.sort(np.column_stack([items.take(i, axis=0), left_out.take(second)]), axis=1)
         order = np.lexsort(unions.T[::-1])
         runs = _run_starts(unions[order])
         distinct = int(runs.sum())
-        union = np.empty(len(i), dtype=np.intp)
+        union = np.empty(len(i), dtype=index_dtype(len(i)))
         union[order] = np.cumsum(runs) - 1
     return PairSweep(len(i), distinct, np.stack([owner, left_out, end]), union, (i, j),
                      level.packed, level.supports, theta_count)
@@ -306,12 +311,24 @@ def join_level(level: Level, theta_count: int) -> PairSweep:
 def _filing_pairs(end: np.ndarray):
     """Every two filings of a group, as filing indices (first, second) with
     first < second: filing f pairs with every later filing of its group,
-    f+1 .. end[f]-1, in filing order."""
+    f+1 .. end[f]-1, in filing order.  Both are `index_dtype` of the larger
+    of the filing and pair counts."""
     f = np.arange(len(end))
     later = end - f - 1
-    first = np.repeat(f, later)
-    second = np.arange(len(first)) + np.repeat(f + 1 - (np.cumsum(later) - later), later)
+    upto = np.cumsum(later)
+    width = index_dtype(max(len(end), int(upto[-1]) if len(upto) else 0))
+    first = np.repeat(f.astype(width), later)
+    second = np.arange(len(first), dtype=width) + np.repeat((f + 1 - upto + later).astype(width),
+                                                            later)
     return first, second
+
+
+def index_dtype(limit: int):
+    """The one width rule for the join's per-pair arrays: int32 when every
+    value up to `limit` fits it, int64 otherwise.  Gather by them with
+    `take`: numpy's `[]` casts int32 indices through a buffered iterator,
+    three times slower than int64 ones, where `take` costs the same."""
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
 
 
 def run_positions(counts: np.ndarray) -> np.ndarray:
@@ -332,7 +349,7 @@ def pair_cosupport(packed: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarr
     out = np.empty(len(i), dtype=np.int64)
     step = chunk_rows(packed.shape[1])
     for s in range(0, len(i), step):
-        both = packed[i[s:s + step]] & packed[j[s:s + step]]
+        both = packed.take(i[s:s + step], axis=0) & packed.take(j[s:s + step], axis=0)
         out[s:s + step] = np.bitwise_count(both).sum(axis=1)
     return out
 

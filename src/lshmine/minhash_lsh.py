@@ -4,10 +4,13 @@ A sketch of `rows` minwise values per itemset estimates the padded Jaccard
 similarity; partners whose estimate clears the accept threshold go into
 FI_q.  One query screens the whole level: for every compatible ordered
 pair (q, a) of the join, it counts the sketch rows on which P(a) and Q(q)
-agree, a chunk of pairs at a time, and approves the pair iff that count
-reaches rows * accept_threshold.  The database itself is never read at
-query time; the mining engine verifies each distinct union of the
-approved pairs exactly.
+agree, and approves the pair iff that count reaches rows *
+accept_threshold.  It counts a join group at a time, since every two
+records of a group form a pair: a large group compares its records' rows
+by broadcast, a block of query records at a time, and the pairs of the
+small groups gather their two rows each, a chunk of pairs at a time.  The
+database itself is never read at query time; the mining engine verifies
+each distinct union of the approved pairs exactly.
 
 Each sketch row gives every padded position an independent uniform 32-bit
 hash value; a vector's minwise value on that row is the least value over
@@ -75,6 +78,18 @@ CUT_FACTOR = 8
 # position 0.5-2.5 ns, and at 4 the cut picks the faster way on all ten
 # (the closest at 1.01x).
 PROBE_COST = 4
+# The least join group size, in records, whose pairs `query` counts by
+# broadcast (`_group_matches`) rather than by gathering each pair's rows.
+# Measured on one group of random sketches per size (24 to 400 records, 57
+# to 1,117 rows), both ways in process, 2-vCPU host, min of 15: the
+# broadcast overtakes the gather at about 36, 52, 60 and 96 records for 57,
+# 281, 875 and 1,117 rows, and costs 0.65-1.0 ns a sketch value against the
+# gather's 1.1-2.3 ns at 400 records.  At 64 the rule picks the faster way
+# or one within 10% of it (1,117 rows: 6.5 against 6.0 ms).  On the bench
+# workloads (seed 1) it broadcasts `negatives`' one group of 400 (57 rows:
+# 17.7 -> 4.8 ms, median of 15) and gathers `wide`'s 40 and `dense-deep`'s
+# at most 11, as before.
+BROADCAST_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -221,14 +236,55 @@ class MinhashQueryResult:
 
 
 def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:
-    """Sketch-only screening of the join's ordered pairs, PAIR_CHUNK_WORDS
-    sketch values of each operand at a time: no database reads happen here."""
+    """Sketch-only screening of the join's ordered pairs by join group: no
+    database reads happen here.  A group of BROADCAST_GROUP records or more
+    counts its pairs' matches by broadcast (`_group_matches`); the pairs of
+    the smaller groups are gathered together, PAIR_CHUNK_WORDS sketch values
+    of each operand at a time."""
     records, query_records = sketch.records, sketch.query_records   # one row per record
+    rows, half = params.rows, sweep.candidate_pairs
     matches = np.empty(len(sweep), dtype=np.int32)
-    step = exact.chunk_rows(params.rows)
-    for s in range(0, len(matches), step):
-        same = records[sweep.a[s:s + step]] == query_records[sweep.q[s:s + step]]
-        matches[s:s + step] = np.count_nonzero(same, axis=1)
+    owner, _, end = sweep.filings
+    head = np.flatnonzero(np.diff(end, prepend=-1))   # each group's first filing
+    size = end[head] - head
+    broadcast = size >= BROADCAST_GROUP
+    for s in head[broadcast].tolist():
+        _group_matches(records, query_records, owner[s:end[s]], int(sweep.start[s]), half,
+                       matches)
+    if (size[~broadcast] > 1).any():   # the other groups: a broadcast filing pairs with none
+        alone = np.arange(1, len(end) + 1)
+        first, second = exact._filing_pairs(np.where(np.repeat(broadcast, size), alone, end))
+        step = exact.chunk_rows(rows)
+        for s in range(0, len(first), step):
+            lo, hi = first[s:s + step], second[s:s + step]
+            at = sweep.start.take(lo) + (hi - lo - 1)
+            i, j = owner.take(lo), owner.take(hi)
+            matches[at] = np.count_nonzero(records[j] == query_records[i], axis=1)
+            matches[at + half] = np.count_nonzero(records[i] == query_records[j], axis=1)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
     return MinhashQueryResult(matches, need, np.flatnonzero(matches >= need))
+
+
+def _group_matches(records, query_records, group, first_pair, half, matches):
+    """Write the matches of one join group's pairs: for its records R and
+    x < y, ordered pair first_pair + k (the k-th of `np.triu_indices(g, 1)`)
+    gets M[x, y] and its reverse, half + first_pair + k, gets M[y, x], where
+    M[x, y] counts the sketch rows on which Q(R[x]) and P(R[y]) agree.  A
+    block of query records x at a time compares its rows against the
+    partners y >= the block's first, so the (rows, block, partners) compare
+    stays within PAIR_CHUNK_WORDS words; M sums it in the least unsigned
+    type that holds `rows`."""
+    p, q = records[group].T.copy(), query_records[group].T.copy()   # (rows, g)
+    rows, g = p.shape
+    width = np.min_scalar_type(rows)
+    step = exact.chunk_rows(rows * g // 8)
+    at = first_pair
+    for b in range(0, g - 1, step):
+        block = slice(b, b + step)
+        later = np.arange(b, g) > np.arange(b, min(g, b + step))[:, None]   # y > x
+        count = int(np.count_nonzero(later))
+        for out, x, y in ((at, q, p), (half + at, p, q)):
+            matches[out:out + count] = (x[:, block, None] == y[:, None, b:]).sum(
+                axis=0, dtype=width)[later]
+        at += count

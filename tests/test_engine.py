@@ -493,10 +493,13 @@ def test_level_screen_memory_is_bounded():
     words = (ctx.padded_length + 63) // 64
     hamming = hamming_lsh.derive_params(ctx, 0.5, 0.1)
     covering = covering_lsh.derive_params(ctx, 0.5, 0.1)
+    minhash = minhash_lsh.derive_params(ctx, 0.5, 0.1)
     masks = (1 << covering.mask_dim) - 1
     for variant, params, index_bytes in (
             ("hamming", hamming, 2 * len(level) * hamming.L * (hamming.k + 63) // 64 * 8),
-            ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8))):
+            ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8)),
+            # the sketch's perms, records and query_records, 4 bytes a value
+            ("minhash", minhash, 4 * minhash.rows * (ctx.padded_length + 2 * len(level)))):
         tracemalloc.start()
         try:
             engine._screen_level(engine._LSH_VARIANTS[variant], Level.of(level), ctx, params,
@@ -541,6 +544,26 @@ def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
     monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
     params = hamming_lsh.derive_params(ctx, 0.5, 0.1)
     chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["hamming"],
+                                                   Level.of(level), ctx, params,
+                                                   np.random.SeedSequence([1, 2]), sweep,
+                                                   "level2", {})
+    sweep.unions(chosen)
+    assert emitted > 0 and fp > 0 and tn + fp == 2 * sweep.candidate_pairs
+
+
+def test_minhash_level_reads_only_the_pairs_it_touches(monkeypatch):
+    # the MinHash screen counts its one join group's matches by broadcast,
+    # and its verification and found unions read pairs through `members`:
+    # every ordered pair is never built
+    level, ctx = negatives_level()
+    sweep = join_level(Level.of(level), ctx.theta_count)
+
+    def every(self):
+        raise AssertionError("every ordered pair built")
+    monkeypatch.setattr(exact.PairSweep, "every", every)
+    # a threshold below the derived one (0.495), so that some pairs are approved
+    params = replace(minhash_lsh.derive_params(ctx, 0.5, 0.1), accept_threshold=0.25)
+    chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["minhash"],
                                                    Level.of(level), ctx, params,
                                                    np.random.SeedSequence([1, 2]), sweep,
                                                    "level2", {})

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lshmine import exact
 from lshmine.dataset import BitVector, ItemsetRecord
 from lshmine.engine import MiningConfig, lsh_apriori_mine
 from lshmine.exact import (
@@ -118,6 +119,18 @@ def test_join_matches_pairwise_on_a_planted_deep_level():
     sweep = assert_same_join(level, theta_count)
     assert len(level) > 50 and sweep.frequent_pairs > 0
     assert sweep.distinct_candidates < sweep.candidate_pairs
+
+
+def test_pair_arrays_are_int32_up_to_int32_max():
+    # one width rule for the join's per-pair arrays, decided at its edge
+    # without allocating, and the arrays a small join hands out under it
+    assert exact.index_dtype(2**31 - 1) == np.int32
+    assert exact.index_dtype(2**31) == np.int64
+    level = [record([1, 2], "110"), record([1, 3], "011"), record([2, 3], "111")]
+    sweep = join_level(Level.of(level), 1)
+    arrays = (*sweep.pair_rows, *exact._filing_pairs(sweep.filings[2]), sweep.pair_union,
+              sweep.every())
+    assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
 
 
 def test_union_if_compatible():

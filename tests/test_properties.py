@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import covering_lsh, dataset, exact, hamming_lsh
+from lshmine import covering_lsh, dataset, exact, hamming_lsh, minhash_lsh
 from lshmine.dataset import BitVector, DatasetError, co_support, load_transactions
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -949,18 +949,59 @@ def check_minhash_screen(case):
         assert 0 in res.approved
 
 
-# the first pair's hits at the threshold: 7 of 25 rows and 15 of 29, where
-# (hits / rows) * rows rounds above hits
-SKETCH_EDGES = [bits_level(["111000", "110100", "011100"], 2) + (rows, 0.5, seed, True)
-                for rows, seed in ((25, 0), (29, 1))]
+SKETCH_EDGES = [
+    # the first pair's hits at the threshold: 7 of 25 rows and 15 of 29,
+    # where (hits / rows) * rows rounds above hits
+    *(bits_level(["111000", "110100", "011100"], 2) + (rows, 0.5, seed, True)
+      for rows, seed in ((25, 0), (29, 1))),
+    # 70 random singletons over n = 12: one join group past the broadcast rule
+    anded_level(12, [(i,) for i in range(70)],
+                [int(c) for c in np.random.default_rng(12).integers(0, 1 << 12, 70)], 3)
+    + (40, 0.3, 5, True),
+    # l = 2: join groups of 2 and 3 records, the rest alone
+    anded_level(10, [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6)],
+                [0b1111011110, 0b0111111011, 0b1101101111, 0b1111111100, 0b1011110111,
+                 0b1110111101, 0b0111101111], 4) + (30, 0.4, 6, True),
+    # 70 equal records at full weight, unpadded: every minimum agrees, on
+    # all 256 rows, one more than an 8-bit sum holds
+    anded_level(12, [(i,) for i in range(70)], [0b111111110000] * 70, 3) + (256, 0.5, 7, False),
+]
 
 
 @SETTINGS
 @given(sketch_cases())
 @example(SKETCH_EDGES[0])
 @example(SKETCH_EDGES[1])
+@example(SKETCH_EDGES[2])
+@example(SKETCH_EDGES[3])
+@example(SKETCH_EDGES[4])
 def test_minhash_screen_matches_per_record_query(case):
     check_minhash_screen(case)
+
+
+@pytest.mark.parametrize("group", [2, 3, minhash_lsh.BROADCAST_GROUP])
+def test_minhash_broadcast_matches_per_record_query(monkeypatch, group):
+    # every join group broadcast, only the larger of the l = 2 edge's, or
+    # as the rule picks: the same matches as the per-record query
+    monkeypatch.setattr(minhash_lsh, "BROADCAST_GROUP", group)
+    for case in SKETCH_EDGES:
+        check_minhash_screen(case)
+
+
+def test_sketch_edges_take_the_ways_they_name():
+    # the edges reach what they name: a group past the rule, groups of 2 and
+    # 3 records, and every pair matching on every row
+    sizes = []
+    for records, *_ in SKETCH_EDGES[2:4]:
+        end = join_level(Level.of(records), 1).filings[2]
+        sizes.append(sorted(np.unique(end, return_counts=True)[1].tolist()))
+    assert sizes[0] == [70] and 70 >= minhash_lsh.BROADCAST_GROUP and sizes[1][-2:] == [2, 3]
+    records, theta_count, rows, *_ = SKETCH_EDGES[4]
+    sketch = build_sketch(Level.of(records), MinhashParams(0.3, 0.2, rows, 0.5),
+                          level_context(records, theta_count), 7)
+    pairs = level_pairs(records)
+    assert (minhash_query(sketch, pairs, MinhashParams(0.3, 0.2, rows, 0.5)).matches
+            == rows).all()
 
 
 def test_screen_crosses_every_chunk_boundary(monkeypatch):
