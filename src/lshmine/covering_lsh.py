@@ -10,23 +10,19 @@ and the corresponding mask sends both vectors to the same key.  Collisions
 are therefore guaranteed for every similar pair, for every phi.
 
 The masks key the level screen the Hamming variant also uses
-(`hamming_lsh.MaskIndex.screen`), with one 64-bit fingerprint standing for
-each masked padded vector: the XOR of fixed random words r_i over the
-positions the mask keeps.  XOR is linear, so equal masked vectors have
-equal fingerprints, and a padded vector's fingerprint is that of its own
-bits XOR that of its padding run (`transform.padding_runs`).  Grouping the
-positions by phi gives the per-class XORs c as differences of prefix
+(`hamming_lsh.MaskIndex.screen`), and a table's key is the 64-bit
+fingerprint of the masked padded vector: the XOR of fixed random words r_i
+over the positions the mask keeps.  XOR is linear, so equal masked vectors
+have equal fingerprints, and a padded vector's fingerprint is that of its
+own bits XOR that of its padding run (`transform.padding_runs`).  Grouping
+the positions by phi gives the per-class XORs c as differences of prefix
 XORs, and c's fingerprints under all 2^mask_dim - 1 masks follow from one
-linear-time recursion on the top bit of the class (`_fingerprints`).
-Unequal masked vectors share a fingerprint only by chance (probability
-2^-64).  Whichever way the screen finds collisions, comparing every
-pair's fingerprints or sorting each table's (chosen by
-`hamming_lsh.sort_pays`; with 2^mask_dim - 1 tables, sorting wins on wide
-levels), it confirms every one it acts on against the masked words
-themselves through one helper, `CoveringIndex._confirmed`.  The family
-keeps phi and the mask_dim basis masks a(2^k) as packed words, and the
-helper builds each table's mask a(v) as the XOR of the basis rows of v's
-bits.
+linear-time recursion on the top bit of the class (`_fingerprints`).  So
+every pair within the radius shares a key in some table, and the screen
+needs nothing else.  Unequal masked vectors share a fingerprint only by
+chance (probability 2^-64 per pair and table), which costs one exact
+verification of the pair's co-support and never an itemset.  The family
+is phi alone; the masks are read off it only for inspection.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from .transform import (
 # mask_dim 11 to 2 records at mask_dim 19); at 2^21-2^22 entries 0.3-1.1 s
 # and up to 233 MB.  `negatives` holds 204,400.
 MAX_TABLE_ENTRIES = 1 << 20
-FINGERPRINT_SEED = 0   # draws the r_i; every collision is confirmed, so no result depends on it
+FINGERPRINT_SEED = 0   # draws the r_i; a chance collision costs one verification, never an itemset
 
 
 class FamilyTooLarge(Exception):
@@ -115,28 +111,21 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> CoveringPa
 class CoveringFamily:
     mask_dim: int
     phi: np.ndarray          # (n_prime,) ints in [0, 2^mask_dim)
-    basis: np.ndarray        # (mask_dim, ceil(n_prime/64)) "<u8": a(2^k), bit i is bit k of phi(i)
 
     @property
     def masks(self) -> list[int]:
-        """The masks a(1), ..., a(2^mask_dim - 1) as n_prime-bit ints, built
-        on each access for inspection; mining reads `mask_words`."""
+        """The masks a(1), ..., a(2^mask_dim - 1) as n_prime-bit ints, bit i
+        of a(v) the parity of phi(i) & v: built on each access, for
+        inspection; mining reads only phi."""
+        v = np.arange(1, 1 << self.mask_dim)[:, None]
+        bits = (np.bitwise_count(self.phi & v) & 1).astype(np.uint8)
         return [int.from_bytes(row.tobytes(), "little")
-                for row in self.mask_words(np.arange((1 << self.mask_dim) - 1))]
-
-    def mask_words(self, tables: np.ndarray) -> np.ndarray:
-        """The masks of tables t, a(t + 1), as rows of packed words: a is
-        linear in v, so each is the XOR of the basis rows of t + 1's bits."""
-        v = np.asarray(tables) + 1
-        words = np.zeros((len(v), self.basis.shape[1]), dtype="<u8")
-        for k in range(int(v.max(initial=0)).bit_length()):   # the bits some v sets
-            words[(v >> k) & 1 == 1] ^= self.basis[k]
-        return words
+                for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) -> CoveringFamily:
-    """Draw phi and pack the basis masks a(2^k), k < mask_dim, which every
-    mask a(v) is the XOR of.  `phi` can be injected for tests (e.g. the
+    """Draw phi, which is the whole family: mask a(v) keeps the positions i
+    with <phi(i), v> odd.  `phi` can be injected for tests (e.g. the
     all-zero map to exercise total-collision handling).
     """
     if phi is None:
@@ -146,87 +135,33 @@ def build_family(params: CoveringParams, seed, phi: np.ndarray | None = None) ->
         phi = np.asarray(phi, dtype=np.int64)
         if phi.shape != (params.n_prime,):
             raise ValueError(f"phi must have shape ({params.n_prime},)")
-    bits = np.zeros((params.mask_dim, -(-params.n_prime // 64) * 64), dtype=np.uint8)
-    bits[:, :params.n_prime] = phi >> np.arange(params.mask_dim)[:, None] & 1
-    basis = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    return CoveringFamily(mask_dim=params.mask_dim, phi=phi, basis=basis)
+    return CoveringFamily(mask_dim=params.mask_dim, phi=phi)
 
 
-@dataclass
-class CoveringIndex(MaskIndex):
-    """The masked-projection index over a covering family: the P and Q keys
-    are fingerprints of the masked padded vectors (one word per table), and
-    the packed padded vectors confirm each collision the screen acts on."""
-
-    family: CoveringFamily
-    padded_p: np.ndarray   # (m_l, ceil(n_prime/64)) "<u8"
-    padded_q: np.ndarray
-
-    @property
-    def tables(self) -> list[dict[int, list[int]]]:
-        """Per mask, the records under each key P(a) & mask.  Built on each
-        access, for inspection; the screen never reads it."""
-        padded = [int.from_bytes(row.tobytes(), "little") for row in self.padded_p]
-        return [_grouped(p & mask for p in padded) for mask in self.family.masks]
-
-    def _pair_words(self) -> int:   # a pair's fingerprint row, or its padded words
-        return max(self.p_keys.shape[1], self.padded_p.shape[1])
-
-    def _confirmed(self, q: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Which of the fingerprint collisions of Q(q[i]) and P(a[i]) in
-        table t[i] are collisions: those whose masked padded words agree
-        too.  Each distinct table's mask words are built once per call, and
-        PAIR_CHUNK_WORDS words of each operand are read at a time."""
-        tables, row = np.unique(t, return_inverse=True)
-        masks = self.family.mask_words(tables)
-        same = np.empty(len(q), dtype=bool)
-        step = exact.chunk_rows(masks.shape[1])
-        for s in range(0, len(q), step):
-            both = self.padded_p[a[s:s + step]] ^ self.padded_q[q[s:s + step]]
-            same[s:s + step] = ~(both & masks[row[s:s + step]]).any(axis=1)
-        return same
-
-
-def build_index(level: Level, family: CoveringFamily, ctx: LevelContext) -> CoveringIndex:
-    """One table per mask; the key of record a under mask m is P(a) & m for
-    indexing and Q(a) & m for querying, each held as its fingerprint: that
+def build_index(level: Level, family: CoveringFamily, ctx: LevelContext) -> MaskIndex:
+    """One table per mask; the key of record a under mask m is the
+    fingerprint of P(a) & m for indexing and of Q(a) & m for querying: that
     of the own bits, once per record for both roles, XOR that of the role's
-    run, once per run length.  The padded words are the packed own words
-    ORed with the run's.  The index has no early-exit budget: every query
-    verifies all its collisions."""
+    run, once per run length, which reads only the run's alpha_count
+    positions.  The index has no early-exit budget: every query verifies
+    all its collisions."""
     n, size = ctx.n, 1 << family.mask_dim
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
     lengths, run, starts = padding_runs(level.supports, ctx)
-    words = -(-ctx.padded_length // 64)
-    run_keys, run_words = [], []
-    for start in starts:   # P's run, then Q's
-        offset = np.arange(64 * words) - start
-        ones = (offset >= 0) & (offset < lengths[:, None])   # (runs, positions)
-        part = slice(start, start + ctx.alpha_count)
-        run_keys.append(_fingerprints(ones[:, part].T, *_by_class(family.phi[part], r[part], size)))
-        run_words.append(np.packbits(ones, axis=1, bitorder="little").view("<u8"))
+    ones = np.arange(ctx.alpha_count)[:, None] < lengths   # (run positions, runs)
+    run_keys = [_fingerprints(ones, *_by_class(family.phi[part], r[part], size))
+                for part in (slice(start, start + ctx.alpha_count) for start in starts)]
 
     own = _by_class(family.phi[:n], r[:n], size)
-    padded = [np.empty((len(level), words), dtype="<u8") for _ in range(2)]
     keys = [np.empty((len(level), size - 1, 1), dtype=np.uint64) for _ in range(2)]
     step = exact.chunk_rows(max(n + 1, size))   # prefix XORs, class XORs
     for s in range(0, len(level), step):
-        packed, which = level.packed[s:s + step], run[s:s + step]
-        bits = np.unpackbits(packed.view(np.uint8).T, axis=0, bitorder="little")
+        bits = np.unpackbits(level.packed[s:s + step].view(np.uint8).T, axis=0, bitorder="little")
         fingerprints = _fingerprints(bits, *own)
-        for out, vectors, run_key, run_word in zip(keys, padded, run_keys, run_words):
-            np.bitwise_xor(fingerprints, run_key[which], out=out[s:s + step, :, 0])
-            vectors[s:s + step] = run_word[which]
-            vectors[s:s + step, :packed.shape[1]] |= packed
-    return CoveringIndex(*keys, None, family, *padded)
-
-
-def _grouped(keys) -> dict:
-    table: dict = {}
-    for idx, key in enumerate(keys):
-        table.setdefault(key, []).append(idx)
-    return table
+        for out, run_key in zip(keys, run_keys):   # P's run, then Q's
+            np.bitwise_xor(fingerprints, run_key[run[s:s + step]], out=out[s:s + step, :, 0])
+    return MaskIndex(*keys, None)
 
 
 def _by_class(phi: np.ndarray, r: np.ndarray, size: int):
@@ -268,7 +203,7 @@ def _fingerprints(bits: np.ndarray, order: np.ndarray, values: np.ndarray,
     return c[1:].T
 
 
-def query(index: CoveringIndex, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:
+def query(index: MaskIndex, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:
     """Screen the join's ordered pairs and verify every query's colliding
     partners through `verify` (see `hamming_lsh.MaskIndex.screen`).  The
     index has no early-exit budget, so every collision is inspected, which

@@ -214,7 +214,7 @@ class PairSweep:
         distinct filings of one group: pair start[lo] + (hi - lo - 1) of the
         join, in the second half when the query's filing is the later."""
         lo, hi = np.minimum(fq, fa), np.maximum(fq, fa)
-        return self.start[lo] + (hi - lo - 1) + self.candidate_pairs * (fq > fa)
+        return self.start.take(lo) + (hi - lo - 1) + self.candidate_pairs * (fq > fa)
 
     def members(self, idx: np.ndarray):
         """q, a and y of the pairs `idx`, the inverse of `index`: gathered

@@ -14,14 +14,14 @@ and P(a) share a key, in one of two ways (`MaskIndex.first_tables`).  The
 pairwise path compares the key rows of every pair in every table, a chunk
 of pairs at a time: O(pairs x tables).  The sort path sorts each table's
 P and Q keys, filed once per join filing and hashed with the filing's
-(l-1)-subset group, so only compatible pairs meet; it confirms each
-meeting and numbers its pair in closed form from the two filings:
-O(tables x F log F + meetings) for F = m_l * l filings, the bit-sampling
-lookup of Gionis, Indyk & Motwani.  `sort_pays` picks the sort path iff
+(l-1)-subset group, so only compatible pairs meet; it checks each
+meeting's whole key rows and numbers its pair in closed form from the
+two filings: O(tables x F log F + meetings) for F = m_l * l filings,
+the bit-sampling lookup of Gionis, Indyk & Motwani.  `sort_pays` picks the sort path iff
 the pairwise path's words, pairs x key words per table, exceed
 SORT_FACTOR times a sort of the table's 2F keys.  Heavily shared keys
 (small k, covering's all-zero phi) make the meetings approach pairs x
-tables; the sort path counts a chunk's meetings before it confirms any,
+tables; the sort path counts a chunk's meetings before it checks any,
 and gives way to the pairwise path when they exceed 1 / MEETING_FACTOR of
 its words.  Each query then visits its colliding partners by (first
 table, partner index), the order in which probing its buckets table by
@@ -52,7 +52,8 @@ from .transform import (
 
 # The sorted screen hashes each key, XOR its filing's group times MIX, to
 # the high 32 bits of its product with MIX (Fibonacci hashing), an odd
-# 64-bit constant; every meeting is confirmed, so no result depends on it.
+# 64-bit constant; every meeting's key rows are compared, so no result
+# depends on it.
 MIX = np.uint64(0x9E3779B97F4A7C15)
 HIGH, LOW = np.uint64(0xFFFFFFFF00000000), np.uint64(0xFFFFFFFF)
 # How many times more a sort step of one key costs than comparing one key
@@ -131,23 +132,40 @@ class QueryResult:
 class MaskIndex:
     """One table per mask: per record a and table t, the key of P(a) in
     `p_keys[a, t]` and of Q(a) in `q_keys[a, t]`, each a row of uint64
-    words.  Q(q) collides with P(a) in table t iff the two rows are equal."""
+    words.  Q(q) collides with P(a) in table t iff the two rows are equal:
+    Hamming's rows are the sampled bits themselves, covering's the
+    fingerprints of its masked vectors (`covering_lsh`), whose rare chance
+    equality costs the screen one verification."""
 
     p_keys: np.ndarray   # (m_l, tables, words) uint64
     q_keys: np.ndarray
     early_exit_budget: int | None   # None: no query exits early
 
+    @property
+    def tables(self) -> list[dict[bytes, list[int]]]:
+        """Per table, the records under each P key row, keyed by the row's
+        bytes: built on each access, for inspection; the screen never
+        reads it."""
+        rows = np.ascontiguousarray(self.p_keys.transpose(1, 0, 2))
+        tables = []
+        for keys in rows.view(f"V{rows.itemsize * rows.shape[2]}")[..., 0].tolist():
+            table: dict = {}
+            for idx, key in enumerate(keys):
+                table.setdefault(key, []).append(idx)
+            tables.append(table)
+        return tables
+
     def collisions(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
         """(pairs, tables) bool: where the key rows of Q(q[p]) and P(a[p]) agree."""
-        same = self.q_keys[q] == self.p_keys[a]
+        same = self.q_keys.take(q, axis=0) == self.p_keys.take(a, axis=0)
         return same[:, :, 0] if same.shape[2] == 1 else same.all(axis=2)
 
     def first_tables(self, sweep: PairSweep) -> np.ndarray:
-        """Per ordered pair, the first table in which Q(q) and P(a)
-        collide, or the table count if none: by sorting each table's keys
-        where `sort_pays`, unless the keys of a table meet more than
-        pairs * key_words / MEETING_FACTOR times, else by comparing every
-        pair's key rows."""
+        """Per ordered pair, the first table in which the key rows of Q(q)
+        and P(a) are equal, or the table count if none: by sorting each
+        table's keys where `sort_pays`, unless the keys of a table meet
+        more than pairs * key_words / MEETING_FACTOR times, else by
+        comparing every pair's key rows."""
         key_words = self.p_keys.shape[2]
         if sort_pays(len(sweep), key_words, sweep.filings.shape[1]):
             first = self.sorted_first_tables(sweep, most=len(sweep) * key_words / MEETING_FACTOR)
@@ -160,10 +178,9 @@ class MaskIndex:
         rows in every table, PAIR_CHUNK_WORDS words of each operand at a
         time: O(pairs x tables), whatever collides."""
         first = np.empty(len(q), dtype=np.int32)
-        step = exact.chunk_rows(self._pair_words())
+        step = exact.chunk_rows(self.p_keys.shape[1] * self.p_keys.shape[2])   # a pair's key rows
         for s in range(0, len(q), step):
-            qs, as_ = q[s:s + step], a[s:s + step]
-            first[s:s + step] = self._first_collision(qs, as_, self.collisions(qs, as_))
+            first[s:s + step] = _first_true(self.collisions(q[s:s + step], a[s:s + step]))
         return first
 
     def sorted_first_tables(self, sweep: PairSweep, most: float = math.inf) -> np.ndarray | None:
@@ -173,9 +190,9 @@ class MaskIndex:
         once per filing of the join, hashed with the filing's group, so a Q
         filing meets the P filings of its own group and equal key, and
         others only by chance.  A meeting settles the pair's first table
-        once it is confirmed: the same group, another record, the same
-        whole key row, and `_confirmed` (never called on none).  The work is
-        the sorts plus the meetings, not pairs x tables."""
+        if it is one: the same group, another record and the same whole key
+        row, not just the same 32-bit hash.  The work is the sorts plus the
+        meetings, not pairs x tables."""
         owner, _, end = sweep.filings
         filings, tables = len(owner), self.p_keys.shape[1]
         first = np.full(len(sweep), tables, dtype=np.int32)
@@ -190,33 +207,8 @@ class MaskIndex:
             for t, fq, fa in meetings:
                 mine = (fq != fa) & (end[fq] == end[fa])
                 t, fq, fa = t[mine] + t0, fq[mine], fa[mine]
-                q, a = owner[fq], owner[fa]
-                real = (self.q_keys[q, t] == self.p_keys[a, t]).all(axis=1)
-                if not real.any():
-                    continue
-                real[real] = self._confirmed(q[real], a[real], t[real])
+                real = (self.q_keys[owner[fq], t] == self.p_keys[owner[fa], t]).all(axis=1)
                 np.minimum.at(first, sweep.index(fq[real], fa[real]), t[real].astype(np.int32))
-        return first
-
-    def _pair_words(self) -> int:   # a pair's key row
-        return self.p_keys.shape[1] * self.p_keys.shape[2]
-
-    def _confirmed(self, q: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Which of the key collisions of Q(q[i]) and P(a[i]) in table t[i]
-        are collisions: exact keys, so all of them."""
-        return np.ones(len(q), dtype=bool)
-
-    def _first_collision(self, q, a, hit: np.ndarray) -> np.ndarray:
-        """Per pair, the first table whose keys agree and that `_confirmed`
-        confirms; a table whose keys agree by chance (a covering
-        fingerprint) is dropped and the pair's next one is tried."""
-        first = _first_true(hit)
-        todo = np.flatnonzero(first < hit.shape[1])
-        while len(todo):
-            todo = todo[~self._confirmed(q[todo], a[todo], first[todo])]
-            hit[todo, first[todo]] = False
-            first[todo] = _first_true(hit[todo])
-            todo = todo[first[todo] < hit.shape[1]]
         return first
 
     def screen(self, sweep: PairSweep, ctx: LevelContext, verify) -> QueryResult:

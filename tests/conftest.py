@@ -372,24 +372,19 @@ def reference_tables(level, masks, ctx: LevelContext):
 
 
 def reference_covering_index(level: Level, family, ctx: LevelContext):
-    """The covering keys and padded words built from the dense layout:
-    both roles' padded vectors as (padded_length x records) bit rows, one
-    column per record's `transform.padded_bits_array`, packed with
-    `packbits`, and each vector's fingerprints by one scatter of its ones
-    into classes and mask_dim butterfly steps.  Returns p_keys, q_keys,
-    padded_p, padded_q as `covering_lsh.build_index` lays them out."""
+    """The covering keys built from the dense layout: both roles' padded
+    vectors as (padded_length x records) bit rows, one column per record's
+    `transform.padded_bits_array`, and each vector's fingerprints by one
+    scatter of its ones into classes and mask_dim butterfly steps.  Returns
+    p_keys and q_keys as `covering_lsh.build_index` lays them out."""
     r = np.random.default_rng(FINGERPRINT_SEED).integers(
         0, np.iinfo(np.uint64).max, size=ctx.padded_length, dtype=np.uint64, endpoint=True)
-    keys, padded = [], []
+    keys = []
     for role in (PREPROCESS, QUERY):
         rows = np.array([padded_bits_array(rec.vector, ctx, role) for rec in level],
                         dtype=np.uint8).reshape(-1, ctx.padded_length).T
-        words = np.zeros((len(level), (ctx.padded_length + 63) // 64), dtype="<u8")
-        words.view(np.uint8)[:, :(len(rows) + 7) // 8] = np.packbits(
-            rows, axis=0, bitorder="little").T
         keys.append(butterfly_fingerprints(rows, family.phi, family.mask_dim, r)[:, :, None])
-        padded.append(words)
-    return (*keys, *padded)
+    return keys
 
 
 def butterfly_fingerprints(rows, phi, mask_dim, r):

@@ -571,32 +571,9 @@ def test_minhash_level_reads_only_the_pairs_it_touches(monkeypatch):
     assert emitted > 0 and fp > 0 and tn + fp == 2 * sweep.candidate_pairs
 
 
-def test_sorted_screen_confirms_no_empty_batch(monkeypatch):
-    # covering on the negatives-size level, as the engine screens it: its
-    # keys meet by hash in many table chunks, and a chunk none of whose
-    # meetings survives the group, record and key checks costs no
-    # `_confirmed` call
-    level, ctx = negatives_level()
-    sweep = join_level(Level.of(level), ctx.theta_count)
-    confirmed, meetings = covering_lsh.CoveringIndex._confirmed, hamming_lsh._meetings
-    calls, met = [], []
-
-    def counted(keys, filings):
-        count, chunks = meetings(keys, filings)
-        met.append(count)
-        return count, chunks
-    monkeypatch.setattr(covering_lsh.CoveringIndex, "_confirmed",
-                        lambda self, q, a, t: calls.append(len(q)) or confirmed(self, q, a, t))
-    monkeypatch.setattr(hamming_lsh, "_meetings", counted)
-    params = covering_lsh.derive_params(ctx, 0.5, 0.1)
-    engine._screen_level(engine._LSH_VARIANTS["covering"], Level.of(level), ctx, params,
-                         np.random.SeedSequence([1, 2]), sweep, "level2", {})
-    assert sum(met) > 0 and 0 not in calls
-
-
 def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
     # covering's all-zero phi at negatives size: every pair collides in
-    # every table, so the sort path would confirm pairs x tables meetings
+    # every table, so the sort path would check pairs x tables meetings
     # (43x slower at 63 tables); the level's sizes still favour sorting,
     # and the meeting count sends the screen to the pairwise path
     level, ctx = negatives_level()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import covering_lsh, dataset, exact, hamming_lsh, minhash_lsh
+from lshmine import covering_lsh, dataset, engine, exact, hamming_lsh, minhash_lsh
 from lshmine.dataset import BitVector, DatasetError, co_support, load_transactions
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -711,18 +711,33 @@ def test_covering_screen_matches_per_record_probe(case):
     check_covering_screen(case)
 
 
-def test_covering_confirms_every_fingerprint_collision(monkeypatch):
-    # with every fingerprint 0, every pair's fingerprints agree in every
-    # table, and only the masked words decide what collides
+def test_covering_chance_collisions_cost_only_verifications(monkeypatch):
+    # with every fingerprint 0, every pair's keys agree in every table, as
+    # a chance fingerprint collision would make them: the screen verifies
+    # every ordered pair and keeps exactly those at or above the threshold,
+    # and the engine's level counts every pair as verified
     monkeypatch.setattr(covering_lsh, "_fingerprints", lambda bits, order, values, bounds: np.zeros(
         (bits.shape[1], len(bounds) - 2), dtype=np.uint64))
     rng = np.random.default_rng(11)
     for records, theta_count in (FIRST_PARTNER_AT_3, NO_PARTNER, JOIN_EDGES[4]):
-        length = level_context(records, theta_count).padded_length
-        for mask_dim, early_exit in ((1, False), (3, True), (4, False)):
-            phi = rng.integers(0, 1 << mask_dim, length)
-            index = check_covering_screen((records, theta_count, mask_dim, phi, 2, early_exit))
+        ctx, level = level_context(records, theta_count), Level.of(records)
+        pairs = level_pairs(records)
+        verify = pair_verify(records, pairs)
+        co = verify(np.arange(len(pairs)))
+        for mask_dim in (1, 3, 4):
+            params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1,
+                                    c=2.0, eps_round=0.5, nu=0.75, mask_dim=mask_dim,
+                                    psi_bound=8.0)
+            phi = rng.integers(0, 1 << mask_dim, ctx.padded_length)
+            index = covering_build_index(level, build_family(params, 0, phi=phi), ctx)
             assert not index.p_keys.any() and not index.q_keys.any()
+            res = covering_query(index, pairs, ctx, verify)
+            assert res.inspections == len(pairs)
+            assert np.array_equal(np.sort(res.partners), np.flatnonzero(co >= theta_count))
+            _, _, tn, fp = engine._screen_level(
+                engine._LSH_VARIANTS["covering"], level, ctx, params,
+                np.random.SeedSequence([1, 2]), join_level(level, theta_count), "level2", {})
+            assert tn == 0 and fp == np.count_nonzero(co < theta_count)
 
 
 # The closed-form covering build against the dense layout it replaced.
@@ -764,8 +779,7 @@ def check_covering_build(case):
     family = build_family(params, 0, phi=phi)
     with mock.patch.object(exact, "PAIR_CHUNK_WORDS", 1 if one_word else exact.PAIR_CHUNK_WORDS):
         index = covering_build_index(level, family, ctx)
-    got = (index.p_keys, index.q_keys, index.padded_p, index.padded_q)
-    for name, a, b in zip(("p_keys", "q_keys", "padded_p", "padded_q"), got,
+    for name, a, b in zip(("p_keys", "q_keys"), (index.p_keys, index.q_keys),
                           reference_covering_index(level, family, ctx)):
         assert a.shape == b.shape and np.array_equal(a, b), name
 
@@ -823,8 +837,8 @@ def test_covering_size_rule_is_the_only_refusal(ctx, epsilon):
 def path_cases(draw):
     """A level; a mask index spec over it, either Hamming's (L, k)
     projection rows (k past 64 makes two-word keys) or covering's
-    (mask_dim, phi, blind), where a blind index has every fingerprint 0;
-    an early-exit budget; and whether each chunk holds one word."""
+    (mask_dim, phi); an early-exit budget; and whether each chunk holds
+    one word."""
     records, theta_count = draw(levels())
     length = level_context(records, theta_count).padded_length
     position = st.integers(0, length - 1)
@@ -836,7 +850,7 @@ def path_cases(draw):
         mask_dim = draw(st.integers(1, 4))
         phi = draw(st.lists(st.integers(0, (1 << mask_dim) - 1), min_size=length,
                             max_size=length))
-        spec = (mask_dim, np.array(phi, dtype=np.int64), draw(st.booleans()))
+        spec = (mask_dim, np.array(phi, dtype=np.int64))
     return records, theta_count, spec, draw(st.integers(1, 6)), draw(st.booleans())
 
 
@@ -845,14 +859,10 @@ def path_index(records, ctx, spec, budget):
         L, k = spec.shape
         params = HammingLshParams(rho=0.5, k=k, L=L, early_exit_budget=budget)
         return build_index(Level.of(records), params, ctx, 0, projections=spec)
-    mask_dim, phi, blind = spec
+    mask_dim, phi = spec
     params = CoveringParams(n_prime=ctx.padded_length, theta_prime=mask_dim - 1, t=1, c=2.0,
                             eps_round=0.5, nu=0.75, mask_dim=mask_dim, psi_bound=8.0)
-    index = covering_build_index(Level.of(records), build_family(params, 0, phi=phi), ctx)
-    if blind:   # every fingerprint agrees: only the masked words decide
-        index.p_keys[:] = 0
-        index.q_keys[:] = 0
-    return index
+    return covering_build_index(Level.of(records), build_family(params, 0, phi=phi), ctx)
 
 
 def check_paths(case):
@@ -888,10 +898,8 @@ PATH_EDGES = [
     bits_level(["1100", "1110"], 2) + (np.array([[1], [6]]), 1, True),              # two records
     # 70-bit keys whose first word agrees for every pair (position 11 is 0)
     FIRST_PARTNER_AT_3 + (np.array([[11] * 64 + [0, 1, 2, 3, 4, 5]]), 3, False),
-    FIRST_PARTNER_AT_3 + ((3, np.arange(12) % 8, True), 2, False),                 # blind
-    FIRST_PARTNER_AT_3 + ((3, np.zeros(12, dtype=np.int64), False), 2, True),      # zero phi
-    anded_level(12, combinations(range(6), 3), many_groups, 6)
-    + ((2, np.arange(30) % 4, True), 1, True),
+    FIRST_PARTNER_AT_3 + ((3, np.zeros(12, dtype=np.int64)), 2, True),      # zero phi
+    anded_level(12, combinations(range(6), 3), many_groups, 6) + ((2, np.arange(30) % 4), 1, True),
 ]
 
 
@@ -906,19 +914,16 @@ PATH_EDGES = [
 @example(PATH_EDGES[6])
 @example(PATH_EDGES[7])
 @example(PATH_EDGES[8])
-@example(PATH_EDGES[9])
 def test_sort_path_matches_pairwise_path(case):
     check_paths(case)
 
 
 def test_path_edges_collide_as_described():
-    # the edges reach what they name: many groups, no pair, every pair
-    # colliding in every table, and fingerprints that all collide
+    # the edges reach what they name: many groups, no pair, and every pair
+    # colliding in every table
     assert len(set(exact.join_level(Level.of(PATH_EDGES[1][0]), 1).filings[2].tolist())) == 15
     assert len(check_paths(PATH_EDGES[3])) == 0
-    assert (check_paths(PATH_EDGES[8]) == 0).all()
-    blind = check_paths(PATH_EDGES[7])
-    assert 0 < np.count_nonzero(blind < 7) < len(blind)
+    assert (check_paths(PATH_EDGES[7]) == 0).all()
 
 
 @st.composite
