@@ -14,8 +14,8 @@ The output keeps the levels; iterating one gives its `ItemsetRecord`s.
 The join is the only place that decides Apriori compatibility.  It runs
 as whole-array steps, with no Python work per pair (see `join_level`).
 Its `PairSweep` reads the ordered pairs off the join's filings, the only
-code that knows how they are numbered, and decides which pairs are
-frequent, on their first word alone where a support bound settles them.
+code that numbers them (by the rule its docstring states), and decides
+which are frequent, on their first word alone where a bound settles them.
 None of it charges reads; the engine prices what it returns, the same
 whatever words the sweep ANDs.
 `apriori_mine` is the engine's exact variant.  The brute-force path
@@ -124,12 +124,13 @@ class PairSweep:
     level that never reads it (a lossless screen's, see `engine`) drops
     `pair_rows` unread.
 
-    The ordered pairs are read off the filings, not kept: query record q,
-    partner record a, and the item a adds to q.  Unordered pair p is at p
-    as (i, j) and at p + candidate_pairs as (j, i).  `q`, `a` and `y` list
-    every pair, built on first access; the methods read only the pairs
-    they are given.  `build_level` of `unions` of the frequent pairs is the
-    exact next level."""
+    The ordered pairs are read off the filings by `members`, not kept:
+    query record q, partner record a, and the item a adds to q.  A join
+    group of g filings from filing f holds unordered pairs start[f] ..
+    start[f] + g(g-1)/2 - 1, in the `np.triu_indices(g, 1)` order of its
+    filings (`group_pairs`); pair p is at p as (i, j) and at
+    p + candidate_pairs as (j, i).  `build_level` of `unions` of the
+    frequent pairs is the exact next level."""
 
     candidate_pairs: int
     distinct_candidates: int
@@ -141,7 +142,6 @@ class PairSweep:
     packed: np.ndarray = field(repr=False)       # the level's packed vectors
     supports: np.ndarray = field(repr=False)     # the level's supports
     theta_count: int
-    _every: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def pair_frequent(self) -> np.ndarray:
@@ -190,24 +190,12 @@ class PairSweep:
     def __len__(self) -> int:
         return 2 * self.candidate_pairs
 
-    def every(self) -> np.ndarray:
-        """q, a and y of every pair as (3, len) `index_dtype` of the filing
-        count and the largest item id, built on first call by the join's own
-        pairing step."""
-        if self._every is None:
-            owner, item, end = self.filings
-            first, second = _filing_pairs(end)
-            half = len(first)
-            limit = max(len(end), int(item.max(initial=0)))
-            self._every = np.empty((3, 2 * half), dtype=index_dtype(limit))
-            self._every[0, :half], self._every[0, half:] = owner.take(first), owner.take(second)
-            self._every[1, :half], self._every[1, half:] = owner.take(second), owner.take(first)
-            self._every[2, :half], self._every[2, half:] = item.take(second), item.take(first)
-        return self._every
-
-    q = property(lambda self: self.every()[0])
-    a = property(lambda self: self.every()[1])
-    y = property(lambda self: self.every()[2])
+    def group_pairs(self, heads: np.ndarray) -> np.ndarray:
+        """The unordered pairs of the join groups whose first filings are
+        `heads`, group by group in the numbering order: ascending if they are."""
+        counts = self.filings[2].take(heads) - heads
+        counts = counts * (counts - 1) // 2
+        return np.repeat(self.start.take(heads), counts) + run_positions(counts)
 
     def index(self, fq: np.ndarray, fa: np.ndarray) -> np.ndarray:
         """The pair whose query is filed at fq and whose partner at fa, two
@@ -217,10 +205,7 @@ class PairSweep:
         return self.start.take(lo) + (hi - lo - 1) + self.candidate_pairs * (fq > fa)
 
     def members(self, idx: np.ndarray):
-        """q, a and y of the pairs `idx`, the inverse of `index`: gathered
-        if every pair is built already, else read off the filings."""
-        if self._every is not None:
-            return tuple(self._every.take(idx, axis=1))
+        """q, a and y of the pairs `idx`, read off the filings: `index` inverted."""
         owner, item, _ = self.filings
         swapped = idx >= self.candidate_pairs
         unordered = idx - self.candidate_pairs * swapped

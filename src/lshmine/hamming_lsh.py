@@ -165,13 +165,14 @@ class MaskIndex:
         and P(a) are equal, or the table count if none: by sorting each
         table's keys where `sort_pays`, unless the keys of a table meet
         more than pairs * key_words / MEETING_FACTOR times, else by
-        comparing every pair's key rows."""
+        comparing the key rows of every pair, each read off `sweep.members`."""
         key_words = self.p_keys.shape[2]
         if sort_pays(len(sweep), key_words, sweep.filings.shape[1]):
             first = self.sorted_first_tables(sweep, most=len(sweep) * key_words / MEETING_FACTOR)
             if first is not None:
                 return first
-        return self.pairwise_first_tables(sweep.q, sweep.a)
+        q, a, _ = sweep.members(np.arange(len(sweep)))
+        return self.pairwise_first_tables(q, a)
 
     def pairwise_first_tables(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
         """`first_tables` of the pairs (q[p], a[p]) by comparing their key

@@ -8,9 +8,10 @@ agree, and approves the pair iff that count reaches rows *
 accept_threshold.  It counts a join group at a time, since every two
 records of a group form a pair: a large group compares its records' rows
 by broadcast, a block of query records at a time, and the pairs of the
-small groups gather their two rows each, a chunk of pairs at a time.  The
-database itself is never read at query time; the mining engine verifies
-each distinct union of the approved pairs exactly.
+small groups (`PairSweep.group_pairs`) gather their two rows each, a
+chunk of pairs at a time.  The database itself is never read at query
+time; the mining engine verifies each distinct union of the approved
+pairs exactly.
 
 Each sketch row gives every padded position an independent uniform 32-bit
 hash value; a vector's minwise value on that row is the least value over
@@ -238,29 +239,25 @@ class MinhashQueryResult:
 def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:
     """Sketch-only screening of the join's ordered pairs by join group: no
     database reads happen here.  A group of BROADCAST_GROUP records or more
-    counts its pairs' matches by broadcast (`_group_matches`); the pairs of
-    the smaller groups are gathered together, PAIR_CHUNK_WORDS sketch values
-    of each operand at a time."""
+    counts its pairs' matches by broadcast (`_group_matches`); the smaller
+    groups' pairs (`sweep.group_pairs`, read by `sweep.members`) are gathered
+    PAIR_CHUNK_WORDS sketch values of each operand at a time."""
     records, query_records = sketch.records, sketch.query_records   # one row per record
     rows, half = params.rows, sweep.candidate_pairs
     matches = np.empty(len(sweep), dtype=np.int32)
     owner, _, end = sweep.filings
     head = np.flatnonzero(np.diff(end, prepend=-1))   # each group's first filing
-    size = end[head] - head
-    broadcast = size >= BROADCAST_GROUP
+    broadcast = end[head] - head >= BROADCAST_GROUP
     for s in head[broadcast].tolist():
         _group_matches(records, query_records, owner[s:end[s]], int(sweep.start[s]), half,
                        matches)
-    if (size[~broadcast] > 1).any():   # the other groups: a broadcast filing pairs with none
-        alone = np.arange(1, len(end) + 1)
-        first, second = exact._filing_pairs(np.where(np.repeat(broadcast, size), alone, end))
-        step = exact.chunk_rows(rows)
-        for s in range(0, len(first), step):
-            lo, hi = first[s:s + step], second[s:s + step]
-            at = sweep.start.take(lo) + (hi - lo - 1)
-            i, j = owner.take(lo), owner.take(hi)
-            matches[at] = np.count_nonzero(records[j] == query_records[i], axis=1)
-            matches[at + half] = np.count_nonzero(records[i] == query_records[j], axis=1)
+    small = sweep.group_pairs(head[~broadcast])
+    step = exact.chunk_rows(rows)
+    for s in range(0, len(small), step):
+        at = small[s:s + step]
+        q, a, _ = sweep.members(at)
+        matches[at] = np.count_nonzero(records[a] == query_records[q], axis=1)
+        matches[at + half] = np.count_nonzero(records[q] == query_records[a], axis=1)
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
     return MinhashQueryResult(matches, need, np.flatnonzero(matches >= need))

@@ -223,7 +223,7 @@ def partners_and_positives(sweep, m):
     frequent = np.tile(sweep.pair_frequent, 2).tolist()
     partners = [{} for _ in range(m)]
     positives = [set() for _ in range(m)]
-    for q, a, y, f in zip(sweep.q.tolist(), sweep.a.tolist(), sweep.y.tolist(), frequent):
+    for q, a, y, f in zip(*(v.tolist() for v in every_pair(sweep)), frequent):
         partners[q][a] = y
         if f:
             positives[q].add(a)
@@ -278,12 +278,17 @@ def level_pairs(level):
     return join_level(Level.of(level), 1)
 
 
+def every_pair(sweep):
+    """q, a and y of every ordered pair of the join `sweep`, in pair order."""
+    return sweep.members(np.arange(len(sweep)))
+
+
 def pair_verify(level, pairs):
     """The batched `verify` a level screen takes: the co-support of each
     selected pair, read from the two vectors on every call (no memo)."""
-    return lambda sel: np.array([co_support(level[q].vector, level[a].vector) for q, a in
-                                 zip(pairs.q[sel].tolist(), pairs.a[sel].tolist())],
-                                dtype=np.int64)
+    q, a, _ = every_pair(pairs)
+    return lambda sel: np.array([co_support(level[i].vector, level[j].vector) for i, j in
+                                 zip(q[sel].tolist(), a[sel].tolist())], dtype=np.int64)
 
 
 @dataclass
@@ -306,11 +311,12 @@ class QueryView:
 def query_view(pairs, res, qi, tables):
     """Query record qi's part of a level screen result `res` over `pairs`,
     from an index with `tables` tables."""
-    mine = pairs.q[res.verified] == qi
-    verified = dict(zip(pairs.a[res.verified[mine]].tolist(), res.co[mine].tolist()))
-    partners = pairs.a[res.partners[pairs.q[res.partners] == qi]].tolist()
-    hit = (pairs.q == qi) & (res.first < tables)
-    collided = dict(zip(pairs.a[hit].tolist(), res.first[hit].tolist()))
+    q, a, _ = every_pair(pairs)
+    mine = q[res.verified] == qi
+    verified = dict(zip(a[res.verified[mine]].tolist(), res.co[mine].tolist()))
+    partners = a[res.partners[q[res.partners] == qi]].tolist()
+    hit = (q == qi) & (res.first < tables)
+    collided = dict(zip(a[hit].tolist(), res.first[hit].tolist()))
     return QueryView(partners, verified, bool(res.exited[qi]), collided)
 
 
@@ -330,10 +336,11 @@ class SketchView:
 
 def sketch_view(pairs, res, qi, rows):
     """Query record qi's part of a MinHash level query result `res`."""
+    q, a, _ = every_pair(pairs)
     views = []
     for chosen in (res.approved, res.rejected):
-        mine = chosen[pairs.q[chosen] == qi]
-        views.append(dict(sorted(zip(pairs.a[mine].tolist(), (res.matches[mine] / rows).tolist()))))
+        mine = chosen[q[chosen] == qi]
+        views.append(dict(sorted(zip(a[mine].tolist(), (res.matches[mine] / rows).tolist()))))
     return SketchView(*views)
 
 

@@ -35,6 +35,7 @@ from conftest import (
     TOY_ROWS,
     ColumnDatabase,
     db_from_rows,
+    every_pair,
     level_pairs,
     pair_verify,
     query_view,
@@ -197,17 +198,18 @@ def hamming_trials():
     events = 0
     infrequent_collisions = []
     pairs = level_pairs(level)
+    q, a, _ = every_pair(pairs)
     for t in range(trials):
         index = hamming_build(Level.of(level), params, ctx, seed=t)
         screened = hamming_query(index, pairs, ctx, pair_verify(level, pairs))
-        collision_counts = index.collisions(pairs.q, pairs.a).sum(axis=1)
+        collision_counts = index.collisions(q, a).sum(axis=1)
         for qi, pi in ((0, 1), (1, 0)):
             res = query_view(pairs, screened, qi, params.L)
             events += 1
             if pi not in res.partners:
                 miss += 1
             infrequent_collisions.append(
-                int(collision_counts[(pairs.q == qi) & (pairs.a >= 2)].sum()))
+                int(collision_counts[(q == qi) & (a >= 2)].sum()))
     return {
         "params": params,
         "trials": trials,

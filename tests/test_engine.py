@@ -35,6 +35,7 @@ from conftest import (
     column_records,
     db_from_rows,
     downward_closed,
+    every_pair,
     pairwise_join,
     projection_masks,
     query_view,
@@ -490,14 +491,13 @@ def test_level_screen_memory_is_bounded():
     sweep = join_level(Level.of(level), ctx.theta_count)
     pairs = 2 * sweep.candidate_pairs
     chunks = 16 * 8 * exact.PAIR_CHUNK_WORDS
-    words = (ctx.padded_length + 63) // 64
     hamming = hamming_lsh.derive_params(ctx, 0.5, 0.1)
     covering = covering_lsh.derive_params(ctx, 0.5, 0.1)
     minhash = minhash_lsh.derive_params(ctx, 0.5, 0.1)
     masks = (1 << covering.mask_dim) - 1
     for variant, params, index_bytes in (
             ("hamming", hamming, 2 * len(level) * hamming.L * (hamming.k + 63) // 64 * 8),
-            ("covering", covering, 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8)),
+            ("covering", covering, 2 * len(level) * masks * 8),   # P and Q fingerprints
             # the sketch's perms, records and query_records, 4 bytes a value
             ("minhash", minhash, 4 * minhash.rows * (ctx.padded_length + 2 * len(level)))):
         tracemalloc.start()
@@ -523,7 +523,7 @@ def test_level_screen_memory_is_bounded_with_4095_tables():
                     covering_lsh.build_index(level, covering_lsh.build_family(params, seed, phi=phi),
                                              ctx))
     pairs = 2 * sweep.candidate_pairs
-    masks, words = (1 << 12) - 1, (ctx.padded_length + 63) // 64
+    masks = (1 << 12) - 1
     assert hamming_lsh.sort_pays(pairs, 1, len(level))
     tracemalloc.start()
     try:
@@ -532,7 +532,7 @@ def test_level_screen_memory_is_bounded_with_4095_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    index_bytes = 2 * len(level) * (masks + words) * 8 + masks * 8 * (words + 8)
+    index_bytes = 2 * len(level) * masks * 8   # P and Q fingerprints
     assert peak < 32 * pairs + 16 * 8 * exact.PAIR_CHUNK_WORDS + index_bytes
 
 
@@ -554,13 +554,10 @@ def test_sorted_level_reads_only_the_pairs_it_touches(monkeypatch):
 def test_minhash_level_reads_only_the_pairs_it_touches(monkeypatch):
     # the MinHash screen counts its one join group's matches by broadcast,
     # and its verification and found unions read pairs through `members`:
-    # every ordered pair is never built
+    # every ordered pair is never listed
     level, ctx = negatives_level()
     sweep = join_level(Level.of(level), ctx.theta_count)
-
-    def every(self):
-        raise AssertionError("every ordered pair built")
-    monkeypatch.setattr(exact.PairSweep, "every", every)
+    monkeypatch.setattr(exact, "_filing_pairs", None)   # the step that lists every pair
     # a threshold below the derived one (0.495), so that some pairs are approved
     params = replace(minhash_lsh.derive_params(ctx, 0.5, 0.1), accept_threshold=0.25)
     chosen, emitted, tn, fp = engine._screen_level(engine._LSH_VARIANTS["minhash"],
@@ -580,6 +577,7 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
     pairs = join_level(Level.of(level), ctx.theta_count)
     assert hamming_lsh.sort_pays(len(pairs), 1, len(level))
     pairwise = hamming_lsh.MaskIndex.pairwise_first_tables
+    q, a, _ = every_pair(pairs)
     calls = []
     monkeypatch.setattr(hamming_lsh.MaskIndex, "pairwise_first_tables",
                         lambda self, q, a: calls.append(len(q)) or pairwise(self, q, a))
@@ -592,7 +590,7 @@ def test_heavily_shared_keys_take_the_pairwise_path(monkeypatch):
         calls.clear()
         first = index.first_tables(pairs)
         assert calls == [len(pairs)]
-        assert (first == 0).all() and np.array_equal(first, pairwise(index, pairs.q, pairs.a))
+        assert (first == 0).all() and np.array_equal(first, pairwise(index, q, a))
         assert index.sorted_first_tables(pairs, most=len(pairs) / hamming_lsh.MEETING_FACTOR) \
             is None
 

@@ -128,8 +128,7 @@ def test_pair_arrays_are_int32_up_to_int32_max():
     assert exact.index_dtype(2**31) == np.int64
     level = [record([1, 2], "110"), record([1, 3], "011"), record([2, 3], "111")]
     sweep = join_level(Level.of(level), 1)
-    arrays = (*sweep.pair_rows, *exact._filing_pairs(sweep.filings[2]), sweep.pair_union,
-              sweep.every())
+    arrays = (*sweep.pair_rows, *exact._filing_pairs(sweep.filings[2]), sweep.pair_union)
     assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
 
 

@@ -63,6 +63,7 @@ from conftest import (
     db_from_rows,
     direct_verify,
     downward_closed,
+    every_pair,
     level_pairs,
     pair_verify,
     pairwise_join,
@@ -145,11 +146,16 @@ def sweep_levels(draw):
     whose supports sit within a few ones of the threshold.  Each record holds one band of
     ones in word 0 and one past it, of drawn widths and starts, so the
     first-word bound settles some pairs either way and leaves others open.
-    The bands start a few bits apart, so that records share most of them."""
+    The bands start a few bits apart, so that records share most of them.
+    The vectors are drawn, not ANDed from item columns, so every 2-itemset
+    holds item 0 (as in `banded_level`): each union then has one forming
+    pair, whose AND is its vector, as every forming pair's is in a mined
+    level."""
     n = draw(st.sampled_from(SWEEP_LENGTHS))
     size = draw(st.integers(1, 2))
-    itemsets = sorted(draw(st.lists(st.sets(st.integers(0, 5), min_size=size, max_size=size),
-                                    min_size=2, max_size=15, unique_by=frozenset)), key=sorted)
+    others = draw(st.lists(st.integers(0, 5 if size == 1 else 14), min_size=2, max_size=15,
+                           unique=True))
+    itemsets = [(x,) if size == 1 else (0, x + 1) for x in sorted(others)]
     head = min(n, 64)
     theta_count = draw(st.one_of(st.integers(1, head), st.integers(1, n)))
     starts = draw(st.integers(0, head - 1)), draw(st.integers(0, max(0, n - head - 1)))
@@ -239,7 +245,7 @@ def test_join_matches_all_pairs_reference(level, picks):
     sel = np.array(picks if len(sweep) else [], dtype=np.intp) % max(1, len(sweep))
     chosen = sweep.unions(sel)
     first = {}
-    for q, a in zip(sweep.q[sel].tolist(), sweep.a[sel].tolist()):
+    for q, a in zip(*(v[sel].tolist() for v in every_pair(sweep)[:2])):
         first.setdefault(union_if_compatible(records[q].items, records[a].items), (q, a))
     q, a, y = (v.tolist() for v in chosen)
     formed = [add_item(records[i].items, x) for i, x in zip(q, y)]
@@ -268,11 +274,14 @@ def test_pair_numbering_round_trips(level):
     # and `index` numbers each pair from its two filings, both ways round
     records, theta_count = level
     pairs = join_level(Level.of(records), theta_count)
-    q, a, y = pairs.members(np.arange(len(pairs)))
-    assert (q.tolist(), a.tolist(), y.tolist()) == \
-        (pairs.q.tolist(), pairs.a.tolist(), pairs.y.tolist())
-    first, second = exact._filing_pairs(pairs.filings[2])
+    owner, item, end = pairs.filings
+    first, second = exact._filing_pairs(end)
     half = pairs.candidate_pairs
+    q, a, y = (v.tolist() for v in pairs.members(np.arange(len(pairs))))
+    assert (q[:half], a[:half], y[:half]) == \
+        (owner[first].tolist(), owner[second].tolist(), item[second].tolist())
+    assert (q[half:], a[half:], y[half:]) == \
+        (owner[second].tolist(), owner[first].tolist(), item[first].tolist())
     assert pairs.index(first, second).tolist() == list(range(half))
     assert pairs.index(second, first).tolist() == list(range(half, 2 * half))
 
@@ -455,7 +464,7 @@ def test_union_memo_changes_no_query(level, k, L, budget, early_exit, seed):
 
     def shared(sel):
         out = []
-        for q, a, y in zip(pairs.q[sel].tolist(), pairs.a[sel].tolist(), pairs.y[sel].tolist()):
+        for q, a, y in zip(*(v[sel].tolist() for v in every_pair(pairs))):
             u = add_item(records[q].items, y)
             if u not in support:
                 support[u] = co_support(records[a].vector, records[q].vector)
@@ -535,7 +544,7 @@ def test_sketch_columns_are_padded_minima(level, rows, seed):
     # the level query compares each pair's P column with its query's own Q column
     pairs = level_pairs(records)
     matches = [np.count_nonzero(sketch.columns[:, a] == sketch.query_columns[:, q])
-               for q, a in zip(pairs.q.tolist(), pairs.a.tolist())]
+               for q, a in zip(*(v.tolist() for v in every_pair(pairs)[:2]))]
     assert minhash_query(sketch, pairs, params).matches.tolist() == matches
 
 
@@ -554,9 +563,10 @@ def assert_same_query(view, ref):
 def table_counts(index, pairs, qi):
     """Per partner that query record qi collides with, the number of
     tables in which they collide."""
-    mine = pairs.q == qi
-    counts = index.collisions(pairs.q[mine], pairs.a[mine]).sum(axis=1)
-    return {a: c for a, c in zip(pairs.a[mine].tolist(), counts.tolist()) if c}
+    q, a, _ = every_pair(pairs)
+    mine = q == qi
+    counts = index.collisions(q[mine], a[mine]).sum(axis=1)
+    return {j: c for j, c in zip(a[mine].tolist(), counts.tolist()) if c}
 
 
 def assert_same_screen(a, b):
@@ -875,7 +885,7 @@ def check_paths(case):
         pairs = level_pairs(records)
         first = index.sorted_first_tables(pairs)
         assert first.dtype == np.int32
-        assert np.array_equal(first, index.pairwise_first_tables(pairs.q, pairs.a))
+        assert np.array_equal(first, index.pairwise_first_tables(*every_pair(pairs)[:2]))
         for early_exit in (False, True):
             screened = replace(index, early_exit_budget=budget if early_exit else None)
             results = []
@@ -941,16 +951,16 @@ def check_minhash_screen(case):
     sketch = build_sketch(Level.of(records), MinhashParams(omega=0.3, eps_mh=0.2, rows=rows,
                                                  accept_threshold=accept), ctx, seed)
     pairs = level_pairs(records)
-    if at_boundary and len(pairs.q):   # the first pair's hits are exactly rows * threshold
-        accept = np.count_nonzero(sketch.columns[:, pairs.a[0]]
-                                  == sketch.query_columns[:, pairs.q[0]]) / rows
+    q, a, _ = every_pair(pairs)
+    if at_boundary and len(pairs):   # the first pair's hits are exactly rows * threshold
+        accept = np.count_nonzero(sketch.columns[:, a[0]] == sketch.query_columns[:, q[0]]) / rows
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=accept)
     res = minhash_query(sketch, pairs, params)
     ref = pairwise_join(records, theta_count)
     for qi in range(len(records)):
         assert sketch_view(pairs, res, qi, rows) == \
             reference_minhash_query(sketch, qi, params, ref.partners(qi))
-    if at_boundary and len(pairs.q):
+    if at_boundary and len(pairs):
         assert 0 in res.approved
 
 
@@ -1007,6 +1017,34 @@ def test_sketch_edges_take_the_ways_they_name():
     pairs = level_pairs(records)
     assert (minhash_query(sketch, pairs, MinhashParams(0.3, 0.2, rows, 0.5)).matches
             == rows).all()
+
+
+@pytest.mark.parametrize("level", [*JOIN_EDGES, *(case[:2] for case in SKETCH_EDGES[2:4])])
+def test_group_pairs_follow_the_numbering_rule(level):
+    # a join group's pairs run from its first filing's `start` in the
+    # `np.triu_indices` order of its filings, both ways round, and
+    # `group_pairs` lists exactly the pairs of the groups it names, ascending
+    records, theta_count = level
+    sweep = join_level(Level.of(records), theta_count)
+    owner, item, end = sweep.filings
+    heads = np.flatnonzero(np.diff(end, prepend=-1))
+    per_group = {}
+    for h in heads.tolist():
+        x, y = np.triu_indices(end[h] - h, 1)
+        pairs = sweep.group_pairs(np.array([h]))
+        assert pairs.tolist() == list(range(sweep.start[h], sweep.start[h] + len(x)))
+        q, a, z = sweep.members(pairs)
+        assert (q.tolist(), a.tolist(), z.tolist()) == \
+            (owner[h + x].tolist(), owner[h + y].tolist(), item[h + y].tolist())
+        q, a, z = sweep.members(pairs + sweep.candidate_pairs)
+        assert (q.tolist(), a.tolist(), z.tolist()) == \
+            (owner[h + y].tolist(), owner[h + x].tolist(), item[h + x].tolist())
+        per_group[h] = pairs.tolist()
+    for named in (heads, heads[::2], heads[1::2], heads[:0]):
+        listed = sweep.group_pairs(named).tolist()
+        assert listed == sorted(p for h in named.tolist() for p in per_group[h])
+        assert listed == sorted(set(listed))
+    assert sweep.group_pairs(heads).tolist() == list(range(sweep.candidate_pairs))
 
 
 def test_screen_crosses_every_chunk_boundary(monkeypatch):
@@ -1093,7 +1131,8 @@ def test_lossless_counters_match_all_pairs_co_support(case, seed):
         ref = pairwise_join(list(report.itemsets.levels[row.level - 2]),
                             report.itemsets.theta_count)
         negative = np.array([a not in ref.positives[q]
-                             for q, a in zip(sweep.q.tolist(), sweep.a.tolist())], dtype=bool)
+                             for q, a in zip(*(v.tolist() for v in every_pair(sweep)[:2]))],
+                            dtype=bool)
         assert (row.true_negatives, row.false_positives, row.frequent_pairs) == \
             (np.count_nonzero(negative & ~seen), np.count_nonzero(negative & seen),
              ref.frequent_pairs)
