@@ -9,7 +9,6 @@ representation is immutable after load.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,18 +138,58 @@ def co_support(x: BitVector, y: BitVector) -> int:
     return (x.value & y.value).bit_count()
 
 
-LOAD_CHUNK_TOKENS = 1 << 13   # tokens per scatter step: bounds its transient arrays
-# Deletes the ASCII digits and whitespace: what is left of a file's text is
-# what its tokens hold besides decimal digits.
-NOT_DIGITS = str.maketrans("", "", "".join(c for c in map(chr, range(128))
-                                           if c.isdigit() or c.isspace()))
+LOAD_CHUNK_TOKENS = 1 << 13   # tokens per scatter step, half a parse block's bytes
+# "1" for an ASCII digit, " " for the whitespace that str.split() splits on (9-13
+# and 28-32; 10 ends a line), "x" for any other byte: a token starts at each " 1"
+BYTE_CLASSES = bytes(49 if 48 <= c < 58 else 32 if 9 <= c < 14 or 28 <= c < 33 else 120
+                     for c in range(256))
+
+
+def _parse(data: bytes, ids: np.ndarray):
+    """Parse the bytes of a FIMI file that holds only digits and whitespace,
+    a block of whole lines at a time: 2 * LOAD_CHUNK_TOKENS bytes or more,
+    to the end of a line, so at most LOAD_CHUNK_TOKENS tokens unless one
+    line is longer.  Writes the ids into `ids` (uint64, one per token) and
+    returns the running token count at each "\\n" and at the end, or None
+    once a token has a nonzero digit before its last 19 or reads 2**63 or
+    above."""
+    cuts, lo, count = [], 0, 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + 2 * LOAD_CHUNK_TOKENS - 1) + 1 or len(data)
+        block = np.frombuffer(data, np.uint8, hi - lo, lo)
+        d = block - np.uint8(48)   # a digit's value; a separator wraps to 200 or more
+        digit = np.zeros(len(d) + 2, dtype=bool)   # digit[i + 1]: byte i is a digit
+        np.less(d, 10, out=digit[1:-1])
+        starts = np.flatnonzero(digit[1:] > digit[:-1])   # each token's first byte
+        ends = np.flatnonzero(digit[1:] < digit[:-1])     # and the byte after its last
+        cuts.append(np.searchsorted(starts, np.flatnonzero(block == 10)) + count)
+        top = int((ends - starts).max(initial=0))
+        if top > 19:   # only zeros may precede a token's last 19 digits
+            long = np.flatnonzero(ends - starts > 19)
+            if any(d[s:e - 19].any() for s, e in zip(starts[long].tolist(), ends[long].tolist())):
+                return None
+            starts[long] = ends[long] - 19
+        out = ids[count:count + len(starts)]
+        for _ in range(min(top, 19)):   # Horner's rule, a digit a step
+            live = starts < ends
+            np.multiply(out, 10, out=out, where=live)
+            np.add(out, d.take(starts, mode="clip"), out=out, where=live)
+            starts += 1
+        if np.any(out >> 63):
+            return None
+        lo, count = hi, count + len(out)
+    return np.concatenate(cuts + [[count]])
 
 
 def load_transactions(path) -> TransactionDatabase:
-    """Read a FIMI flat file: one transaction per line, whitespace-separated
-    item ids in [0, 2**63) (int64 in every level) written in decimal digits
-    only, no header.  Empty lines are skipped; an id repeated within a line
-    counts once."""
+    """Read a FIMI flat file: one transaction per line, item ids in
+    [0, 2**63) (int64 in every level) written in decimal digits only, no
+    header.  A line ends in "\\n", "\\r\\n" or "\\r"; ids are separated by
+    runs of ASCII whitespace (space, tab, vertical tab, form feed or bytes
+    28-31).  Empty and whitespace-only lines are skipped; an id repeated
+    within a line counts once.  The tokens are counted, then parsed as a
+    byte array, a block of lines at a time; a file with a bad token is
+    scanned line by line for the first one, whose error is raised."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -159,32 +198,30 @@ def load_transactions(path) -> TransactionDatabase:
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not an ASCII FIMI file: {exc}") from None
 
-    lines = text.split("\n")
-    ids, lengths = array("q"), []   # every token's id; every transaction's token count
-    bad = bool(text.translate(NOT_DIGITS))   # a sign, a "_", a letter: int() takes some
-    del text
-    try:
-        for line in [] if bad else lines:
-            row = line.split()
-            if row:
-                ids.extend(map(int, row))
-                lengths.append(len(row))
-    except OverflowError:
-        bad = True
-    for lineno, line in enumerate(lines if bad else [], start=1):   # the first bad token's error
-        for tok in line.split():
-            if not tok.isdigit():
-                raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}")
-            if int(tok) >= 1 << 63:
-                raise DatasetError(f"{path}:{lineno}: item id {int(tok)} is 2**63 or above")
-    if not lengths:
+    data = text.encode("ascii")
+    classes = data.translate(BYTE_CLASSES)
+    bad = b"x" in classes   # a sign, a "_", a letter
+    count = classes.count(b" 1") + classes.startswith(b"1")
+    del classes, text   # `classes` first, both before `ids`: after a large free, glibc
+    # serves blocks up to the freed one's size from its heap, which keeps their pages
+    ids = np.zeros(count, np.uint64)
+    ends = None if bad else _parse(data, ids)
+    if ends is None:
+        for lineno, line in enumerate(data.decode("ascii").split("\n"), start=1):
+            for tok in line.split():   # the first bad token's error
+                if not tok.isdigit():
+                    raise DatasetError(f"{path}:{lineno}: non-integer token {tok!r}")
+                if int(tok) >= 1 << 63:
+                    raise DatasetError(f"{path}:{lineno}: item id {int(tok)} is 2**63 or above")
+    del data   # before the sort: the parsed ids and their sorted copy are the peak
+    ids, ends = ids.view(np.int64), ends[np.diff(ends, prepend=0) > 0]   # lines with a token
+    if not len(ends):
         raise DatasetError("empty database")
-
-    del lines
-    n, ids, ends = len(lengths), np.frombuffer(ids, dtype=np.int64), np.cumsum(lengths)
-    items = np.sort(ids)   # the distinct ids, ascending (np.unique would import numpy.ma)
-    items = items[np.r_[True, items[1:] != items[:-1]]]
-    words = (n + 63) // 64
+    n, items = len(ends), np.sort(ids)   # the distinct ids, ascending (np.unique would
+    keep = np.ones(len(items), dtype=bool)   # import numpy.ma)
+    np.not_equal(items[1:], items[:-1], out=keep[1:])
+    items, words = items[keep], (n + 63) // 64
+    del keep
     packed = np.zeros((len(items), words), dtype="<u8")
     for s in range(0, len(ids), LOAD_CHUNK_TOKENS):   # OR bit j of transaction j's tokens
         chunk = ids[s:s + LOAD_CHUNK_TOKENS]

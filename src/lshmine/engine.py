@@ -266,7 +266,8 @@ def _screen_level(variant, current, ctx, params, seed, sweep, tag, timings):
         unread = support[u] < 0
         new, at = np.unique(u[unread], return_index=True)
         read = sel[unread][at]
-        support[new] = pair_cosupport(current.packed, *sweep.members(read)[:2])
+        if len(read):   # nothing unread: no pair to look up
+            support[new] = pair_cosupport(current.packed, *sweep.members(read)[:2])
         verified.reshape(-1)[sel] = True
         verify_s += time.perf_counter() - t
         return support[u]

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,29 @@ def test_load_missing_file(tmp_path):
 def test_load_duplicate_items_in_line(tmp_path):
     db = load_transactions(write_file(tmp_path, "2 2 2\n2\n"))
     assert column(db, 2).popcount() == 2
+
+
+def test_load_memory_is_bounded(tmp_path):
+    # n = 2,000 transactions, 400 items in 600-604 rows each: a 0.9 MB file
+    # of 241k tokens.  The loader peaked at 4.47 MB here when it parsed line
+    # by line; a step that held an int64 for each of the file's bytes would
+    # add 7.2 MB.
+    rng = np.random.default_rng(0)
+    hits = np.zeros((2000, 400), dtype=bool)
+    for item in range(400):
+        hits[rng.choice(2000, size=600 + int(rng.integers(0, 5)), replace=False), item] = True
+    path = write_file(tmp_path, "".join(" ".join(map(str, np.flatnonzero(row).tolist())) + "\n"
+                                        for row in hits))
+    load_transactions(path)   # imports and first-call caches are not the loader's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = load_transactions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (db.n, len(db.items)) == (2000, 400)
+    assert peak <= 4.48e6, f"loader peak {peak / 1e6:.2f} MB"
 
 
 def test_co_support_examples():

@@ -1204,16 +1204,24 @@ ODD_TOKENS = ["x", "-3", "-0", "+5", "1_0", "007", "1.5", "0x10", str(2**63 - 1)
               "99999999999999999999999"]
 
 
+# what str.split() splits on: tab, line feed, vertical tab, form feed,
+# carriage return, bytes 28-31 and space
+ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
 @st.composite
 def fimi_texts(draw):
     """A FIMI text over a few ids, small or sparse and large, n in 1..70
     transactions (63, 64 and 65 drawn often), ids repeated within a line,
-    blank and whitespace-only lines, any runs of spaces and tabs, and now
-    and then one odd token."""
+    blank and whitespace-only lines, any runs of spaces and tabs (now and
+    then of any ASCII whitespace), lines ended by "\n" (or by "\r\n" or
+    "\r"), and now and then one odd token."""
     n = draw(st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 70)))
     pool = draw(st.lists(st.one_of(st.integers(0, 70), st.integers(0, 2**63 - 1)),
                          min_size=1, max_size=10))
-    space, gap = st.text(" \t", max_size=2), st.text(" \t", min_size=1, max_size=3)
+    blanks = draw(st.sampled_from([" \t", " \t", ASCII_WHITESPACE]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    space, gap = st.text(blanks, max_size=2), st.text(blanks, min_size=1, max_size=3)
     lines = []
     for _ in range(n):
         lines += draw(st.lists(space, max_size=2))   # blank lines, skipped
@@ -1222,7 +1230,7 @@ def fimi_texts(draw):
     if draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] += " " + draw(st.sampled_from(ODD_TOKENS))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 @SETTINGS
@@ -1238,9 +1246,17 @@ def fimi_texts(draw):
 @example("5 -0 +6 1_0\n", 1)                      # int() reads all four, a loader one
 @example(f"1 {2**63 - 1}\n{2**63}\n", 1)
 @example("1 2\n3 \xe9\n", 1)                    # not ASCII
+@example("1 2\r\n3 4\r\n", 1)                    # CRLF and lone CR line ends
+@example("1 2\r3 4\n", 3)
+@example("1\x0b2\x0c3\n4\x1c5\n", 1)               # whitespace other than space and tab
+@example(f"{7:022d} 3\n{0:022d}\n", 1)           # zero-padded past 19 digits
+@example(f"{2**63 - 1} 1\n", 1)
+@example("9" * 20 + "\n", 1)
+@example(" ".join(map(str, range(20000))) + "\n5\n", dataset.LOAD_CHUNK_TOKENS)   # one long line
+@example("7\n" * 70000, dataset.LOAD_CHUNK_TOKENS)
 def test_loader_matches_reference(text, chunk):
     # the packed loader gives the per-item reference's n, m, ids and vectors,
-    # or raises its error message, at any scatter chunk size
+    # or raises its error message, at any parse block and scatter chunk size
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "db.dat"
         path.write_bytes(text.encode("latin-1"))
