@@ -225,7 +225,9 @@ def load_transactions(path) -> TransactionDatabase:
     packed = np.zeros((len(items), words), dtype="<u8")
     for s in range(0, len(ids), LOAD_CHUNK_TOKENS):   # OR bit j of transaction j's tokens
         chunk = ids[s:s + LOAD_CHUNK_TOKENS]
-        j = np.searchsorted(ends, np.arange(s, s + len(chunk)), side="right")
+        e = s + len(chunk)   # the lines lo..hi overlap the chunk, their token counts clipped to it
+        lo, hi = np.searchsorted(ends, [s, e - 1], side="right").tolist()
+        j = np.repeat(np.arange(lo, hi + 1), np.diff(np.minimum(ends[lo:hi + 1], e), prepend=s))
         np.bitwise_or.at(packed.reshape(-1), np.searchsorted(items, chunk) * words + (j >> 6),
                          np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
     return TransactionDatabase(n=n, m=int(items[-1]) + 1, items=items, packed=packed)

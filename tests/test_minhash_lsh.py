@@ -292,6 +292,75 @@ def test_bench_levels_probe_candidates_or_gather(bench_workload, monkeypatch):
     assert [cuts["dense-deep", size] for size in range(3, 9)] == [0] * 6
 
 
+def test_bench_levels_take_classes_or_gather(bench_workload, monkeypatch):
+    # dense-deep's cut-0 levels 2-7 group their 800 transactions into 207
+    # down to 5 classes that list 11-85x fewer positions than the records
+    # do; level 8 (4 records, 340 own positions) keeps the per-position
+    # gather, and level 1 probes candidates
+    sizes, classed = [], set()
+    build, minima = minhash_lsh.build_sketch, minhash_lsh.class_minima
+
+    def spy_build(level, params, ctx, seed):
+        sizes.append(level.items.shape[1])
+        return build(level, params, ctx, seed)
+
+    def spy_minima(own, classes, m):
+        classed.add(sizes[-1])
+        return minima(own, classes, m)
+
+    monkeypatch.setattr(minhash_lsh, "build_sketch", spy_build)
+    monkeypatch.setattr(minhash_lsh, "class_minima", spy_minima)
+    db, theta = bench_workload("dense-deep")
+    lsh_apriori_mine(db, MiningConfig(theta=theta, variant="minhash", epsilon=0.5, delta=0.1))
+    assert sizes == list(range(1, 9))
+    assert sorted(classed) == [2, 3, 4, 5, 6, 7]
+
+
+def test_level_without_repeated_transactions_keeps_the_gather(monkeypatch):
+    # 175 records of 85 random transactions of n = 800, 801 rows: no two
+    # transactions are held by the same records, so finding the classes
+    # stops once every held class is one position
+    n, rng = 800, np.random.default_rng(3)
+    hits = np.zeros((175, 832), dtype=bool)
+    for row in hits:
+        row[rng.choice(n, size=85, replace=False)] = True
+    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+    assert candidate_cut(hits.sum(axis=1), n) == 0
+    assert minhash_lsh.transaction_classes(packed, n) is None
+    own = rng.integers(0, 1 << 32, size=(801, n), dtype=np.uint32)
+    monkeypatch.setattr(minhash_lsh, "class_minima", None)   # not called
+    minhash_lsh.own_minima(packed, own, 0)
+
+
+def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
+    # a dense-deep-shaped cut-0 level: 49 records over n = 800, each holding
+    # one or two of four blocks of 85 transactions and 30 of the other 460,
+    # 875 rows.  The classes' chunked steps peak no higher than the
+    # per-position gather's transposed own block
+    n, rows, rng = 800, 875, np.random.default_rng(6)
+    hits = np.zeros((49, 832), dtype=bool)
+    for i, row in enumerate(hits):
+        for block in {i % 4, i % 3}:
+            row[85 * block:85 * (block + 1)] = True
+        row[340 + rng.choice(460, size=30, replace=False)] = True
+    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+    supports = hits.sum(axis=1)
+    assert candidate_cut(supports, n) == 0
+    classes = minhash_lsh.transaction_classes(packed, n)
+    assert n + len(classes.members) < supports.sum()
+    own = rng.integers(0, 1 << 32, size=(rows, n + 100), dtype=np.uint32)[:, :n]
+    peaks = []
+    for find in (minhash_lsh.transaction_classes, lambda packed, n: None):
+        monkeypatch.setattr(minhash_lsh, "transaction_classes", find)
+        tracemalloc.start()
+        try:
+            minhash_lsh.own_minima(packed, own, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
 def test_candidate_sketch_transposes_no_own_block():
     # a wide-shaped level: 40 records of weight 1500 of n = 5000, 281 rows.
     # Probing candidates, the build holds the hash values and less than

@@ -43,7 +43,9 @@ from lshmine.minhash_lsh import (
     MinhashParams,
     build_sketch,
     candidate_cut,
+    class_minima,
     own_minima,
+    transaction_classes,
 )
 from lshmine.minhash_lsh import query as minhash_query
 from lshmine.transform import (
@@ -491,6 +493,15 @@ def hashed_level(n, values, hashes):
     return Level.of([record((i,), BitVector(n, v)) for i, v in enumerate(values)]), hashes[:, :n]
 
 
+def tied_hashes(rng, rows, n, ties):
+    """A block of hash values over n + 3 positions, a `ties` share of them
+    2^32-1 and about 5% of them 0."""
+    hashes = rng.integers(0, 1 << 32, size=(rows, n + 3), dtype=np.uint32)
+    hashes[rng.random(hashes.shape) < ties] = TOP
+    hashes[rng.random(hashes.shape) < 0.05] = 0
+    return hashes
+
+
 @st.composite
 def hashed_levels(draw):
     """Records over n in 1..130 transactions (empty ones included) and a
@@ -499,10 +510,14 @@ def hashed_levels(draw):
     n = draw(st.integers(1, 130))
     values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    hashes = rng.integers(0, 1 << 32, size=(draw(st.integers(1, 6)), n + 3), dtype=np.uint32)
-    hashes[rng.random(hashes.shape) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = TOP
-    hashes[rng.random(hashes.shape) < 0.05] = 0
-    return hashed_level(n, values, hashes)
+    ties = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    return hashed_level(n, values, tied_hashes(rng, draw(st.integers(1, 6)), n, ties))
+
+
+def own_reference(level, own):
+    """Each record's least value of every row of `own` over its own positions."""
+    return np.array([own[:, np.flatnonzero(r.vector.to_uint8())].min(axis=1, initial=TOP)
+                     for r in level], dtype=np.uint32).reshape(len(level), own.shape[0])
 
 
 @SETTINGS
@@ -515,13 +530,76 @@ def test_own_minima_are_minima_over_own_positions(level, one_per_chunk):
     # the ties at 2^32-1 a candidate), and one record per chunk or all at once
     level, own = level
     lightest = max(1, int(level.supports.min()))
-    expected = np.array([own[:, np.flatnonzero(r.vector.to_uint8())].min(axis=1, initial=TOP)
-                         for r in level], dtype=np.uint32)
+    expected = own_reference(level, own)
     chunk = 1 if one_per_chunk else exact.PAIR_CHUNK_WORDS
     with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
         for cut in (0, 1, candidate_cut(level.supports, level.n),
                     min(TOP, CUT_FACTOR * 2**32 // lightest), TOP):
             assert np.array_equal(own_minima(level.packed, own, cut), expected), cut
+
+
+def column_level(columns, which, rows=3, ties=0.5, seed=0):
+    """Records whose transaction j holds the column columns[which[j]] (one
+    0/1 string per column, a character per record), and a tied hash block."""
+    bits = np.array([[c == "1" for c in columns[k]] for k in which], dtype=np.uint8).T
+    values = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+              for row in bits]
+    rng = np.random.default_rng(seed)
+    return hashed_level(len(which), values, tied_hashes(rng, rows, len(which), ties))
+
+
+@st.composite
+def repeated_levels(draw):
+    """Records over n in 1..130 transactions whose columns are drawn from
+    1..6 patterns of 1..70 records, so they repeat, and a hash block as
+    `hashed_levels` draws it."""
+    n, m = draw(st.integers(1, 130)), draw(st.integers(1, 70))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    columns = ["".join("1" if hit else "0" for hit in rng.random(m) < density)
+               for _ in range(draw(st.integers(1, 6)))]
+    return column_level(columns, rng.integers(0, len(columns), n).tolist(),
+                        draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.5, 0.95])), seed)
+
+
+def thirds(m):
+    """Three columns of m records, each record in one of them."""
+    return ["".join("1" if i % 3 == k else "0" for i in range(m)) for k in range(3)]
+
+
+@SETTINGS
+@given(repeated_levels(), st.booleans())
+@example(column_level(["101"], [0] * 20), False)                    # one class of every position
+@example(column_level(["10", "01", "11"], [0, 1, 2]), False)        # every column distinct
+@example(column_level(["1100", "0110"], [0, 1, 0, 1, 0, 0]), True)  # an empty record
+@example(column_level(thirds(63), [0, 1, 2] * 3), False)           # m = 63, 64, 65: keys of
+@example(column_level(thirds(64), [0, 1, 2] * 3), False)           # one word, then two
+@example(column_level(thirds(65), [2, 1, 0] * 3), True)
+@example(column_level(["110", "011", "000"], [0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 0, 2, 2]), False)
+@example(column_level(["1011", "0110"], [1, 0, 1, 1, 0, 1, 0, 0], rows=1), True)
+def test_class_minima_equal_the_per_position_gather(level, one_per_chunk):
+    # the classes are the held positions' distinct columns, or None where
+    # no two of them are equal; each record's least over its classes'
+    # minima is its least over its own positions, as is what own_minima
+    # returns at cut 0 whichever way it goes, one row, record or group
+    # per chunk or all at once (n = 13 and rows = 1 in the last examples)
+    level, own = level
+    expected = own_reference(level, own)
+    columns = {}
+    for j, column in enumerate(map(tuple, np.array([r.vector.to_uint8() for r in level]).T)):
+        if any(column):
+            columns.setdefault(column, []).append(j)
+    classes = transaction_classes(level.packed, level.n)
+    chunk = 1 if one_per_chunk else exact.PAIR_CHUNK_WORDS
+    with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
+        if len(columns) == sum(map(len, columns.values())):
+            assert classes is None
+        else:
+            assert sorted(classes.sizes.tolist()) == sorted(map(len, columns.values()))
+            assert sorted(classes.positions.tolist()) == sorted(sum(columns.values(), []))
+            assert np.array_equal(class_minima(own, classes, len(level)), expected)
+        assert np.array_equal(own_minima(level.packed, own, 0), expected)
 
 
 @SETTINGS
