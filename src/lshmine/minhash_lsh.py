@@ -1,66 +1,54 @@
 """Asymmetric MinHash over padded vectors.
 
 A sketch of `rows` minwise values per itemset estimates the padded Jaccard
-similarity; partners whose estimate clears the accept threshold go into
-FI_q.  One query screens the whole level: for every compatible ordered
-pair (q, a) of the join, it counts the sketch rows on which P(a) and Q(q)
-agree, and approves the pair iff that count reaches rows *
-accept_threshold.  It counts a join group at a time, since every two
-records of a group form a pair: a large group compares its records' rows
-by broadcast, a block of query records at a time, and the pairs of the
-small groups (`PairSweep.group_pairs`) gather their two rows each, a
-chunk of pairs at a time.  The database itself is never read at query
-time; the mining engine verifies each distinct union of the approved
-pairs exactly.
+similarity.  One query screens the whole level: for every compatible
+ordered pair (q, a) of the join it counts the sketch rows on which P(a) and
+Q(q) agree, and approves the pair iff that count reaches rows *
+accept_threshold.  It counts a join group at a time: a large group
+compares its records' rows by broadcast, and the small groups' pairs
+(`PairSweep.group_pairs`) gather their two rows each.  The database is
+never read at query time; the engine verifies the approved pairs' unions.
 
 Each sketch row gives every padded position an independent uniform 32-bit
-hash value; a vector's minwise value on that row is the least value over
-its one positions.  Min-wise hashing needs only that each row's argmin be
-uniform over the set (Broder, Charikar, Frieze & Mitzenmacher, JCSS 2000),
-which independent values give up to ties.  Two positions tie with
-probability 2^-32, so a row's minima of P(a) and Q(q) agree at different
-positions with probability at most about |P(a) u Q(q)| / 2^32 (under
-5e-5 even at n = 100k), far inside eps_mh.  The values are the level
-generator's raw 64-bit words, each split into its low then its high 32
-bits: numpy fixes bit generators' raw streams, not the output of its
-`Generator` methods.
+hash value, and a vector's minwise value on it is the least over its one
+positions.  Min-wise hashing needs only that each row's argmin be uniform
+(Broder, Charikar, Frieze & Mitzenmacher, JCSS 2000), which independent
+values give up to ties: two positions tie with probability 2^-32, far
+inside eps_mh even at n = 100k.  The values are the level generator's raw
+64-bit words, each split into its low then its high 32 bits: numpy fixes
+bit generators' raw streams, not its `Generator` methods' output.
 
-The sketch is built in one pass.  P(v) and Q(v) share v's own |v|
-positions, and their padding is a run of alpha-|v| ones from n and
-n+alpha (`transform.padding_runs`).  So on each row h
+The sketch is built a chunk of rows at a time (`_hash_rows`): a build holds
+the sketch, what depends on the level alone and the chunk it reads (with
+the next while it is drawn), never the rows x (n + 2 alpha) matrix.  P(v)
+and Q(v) share v's own positions, and their padding is a run of alpha-|v|
+ones from n and n+alpha (`transform.padding_runs`).  So on each row h
 
     base(v) = min of h over v's own positions
     P(v)    = min(base(v), min(h[n : n+alpha-|v|]))
     Q(v)    = min(base(v), min(h[n+alpha : n+2*alpha-|v|]))
 
-with both padding minima dropped when |v| == alpha.  base(v) is shared by
-both roles and found among each row's candidates, the own positions whose
-value is below the level's cut tau = CUT_FACTOR * 2^32 / s_min (s_min the
-lightest record's weight): a row's minimum over a record of weight s lies
-among them unless all s values lie above, which has probability about
-e^(-CUT_FACTOR * s / s_min).  This is the threshold view of bottom-k
-sketches (Cohen & Kaplan, PODC 2007).  The candidates are read off the
-row-major hash block with one compare, and a chunk of records probes them
-at once (`own_minima`).  The (record, row) cells that no candidate falls
-in take the minimum of the record's gathered own positions on those rows;
-at cut 0, chosen where probing would cost more than gathering
-(`candidate_cut`), that is every cell.  A cut-0 level first groups its
-transactions into classes, the positions whose columns of the level's bit
-matrix are equal (`transaction_classes`), as Apriori implementations merge
-identical transactions (Borgelt, FIMI 2003).  A record holds all of a
-class or none of it, so its minimum over its own positions is the least of
-its classes' minima, which one pass over the own block finds
-(`class_minima`); only where the classes would list about as many
-positions as the records do does every cell gather.  Each role's run
-minima are the minima of its run's segments between the level's distinct
-run lengths, then their running minimum.  P and Q are stored one row per
-record.
+with both padding minima dropped when |v| == alpha.  base(v) is found among
+each row's candidates, the own positions below the level's cut tau =
+CUT_FACTOR * 2^32 / s_min (s_min the lightest weight): a record of weight s
+has none on a row with probability about e^(-CUT_FACTOR * s / s_min), the
+threshold view of bottom-k sketches (Cohen & Kaplan, PODC 2007).  Cells
+with none gather the record's own positions; at cut 0, where probing
+would cost more (`candidate_cut`), every cell does.  A cut-0 level first
+groups its transactions into classes, the positions whose columns of the
+level's bit matrix are equal (`transaction_classes`), as Apriori
+implementations merge identical transactions (Borgelt, FIMI 2003): a
+record's minimum is then the least of its classes' minima
+(`class_minima`).  Each role's run minima are the minima of its run's
+segments between the level's distinct run lengths, then their running
+minimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -99,6 +87,12 @@ PROBE_COST = 4
 # 17.7 -> 4.8 ms, median of 15) and gathers `wide`'s 40 and `dense-deep`'s
 # at most 11, as before.
 BROADCAST_GROUP = 64
+# The hash values a chunk of sketch rows holds (4 MiB; `_hash_rows`), the build's
+# largest block: malloc trims its heap past twice the largest block freed.  In
+# processes of 30 MinHash mines per bench workload (seed 1, 2-vCPU host), 2^18
+# and 2^19 cost `dense-deep` 2,000-2,200 page faults a mine; 2^20 costs none, and
+# its mines are within 3% of the whole matrix's (medians of 16 alternating).
+SKETCH_CHUNK_VALUES = 1 << 20
 # The odd factor of the column digests that sort a cut-0 level's
 # transactions into classes (`transaction_classes`): 2^64 / the golden ratio
 DIGEST_FACTOR = np.uint64(0x9E3779B97F4A7C15)
@@ -142,43 +136,58 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
 
 @dataclass
 class MinhashSketch:
-    # (rows, padded_length) uint32: the per-row hash values of the padded
-    # positions.  It keeps the name it had when it held permutations, since
-    # the benchmark's probe reads `perms.nbytes`.
-    perms: np.ndarray
     records: np.ndarray        # (m_l, rows) minwise values of the P-padded records
     query_records: np.ndarray  # (m_l, rows) minwise values of the Q-padded records
+    seed: object               # the level's seed and padded length, which `perms` redraws from
+    padded_length: int
 
     columns = property(lambda self: self.records.T)               # (rows, m_l)
     query_columns = property(lambda self: self.query_records.T)   # (rows, m_l)
+    # (rows, padded_length) uint32 hash values, redrawn on access for inspection only
+    perms = property(lambda self: np.concatenate(
+        [h for _, h in _hash_rows(self.seed, self.records.shape[1], self.padded_length)]))
 
 
 def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -> MinhashSketch:
-    """Draw `rows` rows of seeded 32-bit hash values of the padded universe
-    and record the minwise value of every P-padded and Q-padded record on
-    each: the generator's first ceil(rows * padded_length / 2) raw words,
-    split into 32-bit values as the module docstring says, row by row."""
+    """The minwise value of every P-padded and Q-padded record on `rows`
+    rows of seeded hash values, drawn a chunk of rows at a time."""
     n, length = ctx.n, ctx.padded_length
     if length > np.iinfo(np.int32).max:
         raise ValueError(f"padded length {length} does not fit int32")
     if len(level) and level.n != n:
         raise ValueError(f"vector length {level.n} != level n {n}")
     lengths, run, starts = padding_runs(level.supports, ctx)
-    rows = params.rows
-    words = np.random.default_rng(seed).bit_generator.random_raw((rows * length + 1) // 2)
-    hashes = words.astype("<u8", copy=False).view("<u4")[:rows * length].reshape(rows, length)
-    base = own_minima(level.packed, hashes[:, :n], candidate_cut(level.supports, n))
+    least_own = own_minima(level.packed, n, candidate_cut(level.supports, n))
     padded = lengths > 0
     ends = lengths[padded]
-    records = []
-    for start in starts:   # each run's minimum: its segments' minima, then their running minimum
-        run_min = np.full((len(lengths), rows), TOP, dtype=np.uint32)
-        if len(ends):
-            segments = np.minimum.reduceat(hashes[:, start:start + ends[-1]], np.r_[0, ends[:-1]],
-                                           axis=1)
-            run_min[padded] = np.minimum.accumulate(segments, axis=1).T
-        records.append(np.minimum(base, run_min[run]))
-    return MinhashSketch(perms=hashes, records=records[0], query_records=records[1])
+    heads = np.r_[0, ends[:-1]]   # each segment's first run position
+    sketch = np.empty((2, len(run), params.rows), dtype=np.uint32)
+    for s, hashes in _hash_rows(seed, params.rows, length):
+        base = least_own(hashes[:, :n])
+        for out, start in zip(sketch, starts):   # a run's minimum: its segments' running minimum
+            run_min = np.full((len(lengths), len(hashes)), TOP, dtype=np.uint32)
+            if len(ends):
+                segments = np.minimum.reduceat(hashes[:, start:start + ends[-1]], heads, axis=1)
+                run_min[padded] = np.minimum.accumulate(segments, axis=1).T
+            np.minimum(base, run_min[run], out=out[:, s:s + len(hashes)])
+        del hashes   # one chunk at a time (`_hash_rows`)
+    return MinhashSketch(sketch[0], sketch[1], seed, length)
+
+
+def _hash_rows(seed, rows: int, length: int):
+    """(first row, (chunk rows, length) uint32) per SKETCH_CHUNK_VALUES values'
+    worth of rows: the seed's raw words split into their low then high 32
+    bits, row by row, a word cut by a chunk boundary carried over."""
+    bits = np.random.default_rng(seed).bit_generator
+    step = max(1, SKETCH_CHUNK_VALUES // length)
+    carry = np.empty(0, dtype=np.uint32)
+    for s in range(0, rows, step):
+        count = min(step, rows - s) * length
+        drawn = bits.random_raw((count - len(carry) + 1) // 2).astype("<u8", copy=False).view("<u4")
+        values = np.concatenate((carry, drawn)) if len(carry) else drawn
+        carry = values[count:].copy()
+        yield s, values[:count].reshape(-1, length)
+        del values, drawn   # before the next draw, as the caller drops its view
 
 
 def candidate_cut(supports: np.ndarray, n: int) -> int:
@@ -195,17 +204,12 @@ def candidate_cut(supports: np.ndarray, n: int) -> int:
     return CUT_FACTOR * 2**32 // lightest
 
 
-def own_minima(packed: np.ndarray, own: np.ndarray, cut: int) -> np.ndarray:
-    """(len(packed), rows) uint32: the least value of each row of `own`
-    (rows, n) over each packed record's own positions, 2^32-1 for an empty
-    record.  A cell takes its record's least candidate, a position whose
-    value is below `cut`, found for a chunk of records at once; a cell with
-    none takes the minimum of the record's gathered own positions, on the
-    rows where some cell had none (every row at cut 0).  At cut 0, where
-    the level's transactions fall into classes that list fewer positions
-    than the records do, every cell takes the least of its record's
-    classes' minima instead (`class_minima`)."""
-    rows, n = own.shape
+def own_minima(packed: np.ndarray, n: int, cut: int):
+    """The map from a (rows, n) block `own` of hash values to the (m_l, rows)
+    uint32 least value of each row over each record's own positions (2^32-1
+    if empty), what depends on the level alone found once.  A cell takes its
+    record's least candidate (below `cut`), else the least of its gathered
+    own positions, or at cut 0 of its classes' minima where they list fewer."""
     if not cut:
         weight = int(np.bitwise_count(packed).sum())   # sum of |v|
         classes = transaction_classes(packed, n) if weight > n else None
@@ -219,27 +223,31 @@ def own_minima(packed: np.ndarray, own: np.ndarray, cut: int) -> np.ndarray:
         # sends levels 2-7 to the classes, 11-85x fewer rows, and keeps
         # level 8's 4 records of 85 transactions on the gather.
         if classes is not None and n + len(classes.members) < weight:
-            return class_minima(own, classes, len(packed))
-    base = np.full((len(packed), rows), TOP, dtype=np.uint32)
-    row, pos = np.divmod(np.flatnonzero(own < cut), n) if cut else ((), ())
-    if len(pos):
-        inverse = ~own[row, pos]   # the least candidate in a record is its most inverse
-        counts = np.bincount(row, minlength=rows)
-        probed = np.flatnonzero(counts)
-        at = (np.cumsum(counts) - counts)[probed]
-        step = exact.chunk_rows(max(8 * packed.shape[1], len(pos) // 2))   # unpacked, or probes
-        for s in range(0, len(packed), step):
-            bits = np.unpackbits(packed[s:s + step].view(np.uint8), axis=1, bitorder="little")
-            found = np.multiply(bits.take(pos, axis=1), inverse, dtype=np.uint32)   # 0: absent
-            base[s:s + step, probed] = ~np.maximum.reduceat(found, at, axis=1)
-    missed = base == TOP
-    lost = np.flatnonzero(missed.any(axis=0))
-    if len(lost):
-        block = np.ascontiguousarray((own if len(lost) == rows else own[lost]).T)
-        for i in np.flatnonzero(missed.any(axis=1)):
-            ones = np.flatnonzero(np.unpackbits(packed[i].view(np.uint8), bitorder="little"))
-            base[i, lost] = block[ones].min(axis=0, initial=TOP)   # empty v: padding decides
-    return base
+            return lambda own: class_minima(own, classes, len(packed))
+    ones = cache(lambda i: np.flatnonzero(np.unpackbits(packed[i].view(np.uint8),
+                                                        bitorder="little")))
+    def minima(own):
+        rows = len(own)
+        base = np.full((len(packed), rows), TOP, dtype=np.uint32)
+        row, pos = np.divmod(np.flatnonzero(own < cut), n) if cut else ((), ())
+        if len(pos):
+            inverse = ~own[row, pos]   # the least candidate in a record is its most inverse
+            counts = np.bincount(row, minlength=rows)
+            probed = np.flatnonzero(counts)
+            at = (np.cumsum(counts) - counts)[probed]
+            step = exact.chunk_rows(max(8 * packed.shape[1], len(pos) // 2))   # unpacked, or probes
+            for s in range(0, len(packed), step):
+                bits = np.unpackbits(packed[s:s + step].view(np.uint8), axis=1, bitorder="little")
+                found = np.multiply(bits.take(pos, axis=1), inverse, dtype=np.uint32)   # 0: absent
+                base[s:s + step, probed] = ~np.maximum.reduceat(found, at, axis=1)
+        missed = base == TOP
+        lost = np.flatnonzero(missed.any(axis=0))
+        if len(lost):
+            block = np.ascontiguousarray((own if len(lost) == rows else own[lost]).T)
+            for i in np.flatnonzero(missed.any(axis=1)).tolist():
+                base[i, lost] = block[ones(i)].min(axis=0, initial=TOP)   # empty v: padding decides
+        return base
+    return minima
 
 
 @dataclass(frozen=True)
@@ -254,6 +262,10 @@ class TransactionClasses:
     records: np.ndarray     # the nonempty records, most classes first
     counts: np.ndarray      # each of those records' class count |classes(v)|
     members: np.ndarray     # their classes, record by record, ascending
+
+    @cached_property
+    def folds(self):   # `_least_rows`' folds of the classes' positions, then the records' classes
+        return _folds(self.positions, self.sizes), _folds(self.members, self.counts)
 
 
 def transaction_classes(packed: np.ndarray, n: int) -> TransactionClasses | None:
@@ -308,21 +320,15 @@ def _column_keys(packed: np.ndarray, n: int) -> np.ndarray:
 def class_minima(own: np.ndarray, classes: TransactionClasses, m: int) -> np.ndarray:
     """(m, rows) uint32, as `own_minima`: each class's minimum on every row,
     from a transposed chunk of the own block's rows at a time, then each
-    record's least over its classes' minima, a chunk of records at a
-    time."""
+    record's least over its classes' minima."""
     rows, n = own.shape
     minima = np.empty((len(classes.sizes), rows), dtype=np.uint32)
-    folds = _folds(classes.positions, classes.sizes)
+    folds, record_folds = classes.folds
     step = exact.chunk_rows(n // 2)
     for s in range(0, rows, step):
         minima[:, s:s + step] = _least_rows(np.ascontiguousarray(own[s:s + step].T), folds)
     base = np.full((m, rows), TOP, dtype=np.uint32)
-    ends = np.cumsum(classes.counts)
-    step = exact.chunk_rows(rows // 2)
-    for s in range(0, len(classes.records), step):
-        counts = classes.counts[s:s + step]
-        members = classes.members[ends[s] - counts[0]:ends[s + len(counts) - 1]]
-        base[classes.records[s:s + step]] = _least_rows(minima, _folds(members, counts))
+    base[classes.records] = _least_rows(minima, record_folds)
     return base
 
 
@@ -372,20 +378,14 @@ def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
 @dataclass
 class MinhashQueryResult:
     """Per ordered pair of the level, the sketch rows on which P(a) and Q(q)
-    agree, and the pairs (indices into the level's ordered pairs) approved
-    by that count, ascending; `rejected`, the others, is listed on access."""
+    agree, and the pairs that count approves, ascending (the others on access)."""
 
     matches: np.ndarray
     need: float            # rows * accept_threshold, less float noise
     approved: np.ndarray   # matches >= need
 
-    @property
-    def rejected(self) -> np.ndarray:
-        return np.flatnonzero(self.matches < self.need)
-
-    @property
-    def partners(self) -> np.ndarray:   # FI_q of every query, as pairs
-        return self.approved
+    rejected = property(lambda self: np.flatnonzero(self.matches < self.need))
+    partners = property(lambda self: self.approved)   # FI_q of every query, as pairs
 
 
 def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:

@@ -340,3 +340,34 @@ def test_one_shot_mines_leave_numpy_ma_unimported(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_minhash_at_small_epsilon_mines_in_bounded_memory(capsys, tmp_path):
+    # a wide-shaped database at epsilon 0.05 takes a sketch of about 19,000
+    # rows over 8,000 padded positions: a 591 MiB hash matrix if it were
+    # drawn whole, where the sketch itself is 6 MB.  Under an address-space
+    # limit of the child's baseline plus 300 MB the mine finishes, and its
+    # report is the one an unlimited run gives
+    dest = tmp_path / "wide.dat"
+    run(capsys, "gen", "--output", str(dest), "--n", "5000", "--m", "40", "--density", "0.3",
+        "--seed", "1")
+    argv = ["mine", "--input", str(dest), "--theta", "0.12", "--variant", "minhash",
+            "--epsilon", "0.05", "--delta", "0.1"]
+    script = """if True:
+        import resource, sys
+        from lshmine import cli
+        with open("/proc/self/status") as status:
+            size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+        limit = size * 1024 + (300 << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and done.stdout == out

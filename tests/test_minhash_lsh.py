@@ -329,7 +329,7 @@ def test_level_without_repeated_transactions_keeps_the_gather(monkeypatch):
     assert minhash_lsh.transaction_classes(packed, n) is None
     own = rng.integers(0, 1 << 32, size=(801, n), dtype=np.uint32)
     monkeypatch.setattr(minhash_lsh, "class_minima", None)   # not called
-    minhash_lsh.own_minima(packed, own, 0)
+    minhash_lsh.own_minima(packed, n, 0)(own)
 
 
 def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
@@ -354,7 +354,7 @@ def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
         monkeypatch.setattr(minhash_lsh, "transaction_classes", find)
         tracemalloc.start()
         try:
-            minhash_lsh.own_minima(packed, own, 0)
+            minhash_lsh.own_minima(packed, n, 0)(own)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -363,8 +363,9 @@ def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
 
 def test_candidate_sketch_transposes_no_own_block():
     # a wide-shaped level: 40 records of weight 1500 of n = 5000, 281 rows.
-    # Probing candidates, the build holds the hash values and less than
-    # their own block again (the gather's transposed copy)
+    # Probing candidates, the build holds the sketch, a chunk of hash values
+    # and less than the chunk's own block again (the gather's transposed
+    # copy)
     n, rows, rng = 5000, 281, np.random.default_rng(8)
     hits = np.zeros((40, 5056), dtype=bool)
     for row in hits:
@@ -380,4 +381,87 @@ def test_candidate_sketch_transposes_no_own_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * rows * 4 + sketch.perms.nbytes
+    chunk = minhash_lsh.SKETCH_CHUNK_VALUES // ctx.padded_length   # rows
+    assert peak < 2 * sketch.records.nbytes + 4 * chunk * (ctx.padded_length + n)
+
+
+def chunk_levels():
+    """Three levels over an odd n, so that the padded length is odd: one
+    that probes candidates (cut > 0), one whose transactions fall into
+    classes, and one that gathers each record's own positions.  Each holds
+    a record with |v| == alpha_count, and the two cut-0 levels an empty one."""
+    rng = np.random.default_rng(30)
+    n = 101
+    probed = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist())
+              for s in (70, 64, 66, 61)]
+    blocks = [range(0, 15), range(15, 30), range(30, 45)]
+    classed = [BitVector.from_indices(n, [j for k, b in enumerate(blocks) if (i >> k) & 1 for j in b])
+               for i in range(8)] * 3
+    gathered = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist()) for s in (5, 0, 3, 4)]
+    return {"probed": probed, "classed": classed, "gathered": gathered}
+
+
+@pytest.mark.parametrize("path", ["probed", "classed", "gathered"])
+@pytest.mark.parametrize("rows,chunk", [(1, 1), (1, 3), (2, 3), (7, 1), (7, 2), (7, 3), (8, 3)])
+def test_sketch_is_the_same_across_chunk_boundaries(monkeypatch, path, rows, chunk):
+    # chunks of 1-3 rows over an odd padded length, so that a raw word's two
+    # halves fall in two chunks, with fewer rows than one chunk and a last
+    # chunk only partly full: the sketch's columns are each record's minima
+    # over its padded positions in the redrawn `perms`, which are the
+    # seed's raw draw whatever the chunk
+    vectors = chunk_levels()[path]
+    weights = [v.popcount() for v in vectors]
+    n = vectors[0].length
+    ctx = LevelContext(n=n, m_l=len(vectors), alpha_count=max(weights), theta_count=1)
+    level = singleton_level(vectors)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+    length = ctx.padded_length
+    assert length % 2 == 1
+    classed = []
+    minima = minhash_lsh.class_minima
+    monkeypatch.setattr(minhash_lsh, "class_minima", lambda own, classes, m: classed.append(len(own))
+                        or minima(own, classes, m))
+    monkeypatch.setattr(minhash_lsh, "SKETCH_CHUNK_VALUES", chunk * length)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=5)
+    assert (candidate_cut(np.array(weights), n) > 0) == (path == "probed")
+    assert classed == ([min(chunk, rows - s) for s in range(0, rows, chunk)] if path == "classed" else [])
+    words = np.random.default_rng(5).bit_generator.random_raw((rows * length + 1) // 2)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+    assert np.array_equal(sketch.perms, halves[:rows * length].reshape(rows, length))
+    for i, r in enumerate(level):
+        for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
+            expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
+            assert np.array_equal(columns[:, i], expected), (i, role)
+
+
+def wide_shaped_level(rows):
+    """A `wide`-shaped level, 40 records of weight 1,500 over n = 5,000, and
+    its context and parameters at `rows` sketch rows."""
+    n, rng = 5000, np.random.default_rng(8)
+    hits = np.zeros((40, 5056), dtype=bool)
+    for row in hits:
+        row[rng.choice(n, size=1500, replace=False)] = True
+    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+    level = Level(np.arange(40).reshape(-1, 1), packed, np.full(40, 1500), n)
+    ctx = LevelContext(n=n, m_l=40, alpha_count=1500, theta_count=600)
+    return level, ctx, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+
+
+@pytest.mark.parametrize("rows", [281, 1124])
+def test_sketch_build_holds_no_hash_matrix(rows):
+    # the build's peak is the sketch it keeps (two uint32 values per record
+    # and row), a chunk of hash values and what it reads off the chunk
+    # (half a chunk at most) and the level's unpacked bits: it does not grow
+    # with rows x padded length (9 MB at 281 rows, 36 MB at 1,124, where the
+    # whole matrix was drawn before it was read)
+    level, ctx, params = wide_shaped_level(rows)
+    assert candidate_cut(level.supports, ctx.n) > 0
+    tracemalloc.start()
+    try:
+        build_sketch(level, params, ctx, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = ctx.padded_length
+    chunk = 4 * length * min(rows, minhash_lsh.SKETCH_CHUNK_VALUES // length)
+    assert peak < 2 * 4 * len(level) * rows + 3 * chunk // 2 + 8 * level.packed.nbytes

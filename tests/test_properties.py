@@ -535,7 +535,7 @@ def test_own_minima_are_minima_over_own_positions(level, one_per_chunk):
     with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
         for cut in (0, 1, candidate_cut(level.supports, level.n),
                     min(TOP, CUT_FACTOR * 2**32 // lightest), TOP):
-            assert np.array_equal(own_minima(level.packed, own, cut), expected), cut
+            assert np.array_equal(own_minima(level.packed, level.n, cut)(own), expected), cut
 
 
 def column_level(columns, which, rows=3, ties=0.5, seed=0):
@@ -599,7 +599,7 @@ def test_class_minima_equal_the_per_position_gather(level, one_per_chunk):
             assert sorted(classes.sizes.tolist()) == sorted(map(len, columns.values()))
             assert sorted(classes.positions.tolist()) == sorted(sum(columns.values(), []))
             assert np.array_equal(class_minima(own, classes, len(level)), expected)
-        assert np.array_equal(own_minima(level.packed, own, 0), expected)
+        assert np.array_equal(own_minima(level.packed, level.n, 0)(own), expected)
 
 
 @SETTINGS
