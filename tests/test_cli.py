@@ -344,9 +344,9 @@ def test_one_shot_mines_leave_numpy_ma_unimported(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_minhash_at_small_epsilon_mines_in_bounded_memory(capsys, tmp_path):
-    # a wide-shaped database at epsilon 0.05 takes a sketch of about 19,000
-    # rows over 8,000 padded positions: a 591 MiB hash matrix if it were
-    # drawn whole, where the sketch itself is 6 MB.  Under an address-space
+    # a wide-shaped database at epsilon 0.05 takes a sketch of about 20,900
+    # rows over 8,000 padded positions: a 638 MiB hash matrix if it were
+    # drawn whole, where the sketch itself is 7 MB.  Under an address-space
     # limit of the child's baseline plus 300 MB the mine finishes, and its
     # report is the one an unlimited run gives
     dest = tmp_path / "wide.dat"

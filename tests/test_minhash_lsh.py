@@ -361,19 +361,25 @@ def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
     assert peaks[0] <= peaks[1], peaks
 
 
-def test_candidate_sketch_transposes_no_own_block():
-    # a wide-shaped level: 40 records of weight 1500 of n = 5000, 281 rows.
-    # Probing candidates, the build holds the sketch, a chunk of hash values
-    # and less than the chunk's own block again (the gather's transposed
-    # copy)
-    n, rows, rng = 5000, 281, np.random.default_rng(8)
+def wide_shaped_level(rows):
+    """A `wide`-shaped level, 40 records of weight 1,500 over n = 5,000, and
+    its context and parameters at `rows` sketch rows."""
+    n, rng = 5000, np.random.default_rng(8)
     hits = np.zeros((40, 5056), dtype=bool)
     for row in hits:
         row[rng.choice(n, size=1500, replace=False)] = True
     packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
     level = Level(np.arange(40).reshape(-1, 1), packed, np.full(40, 1500), n)
     ctx = LevelContext(n=n, m_l=40, alpha_count=1500, theta_count=600)
-    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+    return level, ctx, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+
+
+def test_candidate_sketch_transposes_no_own_block():
+    # a wide-shaped level at 281 rows.  Probing candidates, the build holds
+    # the sketch, a chunk of hash values and less than the chunk's own
+    # block again (the gather's transposed copy)
+    level, ctx, params = wide_shaped_level(281)
+    n = ctx.n
     assert candidate_cut(level.supports, n) > 0
     tracemalloc.start()
     try:
@@ -395,9 +401,10 @@ def chunk_levels():
     probed = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist())
               for s in (70, 64, 66, 61)]
     blocks = [range(0, 15), range(15, 30), range(30, 45)]
-    classed = [BitVector.from_indices(n, [j for k, b in enumerate(blocks) if (i >> k) & 1 for j in b])
+    classed = [BitVector.from_indices(n, [j for k, b in enumerate(blocks) if i >> k & 1 for j in b])
                for i in range(8)] * 3
-    gathered = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist()) for s in (5, 0, 3, 4)]
+    gathered = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist())
+                for s in (5, 0, 3, 4)]
     return {"probed": probed, "classed": classed, "gathered": gathered}
 
 
@@ -417,14 +424,18 @@ def test_sketch_is_the_same_across_chunk_boundaries(monkeypatch, path, rows, chu
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
     length = ctx.padded_length
     assert length % 2 == 1
-    classed = []
-    minima = minhash_lsh.class_minima
-    monkeypatch.setattr(minhash_lsh, "class_minima", lambda own, classes, m: classed.append(len(own))
-                        or minima(own, classes, m))
+    classed, minima = [], minhash_lsh.class_minima   # the rows of each chunk the classes take
+
+    def spy(own, classes, m):
+        classed.append(len(own))
+        return minima(own, classes, m)
+
+    monkeypatch.setattr(minhash_lsh, "class_minima", spy)
     monkeypatch.setattr(minhash_lsh, "SKETCH_CHUNK_VALUES", chunk * length)
     sketch = build_sketch(Level.of(level), params, ctx, seed=5)
     assert (candidate_cut(np.array(weights), n) > 0) == (path == "probed")
-    assert classed == ([min(chunk, rows - s) for s in range(0, rows, chunk)] if path == "classed" else [])
+    chunks = [min(chunk, rows - s) for s in range(0, rows, chunk)]
+    assert classed == (chunks if path == "classed" else [])
     words = np.random.default_rng(5).bit_generator.random_raw((rows * length + 1) // 2)
     halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
     assert np.array_equal(sketch.perms, halves[:rows * length].reshape(rows, length))
@@ -432,19 +443,6 @@ def test_sketch_is_the_same_across_chunk_boundaries(monkeypatch, path, rows, chu
         for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
             expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
             assert np.array_equal(columns[:, i], expected), (i, role)
-
-
-def wide_shaped_level(rows):
-    """A `wide`-shaped level, 40 records of weight 1,500 over n = 5,000, and
-    its context and parameters at `rows` sketch rows."""
-    n, rng = 5000, np.random.default_rng(8)
-    hits = np.zeros((40, 5056), dtype=bool)
-    for row in hits:
-        row[rng.choice(n, size=1500, replace=False)] = True
-    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
-    level = Level(np.arange(40).reshape(-1, 1), packed, np.full(40, 1500), n)
-    ctx = LevelContext(n=n, m_l=40, alpha_count=1500, theta_count=600)
-    return level, ctx, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
 
 
 @pytest.mark.parametrize("rows", [281, 1124])
