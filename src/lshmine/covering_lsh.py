@@ -35,29 +35,11 @@ import numpy as np
 from . import exact
 from .exact import Level, PairSweep
 from .hamming_lsh import MaskIndex, QueryResult
-from .transform import (
-    DegenerateLevel,
-    LevelContext,
-    _ceil,
-    check_tolerances,
-    padding_runs,
-)
+# FamilyTooLarge is re-exported: derive_params raises it over the byte budget
+from .transform import (DegenerateLevel, FamilyTooLarge, LevelContext, _ceil, check_index_bytes,
+                        check_tolerances, padding_runs)
 
-# The most table entries, (2^mask_dim - 1) * m_l, a level's family may
-# hold; the one rule that refuses a family.  Measured for the family, the
-# build and the screen of one level (n = 300 and 2000, 2-vCPU host): at
-# about 2^20 entries they take 0.11-0.35 s and 13-150 MB (400 records at
-# mask_dim 11 to 2 records at mask_dim 19); at 2^21-2^22 entries 0.3-1.1 s
-# and up to 233 MB.  `negatives` holds 204,400.
-MAX_TABLE_ENTRIES = 1 << 20
 FINGERPRINT_SEED = 0   # draws the r_i; a chance collision costs one verification, never an itemset
-
-
-class FamilyTooLarge(Exception):
-    """The family's 2^(t*theta'+1) - 1 tables of m_l entries exceed
-    MAX_TABLE_ENTRIES entries."""
-
-    reason = "family_too_large"
 
 
 @dataclass(frozen=True)
@@ -79,7 +61,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> CoveringPa
     are integers, so this radius captures exactly the pairs at or above the
     threshold.  t floors at 1.  Raises DegenerateLevel when alpha == theta
     (c undefined), and FamilyTooLarge when the 2^mask_dim - 1 tables of
-    m_l entries exceed MAX_TABLE_ENTRIES.
+    m_l entries, 16 B each, exceed `transform.MAX_INDEX_BYTES`.
     """
     check_tolerances(epsilon, delta)
     if ctx.alpha_count == ctx.theta_count:
@@ -95,12 +77,7 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> CoveringPa
     nu = (t + eps_round) / (c * t)
     mask_dim = t * theta_prime + 1
     psi_bound = 2.0 ** (theta_prime * eps_round + 1) * m_l ** (1.0 / c)
-    entries = ((1 << mask_dim) - 1) * m_l
-    if entries > MAX_TABLE_ENTRIES:
-        raise FamilyTooLarge(
-            f"covering family too large: (2^{mask_dim} - 1) x {m_l} = {entries} table entries"
-            f" > cap {MAX_TABLE_ENTRIES}"
-        )
+    check_index_bytes(16 * ((1 << mask_dim) - 1) * m_l, "covering family")
     return CoveringParams(
         n_prime=ctx.padded_length, theta_prime=theta_prime, t=t, c=c,
         eps_round=eps_round, nu=nu, mask_dim=mask_dim, psi_bound=psi_bound,

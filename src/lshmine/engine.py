@@ -64,7 +64,7 @@ from .exact import (
     join_level,
     pair_cosupport,
 )
-from .transform import DegenerateLevel, LevelContext
+from .transform import DegenerateLevel, FamilyTooLarge, LevelContext
 
 VARIANTS = ("exact", "hamming", "minhash", "covering")
 
@@ -136,8 +136,8 @@ def lsh_apriori_mine(db: TransactionDatabase, config: MiningConfig) -> MiningRep
     pairs it proposes is verified once against the database: during the
     query for Hamming and covering, after it for MinHash's sketch-approved
     pairs.
-    Degenerate levels (alpha == theta) and oversized covering families
-    fall back to the exact join for that level.
+    Degenerate levels (alpha == theta) and levels whose index would exceed
+    `transform.MAX_INDEX_BYTES` fall back to the exact join for that level.
     """
     config.validate()
     theta_count = support_threshold(config.theta, db.n)
@@ -216,7 +216,7 @@ def _produce_level(db, config, current, level, theta_count, timings):
                            theta_count=theta_count)
         try:
             params = variant.derive(config, ctx)
-        except (DegenerateLevel, covering_lsh.FamilyTooLarge) as exc:
+        except (DegenerateLevel, FamilyTooLarge) as exc:
             fallback = exc.reason
     lossless = params is not None and variant.lossless
 

@@ -42,13 +42,8 @@ import numpy as np
 
 from . import exact
 from .exact import Level, PairSweep
-from .transform import (
-    DegenerateLevel,
-    LevelContext,
-    _ceil,
-    check_tolerances,
-    padding_runs,
-)
+from .transform import (DegenerateLevel, LevelContext, _ceil, check_index_bytes, check_tolerances,
+                        padding_runs)
 
 # The sorted screen hashes each key, XOR its filing's group times MIX, to
 # the high 32 bits of its product with MIX (Fibonacci hashing), an odd
@@ -79,16 +74,17 @@ class HammingLshParams:
     rho: float
     k: int
     L: int
-    early_exit_budget: int
+    early_exit_budget: int | None   # None: no query exits early
 
 
 def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLshParams:
     """Choose (rho, k, L) for the level.
 
     rho = (a-t)/(a-(1-e)t), k = ceil(log_{(1+2a)/(1+2(1-e)t)} m_l),
-    L = ceil(m_l^rho * ln(1/delta)), early exit budget ceil(L/delta),
-    where a and t are the level's weight and threshold fractions.
-    Raises DegenerateLevel when a == t (rho would be 0 and the gap empty).
+    L = ceil(m_l^rho * ln(1/delta)), early exit budget ceil(L/delta) (none where it overflows),
+    where a and t are the level's weight and threshold fractions.  Raises DegenerateLevel
+    when a == t (rho would be 0 and the gap empty), and FamilyTooLarge when 2 x m_l x L
+    keys of ceil(k/64) words exceed `transform.MAX_INDEX_BYTES`.
     """
     check_tolerances(epsilon, delta)
     if ctx.m_l < 2:
@@ -100,8 +96,10 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> HammingLsh
     low = (1.0 - epsilon) * theta
     rho = (alpha - theta) / (alpha - low)
     k = max(1, _ceil(math.log(ctx.m_l) / math.log((1.0 + 2.0 * alpha) / (1.0 + 2.0 * low))))
-    L = max(1, _ceil(ctx.m_l**rho * math.log(1.0 / delta)))
-    return HammingLshParams(rho=rho, k=k, L=L, early_exit_budget=_ceil(L / delta))
+    L_raw = ctx.m_l**rho * math.log(1.0 / delta)   # inf as delta -> 0
+    check_index_bytes(16 * ctx.m_l * L_raw * ((k + 63) // 64), "Hamming index")
+    L = max(1, _ceil(L_raw))
+    return HammingLshParams(rho, k, L, _ceil(L / delta) if math.isfinite(L / delta) else None)
 
 
 @dataclass

@@ -54,9 +54,8 @@ import numpy as np
 
 from . import exact
 from .exact import Level, PairSweep
-from .transform import LevelContext, _ceil, check_tolerances, padding_runs
+from .transform import LevelContext, _ceil, check_index_bytes, check_tolerances, padding_runs
 
-DEFAULT_ROW_CAP = 2_000_000
 TOP = np.iinfo(np.uint32).max
 # The level's cut is CUT_FACTOR * 2^32 / s_min: a row's CUT_FACTOR * n / s_min
 # candidates on average, and a cell of the lightest record misses them with
@@ -114,8 +113,8 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
     """omega = (1-e)t/(2a-(1-e)t), eps_mh = a*e/(a+(a-t)(1-e)),
     rows = ceil(2/(omega*eps_mh^2) * ln(1/delta)), accept = (1-eps_mh)t/(2a-t).
 
-    alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises when
-    the row count would exceed DEFAULT_ROW_CAP, which happens as epsilon -> 0.
+    alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises FamilyTooLarge
+    when the 2 x m_l x rows 32-bit minima exceed `transform.MAX_INDEX_BYTES`.
     """
     check_tolerances(epsilon, delta)
     alpha, theta = ctx.alpha, ctx.theta
@@ -123,12 +122,8 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
     omega = low / (2.0 * alpha - low)
     eps_mh = alpha * epsilon / (alpha + (alpha - theta) * (1.0 - epsilon))
     scale = omega * eps_mh * eps_mh
-    if scale <= 0.0:
-        raise ValueError("tolerance too small: omega*eps_mh^2 underflowed")
-    rows_raw = (2.0 / scale) * math.log(1.0 / delta)
-    if not rows_raw <= DEFAULT_ROW_CAP:
-        raise ValueError(f"tolerance too small: sketch would need {rows_raw:.3g} rows "
-                         f"(cap {DEFAULT_ROW_CAP})")
+    rows_raw = (2.0 / scale) * math.log(1.0 / delta) if scale > 0.0 else math.inf
+    check_index_bytes(8 * ctx.m_l * rows_raw, "MinHash sketch")
     rows = max(1, _ceil(rows_raw))
     accept = (1.0 - eps_mh) * theta / (2.0 * alpha - theta)
     return MinhashParams(omega=omega, eps_mh=eps_mh, rows=rows, accept_threshold=accept)

@@ -50,6 +50,27 @@ class DegenerateLevel(Exception):
     reason = "degenerate_level"
 
 
+# The most bytes any level's LSH index may keep (`check_index_bytes`): 2^20
+# covering table entries of a 64-bit key per role.  Measured for covering's
+# family, build and screen of one level (n = 300 and 2000, 2-vCPU host): at
+# about 2^20 entries they take 0.11-0.35 s and 13-150 MB (400 records at
+# mask_dim 11 to 2 at mask_dim 19); at 2^21-2^22 entries 0.3-1.1 s and up
+# to 233 MB.  `negatives` holds 204,400.
+MAX_INDEX_BYTES = 16 << 20
+
+
+class FamilyTooLarge(Exception):
+    """A level's index would keep more than MAX_INDEX_BYTES bytes."""
+
+    reason = "family_too_large"
+
+
+def check_index_bytes(nbytes: float, index: str):
+    """Raise FamilyTooLarge if `index`, of `nbytes` bytes (inf too), exceeds the budget."""
+    if not nbytes <= MAX_INDEX_BYTES:
+        raise FamilyTooLarge(f"{index} too large: {nbytes:,.0f} bytes > budget {MAX_INDEX_BYTES:,}")
+
+
 @dataclass(frozen=True)
 class LevelContext:
     """Per-level constants shared by all padding and hashing decisions."""

@@ -279,8 +279,14 @@ def level_pairs(level):
 
 
 def every_pair(sweep):
-    """q, a and y of every ordered pair of the join `sweep`, in pair order."""
-    return sweep.members(np.arange(len(sweep)))
+    """q, a and y of every ordered pair of the join `sweep`, in pair order:
+    read off the sweep once, then kept on it (read-only) for later calls."""
+    memo = vars(sweep)
+    if "every_pair" not in memo:
+        memo["every_pair"] = sweep.members(np.arange(len(sweep)))
+        for v in memo["every_pair"]:
+            v.flags.writeable = False
+    return memo["every_pair"]
 
 
 def pair_verify(level, pairs):

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from lshmine import cli, engine, exact
+from lshmine import LevelStats, accounting_check, cli, engine, exact, hamming_lsh
 from lshmine.cli import main
 from lshmine.dataset import load_transactions
+from lshmine.transform import FamilyTooLarge, LevelContext
 
 TOY = "1 2 3\n1 2\n1 3\n2 3\n"
 
@@ -281,12 +282,31 @@ def test_compare_mines_oracle_once(capsys, monkeypatch, toy_path):
 
 
 def test_mask_dim_cap_flag_is_gone(capsys, toy_path):
-    # MAX_TABLE_ENTRIES alone decides which covering families are too large
+    # the byte budget, transform.MAX_INDEX_BYTES, alone decides which
+    # covering families are too large
     for command in ("mine", "compare", "bench"):
         rc, out, err = run(capsys, command, "--input", toy_path, "--theta", "0.5",
                            "--mask-dim-cap", "24")
         assert rc == 2 and out == ""
         assert "unrecognized arguments: --mask-dim-cap 24" in err
+
+
+def test_hamming_at_vanishing_delta_mines(capsys, tmp_path):
+    # at delta 1e-308 the early-exit budget L / delta overflows: no query
+    # exits early; at 1e-320 ln(1 / delta) does too, and an infinite table
+    # count exceeds the byte budget.  Either way the mine finishes and its
+    # counters hold, where it once exited 4 with an OverflowError
+    dest = tmp_path / "smoke.dat"
+    run(capsys, "gen", "--output", str(dest), "--n", "200", "--m", "12", "--density", "0.4",
+        "--seed", "1")
+    for delta, screened in (("1e-308", True), ("1e-320", False)):
+        rc, out, err = run(capsys, "mine", "--input", str(dest), "--theta", "0.3",
+                           "--variant", "hamming", "--epsilon", "0.5", "--delta", delta)
+        assert rc == 0, err
+        levels = json.loads(out)["levels"]
+        assert all(accounting_check(LevelStats(**row), 200) for row in levels)
+        assert levels[1]["lsh_active"] == screened
+        assert screened or levels[1]["fallback_reason"] == "family_too_large"
 
 
 def test_gen_bad_density(capsys, tmp_path):
@@ -342,18 +362,9 @@ def test_one_shot_mines_leave_numpy_ma_unimported(tmp_path):
     assert done.stdout.split() == ["False"]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_minhash_at_small_epsilon_mines_in_bounded_memory(capsys, tmp_path):
-    # a wide-shaped database at epsilon 0.05 takes a sketch of about 20,900
-    # rows over 8,000 padded positions: a 638 MiB hash matrix if it were
-    # drawn whole, where the sketch itself is 7 MB.  Under an address-space
-    # limit of the child's baseline plus 300 MB the mine finishes, and its
-    # report is the one an unlimited run gives
-    dest = tmp_path / "wide.dat"
-    run(capsys, "gen", "--output", str(dest), "--n", "5000", "--m", "40", "--density", "0.3",
-        "--seed", "1")
-    argv = ["mine", "--input", str(dest), "--theta", "0.12", "--variant", "minhash",
-            "--epsilon", "0.05", "--delta", "0.1"]
+def mine_in_bounded_memory(argv):
+    """`lshmine` with `argv` in a child whose address space is limited to
+    its baseline plus 300 MB."""
     script = """if True:
         import resource, sys
         from lshmine import cli
@@ -366,8 +377,54 @@ def test_minhash_at_small_epsilon_mines_in_bounded_memory(capsys, tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=env, timeout=300)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_minhash_at_small_epsilon_mines_in_bounded_memory(capsys, tmp_path):
+    # a wide-shaped database at epsilon 0.05 takes a sketch of about 20,900
+    # rows over 8,000 padded positions: a 638 MiB hash matrix if it were
+    # drawn whole, where the sketch itself is 7 MB.  Under an address-space
+    # limit of the child's baseline plus 300 MB the mine finishes, and its
+    # report is the one an unlimited run gives
+    dest = tmp_path / "wide.dat"
+    run(capsys, "gen", "--output", str(dest), "--n", "5000", "--m", "40", "--density", "0.3",
+        "--seed", "1")
+    argv = ["mine", "--input", str(dest), "--theta", "0.12", "--variant", "minhash",
+            "--epsilon", "0.05", "--delta", "0.1"]
+    done = mine_in_bounded_memory(argv)
     assert done.returncode == 0, done.stderr
     rc, out, _ = run(capsys, *argv)
     assert rc == 0 and done.stdout == out
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_hamming_on_a_dense_database_mines_in_bounded_memory(capsys, tmp_path):
+    # 300 transactions over 16 items at density 0.9: Hamming's level 9, of
+    # C(16, 8) records, would key 2,982 tables of 64-bit words per record
+    # and role, 182 MiB each, and its mine once used 674 MB.  Under the
+    # limit it mines exact's itemsets, and a level falls back with
+    # family_too_large exactly where its index exceeds the byte budget
+    dest = tmp_path / "dense.dat"
+    run(capsys, "gen", "--output", str(dest), "--n", "300", "--m", "16", "--density", "0.9",
+        "--seed", "1")
+    done = mine_in_bounded_memory(["mine", "--input", str(dest), "--theta", "0.2",
+                                   "--variant", "hamming", "--epsilon", "0.5", "--delta", "0.1"])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    rc, out, _ = run(capsys, "mine", "--input", str(dest), "--theta", "0.2")
+    assert rc == 0 and report["itemsets"] == json.loads(out)["itemsets"]
+    over = []
+    for row in report["levels"][1:]:   # level l is derived from the itemsets of level l - 1
+        below = [s["support"] for s in report["itemsets"] if len(s["items"]) == row["level"] - 1]
+        ctx = LevelContext(n=300, m_l=len(below), alpha_count=max(below),
+                           theta_count=report["theta_count"])
+        try:
+            hamming_lsh.derive_params(ctx, 0.5, 0.1)
+        except FamilyTooLarge:
+            over.append(row["level"])
+            assert row["fallback_reason"] == "family_too_large" and not row["lsh_active"]
+        else:
+            assert row["lsh_active"], row
+    assert len(over) >= 5

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lshmine import transform
 from lshmine.covering_lsh import (
     CoveringParams,
     FamilyTooLarge,
@@ -75,11 +76,28 @@ def test_derive_params_cap():
 
 
 def test_derive_params_table_entry_cap():
-    # 3 itemsets at mask_dim 21: 3 x (2^21 - 1) table entries exceed
-    # MAX_TABLE_ENTRIES
+    # 3 itemsets at mask_dim 21: 3 x (2^21 - 1) table entries of 16 B
+    # exceed MAX_INDEX_BYTES, which is 2^20 entries: at mask_dim 19,
+    # 2 x (2^19 - 1) entries fit and 3 x (2^19 - 1) do not
     ctx = LevelContext(n=100, m_l=3, alpha_count=40, theta_count=30)
-    with pytest.raises(FamilyTooLarge, match=r"\(2\^21 - 1\) x 3 = 6291453 table entries"
-                                             r" > cap 1048576"):
+    with pytest.raises(FamilyTooLarge, match="covering family too large: 100,663,248 bytes"
+                                             " > budget 16,777,216"):
+        derive_params(ctx, 0.5, 0.1)
+    assert transform.MAX_INDEX_BYTES == 16 * (1 << 20)
+    assert derive_params(replace(ctx, m_l=2, alpha_count=39), 0.5, 0.1).mask_dim == 19
+    with pytest.raises(FamilyTooLarge, match=" 25,165,776 bytes "):
+        derive_params(replace(ctx, alpha_count=39), 0.5, 0.1)
+
+
+def test_derive_params_byte_budget_boundary(monkeypatch):
+    # the family's bytes are 16 x (2^mask_dim - 1) x m_l: refused one byte
+    # over the budget, accepted exactly at it
+    ctx = LevelContext(n=100, m_l=2, alpha_count=39, theta_count=30)
+    nbytes = 16 * ((1 << derive_params(ctx, 0.5, 0.1).mask_dim) - 1) * ctx.m_l
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes)
+    assert derive_params(ctx, 0.5, 0.1).mask_dim == 19
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes - 1)
+    with pytest.raises(FamilyTooLarge):
         derive_params(ctx, 0.5, 0.1)
 
 

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from lshmine import covering_lsh, engine, exact, hamming_lsh, minhash_lsh
+from lshmine import covering_lsh, engine, exact, hamming_lsh, minhash_lsh, transform
 from lshmine.cli import report_json
 from lshmine.dataset import BitVector, ItemsetRecord, load_transactions, write_transactions
 from lshmine.engine import (
@@ -238,14 +238,16 @@ def test_degenerate_fallback_logged(toy_db):
 
 
 def test_family_too_large_fallback(monkeypatch):
-    monkeypatch.setattr(covering_lsh, "MAX_TABLE_ENTRIES", 0)
+    # with no byte budget every variant's index is too large
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", 0)
     rng = np.random.default_rng(848)
     db = random_db(rng, n_max=30, m_max=7, density_range=(0.4, 0.6))
-    config = lsh_config("covering", theta=0.3)
-    report = lsh_apriori_mine(db, config)
-    reasons = {row.fallback_reason for row in report.levels if row.level > 1}
-    assert "family_too_large" in reasons
-    assert report.itemsets.same_itemsets(brute_force_mine(db, 0.3))
+    for variant in ("hamming", "minhash", "covering"):
+        report = lsh_apriori_mine(db, lsh_config(variant, theta=0.3))
+        reasons = {row.fallback_reason for row in report.levels if row.level > 1}
+        assert "family_too_large" in reasons, variant
+        assert not any(row.lsh_active for row in report.levels), variant
+        assert report.itemsets.same_itemsets(brute_force_mine(db, 0.3)), variant
 
 
 def test_covering_table_entry_cap_falls_back_quickly():
@@ -431,13 +433,14 @@ def test_screen_matches_reference_at_negatives_size(monkeypatch):
     for phi in (None, sparse):
         family = covering_lsh.build_family(params, seed, phi=phi)
         index = covering_lsh.build_index(Level.of(level), family, ctx)
-        tables = reference_tables(level, family.masks, ctx)
+        masks = family.masks   # built on each access
+        tables = reference_tables(level, masks, ctx)
         for budget in (None, 5):
             res, tn, fp = assert_screen_matches_reference(
                 monkeypatch, "covering", level, ctx, params,
                 replace(index, early_exit_budget=budget),
                 lambda i, q, compatible, verify: reference_probe(
-                    tables, family.masks, q, ctx, compatible, verify, budget))
+                    tables, masks, q, ctx, compatible, verify, budget))
             assert tn + fp == pairs
             collided += fp
             exits += res.early_exit

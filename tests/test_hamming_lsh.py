@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from lshmine import transform
 from lshmine.dataset import BitVector, co_support
 from lshmine.exact import Level
 from lshmine.hamming_lsh import HammingLshParams, build_index, derive_params, query, sort_pays
@@ -8,6 +11,7 @@ from lshmine.transform import (
     PREPROCESS,
     QUERY,
     DegenerateLevel,
+    FamilyTooLarge,
     LevelContext,
     padded_bits_array,
 )
@@ -65,6 +69,32 @@ def test_derive_params_validation():
         derive_params(ctx, epsilon=0.0, delta=0.1)
     with pytest.raises(ValueError):
         derive_params(LevelContext(n=10, m_l=1, alpha_count=8, theta_count=5), 0.2, 0.1)
+
+
+def test_derive_params_byte_budget_boundary(monkeypatch):
+    # the index keeps L tables of m_l keys of ceil(k/64) words per role,
+    # 16 x m_l x L x words bytes with L before rounding up: refused one byte
+    # over the budget, accepted exactly at it
+    ctx = LevelContext(n=10, m_l=1000, alpha_count=8, theta_count=5)
+    p = derive_params(ctx, epsilon=0.2, delta=0.1)
+    nbytes = 16 * ctx.m_l * (ctx.m_l**p.rho * math.log(1.0 / 0.1)) * 1
+    assert 16 * ctx.m_l * (p.L - 1) < nbytes <= 16 * ctx.m_l * p.L
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes)
+    assert derive_params(ctx, epsilon=0.2, delta=0.1) == p
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes - 1)
+    with pytest.raises(FamilyTooLarge, match="Hamming index too large: "):
+        derive_params(ctx, epsilon=0.2, delta=0.1)
+
+
+def test_derive_params_at_vanishing_delta():
+    # L / delta overflows: its limit, no early exit, where L is finite; where
+    # 1/delta overflows too, L is infinite and the index over the budget
+    ctx = LevelContext(n=10, m_l=10, alpha_count=8, theta_count=5)
+    p = derive_params(ctx, epsilon=0.2, delta=1e-308)
+    assert p.L == math.ceil(10**p.rho * math.log(1e308) - 1e-12)
+    assert p.early_exit_budget is None
+    with pytest.raises(FamilyTooLarge, match="too large: inf bytes"):
+        derive_params(ctx, epsilon=0.2, delta=1e-320)
 
 
 def test_tables_monotone_in_delta():

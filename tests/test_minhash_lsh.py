@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -5,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from lshmine import minhash_lsh
+from lshmine import minhash_lsh, transform
 from lshmine.dataset import BitVector
 from lshmine.engine import MiningConfig, lsh_apriori_mine
 from lshmine.exact import Level
@@ -20,6 +21,7 @@ from lshmine.minhash_lsh import (
 from lshmine.transform import (
     PREPROCESS,
     QUERY,
+    FamilyTooLarge,
     LevelContext,
     pad_preprocess,
     pad_query,
@@ -49,9 +51,27 @@ def test_derive_params_reference_values():
 
 
 def test_derive_params_tiny_epsilon_guard():
+    # about 1.9e13 rows: a sketch of 8 x 50 x rows bytes over MAX_INDEX_BYTES
     ctx = LevelContext(n=10, m_l=50, alpha_count=8, theta_count=5)
-    with pytest.raises(ValueError, match="tolerance too small"):
+    with pytest.raises(FamilyTooLarge, match="MinHash sketch too large: 7,661,858,862,263,231 bytes"):
         derive_params(ctx, epsilon=1e-6, delta=0.1)
+    # an underflowed omega * eps_mh^2 is an infinite row count, and falls back too
+    with pytest.raises(FamilyTooLarge, match="too large: inf bytes"):
+        derive_params(ctx, epsilon=1e-200, delta=0.1)
+
+
+def test_derive_params_byte_budget_boundary(monkeypatch):
+    # the sketch's bytes are 8 x m_l x rows, with rows before rounding up:
+    # refused one byte over the budget, accepted exactly at it
+    ctx = LevelContext(n=10, m_l=50, alpha_count=8, theta_count=5)
+    p = derive_params(ctx, epsilon=0.2, delta=0.1)
+    nbytes = 8 * ctx.m_l * ((2.0 / (p.omega * p.eps_mh * p.eps_mh)) * math.log(1.0 / 0.1))
+    assert 8 * ctx.m_l * (p.rows - 1) < nbytes <= 8 * ctx.m_l * p.rows
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes)
+    assert derive_params(ctx, epsilon=0.2, delta=0.1) == p
+    monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes - 1)
+    with pytest.raises(FamilyTooLarge):
+        derive_params(ctx, epsilon=0.2, delta=0.1)
 
 
 def test_derive_params_alpha_equals_theta():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lshmine import covering_lsh, dataset, engine, exact, hamming_lsh, minhash_lsh
+from lshmine import covering_lsh, dataset, engine, exact, hamming_lsh, minhash_lsh, transform
 from lshmine.dataset import BitVector, DatasetError, co_support, load_transactions
 from lshmine.engine import VARIANTS, MiningConfig, accounting_check, lsh_apriori_mine
 from lshmine.exact import (
@@ -899,22 +899,23 @@ def covering_contexts(draw):
 @example(LevelContext(n=50, m_l=7, alpha_count=20, theta_count=20), 1.0)
 @example(LevelContext(n=700, m_l=2, alpha_count=610, theta_count=10), 0.5)    # theta' = 1200
 def test_covering_size_rule_is_the_only_refusal(ctx, epsilon):
-    # MAX_TABLE_ENTRIES alone refuses a family; the other ends are a
-    # degenerate level and, while psi_bound is computed before the size
-    # rule (ROADMAP item 1), its OverflowError past theta' = 1023
+    # the byte budget, 16 B per table entry, alone refuses a family; the
+    # other ends are a degenerate level and, while psi_bound is computed
+    # before the size rule (ROADMAP item 1), its OverflowError past
+    # theta' = 1023
     try:
         params = covering_lsh.derive_params(ctx, epsilon, 0.1)
     except covering_lsh.FamilyTooLarge:
-        with mock.patch.object(covering_lsh, "MAX_TABLE_ENTRIES", math.inf):
+        with mock.patch.object(transform, "MAX_INDEX_BYTES", math.inf):
             params = covering_lsh.derive_params(ctx, epsilon, 0.1)
-        assert ((1 << params.mask_dim) - 1) * ctx.m_l > covering_lsh.MAX_TABLE_ENTRIES
+        assert 16 * ((1 << params.mask_dim) - 1) * ctx.m_l > transform.MAX_INDEX_BYTES
     except DegenerateLevel:
         assert ctx.alpha_count == ctx.theta_count
         return
     except OverflowError:
         assert 2 * (ctx.alpha_count - ctx.theta_count) >= 1023
     else:
-        assert ((1 << params.mask_dim) - 1) * ctx.m_l <= covering_lsh.MAX_TABLE_ENTRIES
+        assert 16 * ((1 << params.mask_dim) - 1) * ctx.m_l <= transform.MAX_INDEX_BYTES
     assert ctx.alpha_count != ctx.theta_count
 
 
