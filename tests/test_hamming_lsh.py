@@ -77,7 +77,7 @@ def test_derive_params_byte_budget_boundary(monkeypatch):
     # over the budget, accepted exactly at it
     ctx = LevelContext(n=10, m_l=1000, alpha_count=8, theta_count=5)
     p = derive_params(ctx, epsilon=0.2, delta=0.1)
-    nbytes = 16 * ctx.m_l * (ctx.m_l**p.rho * math.log(1.0 / 0.1)) * 1
+    nbytes = 16 * ctx.m_l * (ctx.m_l**p.rho * math.log(1.0 / 0.1)) * ((p.k + 63) // 64)
     assert 16 * ctx.m_l * (p.L - 1) < nbytes <= 16 * ctx.m_l * p.L
     monkeypatch.setattr(transform, "MAX_INDEX_BYTES", nbytes)
     assert derive_params(ctx, epsilon=0.2, delta=0.1) == p

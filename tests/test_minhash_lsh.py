@@ -53,7 +53,8 @@ def test_derive_params_reference_values():
 def test_derive_params_tiny_epsilon_guard():
     # about 1.9e13 rows: a sketch of 8 x 50 x rows bytes over MAX_INDEX_BYTES
     ctx = LevelContext(n=10, m_l=50, alpha_count=8, theta_count=5)
-    with pytest.raises(FamilyTooLarge, match="MinHash sketch too large: 7,661,858,862,263,231 bytes"):
+    with pytest.raises(FamilyTooLarge,
+                       match="MinHash sketch too large: 7,661,858,862,263,231 bytes"):
         derive_params(ctx, epsilon=1e-6, delta=0.1)
     # an underflowed omega * eps_mh^2 is an infinite row count, and falls back too
     with pytest.raises(FamilyTooLarge, match="too large: inf bytes"):
