@@ -128,7 +128,7 @@ class PairSweep:
     query record q, partner record a, and the item a adds to q.  A join
     group of g filings from filing f holds unordered pairs start[f] ..
     start[f] + g(g-1)/2 - 1, in the `np.triu_indices(g, 1)` order of its
-    filings (`group_pairs`); pair p is at p as (i, j) and at
+    filings; pair p is at p as (i, j) and at
     p + candidate_pairs as (j, i).  `build_level` of `unions` of the
     frequent pairs is the exact next level."""
 
@@ -189,13 +189,6 @@ class PairSweep:
 
     def __len__(self) -> int:
         return 2 * self.candidate_pairs
-
-    def group_pairs(self, heads: np.ndarray) -> np.ndarray:
-        """The unordered pairs of the join groups whose first filings are
-        `heads`, group by group in the numbering order: ascending if they are."""
-        counts = self.filings[2].take(heads) - heads
-        counts = counts * (counts - 1) // 2
-        return np.repeat(self.start.take(heads), counts) + run_positions(counts)
 
     def index(self, fq: np.ndarray, fa: np.ndarray) -> np.ndarray:
         """The pair whose query is filed at fq and whose partner at fa, two

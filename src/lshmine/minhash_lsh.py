@@ -1,104 +1,60 @@
 """Asymmetric MinHash over padded vectors.
 
 A sketch of `rows` minwise values per itemset estimates the padded Jaccard
-similarity.  One query screens the whole level: for every compatible
-ordered pair (q, a) of the join it counts the sketch rows on which P(a) and
-Q(q) agree, and approves the pair iff that count reaches rows *
-accept_threshold.  It counts a join group at a time: a large group
-compares its records' rows by broadcast, and the small groups' pairs
-(`PairSweep.group_pairs`) gather their two rows each.  The database is
-never read at query time; the engine verifies the approved pairs' unions.
+similarity.  One query screens the whole level, a join group at a time:
+for every compatible ordered pair (q, a) it counts the sketch rows on which
+P(a) and Q(q) agree, and approves the pair iff that count reaches rows *
+accept_threshold.  It reads no database; the engine verifies the unions.
 
-Each sketch row gives every padded position an independent uniform 32-bit
-hash value, and a vector's minwise value on it is the least over its one
-positions.  Min-wise hashing needs only that each row's argmin be uniform
-(Broder, Charikar, Frieze & Mitzenmacher, JCSS 2000), which independent
-values give up to ties: two positions tie with probability 2^-32, far
-inside eps_mh even at n = 100k.  The values are the level generator's raw
-64-bit words, each split into its low then its high 32 bits: numpy fixes
-bit generators' raw streams, not its `Generator` methods' output.
+The sketch is rejection-sampled minwise hashing (Shrivastava, "Simple and
+Efficient Weighted Minwise Hashing", NIPS 2016).  Row r is a stream of
+uniform positions in [0, n'), and a padded vector's value on it is the
+index of the first sample it holds.  Two vectors agree on a row exactly
+when the first sample in their union lies in their intersection, with
+probability |P(a) & Q(q)| / |P(a) | Q(q)|, their padded Jaccard
+similarity, as for min-wise permutations (Broder, Charikar, Frieze &
+Mitzenmacher, JCSS 2000), and with no ties.  Sample t of row r is the level
+generator's raw 32-bit half t * rows + r (each 64-bit word low half first:
+numpy fixes raw streams, not `Generator` methods) mapped to [0, n') by
+Lemire's multiply-shift; a half its rejection step refuses becomes n',
+which no vector holds, so every position is exactly uniform.
 
-The sketch is built a chunk of rows at a time (`_hash_rows`): a build holds
-the sketch, what depends on the level alone and the chunk it reads (with
-the next while it is drawn), never the rows x (n + 2 alpha) matrix.  P(v)
-and Q(v) share v's own positions, and their padding is a run of alpha-|v|
-ones from n and n+alpha (`transform.padding_runs`).  So on each row h
-
-    base(v) = min of h over v's own positions
-    P(v)    = min(base(v), min(h[n : n+alpha-|v|]))
-    Q(v)    = min(base(v), min(h[n+alpha : n+2*alpha-|v|]))
-
-with both padding minima dropped when |v| == alpha.  base(v) is found among
-each row's candidates, the own positions below the level's cut tau =
-CUT_FACTOR * 2^32 / s_min (s_min the lightest weight): a record of weight s
-has none on a row with probability about e^(-CUT_FACTOR * s / s_min), the
-threshold view of bottom-k sketches (Cohen & Kaplan, PODC 2007).  Cells
-with none gather the record's own positions; at cut 0, where probing
-would cost more (`candidate_cut`), every cell does.  A cut-0 level first
-groups its transactions into classes, the positions whose columns of the
-level's bit matrix are equal (`transaction_classes`), as Apriori
-implementations merge identical transactions (Borgelt, FIMI 2003): a
-record's minimum is then the least of its classes' minima
-(`class_minima`).  Each role's run minima are the minima of its run's
-segments between the level's distinct run lengths, then their running
-minimum.
+P(v) and Q(v) each hold alpha of the n' positions, so a (record, row) cell
+takes n'/alpha samples on average.  The build draws a block of samples of
+every row at a time and resolves each open cell at the first it holds.  A
+sample is held by v's own bits, shared by both roles, or by the role's run
+of alpha - |v| ones from n (P) or n + alpha (Q), both read off one bit
+table, the level's packed transpose (`_held_bits`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
 
 import numpy as np
 
 from . import exact
 from .exact import Level, PairSweep
-from .transform import LevelContext, _ceil, check_index_bytes, check_tolerances, padding_runs
+from .transform import LevelContext, _ceil, check_index_bytes, check_tolerances
 
-TOP = np.iinfo(np.uint32).max
-# The level's cut is CUT_FACTOR * 2^32 / s_min: a row's CUT_FACTOR * n / s_min
-# candidates on average, and a cell of the lightest record misses them with
-# probability (1 - CUT_FACTOR / s_min)^s_min < e^-CUT_FACTOR (3.4e-4 at 8).
-# Measured on the `negatives` and `wide` level-1 levels (seed 1), in
-# process on a 2-vCPU host, min of 7: of 2, 4, 6, 8, 12 and 16, 8 is the
-# fastest (1.5 and 1.3 ms, against 17.6 and 15.1 ms gathering every cell);
-# at 6 the misses' gather makes the step 1.9-2.0x slower, at 12 the probes
-# 1.1-1.2x.
-CUT_FACTOR = 8
-# How many gathered own positions one probe of a candidate costs
-# (`candidate_cut`).  Measured on ten synthetic levels (n 800 to 20,000,
-# 11 to 400 records of one weight from 50 to 2,000, 57 to 1,117 rows), both
-# ways in process, 2-vCPU host, min of 7: a probe costs 1.8-9.7 ns (the
-# most where few records share the compare over the rows), a gathered
-# position 0.5-2.5 ns, and at 4 the cut picks the faster way on all ten
-# (the closest at 1.01x).
-PROBE_COST = 4
+# A block's length is the least power of two of samples after which a cell
+# is open with probability at most BLOCK_MISS, q^length <= BLOCK_MISS for
+# q = 1 - alpha/n' (32 on `negatives` and `wide`, 16-64 on `dense-deep`).
+# Measured on the bench levels (seed 1), in process, alternating, 2-vCPU
+# host, min of 25 summed builds: 1/4, 1/16 and 1/64 take 2.8, 1.6 and 1.15
+# ms on `negatives`, 16.8, 11.5 and 11.4 on `dense-deep`, 1.4, 0.85 and 0.71
+# on `wide`; 1/256 to 1/5,000 are no faster.
+BLOCK_MISS = 2.0 ** -6
 # The least join group size, in records, whose pairs `query` counts by
-# broadcast (`_group_matches`) rather than by gathering each pair's rows.
-# Measured on one group of random sketches per size (24 to 400 records, 57
-# to 1,117 rows), both ways in process, 2-vCPU host, min of 15: the
-# broadcast overtakes the gather at about 36, 52, 60 and 96 records for 57,
-# 281, 875 and 1,117 rows, and costs 0.65-1.0 ns a sketch value against the
-# gather's 1.1-2.3 ns at 400 records.  At 64 the rule picks the faster way
-# or one within 10% of it (1,117 rows: 6.5 against 6.0 ms).  On the bench
-# workloads (seed 1) it broadcasts `negatives`' one group of 400 (57 rows:
-# 17.7 -> 4.8 ms, median of 15) and gathers `wide`'s 40 and `dense-deep`'s
-# at most 11, as before.
+# broadcast (`_group_matches`), not stacked with the groups of its size.
+# Measured on one group of random uint8 sketches per size (16 to 200
+# records, 57 to 1,117 rows), both ways in process, 2-vCPU host, min of 9:
+# the broadcast overtakes the stacked compare at 48-64 records for 281 rows
+# and 64-96 for 875 and 1,117 (6.5 against 5.3 ms at 64), and leads from 16
+# on at 57 rows (0.1 ms at 64).  It broadcasts `negatives`' one group of
+# 400 and stacks `wide`'s 40 and `dense-deep`'s at most 11.
 BROADCAST_GROUP = 64
-# The hash values a chunk of sketch rows holds (4 MiB; `_hash_rows`), the build's
-# largest block: malloc trims its heap past twice the largest block freed.  In
-# processes of 30 MinHash mines per bench workload (seed 1, 2-vCPU host), 2^18
-# and 2^19 cost `dense-deep` 2,000-2,200 page faults a mine; 2^20 costs none, and
-# its mines are within 3% of the whole matrix's (medians of 16 alternating).
-SKETCH_CHUNK_VALUES = 1 << 20
-# The odd factor of the column digests that sort a cut-0 level's
-# transactions into classes (`transaction_classes`): 2^64 / the golden ratio
-DIGEST_FACTOR = np.uint64(0x9E3779B97F4A7C15)
-# The delta swaps that transpose the 8 x 8 bit block a uint64 holds, bit
-# 8r + c to bit 8c + r (Warren, "Hacker's Delight", section 7-3)
-TRANSPOSE_8X8 = tuple((np.uint64(mask), np.uint64(shift)) for mask, shift in
-                      ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28)))
 
 
 @dataclass(frozen=True)
@@ -113,8 +69,9 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
     """omega = (1-e)t/(2a-(1-e)t), eps_mh = a*e/(a+(a-t)(1-e)),
     rows = ceil(2/(omega*eps_mh^2) * ln(1/delta)), accept = (1-eps_mh)t/(2a-t).
 
-    alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises FamilyTooLarge
-    when the 2 x m_l x rows 32-bit minima exceed `transform.MAX_INDEX_BYTES`.
+    alpha == theta degenerates gracefully (eps_mh == epsilon).  Raises
+    FamilyTooLarge when the 2 x m_l x rows values, priced at 32 bits each,
+    exceed `transform.MAX_INDEX_BYTES`.
     """
     check_tolerances(epsilon, delta)
     alpha, theta = ctx.alpha, ctx.theta
@@ -131,236 +88,136 @@ def derive_params(ctx: LevelContext, epsilon: float, delta: float) -> MinhashPar
 
 @dataclass
 class MinhashSketch:
-    records: np.ndarray        # (m_l, rows) minwise values of the P-padded records
-    query_records: np.ndarray  # (m_l, rows) minwise values of the Q-padded records
-    seed: object               # the level's seed and padded length, which `perms` redraws from
-    padded_length: int
+    records: np.ndarray        # (m_l, rows) first held sample of the P-padded records
+    query_records: np.ndarray  # (m_l, rows) first held sample of the Q-padded records
+    seed: object               # what `perms` redraws: the level's seed, n' and the
+    padded_length: int         # samples the build drew a row
+    samples: int
 
     columns = property(lambda self: self.records.T)               # (rows, m_l)
     query_columns = property(lambda self: self.query_records.T)   # (rows, m_l)
-    # (rows, padded_length) uint32 hash values, redrawn on access for inspection only
-    perms = property(lambda self: np.concatenate(
-        [h for _, h in _hash_rows(self.seed, self.records.shape[1], self.padded_length)]))
+    # (rows, samples) int64 positions the build drew, redrawn on access for inspection only
+    perms = property(lambda self: _sampler(self.seed, self.records.shape[1],
+                                           self.padded_length)(self.samples).T)
 
 
 def build_sketch(level: Level, params: MinhashParams, ctx: LevelContext, seed) -> MinhashSketch:
-    """The minwise value of every P-padded and Q-padded record on `rows`
-    rows of seeded hash values, drawn a chunk of rows at a time."""
-    n, length = ctx.n, ctx.padded_length
+    """Each P-padded and Q-padded record's first held sample on each of
+    `rows` seeded sample streams, drawn a block of samples at a time.  The
+    values take the least unsigned type that holds the largest of them."""
+    n, alpha, length = ctx.n, ctx.alpha_count, ctx.padded_length
     if length > np.iinfo(np.int32).max:
         raise ValueError(f"padded length {length} does not fit int32")
     if len(level) and level.n != n:
         raise ValueError(f"vector length {level.n} != level n {n}")
-    lengths, run, starts = padding_runs(level.supports, ctx)
-    least_own = own_minima(level.packed, n, candidate_cut(level.supports, n))
-    padded = lengths > 0
-    ends = lengths[padded]
-    heads = np.r_[0, ends[:-1]]   # each segment's first run position
-    sketch = np.empty((2, len(run), params.rows), dtype=np.uint32)
-    for s, hashes in _hash_rows(seed, params.rows, length):
-        base = least_own(hashes[:, :n])
-        for out, start in zip(sketch, starts):   # a run's minimum: its segments' running minimum
-            run_min = np.full((len(lengths), len(hashes)), TOP, dtype=np.uint32)
-            if len(ends):
-                segments = np.minimum.reduceat(hashes[:, start:start + ends[-1]], heads, axis=1)
-                run_min[padded] = np.minimum.accumulate(segments, axis=1).T
-            np.minimum(base, run_min[run], out=out[:, s:s + len(hashes)])
-        del hashes   # one chunk at a time (`_hash_rows`)
-    return MinhashSketch(sketch[0], sketch[1], seed, length)
+    m, rows = len(level), params.rows
+    if not m:
+        return MinhashSketch(*np.zeros((2, 0, rows), dtype=np.uint8), seed, length, 0)
+    table = _held_bits(level, ctx)
+    draw = _sampler(seed, rows, length)
+    # a power of two up to 128 (`_first_hits`) whose samples and held words fit chunks
+    fits = min(exact.chunk_rows(rows), exact.chunk_rows(table.shape[1]))
+    block = min(1 << (_ceil(math.log(BLOCK_MISS) / math.log1p(-alpha / length)) - 1).bit_length(),
+                128, 1 << fits.bit_length() - 1)
+    step = exact.chunk_rows(block * table.shape[1])
+    values = np.full((rows, 2, m), 255, dtype=np.uint8)   # the dtype's largest: open
+    samples = 0
+    while (live := np.flatnonzero((values == np.iinfo(values.dtype).max).any(axis=(1, 2)))).size:
+        at = draw(block)
+        if samples + block >= np.iinfo(values.dtype).max:
+            wide = np.min_scalar_type(2 * (samples + block))
+            values = np.where(values == np.iinfo(values.dtype).max, np.iinfo(wide).max,
+                              values.astype(wide))
+        for s in range(0, len(live), step):
+            r = live[s:s + step]
+            first = _first_hits(table, at.take(r, axis=1)).reshape(len(r), 2, -1)[:, :, :m]
+            found = np.full(first.shape, np.iinfo(values.dtype).max, dtype=values.dtype)
+            np.add(first, samples, out=found, where=first < 128, dtype=values.dtype)
+            values[r] = np.minimum(values.take(r, axis=0), found)
+        samples += block
+    values = values.astype(np.min_scalar_type(values.max()), copy=False)
+    return MinhashSketch(*np.ascontiguousarray(values.transpose(1, 2, 0)), seed, length, samples)
 
 
-def _hash_rows(seed, rows: int, length: int):
-    """(first row, (chunk rows, length) uint32) per SKETCH_CHUNK_VALUES values'
-    worth of rows: the seed's raw words split into their low then high 32
-    bits, row by row, a word cut by a chunk boundary carried over."""
+def _sampler(seed, rows: int, length: int):
+    """The map from a count c to the next c samples of every row, (c, rows)
+    int64 positions in [0, length]: row r's t-th sample is the seed's raw
+    32-bit half t * rows + r, x, mapped to x * length >> 32, or to
+    `length` where the product's low half is below 2^32 mod length."""
     bits = np.random.default_rng(seed).bit_generator
-    step = max(1, SKETCH_CHUNK_VALUES // length)
+    reject = (1 << 32) % length
     carry = np.empty(0, dtype=np.uint32)
-    for s in range(0, rows, step):
-        count = min(step, rows - s) * length
-        drawn = bits.random_raw((count - len(carry) + 1) // 2).astype("<u8", copy=False).view("<u4")
-        values = np.concatenate((carry, drawn)) if len(carry) else drawn
-        carry = values[count:].copy()
-        yield s, values[:count].reshape(-1, length)
-        del values, drawn   # before the next draw, as the caller drops its view
+
+    def draw(count):
+        nonlocal carry
+        need = count * rows
+        words = bits.random_raw((need - len(carry) + 1) // 2).astype("<u8", copy=False)
+        halves = np.concatenate((carry, words.view("<u4"))) if len(carry) else words.view("<u4")
+        carry = halves[need:].copy()
+        product = halves[:need].astype(np.uint64) * np.uint64(length)
+        positions = (product >> np.uint64(32)).view(np.int64)
+        positions[product.astype(np.uint32) < reject] = length
+        return positions.reshape(count, rows)
+    return draw
 
 
-def candidate_cut(supports: np.ndarray, n: int) -> int:
-    """The level's cut: CUT_FACTOR * 2^32 / s_min, or 0 (every cell
-    gathered) where probing each row's CUT_FACTOR * n / s_min candidates,
-    PROBE_COST each, would cost at least gathering the mean record's own
-    positions.  A nonzero cut is below 2^32, as its s_min exceeds
-    PROBE_COST * CUT_FACTOR."""
-    if not len(supports):
-        return 0
-    lightest = int(supports.min())
-    if PROBE_COST * CUT_FACTOR * n >= lightest * supports.mean():
-        return 0
-    return CUT_FACTOR * 2**32 // lightest
-
-
-def own_minima(packed: np.ndarray, n: int, cut: int):
-    """The map from a (rows, n) block `own` of hash values to the (m_l, rows)
-    uint32 least value of each row over each record's own positions (2^32-1
-    if empty), what depends on the level alone found once.  A cell takes its
-    record's least candidate (below `cut`), else the least of its gathered
-    own positions, or at cut 0 of its classes' minima where they list fewer."""
-    if not cut:
-        weight = int(np.bitwise_count(packed).sum())   # sum of |v|
-        classes = transaction_classes(packed, n) if weight > n else None
-        # The gather reads sum |v| own positions a row, the classes n (the
-        # class minima's pass over the own block) plus sum |classes(v)|.
-        # Measured on 109 synthetic cut-0 levels (n 500 to 6,000, 4 to 400
-        # records, 60 to 1,100 rows), both ways in process, 2-vCPU host, min
-        # of 5: the rule picks the faster way on 93, where the classes run
-        # up to 49x faster; the other 16 lose at most 1.9x (2.7 ms), 10 of
-        # them on levels of 4 or 10 records.  On `dense-deep` (seed 1) it
-        # sends levels 2-7 to the classes, 11-85x fewer rows, and keeps
-        # level 8's 4 records of 85 transactions on the gather.
-        if classes is not None and n + len(classes.members) < weight:
-            return lambda own: class_minima(own, classes, len(packed))
-    ones = cache(lambda i: np.flatnonzero(np.unpackbits(packed[i].view(np.uint8),
-                                                        bitorder="little")))
-    def minima(own):
-        rows = len(own)
-        base = np.full((len(packed), rows), TOP, dtype=np.uint32)
-        row, pos = np.divmod(np.flatnonzero(own < cut), n) if cut else ((), ())
-        if len(pos):
-            inverse = ~own[row, pos]   # the least candidate in a record is its most inverse
-            counts = np.bincount(row, minlength=rows)
-            probed = np.flatnonzero(counts)
-            at = (np.cumsum(counts) - counts)[probed]
-            step = exact.chunk_rows(max(8 * packed.shape[1], len(pos) // 2))   # unpacked, or probes
-            for s in range(0, len(packed), step):
-                bits = np.unpackbits(packed[s:s + step].view(np.uint8), axis=1, bitorder="little")
-                found = np.multiply(bits.take(pos, axis=1), inverse, dtype=np.uint32)   # 0: absent
-                base[s:s + step, probed] = ~np.maximum.reduceat(found, at, axis=1)
-        missed = base == TOP
-        lost = np.flatnonzero(missed.any(axis=0))
-        if len(lost):
-            block = np.ascontiguousarray((own if len(lost) == rows else own[lost]).T)
-            for i in np.flatnonzero(missed.any(axis=1)).tolist():
-                base[i, lost] = block[ones(i)].min(axis=0, initial=TOP)   # empty v: padding decides
-        return base
-    return minima
-
-
-@dataclass(frozen=True)
-class TransactionClasses:
-    """A level's transactions grouped by the records that hold them: the
-    positions whose columns of the level's (m_l, n) bit matrix are equal
-    form a class.  The positions no record holds are left out; the other
-    classes come largest first."""
-
-    positions: np.ndarray   # the held positions, class by class
-    sizes: np.ndarray       # each class's position count, descending
-    records: np.ndarray     # the nonempty records, most classes first
-    counts: np.ndarray      # each of those records' class count |classes(v)|
-    members: np.ndarray     # their classes, record by record, ascending
-
-    @cached_property
-    def folds(self):   # `_least_rows`' folds of the classes' positions, then the records' classes
-        return _folds(self.positions, self.sizes), _folds(self.members, self.counts)
-
-
-def transaction_classes(packed: np.ndarray, n: int) -> TransactionClasses | None:
-    """Group the level's n transactions into classes, or None where every
-    held class is one position (the classes would list every record's own
-    positions).  The held positions are sorted by a 64-bit digest of their column
-    keys (`_column_keys`), the key itself where m_l <= 64, so that equal
-    columns lie next to each other; neighbours share a class only if their
-    whole keys are equal."""
-    m = len(packed)
-    keys = _column_keys(packed, n)
-    held = np.flatnonzero(keys.any(axis=1))
-    keys = keys[held]
-    digest = keys[:, 0].copy()
-    for word in keys[:, 1:].T:
-        digest *= DIGEST_FACTOR
-        digest ^= word
-    by_digest = np.argsort(digest)
-    order, keys = held[by_digest], keys[by_digest]
-    same = (keys[1:] == keys[:-1]).all(axis=1)
-    if not same.any():
-        return None
-    first = np.flatnonzero(np.append(True, ~same))
-    sizes = np.diff(first, append=len(order))
-    rank = np.argsort(-sizes, kind="stable")   # largest class first
-    # (m_l, classes): a record holds all of a class or none of it
-    holds = np.unpackbits(keys[first[rank]].view(np.uint8), axis=1, count=m, bitorder="little").T
-    counts = np.count_nonzero(holds, axis=1)
-    records = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
-    return TransactionClasses(order[np.argsort(np.repeat(-sizes, sizes), kind="stable")],
-                              sizes[rank], records, counts[records], np.nonzero(holds[records])[1])
-
-
-def _column_keys(packed: np.ndarray, n: int) -> np.ndarray:
-    """(n, ceil(m_l / 64)) uint64: row j is column j of the level's packed
-    bit matrix, record i at bit i % 64 of word i // 64.  The records' bytes
-    are regrouped so that a uint64 holds 8 records' bits at 8 positions,
-    and each such block is transposed in place."""
-    m, words = packed.shape
+def _held_bits(level: Level, ctx: LevelContext) -> np.ndarray:
+    """(n' + 1, 2 * ceil(m_l / 64)) uint64: row j holds the records whose
+    P(v) holds position j in its first half, whose Q(v) does in its second,
+    record i at bit i % 64 of word i // 64; row n' none.  The own rows are
+    the packed level's 8 x 8 bit blocks (8 records' bytes) transposed, a
+    chunk of words at a time."""
+    m, n, alpha = len(level), ctx.n, ctx.alpha_count
+    if (level.supports > alpha).any():
+        raise ValueError(f"popcount {level.supports.max()} exceeds alpha_count {alpha}")
     groups = -(-m // 8)
-    eights = np.zeros((8 * groups, 8 * words), dtype=np.uint8)
-    eights[:m] = packed.view(np.uint8)
-    block = np.ascontiguousarray(eights.reshape(groups, 8, -1).transpose(0, 2, 1)).view("<u8")[..., 0]
-    for mask, shift in TRANSPOSE_8X8:
-        swap = (block ^ (block >> shift)) & mask
-        block ^= swap ^ (swap << shift)
-    keys = np.zeros((n, -(-groups // 8) * 8), dtype=np.uint8)
-    keys[:, :groups] = block.view(np.uint8).reshape(groups, -1)[:, :n].T
-    return keys.view("<u8")
+    half = -(-groups // 8) * 8   # bytes a role
+    table = np.zeros((ctx.padded_length + 1, 2 * half), dtype=np.uint8)
+    step = exact.chunk_rows(8 * groups)
+    for s in range(0, level.packed.shape[1], step):
+        chunk = level.packed[:, s:s + step]
+        eights = np.zeros((8 * groups, 8 * chunk.shape[1]), dtype=np.uint8)
+        eights[:m] = chunk.view(np.uint8)
+        block = _transpose_bits(eights.reshape(groups, 8, -1).transpose(0, 2, 1))
+        rows = table[64 * s:min(n, 64 * (s + step))]
+        rows[:, :groups] = rows[:, half:half + groups] = block.reshape(groups, -1)[:, :len(rows)].T
+    runs = alpha - level.supports
+    step = 8 * exact.chunk_rows(m)
+    for d in range(0, alpha, step):
+        longer = np.packbits(runs > np.arange(d, min(alpha, d + step))[:, None], axis=1,
+                             bitorder="little")
+        table[n + d:n + d + len(longer), :groups] = longer   # P's run, from n
+        table[n + alpha + d:n + alpha + d + len(longer), half:half + groups] = longer   # Q's
+    return table.view("<u8")
 
 
-def class_minima(own: np.ndarray, classes: TransactionClasses, m: int) -> np.ndarray:
-    """(m, rows) uint32, as `own_minima`: each class's minimum on every row,
-    from a transposed chunk of the own block's rows at a time, then each
-    record's least over its classes' minima."""
-    rows, n = own.shape
-    minima = np.empty((len(classes.sizes), rows), dtype=np.uint32)
-    folds, record_folds = classes.folds
-    step = exact.chunk_rows(n // 2)
-    for s in range(0, rows, step):
-        minima[:, s:s + step] = _least_rows(np.ascontiguousarray(own[s:s + step].T), folds)
-    base = np.full((m, rows), TOP, dtype=np.uint32)
-    base[classes.records] = _least_rows(minima, record_folds)
-    return base
+def _first_hits(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(rows, 64 * words) uint8: per row of samples `index`, (block, rows)
+    rows of `table` with block a power of two up to 128, and per record bit
+    of a table row, the offset of the first sample holding it, or 128 if
+    none does.  A bit is kept at its first holder only; plane k < 7 ORs the
+    samples whose offset has bit k, plane 7 the bits none holds."""
+    block, rows = index.shape
+    held = table.take(index, axis=0)   # (block, rows, words)
+    seen = np.bitwise_or.accumulate(held, axis=0)
+    held[1:] &= ~seen[:-1]
+    planes = np.zeros((8, *held.shape[1:]), dtype=np.uint64)
+    for k in range(block.bit_length() - 1):
+        np.bitwise_or.reduce(held.reshape(block >> k + 1, 2, 1 << k, *held.shape[1:])[:, 1],
+                             axis=(0, 1), out=planes[k])
+    np.invert(seen[-1], out=planes[7])
+    return _transpose_bits(planes.view(np.uint8).transpose(1, 2, 0)).reshape(rows, -1)
 
 
-def _folds(index: np.ndarray, sizes: np.ndarray):
-    """How `_least_rows` takes groups of `index` that lie one after another
-    with the given sizes, descending, each at least 1: the first groups'
-    indices and where each starts, each group reduced whole, then the heads
-    of the rest, and each fold pass's indices, pass t the t-th of every
-    group still that long.  The split minimises the first groups plus the
-    passes."""
-    heads = np.cumsum(sizes) - sizes
-    split = int(np.argmin(np.arange(len(sizes) + 1) + np.append(sizes, 0)))
-    rest, rest_heads = sizes[split:], heads[split:]
-    passes = [index[rest_heads[:np.count_nonzero(rest > t)] + t]
-              for t in range(1, int(rest[0]) if len(rest) else 0)]
-    whole = index[:heads[split]] if len(rest) else index
-    return whole, heads[:split], index[rest_heads], passes
-
-
-def _least_rows(source: np.ndarray, folds) -> np.ndarray:
-    """(groups, source.shape[1]) uint32: row g is the least of the rows of
-    `source` that group g names, in the order `_folds` gives.  The groups
-    reduced whole take one reduction where their rows fit a chunk, one
-    each otherwise."""
-    whole, heads, rest_heads, passes = folds
-    out = np.empty((len(heads) + len(rest_heads), source.shape[1]), dtype=np.uint32)
-    if len(whole) * source.shape[1] <= 2 * exact.PAIR_CHUNK_WORDS:
-        if len(heads):
-            np.minimum.reduceat(source.take(whole, axis=0), heads, axis=0, out=out[:len(heads)])
-    else:
-        for g, rows in enumerate(np.split(whole, heads[1:])):
-            source.take(rows, axis=0).min(axis=0, out=out[g])
-    rest = out[len(heads):]
-    source.take(rest_heads, axis=0, out=rest)
-    for index in passes:
-        np.minimum(rest[:len(index)], source.take(index, axis=0), out=rest[:len(index)])
-    return out
+def _transpose_bits(eights: np.ndarray) -> np.ndarray:
+    """`eights`, (..., 8) uint8, with bit c of byte r moved to bit r of byte
+    c: a copy whose every 8 bytes, as a uint64, take the delta swaps of an
+    8 x 8 bit transpose (Warren, "Hacker's Delight", section 7-3)."""
+    words = np.ascontiguousarray(eights).view("<u8")
+    for mask, shift in ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0xF0F0F0F0, 28)):
+        swap = (words ^ (words >> np.uint64(shift))) & np.uint64(mask)
+        words ^= swap ^ (swap << np.uint64(shift))
+    return words.view(np.uint8)
 
 
 def estimate_js(col_a: np.ndarray, col_q: np.ndarray) -> float:
@@ -384,27 +241,37 @@ class MinhashQueryResult:
 
 
 def query(sketch: MinhashSketch, sweep: PairSweep, params: MinhashParams) -> MinhashQueryResult:
-    """Sketch-only screening of the join's ordered pairs by join group: no
-    database reads happen here.  A group of BROADCAST_GROUP records or more
-    counts its pairs' matches by broadcast (`_group_matches`); the smaller
-    groups' pairs (`sweep.group_pairs`, read by `sweep.members`) are gathered
-    PAIR_CHUNK_WORDS sketch values of each operand at a time."""
+    """Sketch-only screening of the join's ordered pairs by join group.  A
+    group of BROADCAST_GROUP records or more is counted by `_group_matches`.
+    The groups of a smaller size g are stacked as (groups, g, rows) blocks
+    and Q(x) compared with P(y) for every x, y of a group, PAIR_CHUNK_WORDS
+    words of compares at a time: group pair k, the k-th (x, y) of
+    `np.triu_indices(g, 1)`, is pair start + k, and (y, x) its reverse."""
     records, query_records = sketch.records, sketch.query_records   # one row per record
-    rows, half = params.rows, sweep.candidate_pairs
+    half = sweep.candidate_pairs
     matches = np.empty(len(sweep), dtype=np.int32)
     owner, _, end = sweep.filings
     head = np.flatnonzero(np.diff(end, prepend=-1))   # each group's first filing
-    broadcast = end[head] - head >= BROADCAST_GROUP
+    size = end[head] - head
+    broadcast = size >= BROADCAST_GROUP
     for s in head[broadcast].tolist():
         _group_matches(records, query_records, owner[s:end[s]], int(sweep.start[s]), half,
                        matches)
-    small = sweep.group_pairs(head[~broadcast])
-    step = exact.chunk_rows(rows)
-    for s in range(0, len(small), step):
-        at = small[s:s + step]
-        q, a, _ = sweep.members(at)
-        matches[at] = np.count_nonzero(records[a] == query_records[q], axis=1)
-        matches[at + half] = np.count_nonzero(records[q] == query_records[a], axis=1)
+    rows, width = params.rows, np.min_scalar_type(params.rows)
+    for g in np.flatnonzero(np.bincount(size[(size > 1) & ~broadcast])).tolist():
+        heads = head[size == g]
+        x, y = np.triu_indices(g, 1)
+        span = exact.chunk_rows(-(-g * g * records.itemsize // 8))   # sketch rows a chunk compares
+        for c in range(0, len(heads), max(1, span // rows)):
+            first = heads[c:c + max(1, span // rows)]
+            members = owner.take(first[:, None] + np.arange(g))
+            p, q = records.take(members, axis=0), query_records.take(members, axis=0)
+            counts = np.zeros((len(first), g, g), dtype=width)   # Q(x) against P(y)
+            for b in range(0, rows, span):
+                counts += (q[:, :, None, b:b + span] == p[:, None, :, b:b + span]).sum(
+                    axis=-1, dtype=width)
+            at = sweep.start.take(first)[:, None] + np.arange(len(x))
+            matches[at], matches[at + half] = counts[:, x, y], counts[:, y, x]
     # integer comparison against rows*threshold avoids float-boundary flapping
     need = params.accept_threshold * params.rows - 1e-9
     return MinhashQueryResult(matches, need, np.flatnonzero(matches >= need))
@@ -415,10 +282,8 @@ def _group_matches(records, query_records, group, first_pair, half, matches):
     x < y, ordered pair first_pair + k (the k-th of `np.triu_indices(g, 1)`)
     gets M[x, y] and its reverse, half + first_pair + k, gets M[y, x], where
     M[x, y] counts the sketch rows on which Q(R[x]) and P(R[y]) agree.  A
-    block of query records x at a time compares its rows against the
-    partners y >= the block's first, so the (rows, block, partners) compare
-    stays within PAIR_CHUNK_WORDS words; M sums it in the least unsigned
-    type that holds `rows`."""
+    block of query records x at a time is compared with the partners y >=
+    its first, PAIR_CHUNK_WORDS words of (rows, block, partners) compares."""
     p, q = records[group].T.copy(), query_records[group].T.copy()   # (rows, g)
     rows, g = p.shape
     width = np.min_scalar_type(rows)

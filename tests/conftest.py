@@ -22,6 +22,7 @@ from lshmine.transform import (
     pad_preprocess,
     pad_query,
     padded_bits_array,
+    padded_one_positions,
 )
 
 
@@ -460,6 +461,33 @@ def verify_collisions(buckets, compatible, verify, ctx: LevelContext,
                 result.early_exit = True
                 return result
     return result
+
+
+def sample_stream(seed, rows, length, count):
+    """The first `count` samples of each of `rows` MinHash sample streams
+    over `length` padded positions, (rows, count): row r's t-th sample is
+    the seed's raw 32-bit half t * rows + r (each 64-bit word low half
+    first), x, at x * length >> 32, or at `length` where the product's low
+    32 bits are below 2^32 mod length (Lemire's rejection step)."""
+    words = np.random.default_rng(seed).bit_generator.random_raw((rows * count + 1) // 2)
+    halves = [h for w in words.tolist() for h in (w & 0xFFFFFFFF, w >> 32)][:rows * count]
+    reject = (1 << 32) % length
+    positions = [length if x * length & 0xFFFFFFFF < reject else x * length >> 32 for x in halves]
+    return np.array(positions, dtype=np.int64).reshape(count, rows).T
+
+
+def reference_sketch(records, ctx, sketch, seed):
+    """Assert that each value of `sketch` is the index of the first sample
+    of its row's stream (`sample_stream` of `seed`) that the record's padded
+    vector holds, for both roles; return the stream read."""
+    rows = sketch.records.shape[1]
+    count = max(int(sketch.records.max(initial=0)), int(sketch.query_records.max(initial=0))) + 1
+    stream = sample_stream(seed, rows, ctx.padded_length, count)
+    for i, r in enumerate(records):
+        for role, values in ((PREPROCESS, sketch.records), (QUERY, sketch.query_records)):
+            held = np.isin(stream, padded_one_positions(r.vector, ctx, role)).tolist()
+            assert values[i].tolist() == [row.index(True) for row in held], (i, role)
+    return stream
 
 
 def reference_minhash_query(sketch, qi, params, compatible) -> SketchView:

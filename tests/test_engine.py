@@ -501,10 +501,11 @@ def test_level_screen_memory_is_bounded():
     for variant, params, index_bytes in (
             ("hamming", hamming, 2 * len(level) * hamming.L * (hamming.k + 63) // 64 * 8),
             ("covering", covering, 2 * len(level) * masks * 8),   # P and Q fingerprints
-            # the sketch's records and query_records, and one chunk of its hash
-            # values, 4 bytes a value
-            ("minhash", minhash, 4 * (2 * len(level) * minhash.rows + ctx.padded_length * min(
-                minhash.rows, minhash_lsh.SKETCH_CHUNK_VALUES // ctx.padded_length)))):
+            # the sketch's records and query_records at the 4 bytes a value
+            # that derive_params prices, and the build's table of held bits,
+            # a word a group of 64 records, role and padded position
+            ("minhash", minhash, 4 * 2 * len(level) * minhash.rows
+             + 2 * 8 * -(-len(level) // 64) * (ctx.padded_length + 1))):
         tracemalloc.start()
         try:
             engine._screen_level(engine._LSH_VARIANTS[variant], Level.of(level), ctx, params,

@@ -92,7 +92,7 @@ REPORT_SHA256 = {
     ("bernoulli", "hamming"):
         "ce0374dc590a081eb9318e064fbc826ebf1c9350002042a5520dc334147e6d4b",
     ("bernoulli", "minhash"):
-        "1cec48fec756bcf006217d4fbafceb72ea2a5466fd5616d4775777aa69f41d4f",
+        "98eb85f771a59a963153549ebb9a32f4d1c0e60beb35185a2b2cf11622a3cf98",
     ("bernoulli", "covering"):
         "5f120217ca2d6cc9ab0c99e8ecc6baaac041d3dd23eda0bbcde7e8a1cccabe89",
     ("toy60", "exact"):
@@ -111,7 +111,7 @@ REPORT_SHA256 = {
 
 CSV_SHA256 = {
     "negatives": "b083ab0c5816c76fde50b944cce45e3eb2fa8b689dee42980b10d9023317b711",
-    "bernoulli": "f7b1c9e4ec71e99f13ec45ddddfb572fc49dd3537e1185de0f8bc1444ed374c9",
+    "bernoulli": "8f0f2600b040bb3770887cc46af781d9829d6fbaf1ffd29cf79e51ec89846be6",
     "toy60": "3280932292920b2b64b4b6f34af6b1c079851f5d4f5f5ed8f23fcb8f69db3725",
 }
 
@@ -140,7 +140,7 @@ BENCH_REPORT_SHA256 = {
     ("wide", "hamming"):
         "7d4b0b3cc5388bd1f0dd60a7688fd22806128cbec442162c1dfc4d2941b68b07",
     ("wide", "minhash"):
-        "2dd6b9c9cb4346fea0e0f5097ebccd2a0216b79ebc2ffb21be4da9075831550c",
+        "1ac940e5e4f3498d2fbd23d086930ccde320ac6c00119e78537f9fdced6cda90",
 }
 
 

@@ -1,19 +1,21 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lshmine import minhash_lsh, transform
-from lshmine.dataset import BitVector
+from lshmine import exact, minhash_lsh, transform
+from lshmine.dataset import BitVector, TransactionDatabase
 from lshmine.engine import MiningConfig, lsh_apriori_mine
 from lshmine.exact import Level
 from lshmine.minhash_lsh import (
     MinhashParams,
     build_sketch,
-    candidate_cut,
     derive_params,
     estimate_js,
     query,
@@ -29,8 +31,15 @@ from lshmine.transform import (
     padded_one_positions,
 )
 
-from conftest import level_pairs, random_vector, shared_item_level, singleton_level, sketch_view
-from test_golden_reports import bench_workload  # noqa: F401
+from conftest import (
+    level_pairs,
+    random_vector,
+    reference_sketch,
+    sample_stream,
+    shared_item_level,
+    singleton_level,
+    sketch_view,
+)
 
 
 def screen(sketch, level, params, qi):
@@ -118,14 +127,14 @@ def test_single_row_estimates_are_zero_or_one():
 
 
 def test_singleton_support_column_tracks_permutation():
-    # alpha == weight == 1: P(v) has a single 1, so every row is just the
-    # permutation value at that position
+    # alpha == weight == 1: P(v) holds position 3 alone, so every row's
+    # value is the index of the row's first sample at position 3
     v = BitVector.from_indices(5, [3])
     level = singleton_level([v])
     ctx = LevelContext(n=5, m_l=1, alpha_count=1, theta_count=1)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=16, accept_threshold=0.5)
     sketch = build_sketch(Level.of(level), params, ctx, seed=4)
-    assert np.array_equal(sketch.columns[:, 0], sketch.perms[:, 3])
+    assert sketch.columns[:, 0].tolist() == [row.tolist().index(3) for row in sketch.perms]
 
 
 def test_collision_probability_equals_jaccard_exhaustively():
@@ -238,20 +247,24 @@ def test_sketch_determinism():
 
 @pytest.mark.parametrize("rows,length", [(1, 3), (1, 5), (7, 33), (50, 1484), (282, 8000)])
 def test_sketch_values_are_the_raw_draw(rows, length):
-    # the reports' bytes rest on the sketch's hash values being the seed's
-    # raw 64-bit words, each split into its low then its high 32 bits, row
-    # by row, for plain and SeedSequence seeds alike
-    ctx = LevelContext(n=length - 2, m_l=0, alpha_count=1, theta_count=1)
+    # the reports' bytes rest on the sketch's values being read off the
+    # seed's raw draw: row r's t-th sample is the seed's raw 32-bit half
+    # t * rows + r mapped by Lemire's multiply-shift, for plain and
+    # SeedSequence seeds alike, `perms` redraws what the build drew, and each
+    # value is the index of the first of those samples its padded vector holds
+    weight = length // 3   # one record of weight alpha over n = length - 2 alpha
+    n = length - 2 * weight
+    level = Level.of(singleton_level([BitVector.from_indices(n, range(weight))]))
+    ctx = LevelContext(n=n, m_l=1, alpha_count=weight, theta_count=1)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
     for seed in (0, 1, 77, np.random.SeedSequence([1, 5])):
-        words = np.random.default_rng(seed).bit_generator.random_raw((rows * length + 1) // 2)
-        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
-        expected = halves[:rows * length].reshape(rows, length)
-        assert np.array_equal(build_sketch(Level.of([]), params, ctx, seed).perms, expected)
+        sketch = build_sketch(level, params, ctx, seed)
+        assert sketch.samples > sketch.records.max()
+        assert np.array_equal(sketch.perms, sample_stream(seed, rows, length, sketch.samples))
+        reference_sketch(level, ctx, sketch, seed)
 
 
 def test_estimates_unbiased_on_a_wide_universe():
-    # 32-bit hash values tie most often where the padded sets are largest:
     # pairs of alpha_count = 12,000 padded ones each, at the accept boundary
     # s*, at omega and with disjoint own positions (J = 0), agree on a
     # fraction of 16 x 256 rows within 4 sigma of their padded Jaccard
@@ -267,7 +280,6 @@ def test_estimates_unbiased_on_a_wide_universe():
     seeds = 16
     for seed in range(seeds):
         sketch = build_sketch(level, params, ctx, seed=seed)
-        assert sketch.perms.nbytes < 50e6
         agree += np.count_nonzero(sketch.columns[:, [0]] == sketch.query_columns[:, 1:], axis=0)
     draws = seeds * params.rows
     for hits, q in zip(agree.tolist(), partners):
@@ -294,129 +306,13 @@ def test_level_off_its_context_rejected():
     build_sketch(level, params, LevelContext(n=6, m_l=2, alpha_count=4, theta_count=1), 0)
 
 
-def test_bench_levels_probe_candidates_or_gather(bench_workload, monkeypatch):
-    # the level-1 singletons of negatives (s 601-604 of n 2000) and wide
-    # (1500 of 5000) probe candidates; dense-deep's levels 3-8, whose
-    # lightest records hold 85 of 800 transactions, gather every cell
-    cuts = {}
-    build = minhash_lsh.build_sketch
-
-    def spy(level, params, ctx, seed):
-        cuts[workload, level.items.shape[1]] = candidate_cut(level.supports, ctx.n)
-        return build(level, params, ctx, seed)
-
-    monkeypatch.setattr(minhash_lsh, "build_sketch", spy)
-    for workload in ("negatives", "dense-deep", "wide"):
-        db, theta = bench_workload(workload)
-        lsh_apriori_mine(db, MiningConfig(theta=theta, variant="minhash", epsilon=0.5, delta=0.1))
-    assert cuts["negatives", 1] > 0 and cuts["wide", 1] > 0
-    assert [cuts["dense-deep", size] for size in range(3, 9)] == [0] * 6
-
-
-def test_bench_levels_take_classes_or_gather(bench_workload, monkeypatch):
-    # dense-deep's cut-0 levels 2-7 group their 800 transactions into 207
-    # down to 5 classes that list 11-85x fewer positions than the records
-    # do; level 8 (4 records, 340 own positions) keeps the per-position
-    # gather, and level 1 probes candidates
-    sizes, classed = [], set()
-    build, minima = minhash_lsh.build_sketch, minhash_lsh.class_minima
-
-    def spy_build(level, params, ctx, seed):
-        sizes.append(level.items.shape[1])
-        return build(level, params, ctx, seed)
-
-    def spy_minima(own, classes, m):
-        classed.add(sizes[-1])
-        return minima(own, classes, m)
-
-    monkeypatch.setattr(minhash_lsh, "build_sketch", spy_build)
-    monkeypatch.setattr(minhash_lsh, "class_minima", spy_minima)
-    db, theta = bench_workload("dense-deep")
-    lsh_apriori_mine(db, MiningConfig(theta=theta, variant="minhash", epsilon=0.5, delta=0.1))
-    assert sizes == list(range(1, 9))
-    assert sorted(classed) == [2, 3, 4, 5, 6, 7]
-
-
-def test_level_without_repeated_transactions_keeps_the_gather(monkeypatch):
-    # 175 records of 85 random transactions of n = 800, 801 rows: no two
-    # transactions are held by the same records, so finding the classes
-    # stops once every held class is one position
-    n, rng = 800, np.random.default_rng(3)
-    hits = np.zeros((175, 832), dtype=bool)
-    for row in hits:
-        row[rng.choice(n, size=85, replace=False)] = True
-    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
-    assert candidate_cut(hits.sum(axis=1), n) == 0
-    assert minhash_lsh.transaction_classes(packed, n) is None
-    own = rng.integers(0, 1 << 32, size=(801, n), dtype=np.uint32)
-    monkeypatch.setattr(minhash_lsh, "class_minima", None)   # not called
-    minhash_lsh.own_minima(packed, n, 0)(own)
-
-
-def test_class_minima_peak_is_at_most_the_gathers(monkeypatch):
-    # a dense-deep-shaped cut-0 level: 49 records over n = 800, each holding
-    # one or two of four blocks of 85 transactions and 30 of the other 460,
-    # 875 rows.  The classes' chunked steps peak no higher than the
-    # per-position gather's transposed own block
-    n, rows, rng = 800, 875, np.random.default_rng(6)
-    hits = np.zeros((49, 832), dtype=bool)
-    for i, row in enumerate(hits):
-        for block in {i % 4, i % 3}:
-            row[85 * block:85 * (block + 1)] = True
-        row[340 + rng.choice(460, size=30, replace=False)] = True
-    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
-    supports = hits.sum(axis=1)
-    assert candidate_cut(supports, n) == 0
-    classes = minhash_lsh.transaction_classes(packed, n)
-    assert n + len(classes.members) < supports.sum()
-    own = rng.integers(0, 1 << 32, size=(rows, n + 100), dtype=np.uint32)[:, :n]
-    peaks = []
-    for find in (minhash_lsh.transaction_classes, lambda packed, n: None):
-        monkeypatch.setattr(minhash_lsh, "transaction_classes", find)
-        tracemalloc.start()
-        try:
-            minhash_lsh.own_minima(packed, n, 0)(own)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1], peaks
-
-
-def wide_shaped_level(rows):
-    """A `wide`-shaped level, 40 records of weight 1,500 over n = 5,000, and
-    its context and parameters at `rows` sketch rows."""
-    n, rng = 5000, np.random.default_rng(8)
-    hits = np.zeros((40, 5056), dtype=bool)
-    for row in hits:
-        row[rng.choice(n, size=1500, replace=False)] = True
-    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
-    level = Level(np.arange(40).reshape(-1, 1), packed, np.full(40, 1500), n)
-    ctx = LevelContext(n=n, m_l=40, alpha_count=1500, theta_count=600)
-    return level, ctx, MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
-
-
-def test_candidate_sketch_transposes_no_own_block():
-    # a wide-shaped level at 281 rows.  Probing candidates, the build holds
-    # the sketch, a chunk of hash values and less than the chunk's own
-    # block again (the gather's transposed copy)
-    level, ctx, params = wide_shaped_level(281)
-    n = ctx.n
-    assert candidate_cut(level.supports, n) > 0
-    tracemalloc.start()
-    try:
-        sketch = build_sketch(level, params, ctx, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    chunk = minhash_lsh.SKETCH_CHUNK_VALUES // ctx.padded_length   # rows
-    assert peak < 2 * sketch.records.nbytes + 4 * chunk * (ctx.padded_length + n)
 
 
 def chunk_levels():
-    """Three levels over an odd n, so that the padded length is odd: one
-    that probes candidates (cut > 0), one whose transactions fall into
-    classes, and one that gathers each record's own positions.  Each holds
-    a record with |v| == alpha_count, and the two cut-0 levels an empty one."""
+    """Three levels over an odd n, so that the padded length is odd: heavy
+    records ("probed"), records whose transactions repeat in blocks of 15
+    ("classed") and light records, one of them empty ("gathered").  Each
+    holds a record with |v| == alpha_count."""
     rng = np.random.default_rng(30)
     n = 101
     probed = [BitVector.from_indices(n, rng.choice(n, size=s, replace=False).tolist())
@@ -432,55 +328,96 @@ def chunk_levels():
 @pytest.mark.parametrize("path", ["probed", "classed", "gathered"])
 @pytest.mark.parametrize("rows,chunk", [(1, 1), (1, 3), (2, 3), (7, 1), (7, 2), (7, 3), (8, 3)])
 def test_sketch_is_the_same_across_chunk_boundaries(monkeypatch, path, rows, chunk):
-    # chunks of 1-3 rows over an odd padded length, so that a raw word's two
-    # halves fall in two chunks, with fewer rows than one chunk and a last
-    # chunk only partly full: the sketch's columns are each record's minima
-    # over its padded positions in the redrawn `perms`, which are the
-    # seed's raw draw whatever the chunk
+    # blocks of 1, 2 or 4 samples (BLOCK_MISS at the level's miss rate to
+    # the power chunk), so that cells stay open across many blocks, over an
+    # odd padded length, so that a raw word's two halves fall in two rows or
+    # two blocks: the same sketch as the default blocks give, each value the
+    # index of the first sample its padded vector holds
     vectors = chunk_levels()[path]
-    weights = [v.popcount() for v in vectors]
     n = vectors[0].length
-    ctx = LevelContext(n=n, m_l=len(vectors), alpha_count=max(weights), theta_count=1)
+    ctx = LevelContext(n=n, m_l=len(vectors), alpha_count=max(v.popcount() for v in vectors),
+                       theta_count=1)
     level = singleton_level(vectors)
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
-    length = ctx.padded_length
-    assert length % 2 == 1
-    classed, minima = [], minhash_lsh.class_minima   # the rows of each chunk the classes take
-
-    def spy(own, classes, m):
-        classed.append(len(own))
-        return minima(own, classes, m)
-
-    monkeypatch.setattr(minhash_lsh, "class_minima", spy)
-    monkeypatch.setattr(minhash_lsh, "SKETCH_CHUNK_VALUES", chunk * length)
+    assert ctx.padded_length % 2 == 1
+    whole = build_sketch(Level.of(level), params, ctx, seed=5)
+    monkeypatch.setattr(minhash_lsh, "BLOCK_MISS", (1 - ctx.alpha_count / ctx.padded_length) ** chunk)
     sketch = build_sketch(Level.of(level), params, ctx, seed=5)
-    assert (candidate_cut(np.array(weights), n) > 0) == (path == "probed")
-    chunks = [min(chunk, rows - s) for s in range(0, rows, chunk)]
-    assert classed == (chunks if path == "classed" else [])
-    words = np.random.default_rng(5).bit_generator.random_raw((rows * length + 1) // 2)
-    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
-    assert np.array_equal(sketch.perms, halves[:rows * length].reshape(rows, length))
-    for i, r in enumerate(level):
-        for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
-            expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
-            assert np.array_equal(columns[:, i], expected), (i, role)
+    block = 1 << chunk - 1
+    assert sketch.samples % block == 0 and sketch.samples > block   # blocks of `block` samples
+    assert np.array_equal(sketch.records, whole.records)
+    assert np.array_equal(sketch.query_records, whole.query_records)
+    reference_sketch(level, ctx, sketch, 5)
 
 
 @pytest.mark.parametrize("rows", [281, 1124])
 def test_sketch_build_holds_no_hash_matrix(rows):
-    # the build's peak is the sketch it keeps (two uint32 values per record
-    # and row), a chunk of hash values and what it reads off the chunk
-    # (half a chunk at most) and the level's unpacked bits: it does not grow
-    # with rows x padded length (9 MB at 281 rows, 36 MB at 1,124, where the
-    # whole matrix was drawn before it was read)
-    level, ctx, params = wide_shaped_level(rows)
-    assert candidate_cut(level.supports, ctx.n) > 0
+    # 64 records of weight 5,000 over n = 50,000 (n' = 60,000): the build's
+    # peak is the sketch it keeps, its table of held bits (a word a record
+    # group, role and padded position: 2.4x the packed level here) and a
+    # few chunks of samples and held words.  It holds no rows x n' matrix
+    # and no chunk of 2^20 32-bit hash values (4 MiB)
+    n, rng = 50_000, np.random.default_rng(8)
+    hits = np.zeros((64, 50_048), dtype=bool)
+    for row in hits:
+        row[rng.choice(n, size=5_000, replace=False)] = True
+    packed = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+    level = Level(np.arange(64).reshape(-1, 1), packed, np.full(64, 5_000), n)
+    ctx = LevelContext(n=n, m_l=64, alpha_count=5_000, theta_count=2_000)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
     tracemalloc.start()
     try:
-        build_sketch(level, params, ctx, seed=1)
+        sketch = build_sketch(level, params, ctx, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    length = ctx.padded_length
-    chunk = 4 * length * min(rows, minhash_lsh.SKETCH_CHUNK_VALUES // length)
-    assert peak < 2 * 4 * len(level) * rows + 3 * chunk // 2 + 8 * level.packed.nbytes
+    chunks = 8 * 8 * exact.PAIR_CHUNK_WORDS
+    assert peak < 2 * sketch.records.nbytes + 3 * packed.nbytes + chunks, peak
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, the benchmark's own generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("minhash_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses resolve their module here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_minhash_recall_at_bench_size(workloads):
+    # seeds 1-10 of the three bench workloads (n 800 to 5,000 over 11 to 400
+    # items) at the bench's epsilon 0.5 and delta 0.1: MinHash finds every
+    # itemset exact finds, and reads what the bench reads at seed 1, 800,000
+    # transactions on negatives and 511,200 on dense-deep, on every seed
+    reads = {"negatives": 800_000, "dense-deep": 511_200}
+    for name in ("negatives", "dense-deep", "wide"):
+        for seed in range(1, 11):
+            inst = workloads.generate(name, seed)
+            items = np.flatnonzero(inst.hits.any(axis=0))
+            rows = np.packbits(inst.hits[:, items].T, axis=1, bitorder="little")
+            packed = np.zeros((len(items), -(-inst.n // 64) * 8), dtype=np.uint8)
+            packed[:, :rows.shape[1]] = rows
+            db = TransactionDatabase(inst.n, inst.m, items.astype(np.int64), packed.view("<u8"))
+            exact_sets = lsh_apriori_mine(db, MiningConfig(theta=inst.theta)).itemsets
+            report = lsh_apriori_mine(db, MiningConfig(theta=inst.theta, variant="minhash",
+                                                       epsilon=0.5, delta=0.1))
+            assert report.itemsets.item_tuples() == exact_sets.item_tuples(), (name, seed)
+            if name in reads:
+                assert sum(row.transactions_read for row in report.levels) == reads[name]
+
+
+def test_sketch_values_widen_past_255():
+    # alpha_count = 1 over n = 700: a cell holds 1 of 702 positions, so
+    # values pass 255 and the sketch takes uint16, each value still the
+    # index of the first sample its padded vector holds
+    n = 700
+    vectors = [BitVector.from_indices(n, [5]), BitVector.from_indices(n, []),
+               BitVector.from_indices(n, [699])]
+    level = singleton_level(vectors)
+    ctx = LevelContext(n=n, m_l=3, alpha_count=1, theta_count=1)
+    params = MinhashParams(omega=0.3, eps_mh=0.2, rows=4, accept_threshold=0.5)
+    sketch = build_sketch(Level.of(level), params, ctx, seed=2)
+    assert sketch.records.dtype == np.uint16 and sketch.records.max() > 255
+    reference_sketch(level, ctx, sketch, 2)

@@ -11,6 +11,7 @@ dense padded layout, the covering family's one size rule, every variant
 against the brute-force oracle and against the database's columns, and
 the packed loader against the per-item Python-int one."""
 
+import copy
 import math
 import tempfile
 from dataclasses import replace
@@ -37,16 +38,7 @@ from lshmine.covering_lsh import CoveringParams, build_family
 from lshmine.covering_lsh import build_index as covering_build_index
 from lshmine.covering_lsh import query as covering_query
 from lshmine.hamming_lsh import HammingLshParams, build_index, query
-from lshmine.minhash_lsh import (
-    CUT_FACTOR,
-    TOP,
-    MinhashParams,
-    build_sketch,
-    candidate_cut,
-    class_minima,
-    own_minima,
-    transaction_classes,
-)
+from lshmine.minhash_lsh import MinhashParams, build_sketch
 from lshmine.minhash_lsh import query as minhash_query
 from lshmine.transform import (
     PREPROCESS,
@@ -78,6 +70,7 @@ from conftest import (
     reference_load_transactions,
     reference_minhash_query,
     reference_probe,
+    reference_sketch,
     reference_tables,
     sketch_view,
     verify_collisions,
@@ -486,120 +479,23 @@ def sketch_level(patterns, alpha_count):
                                  theta_count=1)
 
 
-def hashed_level(n, values, hashes):
-    """Singleton records of the given ints over n transactions, and the
-    first n columns of `hashes` as their own block: a view into a wider
-    matrix, as the sketch's own positions are."""
-    return Level.of([record((i,), BitVector(n, v)) for i, v in enumerate(values)]), hashes[:, :n]
+def rejecting_generator():
+    """A PCG64 bit generator whose first raw word is 0, set by stepping its
+    LCG state back from one whose two 64-bit halves are equal (the output is
+    their XOR, rotated): the first two 32-bit halves are 0, which Lemire's
+    map rejects for every length that is not a power of two."""
+    bits = np.random.PCG64(5)
+    state = bits.state
+    inc = state["state"]["inc"]
+    multiplier = (2549297995355413924 << 64) + 4865540595714422341
+    target = 12345 * ((1 << 64) + 1)
+    state["state"]["state"] = (target - inc) * pow(multiplier, -1, 1 << 128) % (1 << 128)
+    bits.state = state
+    return bits
 
 
-def tied_hashes(rng, rows, n, ties):
-    """A block of hash values over n + 3 positions, a `ties` share of them
-    2^32-1 and about 5% of them 0."""
-    hashes = rng.integers(0, 1 << 32, size=(rows, n + 3), dtype=np.uint32)
-    hashes[rng.random(hashes.shape) < ties] = TOP
-    hashes[rng.random(hashes.shape) < 0.05] = 0
-    return hashes
-
-
-@st.composite
-def hashed_levels(draw):
-    """Records over n in 1..130 transactions (empty ones included) and a
-    block of 1..6 rows of hash values, many of them tied at 2^32-1 on some
-    draws, and some 0."""
-    n = draw(st.integers(1, 130))
-    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ties = draw(st.sampled_from([0.0, 0.5, 0.95]))
-    return hashed_level(n, values, tied_hashes(rng, draw(st.integers(1, 6)), n, ties))
-
-
-def own_reference(level, own):
-    """Each record's least value of every row of `own` over its own positions."""
-    return np.array([own[:, np.flatnonzero(r.vector.to_uint8())].min(axis=1, initial=TOP)
-                     for r in level], dtype=np.uint32).reshape(len(level), own.shape[0])
-
-
-@SETTINGS
-@given(hashed_levels(), st.booleans())
-@example(hashed_level(1, [1], np.array([[TOP, 7]], dtype=np.uint32)), False)   # one record, n = 1
-@example(hashed_level(1, [0, 1], np.array([[0, 7], [TOP, 7]], dtype=np.uint32)), True)
-@example(hashed_level(70, [(1 << 70) - 1], np.full((3, 72), TOP, dtype=np.uint32)), False)
-def test_own_minima_are_minima_over_own_positions(level, one_per_chunk):
-    # at every cut, from 0 (every cell gathered) to 2^32-1 (every value but
-    # the ties at 2^32-1 a candidate), and one record per chunk or all at once
-    level, own = level
-    lightest = max(1, int(level.supports.min()))
-    expected = own_reference(level, own)
-    chunk = 1 if one_per_chunk else exact.PAIR_CHUNK_WORDS
-    with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
-        for cut in (0, 1, candidate_cut(level.supports, level.n),
-                    min(TOP, CUT_FACTOR * 2**32 // lightest), TOP):
-            assert np.array_equal(own_minima(level.packed, level.n, cut)(own), expected), cut
-
-
-def column_level(columns, which, rows=3, ties=0.5, seed=0):
-    """Records whose transaction j holds the column columns[which[j]] (one
-    0/1 string per column, a character per record), and a tied hash block."""
-    bits = np.array([[c == "1" for c in columns[k]] for k in which], dtype=np.uint8).T
-    values = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-              for row in bits]
-    rng = np.random.default_rng(seed)
-    return hashed_level(len(which), values, tied_hashes(rng, rows, len(which), ties))
-
-
-@st.composite
-def repeated_levels(draw):
-    """Records over n in 1..130 transactions whose columns are drawn from
-    1..6 patterns of 1..70 records, so they repeat, and a hash block as
-    `hashed_levels` draws it."""
-    n, m = draw(st.integers(1, 130)), draw(st.integers(1, 70))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
-    columns = ["".join("1" if hit else "0" for hit in rng.random(m) < density)
-               for _ in range(draw(st.integers(1, 6)))]
-    return column_level(columns, rng.integers(0, len(columns), n).tolist(),
-                        draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.5, 0.95])), seed)
-
-
-def thirds(m):
-    """Three columns of m records, each record in one of them."""
-    return ["".join("1" if i % 3 == k else "0" for i in range(m)) for k in range(3)]
-
-
-@SETTINGS
-@given(repeated_levels(), st.booleans())
-@example(column_level(["101"], [0] * 20), False)                    # one class of every position
-@example(column_level(["10", "01", "11"], [0, 1, 2]), False)        # every column distinct
-@example(column_level(["1100", "0110"], [0, 1, 0, 1, 0, 0]), True)  # an empty record
-@example(column_level(thirds(63), [0, 1, 2] * 3), False)           # m = 63, 64, 65: keys of
-@example(column_level(thirds(64), [0, 1, 2] * 3), False)           # one word, then two
-@example(column_level(thirds(65), [2, 1, 0] * 3), True)
-@example(column_level(["110", "011", "000"], [0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 0, 2, 2]), False)
-@example(column_level(["1011", "0110"], [1, 0, 1, 1, 0, 1, 0, 0], rows=1), True)
-def test_class_minima_equal_the_per_position_gather(level, one_per_chunk):
-    # the classes are the held positions' distinct columns, or None where
-    # no two of them are equal; each record's least over its classes'
-    # minima is its least over its own positions, as is what own_minima
-    # returns at cut 0 whichever way it goes, one row, record or group
-    # per chunk or all at once (n = 13 and rows = 1 in the last examples)
-    level, own = level
-    expected = own_reference(level, own)
-    columns = {}
-    for j, column in enumerate(map(tuple, np.array([r.vector.to_uint8() for r in level]).T)):
-        if any(column):
-            columns.setdefault(column, []).append(j)
-    classes = transaction_classes(level.packed, level.n)
-    chunk = 1 if one_per_chunk else exact.PAIR_CHUNK_WORDS
-    with mock.patch.object(exact, "PAIR_CHUNK_WORDS", chunk):
-        if len(columns) == sum(map(len, columns.values())):
-            assert classes is None
-        else:
-            assert sorted(classes.sizes.tolist()) == sorted(map(len, columns.values()))
-            assert sorted(classes.positions.tolist()) == sorted(sum(columns.values(), []))
-            assert np.array_equal(class_minima(own, classes, len(level)), expected)
-        assert np.array_equal(own_minima(level.packed, level.n, 0)(own), expected)
+def test_rejecting_generator_starts_with_a_zero_word():
+    assert rejecting_generator().random_raw(2)[0] == 0
 
 
 @SETTINGS
@@ -608,16 +504,29 @@ def test_class_minima_equal_the_per_position_gather(level, one_per_chunk):
 @example(sketch_level(["1101", "0101", "0000"], 3), 1, 5)    # alpha, alpha-1, empty
 @example(sketch_level(["110100", "100100", "111000"], 3), 64, 9)
 @example(sketch_level(["1" * 120 + "0" * 80, "0" * 50 + "1" * 150, "1" * 200], 200), 64, 3)
+@example(([], LevelContext(n=5, m_l=0, alpha_count=2, theta_count=1)), 3, 1)   # empty level
+@example(sketch_level(["10110", "01100", "00000"], 3), 7, 2)   # odd n' = 11
+@example(sketch_level(["10110", "01100"], 3), 1, rejecting_generator())   # samples 0 and 1 rejected
+@example(sketch_level(["10110", "01100"], 3), 3, rejecting_generator())   # rows 0 and 1's first
+@example(sketch_level([format(37 * i % 128, "07b") for i in range(70)], 7), 5, 11)   # 2 words
 def test_sketch_columns_are_padded_minima(level, rows, seed):
-    # reference: each column is the minimum of the sketch's own permutations
-    # over the padded vector's one positions; the last example's cut is
-    # above 0, so its own minima are found among candidates
+    # reference: each value is the index of the first sample of its row's
+    # stream, read off the seed's raw words, that the padded vector holds;
+    # so each column is the minimum, over the padded vector's one positions,
+    # of the index at which the row's stream first draws the position
     records, ctx = level
     params = MinhashParams(omega=0.3, eps_mh=0.2, rows=rows, accept_threshold=0.5)
+    stream_seed = copy.deepcopy(seed)   # a bit generator is consumed by the build
     sketch = build_sketch(Level.of(records), params, ctx, seed)
+    stream = reference_sketch(records, ctx, sketch, stream_seed)
+    if isinstance(seed, np.random.BitGenerator):
+        assert (stream.T.ravel()[:2] == ctx.padded_length).all()
+    first = np.full((rows, ctx.padded_length + 1), stream.shape[1], dtype=np.int64)
+    for t in range(stream.shape[1] - 1, -1, -1):   # the last write is the earliest draw
+        first[np.arange(rows), stream[:, t]] = t
     for i, r in enumerate(records):
         for role, columns in ((PREPROCESS, sketch.columns), (QUERY, sketch.query_columns)):
-            expected = sketch.perms[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
+            expected = first[:, padded_one_positions(r.vector, ctx, role)].min(axis=1)
             assert np.array_equal(columns[:, i], expected)
     # the level query compares each pair's P column with its query's own Q column
     pairs = level_pairs(records)
@@ -1043,6 +952,26 @@ def check_minhash_screen(case):
         assert 0 in res.approved
 
 
+def edges_with_degrees(degrees):
+    """Distinct pairs of items in which item v < len(degrees) occurs in
+    degrees[v] pairs (Havel-Hakimi: the item of the largest remaining
+    degree pairs with those of the next largest), with a fresh item of one
+    occurrence for each partner the items run out of."""
+    need, edges, fresh = dict(enumerate(degrees)), [], len(degrees)
+    while need:
+        v = max(need, key=need.get)
+        d = need.pop(v)
+        partners = sorted(need, key=need.get, reverse=True)[:d]
+        for u in partners:
+            edges.append((min(u, v), max(u, v)))
+            need[u] -= 1
+            if not need[u]:
+                del need[u]
+        edges += [(v, fresh + k) for k in range(d - len(partners))]
+        fresh += d - len(partners)
+    return edges
+
+
 SKETCH_EDGES = [
     # the first pair's hits at the threshold: 7 of 25 rows and 15 of 29,
     # where (hits / rows) * rows rounds above hits
@@ -1059,6 +988,11 @@ SKETCH_EDGES = [
     # 70 equal records at full weight, unpadded: every minimum agrees, on
     # all 256 rows, one more than an 8-bit sum holds
     anded_level(12, [(i,) for i in range(70)], [0b111111110000] * 70, 3) + (256, 0.5, 7, False),
+    # l = 2: join groups of every size from 2 to BROADCAST_GROUP + 1, the
+    # stacked sizes and the least two the broadcast takes
+    anded_level(12, edges := edges_with_degrees(range(2, minhash_lsh.BROADCAST_GROUP + 2)),
+                [int(c) for c in np.random.default_rng(13).integers(0, 1 << 12, 1 + max(
+                    max(e) for e in edges))], 2) + (8, 0.4, 8, True),
 ]
 
 
@@ -1069,6 +1003,7 @@ SKETCH_EDGES = [
 @example(SKETCH_EDGES[2])
 @example(SKETCH_EDGES[3])
 @example(SKETCH_EDGES[4])
+@example(SKETCH_EDGES[5])
 def test_minhash_screen_matches_per_record_query(case):
     check_minhash_screen(case)
 
@@ -1084,12 +1019,16 @@ def test_minhash_broadcast_matches_per_record_query(monkeypatch, group):
 
 def test_sketch_edges_take_the_ways_they_name():
     # the edges reach what they name: a group past the rule, groups of 2 and
-    # 3 records, and every pair matching on every row
+    # 3 records, every pair matching on every row, and every group size
     sizes = []
     for records, *_ in SKETCH_EDGES[2:4]:
         end = join_level(Level.of(records), 1).filings[2]
         sizes.append(sorted(np.unique(end, return_counts=True)[1].tolist()))
     assert sizes[0] == [70] and 70 >= minhash_lsh.BROADCAST_GROUP and sizes[1][-2:] == [2, 3]
+    records = SKETCH_EDGES[5][0]
+    end = join_level(Level.of(records), 1).filings[2]
+    assert set(range(2, minhash_lsh.BROADCAST_GROUP + 2)) <= set(
+        np.unique(end, return_counts=True)[1].tolist())
     records, theta_count, rows, *_ = SKETCH_EDGES[4]
     sketch = build_sketch(Level.of(records), MinhashParams(0.3, 0.2, rows, 0.5),
                           level_context(records, theta_count), 7)
@@ -1101,29 +1040,24 @@ def test_sketch_edges_take_the_ways_they_name():
 @pytest.mark.parametrize("level", [*JOIN_EDGES, *(case[:2] for case in SKETCH_EDGES[2:4])])
 def test_group_pairs_follow_the_numbering_rule(level):
     # a join group's pairs run from its first filing's `start` in the
-    # `np.triu_indices` order of its filings, both ways round, and
-    # `group_pairs` lists exactly the pairs of the groups it names, ascending
+    # `np.triu_indices` order of its filings, both ways round, and the
+    # groups' pairs, laid end to end, are every pair once
     records, theta_count = level
     sweep = join_level(Level.of(records), theta_count)
     owner, item, end = sweep.filings
     heads = np.flatnonzero(np.diff(end, prepend=-1))
-    per_group = {}
+    listed = []
     for h in heads.tolist():
         x, y = np.triu_indices(end[h] - h, 1)
-        pairs = sweep.group_pairs(np.array([h]))
-        assert pairs.tolist() == list(range(sweep.start[h], sweep.start[h] + len(x)))
+        pairs = sweep.start[h] + np.arange(len(x))
         q, a, z = sweep.members(pairs)
         assert (q.tolist(), a.tolist(), z.tolist()) == \
             (owner[h + x].tolist(), owner[h + y].tolist(), item[h + y].tolist())
         q, a, z = sweep.members(pairs + sweep.candidate_pairs)
         assert (q.tolist(), a.tolist(), z.tolist()) == \
             (owner[h + y].tolist(), owner[h + x].tolist(), item[h + x].tolist())
-        per_group[h] = pairs.tolist()
-    for named in (heads, heads[::2], heads[1::2], heads[:0]):
-        listed = sweep.group_pairs(named).tolist()
-        assert listed == sorted(p for h in named.tolist() for p in per_group[h])
-        assert listed == sorted(set(listed))
-    assert sweep.group_pairs(heads).tolist() == list(range(sweep.candidate_pairs))
+        listed += pairs.tolist()
+    assert listed == list(range(sweep.candidate_pairs))
 
 
 def test_screen_crosses_every_chunk_boundary(monkeypatch):
